@@ -3,7 +3,7 @@
 Subcommands: evaluate, optimize, export, bounds, hyperplanes, heuristic,
 compare, extreme-points.  Every command is deterministic given its config
 and seed.  Exit codes: 0 success, 1 usage/config error, 2 infeasible or
-too-large instance, 3 internal invariant violation.
+too-large instance, 3 internal invariant violation (InternalError).
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -73,11 +74,22 @@ def _write_json(path: Path, obj) -> None:
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
+def _parse_numbers(text: str, sep: str, flag: str) -> list[float]:
+    """Finite numbers from a `sep`-separated list; anything else is a usage error."""
+    try:
+        values = [float(p) for p in text.split(sep)]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected numbers separated by {sep!r}, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag}: numbers must be finite, got {text!r}")
+    return values
+
+
 def _parse_grid(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
+    parts = _parse_numbers(text, ":", "--grid")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:step:end, got {text!r}")
-    start, step, end = (float(p) for p in parts)
+    start, step, end = parts
     if step <= 0 or end < start:
         raise ConfigError(f"bad grid {text!r}")
     return start, step, end
@@ -206,8 +218,8 @@ def cmd_hyperplanes(run: RunConfig) -> int:
 
 
 def cmd_heuristic(run: RunConfig, targets: str, layers_per_target: int, order: str) -> int:
+    wls = tuple(_parse_numbers(targets, ",", "--targets"))
     config, tables, _ = _load_instance(run)
-    wls = tuple(float(t) for t in targets.split(","))
     from .materials import _rank_by_mean_index
 
     high, low = _rank_by_mean_index(list(config.materials), tables, wls)
@@ -241,7 +253,7 @@ def cmd_compare(run: RunConfig, named_designs: list[str]) -> int:
 
 
 def cmd_extreme_points(beta: float, box: str) -> int:
-    parts = [float(p) for p in box.split(",")]
+    parts = _parse_numbers(box, ",", "--box")
     if len(parts) != 4:
         raise ConfigError("--box must be lo1,hi1,lo2,hi2")
     pts = relax.extreme_points_2d((parts[0], parts[1]), (parts[2], parts[3]), beta)

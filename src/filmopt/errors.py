@@ -75,3 +75,7 @@ class InadmissibleDesign(FilmoptError):
 
 class InstanceTooLarge(FilmoptError):
     """Enumeration size exceeds the configured cap."""
+
+
+class InternalError(FilmoptError):
+    """An internal invariant failed: a bug in filmopt, not bad input (exit code 3)."""

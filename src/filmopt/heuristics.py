@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MissingDispersion, ValidationError
-from .materials import DispersionTable, index_at
+from .materials import DispersionTable, index_at, progression
 from .solver import Design, evaluate_design_on_grid
 
 VISIBLE_GRID = (380.0, 10.0, 770.0)
@@ -22,8 +22,7 @@ BROAD_GRID = (300.0, 20.0, 3000.0)
 
 
 def grid_points(start: float, step: float, end: float) -> list[float]:
-    count = int(round((end - start) / step)) + 1
-    return [start + i * step for i in range(count)]
+    return list(progression(start, step, end))
 
 
 @dataclass(frozen=True)

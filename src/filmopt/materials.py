@@ -126,12 +126,13 @@ class ThicknessSet:
             raise ValidationError(f"{self.material_id}: thicknesses must be sorted, unique")
 
 
-def _progression(start: float, step: float, end: float) -> tuple[float, ...]:
+def progression(start: float, step: float, end: float) -> tuple[float, ...]:
+    """start, start + step, ... up to end; the count is floored, so end is never passed."""
     if step <= 0:
-        raise ConfigError("thickness progression step must be positive")
+        raise ConfigError("progression step must be positive")
     count = int(math.floor((end - start) / step + 1e-9)) + 1
     if count < 1:
-        raise ConfigError("empty thickness progression")
+        raise ConfigError("empty progression")
     return tuple(start + i * step for i in range(count))
 
 
@@ -160,12 +161,12 @@ class CatalogConfig:
             thick: dict[str, tuple[float, ...]] = {}
             for mat, spec in raw["thicknesses"].items():
                 if isinstance(spec, dict):
-                    thick[mat] = _progression(spec["start"], spec["step"], spec["end"])
+                    thick[mat] = progression(spec["start"], spec["step"], spec["end"])
                 else:
                     thick[mat] = tuple(float(t) for t in spec)
             wl_spec = raw["wavelengths"]
             if isinstance(wl_spec, dict):
-                wavelengths = _progression(wl_spec["start"], wl_spec["step"], wl_spec["end"])
+                wavelengths = progression(wl_spec["start"], wl_spec["step"], wl_spec["end"])
             else:
                 wavelengths = tuple(float(w) for w in wl_spec)
             weights = raw.get("weights")

@@ -1,35 +1,49 @@
 """Exact optimization of the discrete coating design problem.
 
-Two engines, both returning a :class:`SolveReport`:
+One depth-first engine, :func:`_search`, serves both public entry points,
+which return a :class:`SolveReport`:
 
-* :func:`brute_force` — depth-first enumeration with prefix-product sharing;
-  the trailing layers are folded into a precomputed suffix-product table so
-  the innermost loop runs vectorized.
-* :func:`branch_and_bound` — the same search with interval-box pruning:
-  at each node an optimistic completion value is computed from the fixed
-  prefix and corner-propagated bounds on the remaining-layer product, and
-  children are visited in order of decreasing bound.
+* :func:`brute_force` — exhaustive enumeration (``prune=False``).
+* :func:`branch_and_bound` — the same search with interval-box pruning
+  (``prune=True``): each child prefix gets an optimistic completion value
+  from its matrix times the corner-propagated box of the remaining-layer
+  product, with the box maximum of ``D`` taken separably; children are
+  visited in decreasing bound order and cut when the bound cannot beat the
+  incumbent.
 
-Node accounting: ``nodes_explored`` counts complete designs whose objective
-was evaluated; ``nodes_pruned`` counts children skipped because their bound
-could not beat the incumbent (each skipped subtree counts once).
+The layers split into leading layers, searched node by node with shared
+prefix products, and a trailing block whose products are built once as an
+(L, 4, K) suffix table.  Every prefix that reaches the split is scored
+against the whole table with one matmul per wavelength into buffers
+allocated once per solve.  The tail grows from the last layer while its
+block fits in ``max(1024, 262_144 // L)`` designs; with pruning it is also
+capped at ``max(1, N // 2)`` layers, so bounds act on the leading half.
+Pruning happens only above the split.
+
+Node accounting: ``nodes_explored`` counts designs evaluated, each tail
+block counted whole; ``nodes_pruned`` counts subtrees cut above the split
+(each cut subtree counts once).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .arrayops import denominator4, mul4, reflectance4
-from .errors import InadmissibleDesign, InstanceTooLarge
+from .arrayops import (
+    box_max_denominator4,
+    interval_product4,
+    mul4,
+    reflectance_rows4,
+    weighted_reflectance4,
+)
+from .errors import InadmissibleDesign, InstanceTooLarge, InternalError
 from .materials import Catalog, DispersionTable, index_at
 from .optics import (
     ComplexIndex,
-    StructuredMatrix,
     average_reflectance,
     chain_product,
     make_transfer_matrix,
@@ -159,18 +173,52 @@ def _report(
     )
 
 
-def brute_force(catalog: Catalog, leaf_cap: int = 100_000_000) -> SolveReport:
-    """Provably optimal design by exhaustive enumeration.
+def _split_depth(counts: list[int], n_wl: int, prune: bool) -> int:
+    """Number of leading layers searched node by node; the rest form the tail block.
 
-    Prefix products are shared across subtrees; the trailing layers whose
-    combination count fits in memory are evaluated as one vectorized block.
-    Ties within the improvement tolerance keep the first (lexicographically
-    smallest) design found.
+    The tail grows from the last layer while its block of designs fits in
+    ``max(1024, 262_144 // n_wl)`` columns.  With pruning it is also capped at
+    half the stack, so bounds can cut subtrees on the leading half.
+    """
+    limit = max(1024, 262_144 // n_wl)
+    max_tail = max(1, len(counts) // 2) if prune else len(counts)
+    tail, size = 1, counts[-1]
+    while tail < max_tail and size * counts[-tail - 1] <= limit:
+        tail += 1
+        size *= counts[-tail]
+    return len(counts) - tail
+
+
+def _suffix_table(mats: list[np.ndarray]) -> np.ndarray:
+    """(L, 4, K) products of every choice sequence over `mats`, last layer fastest."""
+    table = np.ascontiguousarray(mats[0].transpose(1, 2, 0))
+    for m in mats[1:]:
+        n_wl, _, k = table.shape
+        nxt = np.empty((n_wl, 4, k, m.shape[0]))
+        mul4(
+            table.transpose(0, 2, 1)[:, :, None, :],
+            m.transpose(1, 0, 2)[:, None, :, :],
+            out=nxt.transpose(0, 2, 3, 1),
+        )
+        table = nxt.reshape(n_wl, 4, -1)
+    return table
+
+
+def _search(
+    catalog: Catalog,
+    prune: bool,
+    suffix_boxes: bounds_mod.EntryBounds | None = None,
+    node_cap: int | None = None,
+    check_monotone: bool = False,
+) -> SolveReport:
+    """Depth-first search over the leading layers, tail block scored by GEMM.
+
+    Prefixes of the first `split` layers are enumerated depth first (with
+    `prune`, children in decreasing bound order and cut when their bound
+    cannot beat the incumbent).  Each surviving prefix is scored against
+    the whole suffix table of the trailing layers at once.
     """
     t0 = time.perf_counter()
-    total = catalog.design_count()
-    if total > leaf_cap:
-        raise InstanceTooLarge(f"{total} designs exceed cap {leaf_cap}")
     n_layers = catalog.n_layers
     if n_layers == 0:
         _, avg = evaluate_design((), catalog)
@@ -179,29 +227,22 @@ def brute_force(catalog: Catalog, leaf_cap: int = 100_000_000) -> SolveReport:
     mats = _layer_arrays(catalog)
     a, b, phi = _substrate_arrays(catalog)
     counts = [m.shape[0] for m in mats]
-    n_wl = len(catalog.spectrum)
-
-    suffix_limit = max(1024, 262_144 // n_wl)
-    tail = 1
-    prod = counts[-1]
-    while tail < n_layers and prod * counts[n_layers - tail - 1] <= suffix_limit:
-        tail += 1
-        prod *= counts[n_layers - tail]
-    split = n_layers - tail
-
-    suffix = mats[split]
-    for u in range(split + 1, n_layers):
-        k, c = suffix.shape[0], counts[u]
-        suffix = mul4(suffix[:, None, :, :], mats[u][None, :, :, :]).reshape(
-            k * c, n_wl, 4
-        )
+    n_wl = len(phi)
+    split = _split_depth(counts, n_wl, prune)
+    suffix = _suffix_table(mats[split:])
+    work = np.empty_like(suffix)
+    scores = np.empty(suffix.shape[2])
+    if prune:
+        if suffix_boxes is None:
+            suffix_boxes = bounds_mod.suffix_product_bounds(catalog)
+        slo, shi = suffix_boxes.lower, suffix_boxes.upper
 
     best = -np.inf
     best_design: list[int] | None = None
     incumbents: list[float] = []
     nodes = 0
-
-    identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0]), (n_wl, 1))
+    pruned = 0
+    capped = False
 
     def decode_suffix(index: int) -> list[int]:
         picks: list[int] = []
@@ -210,61 +251,68 @@ def brute_force(catalog: Catalog, leaf_cap: int = 100_000_000) -> SolveReport:
             picks.append(j)
         return picks[::-1]
 
-    def descend(depth: int, prefix: np.ndarray, chosen: list[int]) -> None:
-        nonlocal best, best_design, nodes
-        if depth == split:
-            w = mul4(prefix[None, :, :], suffix)
-            obj = reflectance4(w, a, b) @ phi
-            nodes += obj.shape[0]
-            i = int(np.argmax(obj))
-            if obj[i] > best + OBJECTIVE_EPS:
-                best = float(obj[i])
-                best_design = chosen + decode_suffix(i)
-                incumbents.append(best)
-            return
-        layer = mul4(prefix[None, :, :], mats[depth])
-        for j in range(counts[depth]):
-            descend(depth + 1, layer[j], chosen + [j])
+    def bounds_at(prefixes: np.ndarray, depth: int) -> np.ndarray:
+        """Optimistic objective of every completion of (c, L, 4) depth-`depth` prefixes."""
+        lo, hi = interval_product4(prefixes, slo[:, depth], shi[:, depth])
+        return (1.0 - 4.0 * a / box_max_denominator4(lo, hi, a, b)) @ phi
 
-    descend(0, identity, [])
-    assert best_design is not None
-    design = tuple(
-        catalog.choices_at(n + 1)[j] for n, j in enumerate(best_design)
-    )
-    return _report(catalog, design, nodes, 0, t0, True, incumbents)
+    def leaf(rows: np.ndarray, chosen: list[int]) -> None:
+        nonlocal best, best_design, nodes, capped
+        obj = weighted_reflectance4(rows, suffix, phi, work, scores)
+        nodes += obj.shape[0]
+        i = int(np.argmax(obj))
+        if obj[i] > best + OBJECTIVE_EPS:
+            best = float(obj[i])
+            best_design = chosen + decode_suffix(i)
+            incumbents.append(best)
+        if node_cap is not None and nodes >= node_cap:
+            capped = True
+
+    def descend(depth: int, prefix: np.ndarray, chosen: list[int], bound: float) -> None:
+        nonlocal pruned
+        children = mul4(prefix[None, :, :], mats[depth])
+        order = range(counts[depth])
+        child_bound = np.full(counts[depth], np.inf)
+        if prune:
+            child_bound = bounds_at(children, depth + 1)
+            if check_monotone and np.any(child_bound > bound + 1e-9):
+                raise InternalError(f"child bound exceeds parent bound at depth {depth + 1}")
+            order = np.argsort(-child_bound, kind="stable")
+        last = depth + 1 == split
+        if last:
+            rows = reflectance_rows4(children, a, b)
+        for j in order:
+            if capped:
+                return
+            if child_bound[j] <= best + OBJECTIVE_EPS:
+                pruned += 1
+                continue
+            if last:
+                leaf(rows[j], chosen + [int(j)])
+            else:
+                descend(depth + 1, children[j], chosen + [int(j)], child_bound[j])
+
+    identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0]), (n_wl, 1))
+    if split == 0:
+        leaf(reflectance_rows4(identity, a, b), [])
+    else:
+        descend(0, identity, [], bounds_at(identity[None], 0)[0] if prune else np.inf)
+    if best_design is None:
+        raise InternalError("search ended without an incumbent design")
+    design = tuple(catalog.choices_at(n + 1)[j] for n, j in enumerate(best_design))
+    return _report(catalog, design, nodes, pruned, t0, not capped, incumbents)
 
 
-def _box_product_batch(
-    prefixes: np.ndarray, slo: np.ndarray, shi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise range of P*S for a batch of prefixes (c, L, 4) and a suffix box (L, 4)."""
-    p11, p12 = prefixes[..., 0], prefixes[..., 1]
-    p21, p22 = prefixes[..., 2], prefixes[..., 3]
-    combos = (
-        ((p11, 0), (-p12, 2)),
-        ((p11, 1), (p12, 3)),
-        ((p21, 0), (p22, 2)),
-        ((p22, 3), (-p21, 1)),
-    )
-    lo = np.empty_like(prefixes)
-    hi = np.empty_like(prefixes)
-    for e, ((c1, e1), (c2, e2)) in enumerate(combos):
-        t1a, t1b = c1 * slo[:, e1], c1 * shi[:, e1]
-        t2a, t2b = c2 * slo[:, e2], c2 * shi[:, e2]
-        lo[..., e] = np.minimum(t1a, t1b) + np.minimum(t2a, t2b)
-        hi[..., e] = np.maximum(t1a, t1b) + np.maximum(t2a, t2b)
-    return lo, hi
+def brute_force(catalog: Catalog, leaf_cap: int = 100_000_000) -> SolveReport:
+    """Provably optimal design by exhaustive enumeration.
 
-
-def _corner_dmax(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Max of D over each box in a (c, L, 4) batch, via the 16 corners."""
-    dmax = np.full(lo.shape[:-1], -np.inf)
-    w = np.empty_like(lo)
-    for picks in product((0, 1), repeat=4):
-        for e, p in enumerate(picks):
-            w[..., e] = hi[..., e] if p else lo[..., e]
-        np.maximum(dmax, denominator4(w, a, b), out=dmax)
-    return dmax
+    Ties within the improvement tolerance keep the first (lexicographically
+    smallest) design found.  Raises InstanceTooLarge above `leaf_cap` designs.
+    """
+    total = catalog.design_count()
+    if total > leaf_cap:
+        raise InstanceTooLarge(f"{total} designs exceed cap {leaf_cap}")
+    return _search(catalog, prune=False)
 
 
 def branch_and_bound(
@@ -279,72 +327,10 @@ def branch_and_bound(
     child whose bound cannot beat the incumbent (plus tolerance) is pruned
     together with its whole subtree.  With `node_cap` set, the search stops
     early once that many designs were evaluated and the report is flagged as
-    incumbent-only.
+    incumbent-only.  `check_monotone` raises InternalError if a child's
+    bound ever exceeds its parent's (a sign of unsound `suffix_boxes`).
     """
-    t0 = time.perf_counter()
-    n_layers = catalog.n_layers
-    if n_layers == 0:
-        _, avg = evaluate_design((), catalog)
-        return _report(catalog, (), 1, 0, t0, True, [avg])
-    if suffix_boxes is None:
-        suffix_boxes = bounds_mod.suffix_product_bounds(catalog)
-
-    mats = _layer_arrays(catalog)
-    a, b, phi = _substrate_arrays(catalog)
-    counts = [m.shape[0] for m in mats]
-    n_wl = len(catalog.spectrum)
-    slo, shi = suffix_boxes.lower, suffix_boxes.upper
-
-    best = -np.inf
-    best_design: list[int] | None = None
-    incumbents: list[float] = []
-    nodes = 0
-    pruned = 0
-    capped = False
-
-    identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0]), (n_wl, 1))
-
-    def child_bounds(prefixes: np.ndarray, depth: int) -> np.ndarray:
-        lo, hi = _box_product_batch(prefixes, slo[:, depth + 1], shi[:, depth + 1])
-        dmax = _corner_dmax(lo, hi, a, b)
-        return (1.0 - 4.0 * a / dmax) @ phi
-
-    def descend(depth: int, prefix: np.ndarray, chosen: list[int], parent_bound: float) -> None:
-        nonlocal best, best_design, nodes, pruned, capped
-        if capped:
-            return
-        if depth == n_layers - 1:
-            w = mul4(prefix[None, :, :], mats[depth])
-            obj = reflectance4(w, a, b) @ phi
-            nodes += obj.shape[0]
-            i = int(np.argmax(obj))
-            if obj[i] > best + OBJECTIVE_EPS:
-                best = float(obj[i])
-                best_design = chosen + [i]
-                incumbents.append(best)
-            if node_cap is not None and nodes >= node_cap:
-                capped = True
-            return
-        prefixes = mul4(prefix[None, :, :], mats[depth])
-        bound_c = child_bounds(prefixes, depth)
-        if check_monotone and np.any(bound_c > parent_bound + 1e-9):
-            raise AssertionError("child bound exceeds parent bound")
-        for j in np.argsort(-bound_c, kind="stable"):
-            if capped:
-                return
-            if bound_c[j] <= best + OBJECTIVE_EPS:
-                pruned += 1
-                continue
-            descend(depth + 1, prefixes[j], chosen + [int(j)], float(bound_c[j]))
-
-    root_bound = bounds_mod.upper_bound_objective(
-        [StructuredMatrix(1.0, 0.0, 0.0, 1.0)] * n_wl,
-        slo[:, 0],
-        shi[:, 0],
-        catalog.substrate_indices,
-        catalog.spectrum.weights,
+    return _search(
+        catalog, prune=True, suffix_boxes=suffix_boxes, node_cap=node_cap,
+        check_monotone=check_monotone,
     )
-    descend(0, identity, [], root_bound)
-    assert best_design is not None
-    design = tuple(catalog.choices_at(n + 1)[j] for n, j in enumerate(best_design))
-    return _report(catalog, design, nodes, pruned, t0, not capped, incumbents)

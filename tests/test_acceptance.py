@@ -225,6 +225,7 @@ def test_09_branch_and_bound_equals_enumeration(data_tables):
             rb = benchmark_instance_report(data_tables, substrate, 410.0)
             rn = solver.branch_and_bound(cat)
             assert abs(rb.objective - rn.objective) <= 1e-10
+            assert rn.design == rb.design
             assert rn.nodes_explored < cat.design_count()
 
 

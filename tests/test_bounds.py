@@ -12,10 +12,11 @@ from filmopt.bounds import (
     tighten_bounds,
     upper_bound_objective,
 )
+from filmopt.errors import InternalError
 from filmopt.materials import CatalogConfig, build_catalog
 from filmopt.optics import ComplexIndex, StructuredMatrix
 
-from conftest import enumerate_designs, flat_table, random_catalog
+from conftest import enumerate_designs, flat_table, random_catalog, single_wavelength_config
 
 TOL = 1e-9
 
@@ -175,6 +176,18 @@ class TestUpperBoundObjective:
         cat, _ = random_catalog(rng, max_layers=4, max_choices=4)
         # raises internally if any child bound exceeds its parent
         solver.branch_and_bound(cat, check_monotone=True)
+
+    def test_monotone_check_fires_on_collapsed_root_box(self, data_tables):
+        # an identity depth-0 box makes the root bound the uncoated mirror's
+        # reflectance, which every coated child's bound exceeds
+        cat = build_catalog(single_wavelength_config("Molybdenum", 410.0, layers=2), data_tables)
+        sb = suffix_product_bounds(cat)
+        lower, upper = sb.lower.copy(), sb.upper.copy()
+        lower[:, 0] = upper[:, 0] = [1.0, 0.0, 0.0, 1.0]
+        collapsed = EntryBounds(sb.wavelengths, lower, upper)
+        with pytest.raises(InternalError, match="exceeds parent bound"):
+            solver.branch_and_bound(cat, suffix_boxes=collapsed, check_monotone=True)
+        solver.branch_and_bound(cat, suffix_boxes=sb, check_monotone=True)
 
     def test_corner_max_dominates_interior_samples(self):
         rng = np.random.default_rng(5)

@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from filmopt import lpio, model as model_mod
+import filmopt
+from filmopt import lpio, model as model_mod, solver
 from filmopt.cli import main
+from filmopt.errors import InternalError
 
 CONFIG = {
     "substrate": "Molybdenum",
@@ -38,6 +44,22 @@ class TestOptimize:
         assert abs(rb["objective"] - rn["objective"]) <= 1e-10
         assert rb["design"] == rn["design"]
         assert rb["proven_optimal"] and rn["proven_optimal"]
+
+    def test_bnb_under_optimize_flag_matches_plain_run(self, config_path, tmp_path):
+        # `python -O` strips assert statements; the solver's invariant checks
+        # must not depend on them
+        env = dict(os.environ, PYTHONPATH=str(Path(filmopt.__file__).parents[1]))
+        designs = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / f"bnb{len(flags)}"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "filmopt.cli", "optimize", "--config",
+                 str(config_path), "--out", str(out), "--mode", "bnb"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            designs.append((out / "design.json").read_text())
+        assert designs[0] == designs[1]
 
     def test_instance_too_large_exit_2(self, tmp_path):
         cfg = dict(CONFIG, layers=40, thicknesses={"TiO2": list(range(20, 141, 10)),
@@ -82,6 +104,16 @@ class TestEvaluate:
         avg1 = sum(r1) / len(r1)
         avg2 = sum(r2) / len(r2)
         assert abs(avg1 - avg2) < 0.005
+
+    def test_grid_end_is_floored(self, config_path, tmp_path):
+        # 2700 / 7 is not whole: the grid must stop at 2995, inside the tables
+        design = tmp_path / "design.json"
+        design.write_text("[]")
+        out = tmp_path / "eval"
+        assert run("evaluate", "--config", config_path, "--design", design, "--out", out,
+                   "--grid", "300:7:3000") == 0
+        rows = list(csv.reader(open(out / "spectrum.csv")))[1:]
+        assert float(rows[-1][0]) == 2995.0
 
     def test_missing_design_file_exit_1(self, config_path, tmp_path):
         assert run("evaluate", "--config", config_path,
@@ -176,3 +208,28 @@ class TestExitCodes:
         p = tmp_path / "v.json"
         p.write_text(json.dumps(cfg))
         assert run("bounds", "--config", p, "--out", tmp_path / "o") == 1
+
+    def test_internal_error_exit_3(self, config_path, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalError("search ended without an incumbent design")
+
+        monkeypatch.setattr(solver, "branch_and_bound", broken)
+        assert run("optimize", "--config", config_path, "--out", tmp_path / "o",
+                   "--mode", "bnb") == 3
+
+    @pytest.mark.parametrize("command", [
+        ("evaluate", "--grid", "300:x:3000"),
+        ("evaluate", "--grid", "300:nan:3000"),
+        ("heuristic", "--targets", "450,nine hundred"),
+        ("extreme-points", "--beta", "4", "--box", "0,1,a,2"),
+    ])
+    def test_malformed_number_exit_1(self, command, config_path, tmp_path, capsys):
+        args = list(command)
+        if args[0] != "extreme-points":
+            args += ["--config", config_path, "--out", tmp_path / "o"]
+        if args[0] == "evaluate":
+            design = tmp_path / "design.json"
+            design.write_text("[]")
+            args += ["--design", design]
+        assert run(*args) == 1
+        assert "internal error" not in capsys.readouterr().err
