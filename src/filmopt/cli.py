@@ -165,6 +165,17 @@ def cmd_optimize(run: RunConfig, mode: str) -> int:
     return 0
 
 
+def _write_hyperplanes(out_dir: Path, catalog: Catalog, planes: list[list[relax.Hyperplane]]) -> None:
+    """hyperplanes.json: the coefficient lists of each wavelength, keyed by wavelength."""
+    _write_json(
+        out_dir / "hyperplanes.json",
+        {
+            f"{wl:g}": [list(h.coefficients()) for h in planes[li]]
+            for li, wl in enumerate(catalog.spectrum.wavelengths)
+        },
+    )
+
+
 def cmd_export(run: RunConfig, kind: str) -> int:
     _, _, catalog = _load_instance(run)
     eb = bounds_mod.tighten_bounds(catalog)
@@ -173,13 +184,7 @@ def cmd_export(run: RunConfig, kind: str) -> int:
     else:
         planes = relax.hyperplanes_for_catalog(catalog, eb, seed=run.seed)
         model = model_mod.build_misocp(catalog, eb, planes)
-        _write_json(
-            run.out_dir / "hyperplanes.json",
-            {
-                f"{wl:g}": [list(h.coefficients()) for h in planes[li]]
-                for li, wl in enumerate(catalog.spectrum.wavelengths)
-            },
-        )
+        _write_hyperplanes(run.out_dir, catalog, planes)
         print(
             "hyperplanes per wavelength: "
             + ", ".join(f"{wl:g}:{len(planes[li])}" for li, wl in enumerate(catalog.spectrum.wavelengths))
@@ -206,13 +211,7 @@ def cmd_hyperplanes(run: RunConfig) -> int:
     _, _, catalog = _load_instance(run)
     eb = bounds_mod.tighten_bounds(catalog)
     planes = relax.hyperplanes_for_catalog(catalog, eb, seed=run.seed)
-    _write_json(
-        run.out_dir / "hyperplanes.json",
-        {
-            f"{wl:g}": [list(h.coefficients()) for h in planes[li]]
-            for li, wl in enumerate(catalog.spectrum.wavelengths)
-        },
-    )
+    _write_hyperplanes(run.out_dir, catalog, planes)
     print(", ".join(f"{wl:g}: {len(planes[li])}" for li, wl in enumerate(catalog.spectrum.wavelengths)))
     return 0
 

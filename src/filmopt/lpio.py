@@ -213,9 +213,16 @@ def _is_number(tok: str) -> bool:
         return False
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def import_lp(path: str | Path) -> Model:
     """Parse a file previously written by :func:`export_lp`."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     lines, name, header = _logical_lines(text)
     model = Model(name=name or Path(path).stem, header_comments=header)
     section = None
@@ -266,7 +273,10 @@ def import_lp(path: str | Path) -> Model:
             if sense_pos < 0:
                 raise ParseError(f"{name}: no constraint sense")
             csense = tokens[sense_pos]
-            rhs = float(tokens[sense_pos + 1])
+            try:
+                rhs = float(tokens[sense_pos + 1])
+            except (IndexError, ValueError):
+                raise ParseError(f"{name}: expected a number after {csense!r}") from None
             lin, quad, const = _parse_terms(tokens[:sense_pos])
             for n in lin:
                 ensure_var(n)
@@ -285,7 +295,10 @@ def import_lp(path: str | Path) -> Model:
             toks = stripped.split()
             if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
                 raise ParseError(f"unsupported bounds line: {stripped!r}")
-            lo, vname, hi = float(toks[0]), toks[2], float(toks[4])
+            try:
+                lo, vname, hi = float(toks[0]), toks[2], float(toks[4])
+            except ValueError:
+                raise ParseError(f"non-numeric bound: {stripped!r}") from None
             ensure_var(vname)
             declared[vname].lower = lo
             declared[vname].upper = hi
@@ -317,7 +330,7 @@ def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, floa
     Values are rounded at 0.5; exactly one choice per layer must fire.
     """
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith(("#", "\\")):
             continue
         parts = raw.split()

@@ -20,6 +20,15 @@ Candidate points are harvested from all sixteen corner slices, affine
 functions are interpolated through 5-point subsets, and only those dominating
 D on every candidate survive.  Dominance transfers from the candidates to
 every reachable design by convexity, which the tests certify by enumeration.
+
+The subsets of one wavelength are fitted in blocks: exactly singular systems
+are dropped by the sign of their LU determinant, the rest are solved in one
+batched call, and one matrix product screens every fit against every
+candidate with a margin well above rounding.  Only the few fits that pass the
+screen are decided by the exact domination test of the scalar
+:func:`fit_hyperplane` path, so the accepted planes and their order are those
+of fitting each subset in turn.  The seeded random subsets depend only on the
+candidate count and the seed, and are drawn once per count per catalog.
 """
 from __future__ import annotations
 
@@ -51,6 +60,11 @@ RESIDUAL_TOL = 1e-8
 #: Enumerate all 5-subsets up to this candidate count, sample beyond it.
 EXHAUSTIVE_LIMIT = 12
 RANDOM_SUBSETS = 5000
+#: Subsets fitted per batched solve; bounds the temporaries of one block.
+FIT_BLOCK = 512
+#: Relative margin of the domination screen, over 1000x the rounding error
+#: of a 5-term dot product (at most 5u times the sum of term magnitudes).
+SCREEN_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -226,7 +240,10 @@ def denominator_on_x(substrate: ComplexIndex) -> Callable[[Sequence[float]], flo
 def fit_hyperplane(
     points: Sequence[Sequence[float]], g: Callable[[Sequence[float]], float]
 ) -> Hyperplane:
-    """Affine interpolation of g through 5 points in 4-space."""
+    """Affine interpolation of g through 5 points in 4-space.
+
+    The scalar reference for the batched fits of :func:`generate_overapproximators`.
+    """
     if len(points) != 5:
         raise ValueError(f"need exactly 5 points, got {len(points)}")
     mat = np.column_stack([np.ones(5), np.array(points)])
@@ -254,20 +271,59 @@ def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> Hyperplane:
     return Hyperplane(best + LIFT, 0.0, 0.0, 0.0, 0.0)
 
 
-def _subset_iter(count: int, gvals: np.ndarray, seed: int):
+def _random_subsets(count: int, seed: int) -> np.ndarray:
+    """The seeded random 5-subsets of ``range(count)``: sorted rows, repeats dropped.
+
+    Depends only on ``(count, seed)``; the draws come from one
+    ``default_rng(seed)`` stream in the order the rows are returned.
+    """
+    choice = np.random.default_rng(seed).choice
+    picks = np.sort([choice(count, size=5, replace=False) for _ in range(RANDOM_SUBSETS)], axis=1)
+    _, first = np.unique(picks, axis=0, return_index=True)
+    return picks[np.sort(first)]
+
+
+def _subsets(gvals: np.ndarray, seed: int, draws: dict[int, np.ndarray]) -> np.ndarray:
+    """The (S, 5) candidate-index subsets to fit, in the order they are tried.
+
+    All 5-subsets up to ``EXHAUSTIVE_LIMIT`` candidates; beyond that, the
+    5-subsets of the twelve extremal-D candidates followed by the seeded
+    random subsets, which ``draws`` holds per candidate count.
+    """
+    count = len(gvals)
     if count <= EXHAUSTIVE_LIMIT:
-        yield from combinations(range(count), 5)
-        return
+        return np.array(list(combinations(range(count), 5)))
     ranked = np.argsort(gvals, kind="stable")
     extremal = sorted(set(ranked[:6]) | set(ranked[-6:]))
-    yield from combinations(extremal, 5)
-    rng = np.random.default_rng(seed)
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(RANDOM_SUBSETS):
-        pick = tuple(sorted(rng.choice(count, size=5, replace=False).tolist()))
-        if pick not in seen:
-            seen.add(pick)
-            yield pick
+    if count not in draws:
+        draws[count] = _random_subsets(count, seed)
+    return np.concatenate([np.array(list(combinations(extremal, 5))), draws[count]])
+
+
+def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray):
+    """Fits of one block that ``fit_hyperplane`` accepts and that dominate ``gvals``, in order.
+
+    A zero ``slogdet`` sign is an exactly zero pivot of the LU factorisation
+    that makes ``fit_hyperplane`` raise ``SingularSystem``; ``det`` would
+    also drop solvable systems whose determinant underflows to 0.
+    """
+    mat = np.ones((len(subsets), 5, 5))
+    mat[:, :, 1:] = pts[subsets]
+    rhs = gvals[subsets]
+    with np.errstate(divide="ignore"):  # LU of an exactly singular system divides by 0
+        solvable = np.linalg.slogdet(mat)[0] != 0
+    mat, rhs = mat[solvable], rhs[solvable]
+    alpha = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
+    residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
+    tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))
+    alpha = alpha[np.isfinite(alpha).all(axis=1) & ~(residual > tol)]
+    vals = alpha[:, :1] + alpha[:, 1:] @ pts.T
+    margin = SCREEN_MARGIN * (np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T)
+    screened = ~(vals + margin < gvals - DOMINATION_TOL).any(axis=1)
+    for row in alpha[screened]:
+        h = Hyperplane(*map(float, row))
+        if np.all(h.a0 + pts @ np.array([h.a1, h.a2, h.a3, h.a4]) >= gvals - DOMINATION_TOL):
+            yield h
 
 
 def generate_overapproximators(
@@ -279,10 +335,20 @@ def generate_overapproximators(
 
     5-point subsets of the candidate set are enumerated exhaustively up to
     ``EXHAUSTIVE_LIMIT`` candidates; beyond that, the subsets of the twelve
-    extremal-D candidates plus a seeded random sample are tried.  A fit
-    survives only if it dominates D on *every* candidate (up to tolerance);
-    survivors are lifted so the dominance is exact in exported models.
+    extremal-D candidates plus a seeded random sample are tried.  The random
+    sample depends only on the candidate count and ``seed``.  A fit survives
+    only if it dominates D on *every* candidate (up to tolerance); survivors
+    are lifted so the dominance is exact in exported models, and
+    near-duplicates of earlier survivors are dropped.  The subsets are fitted
+    in batched blocks (see the module docstring), with the same result as
+    fitting each one with :func:`fit_hyperplane` in turn.
     """
+    return _overapproximators(box, substrate, seed, {})
+
+
+def _overapproximators(
+    box: Box4, substrate: ComplexIndex, seed: int, draws: dict[int, np.ndarray]
+) -> list[Hyperplane]:
     cands = collect_candidates(box)
     pts = cands.as_array()
     g = denominator_on_x(substrate)
@@ -290,15 +356,11 @@ def generate_overapproximators(
     if len(cands) < 5:
         raise NoValidHyperplane(f"only {len(cands)} candidates, need 5")
 
+    subsets = _subsets(gvals, seed, draws)
     kept: list[Hyperplane] = []
     coeffs: list[np.ndarray] = []
-    for subset in _subset_iter(len(cands), gvals, seed):
-        try:
-            h = fit_hyperplane(pts[list(subset)], g)
-        except SingularSystem:
-            continue
-        vals = h.a0 + pts @ np.array([h.a1, h.a2, h.a3, h.a4])
-        if np.all(vals >= gvals - DOMINATION_TOL):
+    for start in range(0, len(subsets), FIT_BLOCK):
+        for h in _dominating_fits(pts, gvals, subsets[start:start + FIT_BLOCK]):
             lifted = np.array([h.a0 + LIFT, h.a1, h.a2, h.a3, h.a4])
             scale = max(1.0, np.abs(lifted).max())
             if not any(np.abs(lifted - c).max() <= 1e-7 * scale for c in coeffs):
@@ -314,11 +376,12 @@ def hyperplanes_for_catalog(
 ) -> list[list[Hyperplane]]:
     """Per-wavelength overapproximator families, with the constant fallback."""
     out: list[list[Hyperplane]] = []
+    draws: dict[int, np.ndarray] = {}
     for li in range(len(catalog.spectrum)):
         box = Box4.from_entry_bounds(entry_bounds, li)
         sub = catalog.substrate_indices[li]
         try:
-            out.append(generate_overapproximators(box, sub, seed=seed))
+            out.append(_overapproximators(box, sub, seed, draws))
         except (NoValidHyperplane, EmptyCandidateSet):
             out.append([constant_overapproximator(box, sub)])
     return out

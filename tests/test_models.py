@@ -209,6 +209,23 @@ class TestLpExport:
         with pytest.raises(ParseError):
             lpio.import_lp(p)
 
+    @pytest.mark.parametrize("text", [
+        "Subject To\n c1: 1 x <= abc\nEnd\n",
+        "Subject To\n c1: 1 x <=\nEnd\n",
+        "Maximize\n obj: 1 x\nBounds\n 0 <= x <= zz\nEnd\n",
+    ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound"])
+    def test_parse_error_on_bad_numbers(self, tmp_path, text):
+        p = tmp_path / "bad.lp"
+        p.write_text(text)
+        with pytest.raises(ParseError):
+            lpio.import_lp(p)
+
+    def test_parse_error_on_non_utf8(self, tmp_path):
+        p = tmp_path / "bad.lp"
+        p.write_bytes(b"Subject To\n c1: 1 x <= 1\n \xff\xfe\nEnd\n")
+        with pytest.raises(ParseError):
+            lpio.import_lp(p)
+
 
 class TestImportSolution:
     def test_hand_written_single_layer(self, tmp_path):
@@ -245,6 +262,12 @@ class TestImportSolution:
         assert decoded == rep.design
         _, avg = solver.evaluate_design(decoded, cat)
         assert avg == pytest.approx(rep.objective, abs=1e-6)
+
+    def test_parse_error_on_non_utf8(self, tmp_path):
+        p = tmp_path / "sol.txt"
+        p.write_bytes(b"x_1 \xff1\n")
+        with pytest.raises(ParseError):
+            lpio.import_solution(p, desk_catalog(n_layers=1))
 
     def test_rounding_at_half(self, tmp_path):
         cat = desk_catalog(n_layers=1)

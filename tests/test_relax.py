@@ -1,11 +1,16 @@
+import dataclasses
 import math
 import random
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from filmopt import bounds, optics, relax
+from filmopt import bounds, materials, optics, relax
 from filmopt.errors import (
     EmptyCandidateSet,
     InconsistentBounds,
@@ -25,9 +30,10 @@ from filmopt.relax import (
     hyperplanes_for_catalog,
 )
 
-from conftest import enumerate_designs, random_catalog
+from conftest import SUBSTRATES, enumerate_designs, random_catalog
 
 TOL = 1e-9
+BROAD_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "broad_n20_theta2.json"
 
 
 def points_close(got, want, tol=1e-9):
@@ -242,6 +248,123 @@ class TestGenerateOverapproximators:
         assert [[p.coefficients() for p in planes] for planes in h1] == [
             [p.coefficients() for p in planes] for planes in h2
         ]
+
+
+def reference_subsets(count, gvals, seed):
+    """The 5-subsets in the order the per-subset loop tried them."""
+    if count <= relax.EXHAUSTIVE_LIMIT:
+        yield from combinations(range(count), 5)
+        return
+    ranked = np.argsort(gvals, kind="stable")
+    extremal = sorted(set(ranked[:6]) | set(ranked[-6:]))
+    yield from combinations(extremal, 5)
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(relax.RANDOM_SUBSETS):
+        pick = tuple(sorted(rng.choice(count, size=5, replace=False).tolist()))
+        if pick not in seen:
+            seen.add(pick)
+            yield pick
+
+
+def reference_overapproximators(box, substrate, seed=42):
+    """Oracle for the batched generator: fit_hyperplane on each subset in turn."""
+    cands = collect_candidates(box)
+    pts = cands.as_array()
+    g = denominator_on_x(substrate)
+    gvals = np.array([g(p) for p in pts])
+    if len(cands) < 5:
+        raise NoValidHyperplane(f"only {len(cands)} candidates, need 5")
+    kept, coeffs = [], []
+    for subset in reference_subsets(len(cands), gvals, seed):
+        try:
+            h = fit_hyperplane(pts[list(subset)], g)
+        except SingularSystem:
+            continue
+        vals = h.a0 + pts @ np.array([h.a1, h.a2, h.a3, h.a4])
+        if np.all(vals >= gvals - relax.DOMINATION_TOL):
+            lifted = np.array([h.a0 + relax.LIFT, h.a1, h.a2, h.a3, h.a4])
+            scale = max(1.0, np.abs(lifted).max())
+            if not any(np.abs(lifted - c).max() <= 1e-7 * scale for c in coeffs):
+                coeffs.append(lifted)
+                kept.append(Hyperplane(*map(float, lifted)))
+    if not kept:
+        raise NoValidHyperplane("no 5-point fit dominates D on the candidate set")
+    return kept
+
+
+def outcome(generate, box, substrate, seed):
+    """Coefficient tuples of the generated planes, or the error class raised."""
+    try:
+        return [h.coefficients() for h in generate(box, substrate, seed)]
+    except (NoValidHyperplane, EmptyCandidateSet) as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module", params=SUBSTRATES)
+def broad(request):
+    """broad_n20_theta2 on each bundled substrate: (catalog, entry bounds, planes)."""
+    config = dataclasses.replace(
+        materials.CatalogConfig.from_json(BROAD_CONFIG), substrate=request.param
+    )
+    cat = materials.build_catalog(config, materials.load_tables(config))
+    eb = bounds.tighten_bounds(cat)
+    return cat, eb, hyperplanes_for_catalog(cat, eb)
+
+
+interval = st.tuples(st.floats(-3.0, 2.0), st.floats(0.0, 4.0))
+
+
+class TestBatchedMatchesReference:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(interval, min_size=4, max_size=4),
+        st.floats(0.5, 5.0), st.floats(0.0, 5.0),
+        st.integers(0, 1000),
+    )
+    def test_hypothesis_boxes(self, intervals, n, k, seed):
+        box = Box4(tuple(lo for lo, _ in intervals), tuple(lo + w for lo, w in intervals))
+        sub = ComplexIndex(n, k)
+        assert outcome(generate_overapproximators, box, sub, seed) == outcome(
+            reference_overapproximators, box, sub, seed
+        )
+
+    def test_every_broad_wavelength(self, broad):
+        cat, eb, planes = broad
+        for li in range(len(cat.spectrum)):
+            box = Box4.from_entry_bounds(eb, li)
+            sub = cat.substrate_indices[li]
+            want = outcome(reference_overapproximators, box, sub, 42)
+            assert outcome(generate_overapproximators, box, sub, 42) == want
+            if not isinstance(want, list):
+                want = [constant_overapproximator(box, sub).coefficients()]
+            assert [h.coefficients() for h in planes[li]] == want
+
+    @pytest.mark.parametrize("count", [5, 9, 12, 13, 16, 24, 40])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_subsets_match_per_subset_order(self, count, seed):
+        gvals = np.random.default_rng(count).uniform(0.0, 10.0, size=count)
+        draws = {}
+        want = list(reference_subsets(count, gvals, seed))
+        assert [tuple(r) for r in relax._subsets(gvals, seed, draws).tolist()] == want
+        # a second wavelength with the same count reuses the draws of the first
+        other = gvals[::-1].copy()
+        again = relax._subsets(other, seed, draws).tolist()
+        assert [tuple(r) for r in again] == list(reference_subsets(count, other, seed))
+
+
+class TestBroadSampledValidity:
+    def test_planes_dominate_sampled_designs(self, broad):
+        cat, _, planes = broad
+        rng = random.Random(2024)
+        for _ in range(200):
+            design = [rng.choice(cat.choices_at(n)) for n in range(1, cat.n_layers + 1)]
+            for li, wl in enumerate(cat.spectrum.wavelengths):
+                w = optics.chain_product([cat.matrix(m, t, wl) for m, t in design])
+                d = optics.denominator_D(w, cat.substrate_indices[li])
+                x = (w.a11, w.a22, w.a12, w.a21)
+                for h in planes[li]:
+                    assert h.value(x) >= d - 1e-9 * max(1.0, abs(d))
 
 
 class TestConstantFallback:
