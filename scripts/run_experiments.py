@@ -20,10 +20,9 @@ from filmopt.heuristics import (
     StackSpec,
     compare_methods,
     comparison_csv,
-    grid_points,
     quarter_wave_design,
 )
-from filmopt.materials import CatalogConfig, build_catalog, load_tables
+from filmopt.materials import CatalogConfig, build_catalog, load_tables, progression
 
 THETA1 = {"TiO2": tuple(float(t) for t in range(20, 141, 10)),
           "MgF2": tuple(float(t) for t in range(50, 281, 10))}
@@ -35,8 +34,8 @@ def uncoated_baselines(tables) -> None:
     print("\nUncoated substrates (average reflectance)")
     print(f"{'substrate':12s} {'visible':>8s} {'broad':>8s}")
     for sub in SUBSTRATES:
-        _, vis = solver.evaluate_design_on_grid((), {}, tables[sub], grid_points(*VISIBLE_GRID))
-        _, broad = solver.evaluate_design_on_grid((), {}, tables[sub], grid_points(*BROAD_GRID))
+        _, vis = solver.evaluate_design_on_grid((), {}, tables[sub], progression(*VISIBLE_GRID))
+        _, broad = solver.evaluate_design_on_grid((), {}, tables[sub], progression(*BROAD_GRID))
         print(f"{sub:12s} {vis:8.3f} {broad:8.3f}")
 
 

@@ -31,10 +31,6 @@ def mul4(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def det4(a: np.ndarray) -> np.ndarray:
-    return a[..., 0] * a[..., 3] + a[..., 1] * a[..., 2]
-
-
 def reflectance4(w: np.ndarray, a: float | np.ndarray, b: float | np.ndarray) -> np.ndarray:
     """Reflectance of (..., 4) cumulative matrices; caller guarantees sane denominators."""
     x1, x3, x4, x2 = w[..., 0], w[..., 1], w[..., 2], w[..., 3]

@@ -64,13 +64,6 @@ def _corner_matrices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return corners
 
 
-def _layer_matrices(catalog: Catalog, layer: int, wavelength: float) -> np.ndarray:
-    choices = catalog.choices_at(layer)
-    return np.array(
-        [catalog.matrix(m, t, wavelength).entries() for m, t in choices]
-    )
-
-
 def tighten_bounds(catalog: Catalog) -> EntryBounds:
     """Forward corner propagation over layers 1..N, per wavelength."""
     n_layers = catalog.n_layers
@@ -79,10 +72,10 @@ def tighten_bounds(catalog: Catalog) -> EntryBounds:
     upper = np.empty_like(lower)
     lower[:, 0] = _IDENTITY4
     upper[:, 0] = _IDENTITY4
-    for li, wl in enumerate(wls):
+    for li in range(len(wls)):
         corners = _IDENTITY4[None, :]
         for n in range(1, n_layers + 1):
-            mats = _layer_matrices(catalog, n, wl)
+            mats = catalog.layer_matrices[n - 1][:, li]
             reached = mul4(corners[:, None, :], mats[None, :, :]).reshape(-1, 4)
             lo, hi = reached.min(axis=0), reached.max(axis=0)
             lower[li, n], upper[li, n] = lo, hi
@@ -104,10 +97,10 @@ def suffix_product_bounds(catalog: Catalog) -> EntryBounds:
     upper = np.empty_like(lower)
     lower[:, n_layers] = _IDENTITY4
     upper[:, n_layers] = _IDENTITY4
-    for li, wl in enumerate(wls):
+    for li in range(len(wls)):
         corners = _IDENTITY4[None, :]
         for k in range(n_layers - 1, -1, -1):
-            mats = _layer_matrices(catalog, k + 1, wl)
+            mats = catalog.layer_matrices[k][:, li]
             reached = mul4(mats[:, None, :], corners[None, :, :]).reshape(-1, 4)
             lo, hi = reached.min(axis=0), reached.max(axis=0)
             lower[li, k], upper[li, k] = lo, hi
@@ -150,24 +143,3 @@ def max_denominator_over_box(
     """Maximum of the convex quadratic D over an entrywise box (corner max)."""
     corners = _corner_matrices(lo, hi)
     return float(denominator4(corners, substrate.re, substrate.im).max())
-
-
-def upper_bound_objective(
-    prefixes: list[StructuredMatrix],
-    suffix_los: np.ndarray,
-    suffix_his: np.ndarray,
-    substrate_indices: tuple[ComplexIndex, ...],
-    weights: tuple[float, ...],
-) -> float:
-    """Optimistic completion value for fixed per-wavelength prefixes.
-
-    For each wavelength the final matrix lies in prefix * suffix-box; the
-    reflectance term 1 - 4 Re / D is maximized by maximizing D over that box,
-    which makes the weighted sum an upper bound on every completion.
-    """
-    total = 0.0
-    for li, (prefix, sub, phi) in enumerate(zip(prefixes, substrate_indices, weights)):
-        lo, hi = interval_product_box(prefix, suffix_los[li], suffix_his[li])
-        dmax = max_denominator_over_box(lo, hi, sub)
-        total += phi * (1.0 - 4.0 * sub.re / dmax)
-    return total

@@ -33,7 +33,7 @@ from .errors import (
     SpectrumCoverage,
     ValidationError,
 )
-from .materials import Catalog, CatalogConfig, build_catalog, load_tables
+from .materials import Catalog, CatalogConfig, build_catalog, load_tables, progression, read_text
 
 USAGE_ERRORS = (
     ConfigError,
@@ -53,7 +53,7 @@ class RunConfig:
     config_path: Path
     out_dir: Path
     seed: int = 42
-    grid: tuple[float, float, float] | None = None
+    grid: tuple[float, ...] | None = None
     cap_nodes: int | None = None
 
 
@@ -85,14 +85,11 @@ def _parse_numbers(text: str, sep: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_grid(text: str) -> tuple[float, float, float]:
+def _parse_grid(text: str) -> tuple[float, ...]:
     parts = _parse_numbers(text, ":", "--grid")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:step:end, got {text!r}")
-    start, step, end = parts
-    if step <= 0 or end < start:
-        raise ConfigError(f"bad grid {text!r}")
-    return start, step, end
+    return progression(*parts)
 
 
 def _load_instance(run: RunConfig) -> tuple[CatalogConfig, dict, Catalog]:
@@ -103,12 +100,13 @@ def _load_instance(run: RunConfig) -> tuple[CatalogConfig, dict, Catalog]:
 
 def _read_design(path: Path) -> solver.Design:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: design file must be a JSON list")
-    return solver.design_from_json(raw)
+    try:
+        return solver.design_from_json(raw)
+    except (ParseError, ConfigError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def cmd_evaluate(run: RunConfig, design_path: Path) -> int:
@@ -119,12 +117,9 @@ def cmd_evaluate(run: RunConfig, design_path: Path) -> int:
             raise ConfigError(f"design uses material {mat!r} with no dispersion table")
     substrate = tables[config.substrate]
 
-    vis_pts = heuristics.grid_points(*heuristics.VISIBLE_GRID)
-    broad_pts = heuristics.grid_points(*heuristics.BROAD_GRID)
-    if run.grid is not None:
-        curve_pts = heuristics.grid_points(*run.grid)
-    else:
-        curve_pts = sorted(set(vis_pts) | set(broad_pts))
+    vis_pts = progression(*heuristics.VISIBLE_GRID)
+    broad_pts = progression(*heuristics.BROAD_GRID)
+    curve_pts = run.grid or sorted(set(vis_pts) | set(broad_pts))
     curve, _ = solver.evaluate_design_on_grid(design, tables, substrate, curve_pts)
     _, vis_avg = solver.evaluate_design_on_grid(design, tables, substrate, vis_pts)
     _, broad_avg = solver.evaluate_design_on_grid(design, tables, substrate, broad_pts)

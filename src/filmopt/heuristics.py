@@ -21,10 +21,6 @@ VISIBLE_GRID = (380.0, 10.0, 770.0)
 BROAD_GRID = (300.0, 20.0, 3000.0)
 
 
-def grid_points(start: float, step: float, end: float) -> list[float]:
-    return list(progression(start, step, end))
-
-
 @dataclass(frozen=True)
 class StackSpec:
     """Targets and per-target film size for the quarter-wave baseline."""
@@ -84,8 +80,8 @@ def compare_methods(
     broad_grid: tuple[float, float, float] = BROAD_GRID,
 ) -> list[ComparisonRow]:
     """Visible/broad averages for each named design, via the shared evaluator."""
-    vis = grid_points(*visible_grid)
-    broad = grid_points(*broad_grid)
+    vis = progression(*visible_grid)
+    broad = progression(*broad_grid)
     rows = []
     for name, design in designs:
         _, vavg = evaluate_design_on_grid(design, coating_tables, substrate_table, vis)

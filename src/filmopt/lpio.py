@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleAssignment, ParseError
-from .materials import Catalog
+from .materials import Catalog, read_text
 from .model import (
     LinearConstraint,
     Model,
@@ -213,16 +213,9 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def _read_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
 def import_lp(path: str | Path) -> Model:
     """Parse a file previously written by :func:`export_lp`."""
-    text = _read_text(path)
+    text = read_text(path)
     lines, name, header = _logical_lines(text)
     model = Model(name=name or Path(path).stem, header_comments=header)
     section = None
@@ -274,9 +267,9 @@ def import_lp(path: str | Path) -> Model:
                 raise ParseError(f"{name}: no constraint sense")
             csense = tokens[sense_pos]
             try:
-                rhs = float(tokens[sense_pos + 1])
-            except (IndexError, ValueError):
-                raise ParseError(f"{name}: expected a number after {csense!r}") from None
+                (rhs,) = map(float, tokens[sense_pos + 1:])
+            except ValueError:
+                raise ParseError(f"{name}: expected one number after {csense!r}") from None
             lin, quad, const = _parse_terms(tokens[:sense_pos])
             for n in lin:
                 ensure_var(n)
@@ -330,7 +323,7 @@ def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, floa
     Values are rounded at 0.5; exactly one choice per layer must fire.
     """
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith(("#", "\\")):
             continue
         parts = raw.split()

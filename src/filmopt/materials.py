@@ -4,7 +4,8 @@ Dispersion data comes in as CSV (`wavelength_nm,n,k`, strictly increasing
 wavelengths).  A :class:`Catalog` freezes one optimization instance: the
 spectrum, the substrate index at each wavelength, the admissible
 (material, thickness) choices per layer, and the precomputed layer matrix
-for every admissible combination.
+for every admissible combination, both as scalar matrices and as one dense
+array per layer.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -31,6 +34,16 @@ CSV_HEADER = ["wavelength_nm", "n", "k"]
 
 #: Directory with the bundled dispersion tables.
 DATA_DIR = Path(__file__).parent / "data"
+#: Longest arithmetic progression accepted from a config or the command line.
+MAX_PROGRESSION = 1_000_000
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of `path`; other bytes are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,8 @@ class DispersionTable:
             raise ValidationError(f"{self.material_id}: need at least 2 rows")
         if len(self.n) != len(self.wavelengths_nm) or len(self.k) != len(self.wavelengths_nm):
             raise ValidationError(f"{self.material_id}: ragged columns")
+        if not all(map(math.isfinite, (*self.wavelengths_nm, *self.n, *self.k))):
+            raise ValidationError(f"{self.material_id}: wavelengths, n and k must be finite")
         if any(b <= a for a, b in zip(self.wavelengths_nm, self.wavelengths_nm[1:])):
             raise ValidationError(f"{self.material_id}: wavelengths must be strictly increasing")
         if any(v <= 0 for v in self.n):
@@ -62,27 +77,22 @@ def load_dispersion(path: str | Path) -> DispersionTable:
     """Read a dispersion CSV; the material id is the file stem."""
     path = Path(path)
     rows: list[tuple[float, float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(read_text(path).splitlines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need at least 2 data rows")
-    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
-        raise ValidationError(f"{path}: wavelengths must be strictly increasing")
+            rows.append((float(row[0]), float(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     return DispersionTable(
         material_id=path.stem,
         wavelengths_nm=tuple(r[0] for r in rows),
@@ -127,13 +137,48 @@ class ThicknessSet:
 
 
 def progression(start: float, step: float, end: float) -> tuple[float, ...]:
-    """start, start + step, ... up to end; the count is floored, so end is never passed."""
+    """start, start + step, ... up to end; the count is floored, so end is never passed.
+
+    Takes finite numbers; at most ``MAX_PROGRESSION`` terms.
+    """
     if step <= 0:
         raise ConfigError("progression step must be positive")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
+    span = (end - start) / step
+    if not -1.0 < span < MAX_PROGRESSION:
+        raise ConfigError(f"progression {start}:{step}:{end} is empty or over {MAX_PROGRESSION} terms")
+    count = int(math.floor(span + 1e-9)) + 1
     if count < 1:
         raise ConfigError("empty progression")
     return tuple(start + i * step for i in range(count))
+
+
+def expect(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind` (a bool is not an int), else ConfigError."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def finite_number(value, what: str) -> float:
+    """`value` if it is a finite JSON number (an int stays an int), else ConfigError."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what}: expected a finite number, got {value!r}")
+    return value
+
+
+def _number_list(spec, what: str) -> tuple[float, ...]:
+    return tuple(float(finite_number(v, what)) for v in expect(spec, list, what))
+
+
+def _grid(spec, what: str) -> tuple[float, ...]:
+    """A list of numbers, or a {"start", "step", "end"} progression."""
+    if isinstance(spec, dict):
+        return progression(*(finite_number(spec[k], f"{what}.{k}") for k in ("start", "step", "end")))
+    return _number_list(spec, what)
 
 
 @dataclass(frozen=True)
@@ -151,38 +196,32 @@ class CatalogConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CatalogConfig":
+        """Parse a config file; malformed content is a ParseError or ConfigError."""
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ParseError(f"{path}: config must be a JSON object")
         try:
-            materials = tuple(raw["materials"])
-            thick: dict[str, tuple[float, ...]] = {}
-            for mat, spec in raw["thicknesses"].items():
-                if isinstance(spec, dict):
-                    thick[mat] = progression(spec["start"], spec["step"], spec["end"])
-                else:
-                    thick[mat] = tuple(float(t) for t in spec)
-            wl_spec = raw["wavelengths"]
-            if isinstance(wl_spec, dict):
-                wavelengths = progression(wl_spec["start"], wl_spec["step"], wl_spec["end"])
-            else:
-                wavelengths = tuple(float(w) for w in wl_spec)
+            thicknesses = expect(raw["thicknesses"], dict, "thicknesses")
             weights = raw.get("weights")
             ddir = raw.get("dispersion_dir")
             return cls(
-                substrate=raw["substrate"],
-                materials=materials,
-                thicknesses=thick,
-                wavelengths=wavelengths,
-                layers=int(raw["layers"]),
-                alternating=bool(raw.get("alternating", False)),
-                weights=tuple(float(w) for w in weights) if weights is not None else None,
-                dispersion_dir=Path(ddir) if ddir is not None else None,
+                substrate=expect(raw["substrate"], str, "substrate"),
+                materials=tuple(expect(m, str, "materials") for m in expect(raw["materials"], list, "materials")),
+                thicknesses={m: _grid(spec, f"thicknesses.{m}") for m, spec in thicknesses.items()},
+                wavelengths=_grid(raw["wavelengths"], "wavelengths"),
+                layers=expect(raw["layers"], int, "layers"),
+                alternating=expect(raw.get("alternating", False), bool, "alternating"),
+                weights=_number_list(weights, "weights") if weights is not None else None,
+                dispersion_dir=Path(expect(ddir, str, "dispersion_dir")) if ddir is not None else None,
             )
         except KeyError as exc:
             raise ConfigError(f"{path}: missing config key {exc}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -192,6 +231,9 @@ class Catalog:
     `layer_choices[i]` lists the admissible (material, thickness) pairs of
     layer i+1 (layer 1 sits next to the substrate), sorted by material then
     thickness; `fixed[(material, thickness, wavelength)]` is the layer matrix.
+    `layer_matrices[i]` holds the same matrices as one read-only
+    (choices, wavelengths, 4) array in `layer_choices[i]` order; layers with
+    the same choices share one array.
     """
 
     n_layers: int
@@ -199,8 +241,8 @@ class Catalog:
     spectrum: Spectrum
     substrate_id: str
     substrate_indices: tuple[ComplexIndex, ...]
-    thickness_sets: tuple[ThicknessSet, ...]
     fixed: Mapping[tuple[str, float, float], StructuredMatrix] = field(repr=False)
+    layer_matrices: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     def matrix(self, material: str, thickness: float, wavelength: float) -> StructuredMatrix:
         return self.fixed[(material, thickness, wavelength)]
@@ -273,23 +315,25 @@ def build_catalog(
         if mat not in config.thicknesses:
             raise ConfigError(f"no thickness set for coating {mat!r}")
 
-    if config.weights is not None:
-        if len(config.weights) != len(config.wavelengths):
-            raise ConfigError("weights and wavelengths differ in length")
-        total = sum(config.weights)
-        if total <= 0 or any(w < 0 for w in config.weights):
-            raise ConfigError("weights must be nonnegative with positive sum")
-        spectrum = Spectrum(
-            tuple(config.wavelengths), tuple(w / total for w in config.weights)
-        )
-    else:
-        spectrum = Spectrum.uniform(config.wavelengths)
+    try:
+        if config.weights is not None:
+            if len(config.weights) != len(config.wavelengths):
+                raise ConfigError("weights and wavelengths differ in length")
+            total = sum(config.weights)
+            if total <= 0 or any(w < 0 for w in config.weights):
+                raise ConfigError("weights must be nonnegative with positive sum")
+            spectrum = Spectrum(
+                tuple(config.wavelengths), tuple(w / total for w in config.weights)
+            )
+        else:
+            spectrum = Spectrum.uniform(config.wavelengths)
+    except ValueError as exc:  # Spectrum rejects empty or unsorted wavelengths
+        raise ConfigError(f"bad spectrum: {exc}") from None
 
-    thickness_sets = tuple(
-        ThicknessSet(mat, tuple(sorted(config.thicknesses[mat])))
+    by_mat = {
+        mat: ThicknessSet(mat, tuple(sorted(config.thicknesses[mat])))
         for mat in config.materials
-    )
-    by_mat = {ts.material_id: ts for ts in thickness_sets}
+    }
 
     if config.alternating:
         high, low = _rank_by_mean_index(config.materials, tables, spectrum.wavelengths)
@@ -325,6 +369,14 @@ def build_catalog(
                     ComplexIndex(indices[(mat, w)]), t, w
                 )
 
+    arrays: dict[tuple[tuple[str, float], ...], np.ndarray] = {}
+    for choices in layer_choices:
+        if choices not in arrays:
+            arrays[choices] = np.array(
+                [[fixed[(m, t, w)].entries() for w in spectrum.wavelengths] for m, t in choices]
+            )
+            arrays[choices].setflags(write=False)
+
     substrate_indices = tuple(
         index_at(tables[config.substrate], w) for w in spectrum.wavelengths
     )
@@ -334,6 +386,6 @@ def build_catalog(
         spectrum=spectrum,
         substrate_id=config.substrate,
         substrate_indices=substrate_indices,
-        thickness_sets=thickness_sets,
         fixed=fixed,
+        layer_matrices=tuple(arrays[choices] for choices in layer_choices),
     )

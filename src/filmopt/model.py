@@ -129,47 +129,6 @@ class Model:
         return worst
 
 
-def models_close(a: Model, b: Model, rtol: float = 1e-15) -> bool:
-    """Structural equality up to relative coefficient tolerance."""
-
-    def close(x: float, y: float) -> bool:
-        return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
-
-    avars = {v.name: v for v in a.variables}
-    bvars = {v.name: v for v in b.variables}
-    if set(avars) != set(bvars):
-        return False
-    for name, va in avars.items():
-        vb = bvars[name]
-        if va.kind != vb.kind or not (close(va.lower, vb.lower) and close(va.upper, vb.upper)):
-            return False
-    if len(a.linear) != len(b.linear) or len(a.quadratic) != len(b.quadratic):
-        return False
-    for ca, cb in zip(a.linear, b.linear):
-        if ca.name != cb.name or ca.sense != cb.sense or not close(ca.rhs, cb.rhs):
-            return False
-        if set(ca.coeffs) != set(cb.coeffs):
-            return False
-        if not all(close(ca.coeffs[n], cb.coeffs[n]) for n in ca.coeffs):
-            return False
-    for qa, qb in zip(a.quadratic, b.quadratic):
-        if qa.name != qb.name or qa.sense != qb.sense or not close(qa.rhs, qb.rhs):
-            return False
-        if set(qa.lin) != set(qb.lin) or set(qa.quad) != set(qb.quad):
-            return False
-        if not all(close(qa.lin[n], qb.lin[n]) for n in qa.lin):
-            return False
-        if not all(close(qa.quad[p], qb.quad[p]) for p in qa.quad):
-            return False
-    if a.objective.sense != b.objective.sense:
-        return False
-    if set(a.objective.coeffs) != set(b.objective.coeffs):
-        return False
-    if not all(close(a.objective.coeffs[n], b.objective.coeffs[n]) for n in a.objective.coeffs):
-        return False
-    return close(a.objective.constant, b.objective.constant)
-
-
 # ---------------------------------------------------------------------------
 # Naming scheme
 

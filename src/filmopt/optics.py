@@ -101,16 +101,6 @@ class Spectrum:
             raise ValueError("spectrum must contain at least one wavelength")
         return cls(wls, tuple(1.0 / len(wls) for _ in wls))
 
-    @classmethod
-    def from_range(cls, start: float, step: float, end: float) -> "Spectrum":
-        """Uniform spectrum on start, start+step, ..., up to and including end."""
-        if step <= 0:
-            raise ValueError("step must be positive")
-        count = int(math.floor((end - start) / step + 1e-9)) + 1
-        if count < 1:
-            raise ValueError("empty wavelength range")
-        return cls.uniform(start + i * step for i in range(count))
-
 
 def make_transfer_matrix(index: ComplexIndex, thickness: float, wavelength: float) -> StructuredMatrix:
     """Layer matrix for a dielectric of the given index and thickness (nm) at `wavelength` (nm).

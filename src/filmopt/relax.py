@@ -39,7 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import EntryBounds, _corner_matrices
+from .arrayops import denominator4
+from .bounds import EntryBounds, max_denominator_over_box
 from .errors import (
     EmptyCandidateSet,
     InconsistentBounds,
@@ -62,6 +63,8 @@ EXHAUSTIVE_LIMIT = 12
 RANDOM_SUBSETS = 5000
 #: Subsets fitted per batched solve; bounds the temporaries of one block.
 FIT_BLOCK = 512
+#: Columns of an x-ordered (x1, x2, x3, x4) array in entry order (a11, a12, a21, a22).
+_ENTRY_ORDER = [0, 2, 3, 1]
 #: Relative margin of the domination screen, over 1000x the rounding error
 #: of a 5-term dot product (at most 5u times the sum of term magnitudes).
 SCREEN_MARGIN = 1e-12
@@ -226,17 +229,6 @@ def collect_candidates(box: Box4) -> CandidateSet:
     return CandidateSet(tuple(points))
 
 
-def denominator_on_x(substrate: ComplexIndex) -> Callable[[Sequence[float]], float]:
-    """D as a function of the x-ordered 4-vector (w11, w22, w12, w21)."""
-    a, b = substrate.re, substrate.im
-
-    def g(x: Sequence[float]) -> float:
-        x1, x2, x3, x4 = x
-        return (x1 - b * x3) ** 2 + (a * x3) ** 2 + (x4 + b * x2) ** 2 + (a * x2) ** 2 + 2.0 * a
-
-    return g
-
-
 def fit_hyperplane(
     points: Sequence[Sequence[float]], g: Callable[[Sequence[float]], float]
 ) -> Hyperplane:
@@ -260,15 +252,8 @@ def fit_hyperplane(
 
 def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> Hyperplane:
     """Global fallback: the corner maximum of the convex D bounds D on the whole box."""
-    g = denominator_on_x(substrate)
-    best = max(
-        g(corner)
-        for corner in (
-            tuple(box.upper[e] if p & (1 << e) else box.lower[e] for e in range(4))
-            for p in range(16)
-        )
-    )
-    return Hyperplane(best + LIFT, 0.0, 0.0, 0.0, 0.0)
+    lo, hi = np.array(box.lower)[_ENTRY_ORDER], np.array(box.upper)[_ENTRY_ORDER]
+    return Hyperplane(max_denominator_over_box(lo, hi, substrate) + LIFT, 0.0, 0.0, 0.0, 0.0)
 
 
 def _random_subsets(count: int, seed: int) -> np.ndarray:
@@ -351,8 +336,7 @@ def _overapproximators(
 ) -> list[Hyperplane]:
     cands = collect_candidates(box)
     pts = cands.as_array()
-    g = denominator_on_x(substrate)
-    gvals = np.array([g(p) for p in pts])
+    gvals = denominator4(pts[:, _ENTRY_ORDER], substrate.re, substrate.im)
     if len(cands) < 5:
         raise NoValidHyperplane(f"only {len(cands)} candidates, need 5")
 

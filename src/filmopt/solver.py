@@ -9,7 +9,8 @@ which return a :class:`SolveReport`:
   from its matrix times the corner-propagated box of the remaining-layer
   product, with the box maximum of ``D`` taken separably; children are
   visited in decreasing bound order and cut when the bound cannot beat the
-  incumbent.
+  incumbent.  A child bound above its parent's means unsound boxes and
+  raises InternalError.
 
 The layers split into leading layers, searched node by node with shared
 prefix products, and a trailing block whose products are built once as an
@@ -40,15 +41,9 @@ from .arrayops import (
     reflectance_rows4,
     weighted_reflectance4,
 )
-from .errors import InadmissibleDesign, InstanceTooLarge, InternalError
-from .materials import Catalog, DispersionTable, index_at
-from .optics import (
-    ComplexIndex,
-    average_reflectance,
-    chain_product,
-    make_transfer_matrix,
-    reflectance,
-)
+from .errors import ConfigError, InadmissibleDesign, InstanceTooLarge, InternalError, ParseError
+from .materials import Catalog, DispersionTable, expect, finite_number, index_at
+from .optics import ComplexIndex, chain_product, make_transfer_matrix, reflectance
 
 Design = tuple[tuple[str, float], ...]
 
@@ -86,8 +81,19 @@ def design_to_json(design: Design) -> list[dict]:
     return [{"material": m, "thickness_nm": t} for m, t in design]
 
 
-def design_from_json(items: Sequence[Mapping]) -> Design:
-    return tuple((str(d["material"]), float(d["thickness_nm"])) for d in items)
+def design_from_json(items: object) -> Design:
+    """Parse a JSON design list; malformed content is a ParseError or ConfigError."""
+    if not isinstance(items, list):
+        raise ParseError("design must be a JSON list")
+    design = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or not {"material", "thickness_nm"} <= item.keys():
+            raise ParseError(f"design item {i}: expected material and thickness_nm, got {item!r}")
+        thickness = float(finite_number(item["thickness_nm"], f"design item {i} thickness_nm"))
+        if thickness < 0:
+            raise ConfigError(f"design item {i}: thickness_nm must be nonnegative, got {thickness}")
+        design.append((expect(item["material"], str, f"design item {i} material"), thickness))
+    return tuple(design)
 
 
 def evaluate_design(design: Design, catalog: Catalog) -> tuple[tuple[float, ...], float]:
@@ -127,21 +133,6 @@ def evaluate_design_on_grid(
             mats.append(make_transfer_matrix(ComplexIndex(idx.re), t, wl))
         per.append(reflectance(chain_product(mats), index_at(substrate_table, wl)))
     return per, sum(per) / len(per)
-
-
-def _layer_arrays(catalog: Catalog) -> list[np.ndarray]:
-    """Per layer: (choices, wavelengths, 4) array of fixed matrices."""
-    out = []
-    for layer in range(1, catalog.n_layers + 1):
-        choices = catalog.choices_at(layer)
-        arr = np.array(
-            [
-                [catalog.matrix(m, t, wl).entries() for wl in catalog.spectrum.wavelengths]
-                for m, t in choices
-            ]
-        )
-        out.append(arr)
-    return out
 
 
 def _substrate_arrays(catalog: Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,7 +180,7 @@ def _split_depth(counts: list[int], n_wl: int, prune: bool) -> int:
     return len(counts) - tail
 
 
-def _suffix_table(mats: list[np.ndarray]) -> np.ndarray:
+def _suffix_table(mats: Sequence[np.ndarray]) -> np.ndarray:
     """(L, 4, K) products of every choice sequence over `mats`, last layer fastest."""
     table = np.ascontiguousarray(mats[0].transpose(1, 2, 0))
     for m in mats[1:]:
@@ -209,7 +200,6 @@ def _search(
     prune: bool,
     suffix_boxes: bounds_mod.EntryBounds | None = None,
     node_cap: int | None = None,
-    check_monotone: bool = False,
 ) -> SolveReport:
     """Depth-first search over the leading layers, tail block scored by GEMM.
 
@@ -224,7 +214,7 @@ def _search(
         _, avg = evaluate_design((), catalog)
         return _report(catalog, (), 1, 0, t0, True, [avg])
 
-    mats = _layer_arrays(catalog)
+    mats = catalog.layer_matrices
     a, b, phi = _substrate_arrays(catalog)
     counts = [m.shape[0] for m in mats]
     n_wl = len(phi)
@@ -275,7 +265,7 @@ def _search(
         child_bound = np.full(counts[depth], np.inf)
         if prune:
             child_bound = bounds_at(children, depth + 1)
-            if check_monotone and np.any(child_bound > bound + 1e-9):
+            if np.any(child_bound > bound + 1e-9):
                 raise InternalError(f"child bound exceeds parent bound at depth {depth + 1}")
             order = np.argsort(-child_bound, kind="stable")
         last = depth + 1 == split
@@ -319,7 +309,6 @@ def branch_and_bound(
     catalog: Catalog,
     suffix_boxes: bounds_mod.EntryBounds | None = None,
     node_cap: int | None = None,
-    check_monotone: bool = False,
 ) -> SolveReport:
     """Optimal design by bound-pruned depth-first search.
 
@@ -327,10 +316,7 @@ def branch_and_bound(
     child whose bound cannot beat the incumbent (plus tolerance) is pruned
     together with its whole subtree.  With `node_cap` set, the search stops
     early once that many designs were evaluated and the report is flagged as
-    incumbent-only.  `check_monotone` raises InternalError if a child's
-    bound ever exceeds its parent's (a sign of unsound `suffix_boxes`).
+    incumbent-only.  Raises InternalError if a child's bound ever exceeds
+    its parent's (a sign of unsound `suffix_boxes`).
     """
-    return _search(
-        catalog, prune=True, suffix_boxes=suffix_boxes, node_cap=node_cap,
-        check_monotone=check_monotone,
-    )
+    return _search(catalog, prune=True, suffix_boxes=suffix_boxes, node_cap=node_cap)

@@ -6,6 +6,7 @@ import pytest
 
 from filmopt import materials, optics
 from filmopt.materials import CatalogConfig, DispersionTable, build_catalog
+from filmopt.model import Model
 
 THETA1 = {"TiO2": tuple(float(t) for t in range(20, 141, 10)),
           "MgF2": tuple(float(t) for t in range(50, 281, 10))}
@@ -90,3 +91,61 @@ def complex_from_structured(m: optics.StructuredMatrix) -> np.ndarray:
 
 def structured_from_complex(c: np.ndarray) -> optics.StructuredMatrix:
     return optics.StructuredMatrix(c[0, 0].real, c[0, 1].imag, c[1, 0].imag, c[1, 1].real)
+
+
+def denominator_on_x(substrate: optics.ComplexIndex):
+    """D as a scalar function of the x-ordered 4-vector (w11, w22, w12, w21).
+
+    Squares are products, as in arrayops.denominator4 (float ``** 2`` goes
+    through libm ``pow``, which can differ from ``u * u`` in the last bit), so
+    fits through its values equal the batched fits bit for bit.
+    """
+    a, b = substrate.re, substrate.im
+
+    def g(x):
+        x1, x2, x3, x4 = x
+        u1, u2, u3, u4 = x1 - b * x3, a * x3, x4 + b * x2, a * x2
+        return u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4 + 2.0 * a
+
+    return g
+
+
+def models_close(a: Model, b: Model, rtol: float = 1e-15) -> bool:
+    """Structural equality up to relative coefficient tolerance."""
+
+    def close(x: float, y: float) -> bool:
+        return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
+
+    avars = {v.name: v for v in a.variables}
+    bvars = {v.name: v for v in b.variables}
+    if set(avars) != set(bvars):
+        return False
+    for name, va in avars.items():
+        vb = bvars[name]
+        if va.kind != vb.kind or not (close(va.lower, vb.lower) and close(va.upper, vb.upper)):
+            return False
+    if len(a.linear) != len(b.linear) or len(a.quadratic) != len(b.quadratic):
+        return False
+    for ca, cb in zip(a.linear, b.linear):
+        if ca.name != cb.name or ca.sense != cb.sense or not close(ca.rhs, cb.rhs):
+            return False
+        if set(ca.coeffs) != set(cb.coeffs):
+            return False
+        if not all(close(ca.coeffs[n], cb.coeffs[n]) for n in ca.coeffs):
+            return False
+    for qa, qb in zip(a.quadratic, b.quadratic):
+        if qa.name != qb.name or qa.sense != qb.sense or not close(qa.rhs, qb.rhs):
+            return False
+        if set(qa.lin) != set(qb.lin) or set(qa.quad) != set(qb.quad):
+            return False
+        if not all(close(qa.lin[n], qb.lin[n]) for n in qa.lin):
+            return False
+        if not all(close(qa.quad[p], qb.quad[p]) for p in qa.quad):
+            return False
+    if a.objective.sense != b.objective.sense:
+        return False
+    if set(a.objective.coeffs) != set(b.objective.coeffs):
+        return False
+    if not all(close(a.objective.coeffs[n], b.objective.coeffs[n]) for n in a.objective.coeffs):
+        return False
+    return close(a.objective.constant, b.objective.constant)

@@ -17,21 +17,22 @@ import pytest
 
 from filmopt import bounds, lpio, optics, relax, solver
 from filmopt.errors import InstanceTooLarge
-from filmopt.materials import CatalogConfig, DispersionTable, build_catalog, index_at
+from filmopt.materials import CatalogConfig, DispersionTable, build_catalog, index_at, progression
 from filmopt.model import (
     build_miqcp,
     build_misocp,
     design_point,
-    models_close,
 )
 from filmopt.optics import ComplexIndex, StructuredMatrix
-from filmopt.relax import Box4, collect_candidates, denominator_on_x, extreme_points_2d
+from filmopt.relax import Box4, collect_candidates, extreme_points_2d
 
 from conftest import (
     SUBSTRATES,
     THETA1,
     complex_from_structured,
+    denominator_on_x,
     enumerate_designs,
+    models_close,
     random_catalog,
     single_wavelength_config,
 )
@@ -142,9 +143,9 @@ def test_05_uncoated_molybdenum_window_averages(data_tables):
     with acceptance(5, "uncoated Mo averages: visible ~0.570, broad ~0.826, <1s"):
         t0 = time.perf_counter()
         mo = data_tables["Molybdenum"]
-        from filmopt.heuristics import BROAD_GRID, VISIBLE_GRID, grid_points
-        _, vis = solver.evaluate_design_on_grid((), {}, mo, grid_points(*VISIBLE_GRID))
-        _, broad = solver.evaluate_design_on_grid((), {}, mo, grid_points(*BROAD_GRID))
+        from filmopt.heuristics import BROAD_GRID, VISIBLE_GRID
+        _, vis = solver.evaluate_design_on_grid((), {}, mo, progression(*VISIBLE_GRID))
+        _, broad = solver.evaluate_design_on_grid((), {}, mo, progression(*BROAD_GRID))
         elapsed = time.perf_counter() - t0
         assert vis == pytest.approx(0.570, abs=0.02)
         assert broad == pytest.approx(0.826, abs=0.02)
@@ -280,11 +281,11 @@ def test_12_lp_round_trip(tmp_path, data_tables):
 
 def test_13_quarter_wave_stack_benchmark(data_tables):
     with acceptance(13, "9x2 quarter-wave stack on W lands near the reported broad average"):
-        from filmopt.heuristics import BROAD_GRID, StackSpec, grid_points, quarter_wave_design
+        from filmopt.heuristics import BROAD_GRID, StackSpec, quarter_wave_design
         spec = StackSpec(
             (450.0, 500.0, 750.0, 900.0, 1000.0, 1200.0, 1500.0, 2000.0, 2200.0),
             2, "TiO2", "MgF2")
-        broad = grid_points(*BROAD_GRID)
+        broad = progression(*BROAD_GRID)
         _, default_avg = solver.evaluate_design_on_grid(
             quarter_wave_design(spec, data_tables, ascending=True),
             data_tables, data_tables["Tungsten"], broad)

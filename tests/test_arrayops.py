@@ -130,6 +130,6 @@ def test_leaf_kernel_allocates_no_work_arrays():
 @pytest.mark.parametrize("seed", range(6))
 def test_suffix_table_columns_are_tail_products(seed):
     cat, prefix, tails, _, table = _random_instance(seed)
-    mats = solver._layer_arrays(cat)
+    mats = cat.layer_matrices
     got = solver._suffix_table(mats[len(prefix):])
     np.testing.assert_allclose(got, table, rtol=0, atol=1e-13)

@@ -10,7 +10,6 @@ from filmopt.bounds import (
     max_denominator_over_box,
     suffix_product_bounds,
     tighten_bounds,
-    upper_bound_objective,
 )
 from filmopt.errors import InternalError
 from filmopt.materials import CatalogConfig, build_catalog
@@ -19,6 +18,21 @@ from filmopt.optics import ComplexIndex, StructuredMatrix
 from conftest import enumerate_designs, flat_table, random_catalog, single_wavelength_config
 
 TOL = 1e-9
+
+
+def upper_bound_objective(prefixes, suffix_los, suffix_his, substrate_indices, weights):
+    """Scalar optimistic completion value for fixed per-wavelength prefixes.
+
+    For each wavelength the final matrix lies in prefix * suffix-box; the
+    reflectance term 1 - 4 Re / D is maximized by maximizing D over that box,
+    which makes the weighted sum an upper bound on every completion.
+    """
+    total = 0.0
+    for li, (prefix, sub, phi) in enumerate(zip(prefixes, substrate_indices, weights)):
+        lo, hi = interval_product_box(prefix, suffix_los[li], suffix_his[li])
+        dmax = max_denominator_over_box(lo, hi, sub)
+        total += phi * (1.0 - 4.0 * sub.re / dmax)
+    return total
 
 
 def prefix_products(catalog, li):
@@ -175,7 +189,7 @@ class TestUpperBoundObjective:
         rng = random.Random(12)
         cat, _ = random_catalog(rng, max_layers=4, max_choices=4)
         # raises internally if any child bound exceeds its parent
-        solver.branch_and_bound(cat, check_monotone=True)
+        solver.branch_and_bound(cat)
 
     def test_monotone_check_fires_on_collapsed_root_box(self, data_tables):
         # an identity depth-0 box makes the root bound the uncoated mirror's
@@ -186,8 +200,8 @@ class TestUpperBoundObjective:
         lower[:, 0] = upper[:, 0] = [1.0, 0.0, 0.0, 1.0]
         collapsed = EntryBounds(sb.wavelengths, lower, upper)
         with pytest.raises(InternalError, match="exceeds parent bound"):
-            solver.branch_and_bound(cat, suffix_boxes=collapsed, check_monotone=True)
-        solver.branch_and_bound(cat, suffix_boxes=sb, check_monotone=True)
+            solver.branch_and_bound(cat, suffix_boxes=collapsed)
+        solver.branch_and_bound(cat, suffix_boxes=sb)
 
     def test_corner_max_dominates_interior_samples(self):
         rng = np.random.default_rng(5)

@@ -220,6 +220,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         ("evaluate", "--grid", "300:x:3000"),
         ("evaluate", "--grid", "300:nan:3000"),
+        ("evaluate", "--grid", "300:0:3000"),
+        ("evaluate", "--grid", "3000:20:300"),
         ("heuristic", "--targets", "450,nine hundred"),
         ("extreme-points", "--beta", "4", "--box", "0,1,a,2"),
     ])

@@ -8,10 +8,9 @@ from filmopt.heuristics import (
     StackSpec,
     compare_methods,
     comparison_csv,
-    grid_points,
     quarter_wave_design,
 )
-from filmopt.materials import CatalogConfig, build_catalog, index_at
+from filmopt.materials import CatalogConfig, build_catalog, index_at, progression
 
 from conftest import THETA1, flat_table
 
@@ -79,7 +78,7 @@ class TestCompareMethods:
         spec = StackSpec((550.0,), 2, "TiO2", "MgF2")
         design = quarter_wave_design(spec, data_tables)
         rows = compare_methods([("qw", design)], data_tables, data_tables["Tungsten"])
-        vis = grid_points(*heuristics.VISIBLE_GRID)
+        vis = progression(*heuristics.VISIBLE_GRID)
         _, want = solver.evaluate_design_on_grid(
             design, data_tables, data_tables["Tungsten"], vis)
         assert rows[0].visible_average == want

@@ -65,6 +65,17 @@ class TestLoadDispersion:
         with pytest.raises(ValidationError):
             load_dispersion(write_csv(tmp_path, "X", [(400, 0.0, 0), (700, 2.3, 0)]))
 
+    @pytest.mark.parametrize("row", [("nan", 2.5, 0), (300, "nan", 0), (300, 2.5, "inf")])
+    def test_non_finite_value(self, tmp_path, row):
+        with pytest.raises(ValidationError):
+            load_dispersion(write_csv(tmp_path, "X", [row, (700, 2.3, 0)]))
+
+    def test_non_utf8(self, tmp_path):
+        p = tmp_path / "X.csv"
+        p.write_bytes(b"wavelength_nm,n,k\n400,2.5,0\n700,2.3,0\xff\n")
+        with pytest.raises(ParseError):
+            load_dispersion(p)
+
     def test_bundled_tungsten_coverage(self, data_tables):
         t = data_tables["Tungsten"]
         assert t.wavelengths_nm[0] <= 300.0 and t.wavelengths_nm[-1] >= 3000.0
@@ -160,6 +171,24 @@ class TestBuildCatalog:
             alternating=True)
         cat = build_catalog(cfg, data_tables)
         assert all(abs(m.det() - 1.0) <= 1e-12 for m in cat.fixed.values())
+
+    @pytest.mark.parametrize("alternating", [True, False])
+    def test_layer_matrices_equal_scalar_matrices(self, data_tables, alternating):
+        cfg = CatalogConfig(
+            substrate="Tungsten", materials=("TiO2", "MgF2"),
+            thicknesses=THETA1, wavelengths=(370.0, 770.0, 2000.0), layers=5,
+            alternating=alternating)
+        cat = build_catalog(cfg, data_tables)
+        assert len(cat.layer_matrices) == cat.n_layers
+        assert len({id(a) for a in cat.layer_matrices}) == (2 if alternating else 1)
+        for arr, choices in zip(cat.layer_matrices, cat.layer_choices):
+            assert arr.shape == (len(choices), len(cat.spectrum), 4)
+            assert not arr.flags.writeable
+            for j, (m, t) in enumerate(choices):
+                for li, wl in enumerate(cat.spectrum.wavelengths):
+                    assert tuple(arr[j, li]) == cat.matrix(m, t, wl).entries()
+        with pytest.raises(ValueError):
+            cat.layer_matrices[0][0, 0, 0] = 2.0
 
     def test_deterministic_construction(self, data_tables):
         cfg = CatalogConfig(

@@ -19,12 +19,11 @@ from filmopt.model import (
     build_misocp,
     design_point,
     linear_constraint_count,
-    models_close,
     variable_map,
     x_name,
 )
 
-from conftest import THETA1, enumerate_designs, flat_table, random_catalog
+from conftest import THETA1, enumerate_designs, flat_table, models_close, random_catalog
 
 
 def desk_catalog(n_layers=3, wavelengths=(500.0, 650.0)):
@@ -213,7 +212,8 @@ class TestLpExport:
         "Subject To\n c1: 1 x <= abc\nEnd\n",
         "Subject To\n c1: 1 x <=\nEnd\n",
         "Maximize\n obj: 1 x\nBounds\n 0 <= x <= zz\nEnd\n",
-    ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound"])
+        "Subject To\n c1: 1 x <= 3 junk 7\nEnd\n",
+    ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound", "tokens-after-rhs"])
     def test_parse_error_on_bad_numbers(self, tmp_path, text):
         p = tmp_path / "bad.lp"
         p.write_text(text)

@@ -207,11 +207,6 @@ class TestSpectrum:
         s = Spectrum.uniform([400, 500, 600])
         assert s.weights == (pytest.approx(1 / 3),) * 3
 
-    def test_from_range(self):
-        s = Spectrum.from_range(370, 40, 770)
-        assert len(s) == 11
-        assert s.wavelengths[0] == 370 and s.wavelengths[-1] == 770
-
     @pytest.mark.parametrize(
         "wls,weights",
         [((500, 400), (0.5, 0.5)), ((400, 400), (0.5, 0.5)), ((400, 500), (0.6, 0.6)),

@@ -23,14 +23,13 @@ from filmopt.relax import (
     Hyperplane,
     collect_candidates,
     constant_overapproximator,
-    denominator_on_x,
     extreme_points_2d,
     fit_hyperplane,
     generate_overapproximators,
     hyperplanes_for_catalog,
 )
 
-from conftest import SUBSTRATES, enumerate_designs, random_catalog
+from conftest import SUBSTRATES, denominator_on_x, enumerate_designs, random_catalog
 
 TOL = 1e-9
 BROAD_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "broad_n20_theta2.json"

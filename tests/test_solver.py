@@ -127,7 +127,7 @@ class TestBranchAndBound:
         rng = random.Random(6000 + seed)
         cat, _ = random_catalog(rng)
         rb = brute_force(cat)
-        rn = branch_and_bound(cat, check_monotone=True)
+        rn = branch_and_bound(cat)
         assert abs(rb.objective - rn.objective) <= 1e-10
         assert rn.proven_optimal
 
