@@ -5,7 +5,9 @@ of B, so over a box of B-values the extremes are attained at box corners.
 Propagating the 16 corner matrices through every admissible choice of the
 next layer therefore yields sound entrywise bounds on all reachable partial
 products.  The same argument applied right-to-left bounds the product of the
-*remaining* layers, which is what the branch-and-bound search uses.
+*remaining* layers, which is what the branch-and-bound search uses.  Both
+directions are one propagation over ``Catalog.layer_matrices`` that steps
+every wavelength at once.
 
 Bound arrays have shape (L, N+1, 4): wavelength index, prefix length
 (0..N, where 0 is the bare identity), entry in (a11, a12, a21, a22) order.
@@ -55,57 +57,52 @@ class EntryBounds:
         return out
 
 
+#: Row i picks hi[e] where set and lo[e] elsewhere: the 16 corners of a box.
+_CORNER_PICKS = np.array(list(product((False, True), repeat=4)))
+
+
 def _corner_matrices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The (16, 4) corner combinations of an entrywise box."""
-    corners = np.empty((16, 4))
-    for i, picks in enumerate(product((0, 1), repeat=4)):
-        for e, p in enumerate(picks):
-            corners[i, e] = hi[e] if p else lo[e]
-    return corners
+    """The (..., 16, 4) corner combinations of entrywise boxes (..., 4)."""
+    return np.where(_CORNER_PICKS, hi[..., None, :], lo[..., None, :])
 
 
-def tighten_bounds(catalog: Catalog) -> EntryBounds:
-    """Forward corner propagation over layers 1..N, per wavelength."""
-    n_layers = catalog.n_layers
-    wls = catalog.spectrum.wavelengths
-    lower = np.empty((len(wls), n_layers + 1, 4))
-    upper = np.empty_like(lower)
-    lower[:, 0] = _IDENTITY4
-    upper[:, 0] = _IDENTITY4
-    for li in range(len(wls)):
-        corners = _IDENTITY4[None, :]
-        for n in range(1, n_layers + 1):
-            mats = catalog.layer_matrices[n - 1][:, li]
-            reached = mul4(corners[:, None, :], mats[None, :, :]).reshape(-1, 4)
-            lo, hi = reached.min(axis=0), reached.max(axis=0)
-            lower[li, n], upper[li, n] = lo, hi
-            corners = _corner_matrices(lo, hi)
-    return EntryBounds(wavelengths=tuple(wls), lower=lower, upper=upper)
+def _propagate(catalog: Catalog, forward: bool) -> EntryBounds:
+    """Corner propagation over all wavelengths at once, in either direction.
 
-
-def suffix_product_bounds(catalog: Catalog) -> EntryBounds:
-    """Bounds on the product of layers k+1..N, indexed by prefix depth k.
-
-    Depth N is the empty suffix (exactly the identity).  Built by the mirror
-    of :func:`tighten_bounds`: the pending layer multiplies from the *left*,
-    so entries stay linear in the corner matrix and the corner argument holds
-    unchanged.
+    Forward, the box at depth n bounds the product of layers 1..n and the
+    next layer multiplies from the right; backward, the box at depth k
+    bounds the product of layers k+1..N and the next layer multiplies from
+    the left.  Either way each entry of the product is linear in the corner
+    matrix, so the corners of the previous box give the extremes.
     """
     n_layers = catalog.n_layers
     wls = catalog.spectrum.wavelengths
     lower = np.empty((len(wls), n_layers + 1, 4))
     upper = np.empty_like(lower)
-    lower[:, n_layers] = _IDENTITY4
-    upper[:, n_layers] = _IDENTITY4
-    for li in range(len(wls)):
-        corners = _IDENTITY4[None, :]
-        for k in range(n_layers - 1, -1, -1):
-            mats = catalog.layer_matrices[k][:, li]
-            reached = mul4(mats[:, None, :], corners[None, :, :]).reshape(-1, 4)
-            lo, hi = reached.min(axis=0), reached.max(axis=0)
-            lower[li, k], upper[li, k] = lo, hi
-            corners = _corner_matrices(lo, hi)
+    start, depths = (0, range(1, n_layers + 1)) if forward else (n_layers, range(n_layers - 1, -1, -1))
+    lower[:, start] = upper[:, start] = _IDENTITY4
+    corners = np.broadcast_to(_IDENTITY4, (len(wls), 1, 1, 4))
+    for depth in depths:
+        layer = depth - 1 if forward else depth
+        mats = catalog.layer_matrices[layer].transpose(1, 0, 2)[:, None]  # (L, 1, C, 4)
+        reached = mul4(corners, mats) if forward else mul4(mats, corners)
+        lo, hi = reached.min(axis=(1, 2)), reached.max(axis=(1, 2))
+        lower[:, depth], upper[:, depth] = lo, hi
+        corners = _corner_matrices(lo, hi)[:, :, None]  # (L, 16, 1, 4)
     return EntryBounds(wavelengths=tuple(wls), lower=lower, upper=upper)
+
+
+def tighten_bounds(catalog: Catalog) -> EntryBounds:
+    """Bounds on the product of layers 1..n, indexed by prefix depth n."""
+    return _propagate(catalog, forward=True)
+
+
+def suffix_product_bounds(catalog: Catalog) -> EntryBounds:
+    """Bounds on the product of layers k+1..N, indexed by prefix depth k.
+
+    Depth N is the empty suffix (exactly the identity).
+    """
+    return _propagate(catalog, forward=False)
 
 
 def interval_product_box(

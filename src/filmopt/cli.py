@@ -12,9 +12,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +31,9 @@ from .errors import (
     SpectrumCoverage,
     ValidationError,
 )
-from .materials import Catalog, CatalogConfig, build_catalog, load_tables, progression, read_text
+from .materials import (
+    Catalog, CatalogConfig, build_catalog, load_tables, progression, read_text, write_atomic,
+)
 
 USAGE_ERRORS = (
     ConfigError,
@@ -57,21 +57,8 @@ class RunConfig:
     cap_nodes: int | None = None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
 def _parse_numbers(text: str, sep: str, flag: str) -> list[float]:
@@ -129,7 +116,7 @@ def cmd_evaluate(run: RunConfig, design_path: Path) -> int:
     writer.writerow(["wavelength_nm", "reflectance"])
     for wl, r in zip(curve_pts, curve):
         writer.writerow([f"{wl:g}", f"{r:.9f}"])
-    _write_atomic(run.out_dir / "spectrum.csv", buf.getvalue())
+    write_atomic(run.out_dir / "spectrum.csv", buf.getvalue())
     _write_json(
         run.out_dir / "summary.json",
         {
@@ -184,7 +171,6 @@ def cmd_export(run: RunConfig, kind: str) -> int:
             "hyperplanes per wavelength: "
             + ", ".join(f"{wl:g}:{len(planes[li])}" for li, wl in enumerate(catalog.spectrum.wavelengths))
         )
-    run.out_dir.mkdir(parents=True, exist_ok=True)
     lpio.export_lp(model, run.out_dir / "model.lp")
     _write_json(run.out_dir / "varmap.json", model_mod.variable_map(catalog))
     print(
@@ -223,7 +209,7 @@ def cmd_heuristic(run: RunConfig, targets: str, layers_per_target: int, order: s
     rows = heuristics.compare_methods(
         [(f"qw-{len(wls)}x{layers_per_target}", design)], tables, tables[config.substrate]
     )
-    _write_atomic(run.out_dir / "compare.csv", heuristics.comparison_csv(rows))
+    write_atomic(run.out_dir / "compare.csv", heuristics.comparison_csv(rows))
     print(
         f"{rows[0].name}: visible {rows[0].visible_average:.3f}, "
         f"broad {rows[0].broad_average:.3f} ({rows[0].layer_count} layers)"
@@ -240,7 +226,7 @@ def cmd_compare(run: RunConfig, named_designs: list[str]) -> int:
         name, path = item.split("=", 1)
         designs.append((name, _read_design(Path(path))))
     rows = heuristics.compare_methods(designs, tables, tables[config.substrate])
-    _write_atomic(run.out_dir / "compare.csv", heuristics.comparison_csv(rows))
+    write_atomic(run.out_dir / "compare.csv", heuristics.comparison_csv(rows))
     for r in rows:
         print(f"{r.name}: visible {r.visible_average:.3f}, broad {r.broad_average:.3f}")
     return 0
@@ -255,6 +241,19 @@ def cmd_extreme_points(beta: float, box: str) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= `low`; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="filmopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, type=Path, help="catalog config JSON")
         p.add_argument("--out", required=True, type=Path, help="output directory")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_int_at_least(0), default=42)
 
     p = sub.add_parser("evaluate", help="reflectance curve and window averages of a design")
     common(p)
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="solve the instance exactly")
     common(p)
     p.add_argument("--mode", choices=("brute", "bnb"), default="brute")
-    p.add_argument("--cap-nodes", type=int, default=None)
+    p.add_argument("--cap-nodes", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("export", help="write the algebraic model as LP text")
     common(p)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleAssignment, ParseError
-from .materials import Catalog, read_text
+from .materials import Catalog, read_text, write_atomic
 from .model import (
     LinearConstraint,
     Model,
@@ -117,7 +117,7 @@ def export_lp(model: Model, path: str | Path) -> None:
             lines.append("Binaries")
             lines.extend(_wrap(binaries, " "))
     lines.append("End")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ def import_lp(path: str | Path) -> Model:
 
 def write_solution(values: dict[str, float], path: str | Path) -> None:
     lines = [f"{name} {_num(val)}" for name, val in values.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, float], ...]:

@@ -13,6 +13,8 @@ import bisect
 import csv
 import json
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +46,29 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write `text` as UTF-8 to `path` via a temp file in the same directory.
+
+    The file appears whole or not at all: a failed write leaves neither
+    `path` nor the temp file behind.  Missing parent directories are made,
+    and the file gets the mode `open()` would give it under the umask.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -334,6 +359,11 @@ def build_catalog(
         mat: ThicknessSet(mat, tuple(sorted(config.thicknesses[mat])))
         for mat in config.materials
     }
+    per_layer = sum(len(by_mat[m].thicknesses) for m in config.materials)
+    if config.layers * per_layer > MAX_PROGRESSION:
+        raise ConfigError(
+            f"{config.layers} layers x {per_layer} thicknesses is over {MAX_PROGRESSION} layer choices"
+        )
 
     if config.alternating:
         high, low = _rank_by_mean_index(config.materials, tables, spectrum.wavelengths)

@@ -7,7 +7,9 @@ binary fires, and to the tightened entry bounds when it does); auxiliaries
 `d <= D(w)` and `f*d >= 4 Re(a)` turn the reflectance into the linear
 objective sum phi*(1 - f).  Intermediate cumulative matrices are eliminated
 by substitution: the chain constraints tie consecutive copy sums together,
-so only v, w, d, f and the binaries remain.
+so only v, w, d, f and the binaries remain.  Per wavelength the structure is
+one loop over layer boundaries, with coefficients read from the dense
+``Catalog.layer_matrices``.
 
 The relaxation keeps everything except the reverse-convex cap `d <= D(w)`,
 which is replaced by validated affine overapproximators of D.
@@ -22,7 +24,7 @@ from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
 from .materials import Catalog
 from .optics import StructuredMatrix, chain_product, denominator_D
-from .relax import Hyperplane
+from .relax import X_ORDER, Hyperplane
 
 ENTRY_TAGS = ("11", "12", "21", "22")
 
@@ -139,12 +141,24 @@ def _fmt_thickness(t: float) -> str:
     return str(t).replace(".", "p").replace("-", "m")
 
 
+def _label(layer: int, material: str, thickness: float) -> str:
+    return f"{layer}_{material}_{_fmt_thickness(thickness)}"
+
+
+def _labels(catalog: Catalog) -> list[list[str]]:
+    """`<layer>_<material>_<thickness>` of every choice, per layer in choice order."""
+    return [
+        [_label(layer, m, t) for m, t in choices]
+        for layer, choices in enumerate(catalog.layer_choices, start=1)
+    ]
+
+
 def x_name(layer: int, material: str, thickness: float) -> str:
-    return f"x_{layer}_{material}_{_fmt_thickness(thickness)}"
+    return f"x_{_label(layer, material, thickness)}"
 
 
 def v_name(li: int, layer: int, material: str, thickness: float, tag: str) -> str:
-    return f"v_{li}_{layer}_{material}_{_fmt_thickness(thickness)}_{tag}"
+    return f"v_{li}_{_label(layer, material, thickness)}_{tag}"
 
 
 def w_name(li: int, tag: str) -> str:
@@ -161,17 +175,16 @@ def f_name(li: int) -> str:
 
 def variable_map(catalog: Catalog) -> dict:
     """Name -> meaning map for every variable of the catalog's models."""
+    labels = _labels(catalog)
     out: dict[str, dict] = {"x": {}, "v": {}, "w": {}, "d": {}, "f": {}}
-    for layer in range(1, catalog.n_layers + 1):
-        for m, t in catalog.choices_at(layer):
-            out["x"][x_name(layer, m, t)] = {
-                "layer": layer, "material": m, "thickness_nm": t,
-            }
+    for layer, choices in enumerate(catalog.layer_choices, start=1):
+        for label, (m, t) in zip(labels[layer - 1], choices):
+            out["x"][f"x_{label}"] = {"layer": layer, "material": m, "thickness_nm": t}
     for li, wl in enumerate(catalog.spectrum.wavelengths):
-        for layer in range(1, catalog.n_layers + 1):
-            for m, t in catalog.choices_at(layer):
+        for layer, choices in enumerate(catalog.layer_choices, start=1):
+            for label, (m, t) in zip(labels[layer - 1], choices):
                 for tag in ENTRY_TAGS:
-                    out["v"][v_name(li, layer, m, t, tag)] = {
+                    out["v"][f"v_{li}_{label}_{tag}"] = {
                         "wavelength_nm": wl, "layer": layer, "material": m,
                         "thickness_nm": t, "entry": tag,
                     }
@@ -194,8 +207,25 @@ _HEADER = [
 ]
 
 
+#: Entry e of (copy * T) as (copy entry, T entry, sign) terms; the product
+#: rule of the carrier, so each row of a chain constraint is linear in the copies.
+_IMAGE = (
+    ((0, 0, 1.0), (1, 2, -1.0)),  # a11*t11 - a12*t21
+    ((0, 1, 1.0), (1, 3, 1.0)),   # a11*t12 + a12*t22
+    ((2, 0, 1.0), (3, 2, 1.0)),   # a21*t11 + a22*t21
+    ((3, 3, 1.0), (2, 1, -1.0)),  # a22*t22 - a21*t12
+)
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
 def _structure(catalog: Catalog, entry_bounds: EntryBounds, name: str) -> Model:
-    """Common part of both models: everything except the d <= D(w) coupling."""
+    """Common part of both models: everything except the d <= D(w) coupling.
+
+    Per wavelength, boundary 0 ties the copies entering layer 1 to the
+    identity, and boundary k ties the image of layer k's copies under their
+    layer matrices to the copies entering layer k+1; the last boundary ties
+    it to w instead (with 0 layers, w itself is the identity).
+    """
     if entry_bounds.lower.shape[1] != catalog.n_layers + 1:
         raise InconsistentBounds("entry bounds depth does not match the catalog")
     if (entry_bounds.lower > entry_bounds.upper).any():
@@ -203,26 +233,38 @@ def _structure(catalog: Catalog, entry_bounds: EntryBounds, name: str) -> Model:
 
     n_layers = catalog.n_layers
     n_wl = len(catalog.spectrum)
+    labels = _labels(catalog)
     model = Model(name=name, header_comments=list(_HEADER))
 
-    for layer in range(1, n_layers + 1):
-        for m, t in catalog.choices_at(layer):
-            model.variables.append(Variable(x_name(layer, m, t), 0.0, 1.0, "binary"))
+    for layer_labels in labels:
+        model.variables.extend(Variable(f"x_{lab}", 0.0, 1.0, "binary") for lab in layer_labels)
     for li in range(n_wl):
-        for layer in range(1, n_layers + 1):
-            lo, hi = entry_bounds.box(li, layer - 1)
-            for m, t in catalog.choices_at(layer):
+        lower, upper = entry_bounds.lower[li].tolist(), entry_bounds.upper[li].tolist()
+        # copies[k] enter layer k+1; w enters the (absent) layer N+1
+        copies = [[f"v_{li}_{lab}" for lab in layer_labels] for layer_labels in labels] + [[f"w_{li}"]]
+        for k in range(n_layers + 1):
+            rows = [{} for _ in ENTRY_TAGS]
+            if k:
+                for v, t in zip(copies[k - 1], catalog.layer_matrices[k - 1][:, li].tolist()):
+                    for row, terms in zip(rows, _IMAGE):
+                        for src, entry, sign in terms:
+                            row[f"{v}_{ENTRY_TAGS[src]}"] = sign * t[entry]
+            prefix = f"c_final_{li}" if k == n_layers else f"c_chain_{li}_{k}" if k else f"c_u0_{li}"
+            for e, (tag, row) in enumerate(zip(ENTRY_TAGS, rows)):
+                row.update({f"{v}_{tag}": -1.0 if k else 1.0 for v in copies[k]})
+                model.linear.append(LinearConstraint(f"{prefix}_{tag}", row, "=", 0.0 if k else _IDENTITY[e]))
+        for layer_labels, layer_copies, lo, hi in zip(labels, copies, lower, upper):
+            for lab, v in zip(layer_labels, layer_copies):
                 for e, tag in enumerate(ENTRY_TAGS):
-                    model.variables.append(
-                        Variable(
-                            v_name(li, layer, m, t, tag),
-                            min(lo[e], 0.0),
-                            max(hi[e], 0.0),
-                        )
-                    )
-        lo, hi = entry_bounds.box(li, n_layers)
-        for e, tag in enumerate(ENTRY_TAGS):
-            model.variables.append(Variable(w_name(li, tag), lo[e], hi[e]))
+                    vn = f"{v}_{tag}"
+                    model.variables.append(Variable(vn, min(lo[e], 0.0), max(hi[e], 0.0)))
+                    for kind, bound, sense in (("ub", hi, "<="), ("lb", lo, ">=")):
+                        model.linear.append(LinearConstraint(
+                            f"c_{kind}_{li}_{lab}_{tag}", {vn: 1.0, f"x_{lab}": -bound[e]}, sense, 0.0
+                        ))
+        model.variables.extend(
+            Variable(w_name(li, tag), lo, hi) for tag, lo, hi in zip(ENTRY_TAGS, lower[-1], upper[-1])
+        )
     for li in range(n_wl):
         sub = catalog.substrate_indices[li]
         lo, hi = entry_bounds.box(li, n_layers)
@@ -230,76 +272,8 @@ def _structure(catalog: Catalog, entry_bounds: EntryBounds, name: str) -> Model:
         model.variables.append(Variable(d_name(li), 0.0, dmax))
         model.variables.append(Variable(f_name(li), 0.0, 2.0))
 
-    identity = (1.0, 0.0, 0.0, 1.0)
-    for li, wl in enumerate(catalog.spectrum.wavelengths):
-        # product-rule images of the gated copies: (v*T)_ij is linear in v
-        def image(layer: int, m: str, t: float, e: int) -> dict[str, float]:
-            mat = catalog.matrix(m, t, wl)
-            t11, t12, t21, t22 = mat.entries()
-            v = lambda tag: v_name(li, layer, m, t, tag)  # noqa: E731
-            if e == 0:
-                return {v("11"): t11, v("12"): -t21}
-            if e == 1:
-                return {v("11"): t12, v("12"): t22}
-            if e == 2:
-                return {v("21"): t11, v("22"): t21}
-            return {v("22"): t22, v("21"): -t12}
-
-        if n_layers >= 1:
-            for e, tag in enumerate(ENTRY_TAGS):
-                coeffs = {v_name(li, 1, m, t, tag): 1.0 for m, t in catalog.choices_at(1)}
-                model.linear.append(
-                    LinearConstraint(f"c_u0_{li}_{tag}", coeffs, "=", identity[e])
-                )
-        for layer in range(1, n_layers):
-            for e, tag in enumerate(ENTRY_TAGS):
-                coeffs: dict[str, float] = {}
-                for m, t in catalog.choices_at(layer):
-                    for nm, c in image(layer, m, t, e).items():
-                        coeffs[nm] = coeffs.get(nm, 0.0) + c
-                for m, t in catalog.choices_at(layer + 1):
-                    nm = v_name(li, layer + 1, m, t, tag)
-                    coeffs[nm] = coeffs.get(nm, 0.0) - 1.0
-                model.linear.append(
-                    LinearConstraint(f"c_chain_{li}_{layer}_{tag}", coeffs, "=", 0.0)
-                )
-        if n_layers >= 1:
-            for e, tag in enumerate(ENTRY_TAGS):
-                coeffs = {}
-                for m, t in catalog.choices_at(n_layers):
-                    for nm, c in image(n_layers, m, t, e).items():
-                        coeffs[nm] = coeffs.get(nm, 0.0) + c
-                coeffs[w_name(li, tag)] = -1.0
-                model.linear.append(
-                    LinearConstraint(f"c_final_{li}_{tag}", coeffs, "=", 0.0)
-                )
-        else:
-            for e, tag in enumerate(ENTRY_TAGS):
-                model.linear.append(
-                    LinearConstraint(
-                        f"c_final_{li}_{tag}", {w_name(li, tag): 1.0}, "=", identity[e]
-                    )
-                )
-        for layer in range(1, n_layers + 1):
-            lo, hi = entry_bounds.box(li, layer - 1)
-            for m, t in catalog.choices_at(layer):
-                xn = x_name(layer, m, t)
-                for e, tag in enumerate(ENTRY_TAGS):
-                    vn = v_name(li, layer, m, t, tag)
-                    model.linear.append(
-                        LinearConstraint(
-                            f"c_ub_{li}_{layer}_{m}_{_fmt_thickness(t)}_{tag}",
-                            {vn: 1.0, xn: -hi[e]}, "<=", 0.0,
-                        )
-                    )
-                    model.linear.append(
-                        LinearConstraint(
-                            f"c_lb_{li}_{layer}_{m}_{_fmt_thickness(t)}_{tag}",
-                            {vn: 1.0, xn: -lo[e]}, ">=", 0.0,
-                        )
-                    )
-    for layer in range(1, n_layers + 1):
-        coeffs = {x_name(layer, m, t): 1.0 for m, t in catalog.choices_at(layer)}
+    for layer, layer_labels in enumerate(labels, start=1):
+        coeffs = {f"x_{lab}": 1.0 for lab in layer_labels}
         model.linear.append(LinearConstraint(f"c_pick_{layer}", coeffs, "=", 1.0))
 
     for li in range(n_wl):
@@ -363,14 +337,12 @@ def build_misocp(
     model = _structure(catalog, entry_bounds, "misocp")
     for li, planes in enumerate(overapproximators):
         for k, h in enumerate(planes):
-            #  a1*w11 + a2*w22 + a3*w12 + a4*w21 - d >= -a0
+            #  a1*x1 + a2*x2 + a3*x3 + a4*x4 - d >= -a0
             coeffs = {
-                w_name(li, "11"): h.a1,
-                w_name(li, "22"): h.a2,
-                w_name(li, "12"): h.a3,
-                w_name(li, "21"): h.a4,
-                d_name(li): -1.0,
+                w_name(li, ENTRY_TAGS[e]): a
+                for e, a in zip(X_ORDER, h.coefficients()[1:])
             }
+            coeffs[d_name(li)] = -1.0
             model.linear.append(
                 LinearConstraint(f"c_hyp_{li}_{k}", coeffs, ">=", -h.a0)
             )
@@ -411,12 +383,13 @@ def design_point(
                 for e, tag in enumerate(ENTRY_TAGS):
                     values[v_name(li, layer, m, t, tag)] = u_prev[e] if chosen else 0.0
         w = running[-1]
+        w_entries = w.entries()
         for e, tag in enumerate(ENTRY_TAGS):
-            values[w_name(li, tag)] = w.entries()[e]
+            values[w_name(li, tag)] = w_entries[e]
         sub = catalog.substrate_indices[li]
         d = denominator_D(w, sub)
         if overapproximators is not None:
-            x = (w.a11, w.a22, w.a12, w.a21)
+            x = [w_entries[e] for e in X_ORDER]
             d = min(d, min(h.value(x) for h in overapproximators[li]))
         values[d_name(li)] = d
         values[f_name(li)] = 4.0 * sub.re / d

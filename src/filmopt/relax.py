@@ -63,8 +63,10 @@ EXHAUSTIVE_LIMIT = 12
 RANDOM_SUBSETS = 5000
 #: Subsets fitted per batched solve; bounds the temporaries of one block.
 FIT_BLOCK = 512
+#: Entry indices (into a11, a12, a21, a22) of (x1, x2, x3, x4) = (w11, w22, w12, w21).
+X_ORDER = (0, 3, 1, 2)
 #: Columns of an x-ordered (x1, x2, x3, x4) array in entry order (a11, a12, a21, a22).
-_ENTRY_ORDER = [0, 2, 3, 1]
+_ENTRY_ORDER = [X_ORDER.index(e) for e in range(4)]
 #: Relative margin of the domination screen, over 1000x the rounding error
 #: of a 5-term dot product (at most 5u times the sum of term magnitudes).
 SCREEN_MARGIN = 1e-12
@@ -86,25 +88,13 @@ class Box4:
         """Final-layer box in x-order; entry arrays store (a11, a12, a21, a22)."""
         n = eb.lower.shape[1] - 1 if depth is None else depth
         lo, hi = eb.box(wavelength_idx, n)
-        order = (0, 3, 1, 2)  # a11, a22, a12, a21
-        return cls(tuple(lo[e] for e in order), tuple(hi[e] for e in order))
+        return cls(tuple(lo[e] for e in X_ORDER), tuple(hi[e] for e in X_ORDER))
 
     def contains(self, point: Sequence[float], tol: float = POINT_TOL) -> bool:
         return all(
             lo - tol <= v <= hi + tol
             for v, lo, hi in zip(point, self.lower, self.upper)
         )
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    points: tuple[tuple[float, float, float, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points)
 
 
 @dataclass(frozen=True)
@@ -142,10 +132,7 @@ def _dedupe(points: list[tuple[float, ...]], tol: float = POINT_TOL) -> list[tup
     return kept
 
 
-def _tangent_quad(
-    b1: tuple[float, float], b2: tuple[float, float], beta: float,
-    crossings: list[tuple[float, float]],
-) -> list[tuple[float, float]]:
+def _tangent_quad(beta: float, crossings: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Single-orthant case: crossings plus tangent-segment endpoints.
 
     Works in the positive orthant after sign reflection.  The updated box is
@@ -206,11 +193,11 @@ def extreme_points_2d(
         # Both branches reached (or a degenerate tangential touch): the
         # crossings themselves are the polytope vertices.
         return crossings
-    return _dedupe(_tangent_quad(b1, b2, beta, crossings))
+    return _dedupe(_tangent_quad(beta, crossings))
 
 
-def collect_candidates(box: Box4) -> CandidateSet:
-    """Harvest extreme-point candidates from all sixteen corner slices."""
+def collect_candidates(box: Box4) -> np.ndarray:
+    """Harvest extreme-point candidates from all sixteen corner slices, as (n, 4) x-rows."""
     lo, hi = box.lower, box.upper
     points: list[tuple[float, float, float, float]] = []
     for x1 in (lo[0], hi[0]):
@@ -226,7 +213,7 @@ def collect_candidates(box: Box4) -> CandidateSet:
     points = _dedupe(points)
     if not points:
         raise EmptyCandidateSet("no extreme-point candidates inside the box")
-    return CandidateSet(tuple(points))
+    return np.array(points)
 
 
 def fit_hyperplane(
@@ -334,11 +321,10 @@ def generate_overapproximators(
 def _overapproximators(
     box: Box4, substrate: ComplexIndex, seed: int, draws: dict[int, np.ndarray]
 ) -> list[Hyperplane]:
-    cands = collect_candidates(box)
-    pts = cands.as_array()
+    pts = collect_candidates(box)
     gvals = denominator4(pts[:, _ENTRY_ORDER], substrate.re, substrate.im)
-    if len(cands) < 5:
-        raise NoValidHyperplane(f"only {len(cands)} candidates, need 5")
+    if len(pts) < 5:
+        raise NoValidHyperplane(f"only {len(pts)} candidates, need 5")
 
     subsets = _subsets(gvals, seed, draws)
     kept: list[Hyperplane] = []

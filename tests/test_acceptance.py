@@ -184,7 +184,7 @@ def test_07_overapproximator_validity():
             for li, wl in enumerate(cat.spectrum.wavelengths):
                 g = denominator_on_x(cat.substrate_indices[li])
                 box = Box4.from_entry_bounds(eb, li)
-                for p in collect_candidates(box).points:
+                for p in collect_candidates(box):
                     for h in planes[li]:
                         assert h.value(p) >= g(p) - 1e-9
                 for picks in enumerate_designs(cat):

@@ -138,6 +138,16 @@ class TestExport:
         assert sum(1 for c in m.linear if c.name.startswith("c_hyp_")) == sum(
             len(hs) for hs in planes.values())
 
+    def test_outputs_get_the_umask_mode(self, config_path, tmp_path):
+        out = tmp_path / "exp"
+        old = os.umask(0o027)
+        try:
+            assert run("export", "--config", config_path, "--out", out, "--kind", "misocp") == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"model.lp": 0o640, "varmap.json": 0o640, "hyperplanes.json": 0o640}
+
     def test_deterministic_across_runs(self, config_path, tmp_path):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
         run("export", "--config", config_path, "--out", out1, "--kind", "misocp")
@@ -224,6 +234,10 @@ class TestExitCodes:
         ("evaluate", "--grid", "3000:20:300"),
         ("heuristic", "--targets", "450,nine hundred"),
         ("extreme-points", "--beta", "4", "--box", "0,1,a,2"),
+        ("export", "--kind", "misocp", "--seed", "-1"),
+        ("hyperplanes", "--seed", "-1"),
+        ("optimize", "--mode", "bnb", "--cap-nodes", "-1"),
+        ("optimize", "--mode", "bnb", "--cap-nodes", "0"),
     ])
     def test_malformed_number_exit_1(self, command, config_path, tmp_path, capsys):
         args = list(command)

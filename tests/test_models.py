@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import numpy as np
@@ -152,6 +153,29 @@ class TestBuildMisocp:
         assert len(m.quadratic) == len(cat.spectrum)
 
 
+class TestZeroLayers:
+    def test_models_are_the_bare_identity(self, tmp_path):
+        cat = desk_catalog(n_layers=0)
+        eb = bounds.tighten_bounds(cat)
+        planes = relax.hyperplanes_for_catalog(cat, eb)
+        _, avg = solver.evaluate_design((), cat)
+        for m, point in ((build_miqcp(cat, eb), design_point(cat, ())),
+                         (build_misocp(cat, eb, planes), design_point(cat, (), planes))):
+            for li in range(len(cat.spectrum)):
+                rows = [(c.name, c.coeffs, c.sense, c.rhs) for c in m.linear
+                        if c.name.startswith(f"c_final_{li}_")]
+                assert rows == [
+                    (f"c_final_{li}_{tag}", {f"w_{li}_{tag}": 1.0}, "=", rhs)
+                    for tag, rhs in zip(("11", "12", "21", "22"), (1.0, 0.0, 0.0, 1.0))
+                ]
+            assert m.check_point(point) <= 1e-9
+            assert m.objective_value(point) == pytest.approx(avg, abs=1e-12)
+            p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"
+            lpio.export_lp(m, p1)
+            lpio.export_lp(lpio.import_lp(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
+
+
 class TestLpExport:
     def test_empty_model_is_header_and_end(self, tmp_path):
         path = tmp_path / "empty.lp"
@@ -201,6 +225,21 @@ class TestLpExport:
         assert len(m2.variables) == len(m.variables)
         assert len(m2.linear) == linear_constraint_count(cat)
         assert len(m2.quadratic) == 2 * len(cat.spectrum)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        cat = desk_catalog()
+        m = build_miqcp(cat, bounds.tighten_bounds(cat))
+        point = design_point(cat, tuple(c[0] for c in cat.layer_choices))
+
+        def disk_full(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            lpio.export_lp(m, tmp_path / "model.lp")
+        with pytest.raises(OSError, match="disk full"):
+            lpio.write_solution(point, tmp_path / "solution.txt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_parse_error_on_garbage(self, tmp_path):
         p = tmp_path / "bad.lp"

@@ -107,6 +107,14 @@ class TestConfigJson:
         assert cfg.weights == (1.0,) * 11
 
 
+class TestCatalogSize:
+    def test_huge_layer_count_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(VALID, layers=1_000_000_000)))
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "layer choices" in capsys.readouterr().err
+
+
 class TestDesignJson:
     @settings(max_examples=300, deadline=None)
     @given(json_values)

@@ -106,13 +106,12 @@ class TestExtremePoints2d:
 class TestCollectCandidates:
     def test_identity_point_box(self):
         box = Box4((1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
-        ks = collect_candidates(box)
-        assert ks.points == ((1.0, 1.0, 0.0, 0.0),)
+        assert collect_candidates(box).tolist() == [[1.0, 1.0, 0.0, 0.0]]
 
     def test_symmetric_box_symmetry(self):
         a = 1.5
         box = Box4((-a,) * 4, (a,) * 4)
-        pts = set(map(tuple, np.round(collect_candidates(box).as_array(), 9)))
+        pts = set(map(tuple, np.round(collect_candidates(box), 9)))
         swapped = {(p[1], p[0], p[3], p[2]) for p in pts}
         assert pts == swapped
 
@@ -123,14 +122,14 @@ class TestCollectCandidates:
             eb = bounds.tighten_bounds(cat)
             for li in range(len(cat.spectrum)):
                 box = Box4.from_entry_bounds(eb, li)
-                for p in collect_candidates(box).points:
+                for p in collect_candidates(box):
                     assert box.contains(p)
 
     def test_hull_contains_dense_det_one_samples(self):
         cat, _ = random_catalog(random.Random(42), max_layers=1)
         eb = bounds.tighten_bounds(cat)
         box = Box4.from_entry_bounds(eb, 0)
-        K = collect_candidates(box).as_array()
+        K = collect_candidates(box)
         rng = np.random.default_rng(7)
         lo, hi = np.array(box.lower), np.array(box.upper)
         tried = 0
@@ -217,7 +216,7 @@ class TestGenerateOverapproximators:
                     planes = generate_overapproximators(box, sub)
                 except NoValidHyperplane:
                     continue
-                for p in collect_candidates(box).points:
+                for p in collect_candidates(box):
                     for h in planes:
                         assert h.value(p) >= g(p) - TOL
 
@@ -268,14 +267,13 @@ def reference_subsets(count, gvals, seed):
 
 def reference_overapproximators(box, substrate, seed=42):
     """Oracle for the batched generator: fit_hyperplane on each subset in turn."""
-    cands = collect_candidates(box)
-    pts = cands.as_array()
+    pts = collect_candidates(box)
     g = denominator_on_x(substrate)
     gvals = np.array([g(p) for p in pts])
-    if len(cands) < 5:
-        raise NoValidHyperplane(f"only {len(cands)} candidates, need 5")
+    if len(pts) < 5:
+        raise NoValidHyperplane(f"only {len(pts)} candidates, need 5")
     kept, coeffs = [], []
-    for subset in reference_subsets(len(cands), gvals, seed):
+    for subset in reference_subsets(len(pts), gvals, seed):
         try:
             h = fit_hyperplane(pts[list(subset)], g)
         except SingularSystem:
