@@ -255,12 +255,13 @@ def _structure(catalog: Catalog, entry_bounds: EntryBounds, name: str) -> Model:
                 model.linear.append(LinearConstraint(f"{prefix}_{tag}", row, "=", 0.0 if k else _IDENTITY[e]))
         for layer_labels, layer_copies, lo, hi in zip(labels, copies, lower, upper):
             for lab, v in zip(layer_labels, layer_copies):
+                xn = f"x_{lab}"
                 for e, tag in enumerate(ENTRY_TAGS):
                     vn = f"{v}_{tag}"
                     model.variables.append(Variable(vn, min(lo[e], 0.0), max(hi[e], 0.0)))
                     for kind, bound, sense in (("ub", hi, "<="), ("lb", lo, ">=")):
                         model.linear.append(LinearConstraint(
-                            f"c_{kind}_{li}_{lab}_{tag}", {vn: 1.0, f"x_{lab}": -bound[e]}, sense, 0.0
+                            f"c_{kind}_{li}_{lab}_{tag}", {vn: 1.0, xn: -bound[e]}, sense, 0.0
                         ))
         model.variables.extend(
             Variable(w_name(li, tag), lo, hi) for tag, lo, hi in zip(ENTRY_TAGS, lower[-1], upper[-1])
