@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: evaluate, optimize, export, bounds, hyperplanes, heuristic,
-compare, extreme-points.  Every command is deterministic given its config
-and seed.  Exit codes: 0 success, 1 usage/config error, 2 infeasible or
-too-large instance, 3 internal invariant violation (InternalError).
+compare, extreme-points.  Exit codes: 0 success, 1 usage/config error
+(including an input or output path that cannot be read or written), 2
+infeasible or too-large instance, 3 internal invariant violation
+(InternalError).
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ USAGE_ERRORS = (
     MissingDispersion,
     SpectrumCoverage,
     OutOfRange,
-    FileNotFoundError,
+    OSError,
     InadmissibleDesign,
 )
 INSTANCE_ERRORS = (InstanceTooLarge, InfeasibleAssignment)
@@ -52,7 +53,6 @@ INSTANCE_ERRORS = (InstanceTooLarge, InfeasibleAssignment)
 class RunConfig:
     config_path: Path
     out_dir: Path
-    seed: int = 42
     grid: tuple[float, ...] | None = None
     cap_nodes: int | None = None
 
@@ -164,7 +164,7 @@ def cmd_export(run: RunConfig, kind: str) -> int:
     if kind == "miqcp":
         model = model_mod.build_miqcp(catalog, eb)
     else:
-        planes = relax.hyperplanes_for_catalog(catalog, eb, seed=run.seed)
+        planes = relax.hyperplanes_for_catalog(catalog, eb)
         model = model_mod.build_misocp(catalog, eb, planes)
         _write_hyperplanes(run.out_dir, catalog, planes)
         print(
@@ -191,7 +191,7 @@ def cmd_bounds(run: RunConfig) -> int:
 def cmd_hyperplanes(run: RunConfig) -> int:
     _, _, catalog = _load_instance(run)
     eb = bounds_mod.tighten_bounds(catalog)
-    planes = relax.hyperplanes_for_catalog(catalog, eb, seed=run.seed)
+    planes = relax.hyperplanes_for_catalog(catalog, eb)
     _write_hyperplanes(run.out_dir, catalog, planes)
     print(", ".join(f"{wl:g}: {len(planes[li])}" for li, wl in enumerate(catalog.spectrum.wavelengths)))
     return 0
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, type=Path, help="catalog config JSON")
         p.add_argument("--out", required=True, type=Path, help="output directory")
-        p.add_argument("--seed", type=_int_at_least(0), default=42)
 
     p = sub.add_parser("evaluate", help="reflectance curve and window averages of a design")
     common(p)
@@ -312,7 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         run = RunConfig(
             config_path=args.config,
             out_dir=args.out,
-            seed=args.seed,
             grid=_parse_grid(args.grid) if getattr(args, "grid", None) else None,
             cap_nodes=getattr(args, "cap_nodes", None),
         )

@@ -151,8 +151,12 @@ def reflectance(w: StructuredMatrix, substrate: ComplexIndex) -> float:
     """
     a, b = substrate.re, substrate.im
     x1, x3, x4, x2 = w.a11, w.a12, w.a21, w.a22
-    num = (x1 - b * x3 - a * x2) ** 2 + (x4 + b * x2 - a * x3) ** 2
-    den = (x1 - b * x3 + a * x2) ** 2 + (x4 + b * x2 + a * x3) ** 2
+    # Squares as products, bit for bit what the arrayops kernels compute
+    # (a Python float ** 2 goes through libm pow).
+    p, q = x1 - b * x3 - a * x2, x4 + b * x2 - a * x3
+    r, t = x1 - b * x3 + a * x2, x4 + b * x2 + a * x3
+    num = p * p + q * q
+    den = r * r + t * t
     if den <= DENOMINATOR_EPS:
         raise DegenerateDenominator(f"reflectance denominator {den!r} below threshold")
     return num / den
@@ -167,13 +171,8 @@ def denominator_D(w: StructuredMatrix, substrate: ComplexIndex) -> float:
     """
     a, b = substrate.re, substrate.im
     x1, x3, x4, x2 = w.a11, w.a12, w.a21, w.a22
-    return (
-        (x1 - b * x3) ** 2
-        + (a * x3) ** 2
-        + (x4 + b * x2) ** 2
-        + (a * x2) ** 2
-        + 2.0 * a
-    )
+    p, q, r, t = x1 - b * x3, a * x3, x4 + b * x2, a * x2
+    return p * p + q * q + r * r + t * t + 2.0 * a
 
 
 def average_reflectance(

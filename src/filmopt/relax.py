@@ -17,24 +17,32 @@ point geometry to a 2-d slice y1*y2 = beta inside a rectangle:
   cross, whose hull vertices are the axis-box crossings.
 
 Candidate points are harvested from all sixteen corner slices, affine
-functions are interpolated through 5-point subsets, and only those dominating
-D on every candidate survive.  Dominance transfers from the candidates to
+functions are interpolated through every 5-point subset of them, and only
+those dominating D on every candidate survive.  Up to the tolerances below,
+the survivors' pointwise minimum is the concave envelope of D over the
+candidates: each upper facet of the hull of the lifted points (x, D(x))
+passes through five of them.  Dominance transfers from the candidates to
 every reachable design by convexity, which the tests certify by enumeration.
+
+Every tolerance is relative to the numbers it compares.  Fits are made in
+coordinates centred on the candidates' bounding box, where a fit may fall
+short of D at a candidate by ``REL_TOL`` times ``|a0| + sum |ai||xi|``, the
+scale of the rounding error of its value there; each survivor is lifted so
+that it clears every candidate by that margin.  Centring keeps that scale
+near D on a box that is thin in some coordinate, where the planes' slopes
+are large and ``a0`` would otherwise cancel ``a . x``.
 
 The subsets of one wavelength are fitted in blocks: exactly singular systems
 are dropped by the sign of their LU determinant, the rest are solved in one
-batched call, and one matrix product screens every fit against every
-candidate with a margin well above rounding.  Only the few fits that pass the
-screen are decided by the exact domination test of the scalar
-:func:`fit_hyperplane` path, so the accepted planes and their order are those
-of fitting each subset in turn.  The seeded random subsets depend only on the
-candidate count and the seed, and are drawn once per count per catalog.
+batched call, and one matrix product tests every fit against every
+candidate.  The accepted planes and their order are those of fitting each
+subset in turn with the scalar :func:`fit_hyperplane`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,24 +60,26 @@ from .optics import ComplexIndex
 
 #: Membership / deduplication tolerance for candidate points.
 POINT_TOL = 1e-9
-#: A hyperplane must dominate g on every candidate up to this slack ...
-DOMINATION_TOL = 1e-9
-#: ... and accepted hyperplanes are lifted by the same amount.
-LIFT = 1e-9
+#: A fit may fall short of D by this multiple of ``|a0| + sum |ai||xi|`` at a
+#: candidate, over 1e6 times the rounding error of evaluating it there
+#: (at most 5u times that sum); accepted fits are lifted by twice as much.
+REL_TOL = 1e-9
+#: Uncentred, ``a0`` can cancel ``a . x``: forming ``a0`` and evaluating the
+#: plane round by up to about 10u times ``|a0| + sum |ai||xi|`` in uncentred
+#: coordinates, so the exported planes are lifted by 16u times that too.
+UNCENTRED_ROUNDING = 8 * np.finfo(float).eps
 #: Relative residual allowed when interpolating the 5-point system.
 RESIDUAL_TOL = 1e-8
-#: Enumerate all 5-subsets up to this candidate count, sample beyond it.
-EXHAUSTIVE_LIMIT = 12
-RANDOM_SUBSETS = 5000
+#: A plane duplicates a kept one when their values differ by at most this
+#: multiple of ``|a0| + sum |ai| max|xi|`` over the candidates' bounding box,
+#: so dropping it moves the family's minimum by no more than that.
+DEDUPE_TOL = 1e-7
 #: Subsets fitted per batched solve; bounds the temporaries of one block.
 FIT_BLOCK = 512
 #: Entry indices (into a11, a12, a21, a22) of (x1, x2, x3, x4) = (w11, w22, w12, w21).
 X_ORDER = (0, 3, 1, 2)
 #: Columns of an x-ordered (x1, x2, x3, x4) array in entry order (a11, a12, a21, a22).
 _ENTRY_ORDER = [X_ORDER.index(e) for e in range(4)]
-#: Relative margin of the domination screen, over 1000x the rounding error
-#: of a 5-term dot product (at most 5u times the sum of term magnitudes).
-SCREEN_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,49 +241,32 @@ def fit_hyperplane(
         alpha = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    residual = np.abs(mat @ alpha - rhs).max()
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite fit raises below
+        residual = np.abs(mat @ alpha - rhs).max()
     if not np.isfinite(alpha).all() or residual > RESIDUAL_TOL * max(1.0, np.abs(rhs).max()):
         raise SingularSystem(f"ill-conditioned system, residual {residual:g}")
     return Hyperplane(*map(float, alpha))
 
 
 def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> Hyperplane:
-    """Global fallback: the corner maximum of the convex D bounds D on the whole box."""
+    """Global fallback: the corner maximum of the convex D bounds D on the whole box.
+
+    It is lifted like the fitted planes, by ``2 * REL_TOL`` times its size.
+    """
     lo, hi = np.array(box.lower)[_ENTRY_ORDER], np.array(box.upper)[_ENTRY_ORDER]
-    return Hyperplane(max_denominator_over_box(lo, hi, substrate) + LIFT, 0.0, 0.0, 0.0, 0.0)
+    top = max_denominator_over_box(lo, hi, substrate)
+    return Hyperplane(top + 2.0 * REL_TOL * abs(top), 0.0, 0.0, 0.0, 0.0)
 
 
-def _random_subsets(count: int, seed: int) -> np.ndarray:
-    """The seeded random 5-subsets of ``range(count)``: sorted rows, repeats dropped.
-
-    Depends only on ``(count, seed)``; the draws come from one
-    ``default_rng(seed)`` stream in the order the rows are returned.
-    """
-    choice = np.random.default_rng(seed).choice
-    picks = np.sort([choice(count, size=5, replace=False) for _ in range(RANDOM_SUBSETS)], axis=1)
-    _, first = np.unique(picks, axis=0, return_index=True)
-    return picks[np.sort(first)]
+def _subset_blocks(count: int):
+    """Every 5-subset of ``range(count)``, in lexicographic order, ``FIT_BLOCK`` rows at a time."""
+    subsets = combinations(range(count), 5)
+    while (block := np.fromiter(chain.from_iterable(islice(subsets, FIT_BLOCK)), np.intp)).size:
+        yield block.reshape(-1, 5)
 
 
-def _subsets(gvals: np.ndarray, seed: int, draws: dict[int, np.ndarray]) -> np.ndarray:
-    """The (S, 5) candidate-index subsets to fit, in the order they are tried.
-
-    All 5-subsets up to ``EXHAUSTIVE_LIMIT`` candidates; beyond that, the
-    5-subsets of the twelve extremal-D candidates followed by the seeded
-    random subsets, which ``draws`` holds per candidate count.
-    """
-    count = len(gvals)
-    if count <= EXHAUSTIVE_LIMIT:
-        return np.array(list(combinations(range(count), 5)))
-    ranked = np.argsort(gvals, kind="stable")
-    extremal = sorted(set(ranked[:6]) | set(ranked[-6:]))
-    if count not in draws:
-        draws[count] = _random_subsets(count, seed)
-    return np.concatenate([np.array(list(combinations(extremal, 5))), draws[count]])
-
-
-def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray):
-    """Fits of one block that ``fit_hyperplane`` accepts and that dominate ``gvals``, in order.
+def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Lifted coefficient rows of the fits of one block that dominate ``gvals``, in order.
 
     A zero ``slogdet`` sign is an exactly zero pivot of the LU factorisation
     that makes ``fit_hyperplane`` raise ``SingularSystem``; ``det`` would
@@ -286,72 +279,63 @@ def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray):
         solvable = np.linalg.slogdet(mat)[0] != 0
     mat, rhs = mat[solvable], rhs[solvable]
     alpha = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
-    residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite fits are dropped below
+        residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
     tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))
     alpha = alpha[np.isfinite(alpha).all(axis=1) & ~(residual > tol)]
     vals = alpha[:, :1] + alpha[:, 1:] @ pts.T
-    margin = SCREEN_MARGIN * (np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T)
-    screened = ~(vals + margin < gvals - DOMINATION_TOL).any(axis=1)
-    for row in alpha[screened]:
-        h = Hyperplane(*map(float, row))
-        if np.all(h.a0 + pts @ np.array([h.a1, h.a2, h.a3, h.a4]) >= gvals - DOMINATION_TOL):
-            yield h
+    scale = np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T
+    ok = (vals + REL_TOL * scale >= gvals).all(axis=1)
+    alpha, scale = alpha[ok], scale[ok]
+    alpha[:, 0] += 2.0 * REL_TOL * scale.max(axis=1)
+    return alpha
 
 
-def generate_overapproximators(
-    box: Box4,
-    substrate: ComplexIndex,
-    seed: int = 42,
-) -> list[Hyperplane]:
+def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> list[Hyperplane]:
     """All validated affine overapproximators of D over the box's det-1 set.
 
-    5-point subsets of the candidate set are enumerated exhaustively up to
-    ``EXHAUSTIVE_LIMIT`` candidates; beyond that, the subsets of the twelve
-    extremal-D candidates plus a seeded random sample are tried.  The random
-    sample depends only on the candidate count and ``seed``.  A fit survives
-    only if it dominates D on *every* candidate (up to tolerance); survivors
-    are lifted so the dominance is exact in exported models, and
-    near-duplicates of earlier survivors are dropped.  The subsets are fitted
-    in batched blocks (see the module docstring), with the same result as
-    fitting each one with :func:`fit_hyperplane` in turn.
+    Every 5-point subset of the candidate set is fitted, in coordinates
+    centred on the candidates' bounding box.  A fit survives if it falls
+    short of D by at most ``REL_TOL * s`` on *every* candidate, where
+    ``s = |a0| + sum |ai||xi|`` bounds the rounding of its value there;
+    survivors are lifted by ``2 * REL_TOL`` times their largest ``s``, so
+    they dominate D on the candidates, and by convexity on their hull, with
+    room to spare.  Near-duplicates of earlier survivors are dropped, and
+    the rest are shifted back to uncentred coordinates and lifted by
+    ``UNCENTRED_ROUNDING`` times their largest uncentred ``s``.  The subsets
+    are fitted in batched blocks (see the module docstring), with the same
+    result as fitting each centred subset with :func:`fit_hyperplane` in
+    turn.
     """
-    return _overapproximators(box, substrate, seed, {})
-
-
-def _overapproximators(
-    box: Box4, substrate: ComplexIndex, seed: int, draws: dict[int, np.ndarray]
-) -> list[Hyperplane]:
     pts = collect_candidates(box)
     gvals = denominator4(pts[:, _ENTRY_ORDER], substrate.re, substrate.im)
     if len(pts) < 5:
         raise NoValidHyperplane(f"only {len(pts)} candidates, need 5")
 
-    subsets = _subsets(gvals, seed, draws)
-    kept: list[Hyperplane] = []
-    coeffs: list[np.ndarray] = []
-    for start in range(0, len(subsets), FIT_BLOCK):
-        for h in _dominating_fits(pts, gvals, subsets[start:start + FIT_BLOCK]):
-            lifted = np.array([h.a0 + LIFT, h.a1, h.a2, h.a3, h.a4])
-            scale = max(1.0, np.abs(lifted).max())
-            if not any(np.abs(lifted - c).max() <= 1e-7 * scale for c in coeffs):
-                coeffs.append(lifted)
-                kept.append(Hyperplane(*map(float, lifted)))
-    if not kept:
+    center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+    centred = pts - center
+    reach = np.concatenate([[1.0], np.abs(centred).max(axis=0)])
+    kept = np.empty((0, 5))
+    for subsets in _subset_blocks(len(pts)):
+        for row in _dominating_fits(centred, gvals, subsets):
+            if not (np.abs(kept - row) @ reach <= DEDUPE_TOL * (np.abs(row) @ reach)).any():
+                kept = np.vstack([kept, row])
+    if not len(kept):
         raise NoValidHyperplane("no 5-point fit dominates D on the candidate set")
-    return kept
+    kept[:, 0] -= (kept[:, 1:] * center).sum(axis=1)
+    scale = np.abs(kept[:, :1]) + np.abs(kept[:, 1:]) @ np.abs(pts).T
+    kept[:, 0] += UNCENTRED_ROUNDING * scale.max(axis=1)
+    return [Hyperplane(*map(float, row)) for row in kept]
 
 
-def hyperplanes_for_catalog(
-    catalog: Catalog, entry_bounds: EntryBounds, seed: int = 42
-) -> list[list[Hyperplane]]:
+def hyperplanes_for_catalog(catalog: Catalog, entry_bounds: EntryBounds) -> list[list[Hyperplane]]:
     """Per-wavelength overapproximator families, with the constant fallback."""
     out: list[list[Hyperplane]] = []
-    draws: dict[int, np.ndarray] = {}
     for li in range(len(catalog.spectrum)):
         box = Box4.from_entry_bounds(entry_bounds, li)
         sub = catalog.substrate_indices[li]
         try:
-            out.append(_overapproximators(box, sub, seed, draws))
+            out.append(generate_overapproximators(box, sub))
         except (NoValidHyperplane, EmptyCandidateSet):
             out.append([constant_overapproximator(box, sub)])
     return out

@@ -94,18 +94,11 @@ def structured_from_complex(c: np.ndarray) -> optics.StructuredMatrix:
 
 
 def denominator_on_x(substrate: optics.ComplexIndex):
-    """D as a scalar function of the x-ordered 4-vector (w11, w22, w12, w21).
-
-    Squares are products, as in arrayops.denominator4 (float ``** 2`` goes
-    through libm ``pow``, which can differ from ``u * u`` in the last bit), so
-    fits through its values equal the batched fits bit for bit.
-    """
-    a, b = substrate.re, substrate.im
+    """D as a scalar function of the x-ordered 4-vector (w11, w22, w12, w21)."""
 
     def g(x):
         x1, x2, x3, x4 = x
-        u1, u2, u3, u4 = x1 - b * x3, a * x3, x4 + b * x2, a * x2
-        return u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4 + 2.0 * a
+        return optics.denominator_D(optics.StructuredMatrix(x1, x3, x4, x2), substrate)
 
     return g
 

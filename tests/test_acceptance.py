@@ -180,7 +180,7 @@ def test_07_overapproximator_validity():
             cat, _ = random_catalog(random.Random(700 + seed),
                                     max_layers=3, max_choices=4, max_wavelengths=2)
             eb = bounds.tighten_bounds(cat)
-            planes = relax.hyperplanes_for_catalog(cat, eb, seed=42)
+            planes = relax.hyperplanes_for_catalog(cat, eb)
             for li, wl in enumerate(cat.spectrum.wavelengths):
                 g = denominator_on_x(cat.substrate_indices[li])
                 box = Box4.from_entry_bounds(eb, li)
@@ -252,7 +252,7 @@ def test_11_model_encoding_exactness():
                 assert exact.check_point(point) <= 1e-8
                 _, avg = solver.evaluate_design(design, cat)
                 assert abs(exact.objective_value(point) - avg) <= 1e-8
-            planes = relax.hyperplanes_for_catalog(cat, eb, seed=42)
+            planes = relax.hyperplanes_for_catalog(cat, eb)
             relaxed = build_misocp(cat, eb, planes)
             best = solver.brute_force(cat).design
             point = design_point(cat, best, overapproximators=planes)
@@ -267,7 +267,7 @@ def test_12_lp_round_trip(tmp_path, data_tables):
         instances.append(build_catalog(single_wavelength_config("Molybdenum", 410.0), data_tables))
         for i, cat in enumerate(instances):
             eb = bounds.tighten_bounds(cat)
-            planes = relax.hyperplanes_for_catalog(cat, eb, seed=42)
+            planes = relax.hyperplanes_for_catalog(cat, eb)
             for model in (build_miqcp(cat, eb), build_misocp(cat, eb, planes)):
                 p1 = tmp_path / f"{model.name}_{i}.lp"
                 p2 = tmp_path / f"{model.name}_{i}_again.lp"

@@ -228,14 +228,23 @@ class TestExitCodes:
                    "--mode", "bnb") == 3
 
     @pytest.mark.parametrize("command", [
+        ("bounds",),
+        ("export", "--kind", "misocp"),
+        ("optimize", "--mode", "bnb"),
+    ])
+    def test_output_under_a_regular_file_exit_1(self, command, config_path, tmp_path, capsys):
+        blocker = tmp_path / "notadir"
+        blocker.write_text("")
+        assert run(*command, "--config", config_path, "--out", blocker / "o") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [
         ("evaluate", "--grid", "300:x:3000"),
         ("evaluate", "--grid", "300:nan:3000"),
         ("evaluate", "--grid", "300:0:3000"),
         ("evaluate", "--grid", "3000:20:300"),
         ("heuristic", "--targets", "450,nine hundred"),
         ("extreme-points", "--beta", "4", "--box", "0,1,a,2"),
-        ("export", "--kind", "misocp", "--seed", "-1"),
-        ("hyperplanes", "--seed", "-1"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "-1"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "0"),
     ])
