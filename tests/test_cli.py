@@ -245,6 +245,8 @@ class TestExitCodes:
         ("evaluate", "--grid", "3000:20:300"),
         ("heuristic", "--targets", "450,nine hundred"),
         ("extreme-points", "--beta", "4", "--box", "0,1,a,2"),
+        ("extreme-points", "--beta", "four", "--box", "0,1,0,2"),
+        ("heuristic", "--targets", "450,900", "--layers-per-target", "two"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "-1"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "0"),
     ])
