@@ -172,7 +172,7 @@ def cmd_export(run: RunConfig, kind: str) -> int:
             + ", ".join(f"{wl:g}:{len(planes[li])}" for li, wl in enumerate(catalog.spectrum.wavelengths))
         )
     lpio.export_lp(model, run.out_dir / "model.lp")
-    _write_json(run.out_dir / "varmap.json", model_mod.variable_map(catalog))
+    write_atomic(run.out_dir / "varmap.json", model_mod.variable_map_text(catalog))
     print(
         f"{kind}: {len(model.variables)} variables, {len(model.linear)} linear, "
         f"{len(model.quadratic)} quadratic constraints -> {run.out_dir / 'model.lp'}"

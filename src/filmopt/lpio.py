@@ -12,7 +12,6 @@ Solution files are plain `name value` pairs, one per line.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .errors import InfeasibleAssignment, ParseError
 from .materials import Catalog, read_text, write_atomic
@@ -28,94 +27,81 @@ from .model import (
 _MAX_LINE = 200
 
 
-def _num(x: float) -> str:
-    return format(x, ".17g")
+def _wrap(text: str, prefix: str) -> list[str]:
+    """Lines of ``prefix`` and the space-separated tokens of ``text``, filled greedily.
 
-
-def _wrap(tokens: Iterable[str], first_prefix: str) -> list[str]:
+    A line takes tokens while it stays within ``_MAX_LINE``; a token that
+    does not fit starts a continuation line, indented by two spaces, and a
+    longer token stands on a line of its own.  A blank prefix (Binaries)
+    takes the first token without a separating space.
+    """
+    if prefix.strip():
+        text, floor = f"{prefix} {text}", len(prefix)
+    else:
+        text, floor = prefix + text, len(prefix) + 1
     lines: list[str] = []
-    current = first_prefix
-    for tok in tokens:
-        if len(current) + len(tok) + 1 > _MAX_LINE and current.strip():
-            lines.append(current)
-            current = "  " + tok
-        else:
-            current = current + " " + tok if current.strip() else current + tok
-    lines.append(current)
+    start, indent = 0, ""
+    while len(indent) + len(text) - start > _MAX_LINE:
+        cut = text.rfind(" ", floor, start + _MAX_LINE - len(indent) + 1)
+        if cut < 0:
+            cut = text.find(" ", floor)
+            if cut < 0:
+                break
+        lines.append(indent + text[start:cut])
+        start, indent = cut + 1, "  "
+        floor = start + 1
+    lines.append(indent + text[start:])
     return lines
 
 
-def _linear_tokens(coeffs: dict[str, float], constant: float | None = None) -> list[str]:
-    toks: list[str] = []
-    for name, c in coeffs.items():
-        sign = "-" if c < 0 else "+"
-        toks.extend([sign, _num(abs(c)), name])
-    if constant is not None and constant != 0.0:
-        sign = "-" if constant < 0 else "+"
-        toks.extend([sign, _num(abs(constant))])
-    if not toks:
-        toks = ["+", "0", ""][:2]
-    if toks[0] == "+":
-        toks = toks[1:]
-    return toks
+class _Signed(dict):
+    """``c`` -> ``"+ |c|"`` or ``"- |c|"`` to 17 digits, formatted once: rows repeat coefficients."""
+
+    def __missing__(self, c: float) -> str:
+        text = self[c] = f"{'-' if c < 0 else '+'} {abs(c):.17g}"
+        return text
 
 
-def _quad_tokens(quad: dict[tuple[str, str], float]) -> list[str]:
-    toks: list[str] = ["["]
-    first = True
-    for (n1, n2), c in quad.items():
-        sign = "-" if c < 0 else "+"
-        if first and sign == "+":
-            group = [_num(abs(c))]
-        else:
-            group = [sign, _num(abs(c))]
-        if n1 == n2:
-            group.extend([n1, "^", "2"])
-        else:
-            group.extend([n1, "*", n2])
-        toks.extend(group)
-        first = False
-    toks.append("]")
-    return toks
+def _linear_text(signed: _Signed, coeffs: dict[str, float], constant: float = 0.0) -> str:
+    """Signed terms ``c name`` (and a nonzero constant), without a leading ``+``."""
+    terms = [f"{signed[c]} {name}" for name, c in coeffs.items()]
+    if constant:
+        terms.append(signed[constant])
+    return " ".join(terms).removeprefix("+ ") or "0"
+
+
+def _quad_text(signed: _Signed, quad: dict[tuple[str, str], float]) -> str:
+    """The bracketed quadratic part, ``[ c x * y - c z ^ 2 ]``, without a leading ``+``."""
+    text = " ".join([
+        f"{signed[c]} {n1} ^ 2" if n1 == n2 else f"{signed[c]} {n1} * {n2}"
+        for (n1, n2), c in quad.items()
+    ]).removeprefix("+ ")
+    return f"[ {text} ]" if text else "[ ]"
 
 
 def export_lp(model: Model, path: str | Path) -> None:
     model.validate()
     lines: list[str] = [f"\\ Model: {model.name}"]
     lines.extend(f"\\ {c}" for c in model.header_comments)
-    empty = not (
-        model.variables
-        or model.linear
-        or model.quadratic
-        or model.objective.coeffs
-        or model.objective.constant
-    )
-    if not empty:
-        lines.append("Maximize" if model.objective.sense == "max" else "Minimize")
-        obj_toks = _linear_tokens(model.objective.coeffs, model.objective.constant)
-        lines.extend(_wrap(obj_toks, " obj:"))
+    obj, signed = model.objective, _Signed()
+    if model.variables or model.linear or model.quadratic or obj.coeffs or obj.constant:
+        lines.append("Maximize" if obj.sense == "max" else "Minimize")
+        lines.extend(_wrap(_linear_text(signed, obj.coeffs, obj.constant), " obj:"))
         if model.linear or model.quadratic:
             lines.append("Subject To")
         for c in model.linear:
-            toks = _linear_tokens(c.coeffs) + [c.sense, _num(c.rhs)]
-            lines.extend(_wrap(toks, f" {c.name}:"))
+            lines.extend(_wrap(f"{_linear_text(signed, c.coeffs)} {c.sense} {c.rhs:.17g}", f" {c.name}:"))
         for q in model.quadratic:
-            toks = []
-            if q.lin:
-                toks.extend(_linear_tokens(q.lin))
-                toks.append("+")
-            toks.extend(_quad_tokens(q.quad))
-            toks.extend([q.sense, _num(q.rhs)])
-            lines.extend(_wrap(toks, f" {q.name}:"))
+            body = f"{_quad_text(signed, q.quad)} {q.sense} {q.rhs:.17g}"
+            lines.extend(_wrap(f"{_linear_text(signed, q.lin)} + {body}" if q.lin else body, f" {q.name}:"))
         continuous = [v for v in model.variables if v.kind != "binary"]
         if continuous:
             lines.append("Bounds")
-            for v in continuous:
-                lines.append(f" {_num(v.lower)} <= {v.name} <= {_num(v.upper)}")
+            lines.extend(f" {v.lower:.17g} <= {v.name} <= {v.upper:.17g}" for v in continuous)
         binaries = [v.name for v in model.variables if v.kind == "binary"]
         if binaries:
             lines.append("Binaries")
-            lines.extend(_wrap(binaries, " "))
+            lines.extend(_wrap(" ".join(binaries), " "))
     lines.append("End")
     write_atomic(path, "\n".join(lines) + "\n")
 
@@ -313,7 +299,7 @@ def import_lp(path: str | Path) -> Model:
 
 
 def write_solution(values: dict[str, float], path: str | Path) -> None:
-    lines = [f"{name} {_num(val)}" for name, val in values.items()]
+    lines = [f"{name} {val:.17g}" for name, val in values.items()]
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -184,6 +184,14 @@ def expect(value, kind: type, what: str):
     return value
 
 
+def _coating_name(value) -> str:
+    """`value` if it is a string that can sit inside an LP variable name, else ConfigError."""
+    name = expect(value, str, "materials")
+    if any(ch.isspace() or ch in ":[]*^<>=\\" for ch in name):  # these end an LP token
+        raise ConfigError(f"materials: {name!r} holds whitespace or one of :[]*^<>=\\, unfit for LP names")
+    return name
+
+
 def finite_number(value, what: str) -> float:
     """`value` if it is a finite JSON number (an int stays an int), else ConfigError."""
     try:
@@ -235,7 +243,7 @@ class CatalogConfig:
             ddir = raw.get("dispersion_dir")
             return cls(
                 substrate=expect(raw["substrate"], str, "substrate"),
-                materials=tuple(expect(m, str, "materials") for m in expect(raw["materials"], list, "materials")),
+                materials=tuple(_coating_name(m) for m in expect(raw["materials"], list, "materials")),
                 thicknesses={m: _grid(spec, f"thicknesses.{m}") for m, spec in thicknesses.items()},
                 wavelengths=_grid(raw["wavelengths"], "wavelengths"),
                 layers=expect(raw["layers"], int, "layers"),

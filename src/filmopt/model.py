@@ -16,6 +16,7 @@ which is replaced by validated affine overapproximators of D.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -91,11 +92,11 @@ class Model:
                 raise ValueError(f"{v.name}: lower bound exceeds upper")
         referenced = set(self.objective.coeffs)
         for c in self.linear:
-            referenced |= set(c.coeffs)
+            referenced.update(c.coeffs)
         for q in self.quadratic:
-            referenced |= set(q.lin)
+            referenced.update(q.lin)
             for pair in q.quad:
-                referenced |= set(pair)
+                referenced.update(pair)
         missing = referenced - declared
         if missing:
             raise ValueError(f"constraints reference undeclared variables: {sorted(missing)[:5]}")
@@ -173,26 +174,35 @@ def f_name(li: int) -> str:
     return f"f_{li}"
 
 
-def variable_map(catalog: Catalog) -> dict:
-    """Name -> meaning map for every variable of the catalog's models."""
-    labels = _labels(catalog)
-    out: dict[str, dict] = {"x": {}, "v": {}, "w": {}, "d": {}, "f": {}}
-    for layer, choices in enumerate(catalog.layer_choices, start=1):
-        for label, (m, t) in zip(labels[layer - 1], choices):
-            out["x"][f"x_{label}"] = {"layer": layer, "material": m, "thickness_nm": t}
-    for li, wl in enumerate(catalog.spectrum.wavelengths):
-        for layer, choices in enumerate(catalog.layer_choices, start=1):
-            for label, (m, t) in zip(labels[layer - 1], choices):
-                for tag in ENTRY_TAGS:
-                    out["v"][f"v_{li}_{label}_{tag}"] = {
-                        "wavelength_nm": wl, "layer": layer, "material": m,
-                        "thickness_nm": t, "entry": tag,
-                    }
-        for tag in ENTRY_TAGS:
-            out["w"][w_name(li, tag)] = {"wavelength_nm": wl, "entry": tag}
-        out["d"][d_name(li)] = {"wavelength_nm": wl}
-        out["f"][f_name(li)] = {"wavelength_nm": wl}
-    return out
+def variable_map_text(catalog: Catalog) -> str:
+    """varmap.json: name -> meaning of every variable of the catalog's models.
+
+    Equal to ``json.dumps(..., indent=2)`` of ``{"x": {name: meaning}, "v":
+    ..., "w": ..., "d": ..., "f": ...}``.  The large ``v`` group is joined from
+    per-choice pieces: ``json.dumps`` escapes a string one character at a
+    time, so escaped labels concatenate into escaped names.
+    """
+    q = json.dumps
+    x: dict[str, dict] = {}
+    v_pieces: list[tuple[str, str]] = []  # each v entry's text after its wavelength index, and after the wavelength
+    for layer, (layer_labels, choices) in enumerate(zip(_labels(catalog), catalog.layer_choices), start=1):
+        for label, (m, t) in zip(layer_labels, choices):
+            x[f"x_{label}"] = {"layer": layer, "material": m, "thickness_nm": t}
+            meaning = f'"layer": {layer},\n    "material": {q(m)},\n    "thickness_nm": {q(t)}'
+            v_pieces += [(f'_{q(label)[1:-1]}_{tag}": {{\n    "wavelength_nm": ',
+                          f',\n    {meaning},\n    "entry": "{tag}"\n  }}') for tag in ENTRY_TAGS]
+    wls = list(enumerate(catalog.spectrum.wavelengths))
+    v = [f'  "v_{li}{head}{wl}{tail}' for li, wl in enumerate(map(q, catalog.spectrum.wavelengths))
+         for head, tail in v_pieces]
+    groups = {
+        "x": q(x, indent=2),
+        "v": "{\n" + ",\n".join(v) + "\n}" if v else "{}",
+        "w": q({w_name(li, tag): {"wavelength_nm": wl, "entry": tag} for li, wl in wls for tag in ENTRY_TAGS}, indent=2),
+        "d": q({d_name(li): {"wavelength_nm": wl} for li, wl in wls}, indent=2),
+        "f": q({f_name(li): {"wavelength_nm": wl} for li, wl in wls}, indent=2),
+    }
+    # JSON text holds no raw newline, so indenting each line nests a group one level down
+    return "{\n" + ",\n".join(f'  "{key}": ' + text.replace("\n", "\n  ") for key, text in groups.items()) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +359,6 @@ def build_misocp(
             )
     model.validate()
     return model
-
-
-def linear_constraint_count(catalog: Catalog) -> int:
-    """Closed form for the structural linear-constraint count of the exact model."""
-    n_wl = len(catalog.spectrum)
-    n_layers = catalog.n_layers
-    per_layer_choices = sum(len(catalog.choices_at(n)) for n in range(1, n_layers + 1))
-    return n_wl * (4 + 4 * n_layers + 8 * per_layer_choices) + n_layers
 
 
 def design_point(

@@ -32,11 +32,11 @@ that it clears every candidate by that margin.  Centring keeps that scale
 near D on a box that is thin in some coordinate, where the planes' slopes
 are large and ``a0`` would otherwise cancel ``a . x``.
 
-The subsets of one wavelength are fitted in blocks: exactly singular systems
-are dropped by the sign of their LU determinant, the rest are solved in one
-batched call, and one matrix product tests every fit against every
-candidate.  The accepted planes and their order are those of fitting each
-subset in turn with the scalar :func:`fit_hyperplane`.
+The subsets of one wavelength are fitted in blocks: one batched LU solve
+fits them all, an exactly zero pivot leaves a NaN row that is dropped with
+the other non-finite fits, and one matrix product tests every fit against
+every candidate.  The accepted planes and their order are those of fitting
+each subset in turn with the scalar :func:`fit_hyperplane`.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .arrayops import denominator4
 from .bounds import EntryBounds, max_denominator_over_box
@@ -268,17 +269,15 @@ def _subset_blocks(count: int):
 def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Lifted coefficient rows of the fits of one block that dominate ``gvals``, in order.
 
-    A zero ``slogdet`` sign is an exactly zero pivot of the LU factorisation
-    that makes ``fit_hyperplane`` raise ``SingularSystem``; ``det`` would
-    also drop solvable systems whose determinant underflows to 0.
+    ``np.linalg.solve`` raises for the whole batch if one system is singular;
+    its gufunc, called directly, gives NaN for a system whose LU meets an
+    exactly zero pivot (where ``fit_hyperplane`` raises ``SingularSystem``).
     """
     mat = np.ones((len(subsets), 5, 5))
     mat[:, :, 1:] = pts[subsets]
     rhs = gvals[subsets]
-    with np.errstate(divide="ignore"):  # LU of an exactly singular system divides by 0
-        solvable = np.linalg.slogdet(mat)[0] != 0
-    mat, rhs = mat[solvable], rhs[solvable]
-    alpha = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
+    with np.errstate(invalid="ignore"):  # a singular system flags invalid and gives NaN
+        alpha = _umath_linalg.solve(mat, rhs[:, :, None], signature="dd->d")[:, :, 0]
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite fits are dropped below
         residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
     tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))

@@ -6,7 +6,7 @@ import pytest
 
 from filmopt import materials, optics
 from filmopt.materials import CatalogConfig, DispersionTable, build_catalog
-from filmopt.model import Model
+from filmopt.model import ENTRY_TAGS, Model, _labels, d_name, f_name, w_name
 
 THETA1 = {"TiO2": tuple(float(t) for t in range(20, 141, 10)),
           "MgF2": tuple(float(t) for t in range(50, 281, 10))}
@@ -142,3 +142,112 @@ def models_close(a: Model, b: Model, rtol: float = 1e-15) -> bool:
     if not all(close(a.objective.coeffs[n], b.objective.coeffs[n]) for n in a.objective.coeffs):
         return False
     return close(a.objective.constant, b.objective.constant)
+
+
+def linear_constraint_count(catalog) -> int:
+    """Closed form for the structural linear-constraint count of the exact model."""
+    n_wl = len(catalog.spectrum)
+    n_layers = catalog.n_layers
+    per_layer_choices = sum(len(catalog.choices_at(n)) for n in range(1, n_layers + 1))
+    return n_wl * (4 + 4 * n_layers + 8 * per_layer_choices) + n_layers
+
+
+def variable_map(catalog) -> dict:
+    """Oracle for ``model.variable_map_text``: the name -> meaning map as nested dicts."""
+    labels = _labels(catalog)
+    out: dict[str, dict] = {"x": {}, "v": {}, "w": {}, "d": {}, "f": {}}
+    for layer, choices in enumerate(catalog.layer_choices, start=1):
+        for label, (m, t) in zip(labels[layer - 1], choices):
+            out["x"][f"x_{label}"] = {"layer": layer, "material": m, "thickness_nm": t}
+    for li, wl in enumerate(catalog.spectrum.wavelengths):
+        for layer, choices in enumerate(catalog.layer_choices, start=1):
+            for label, (m, t) in zip(labels[layer - 1], choices):
+                for tag in ENTRY_TAGS:
+                    out["v"][f"v_{li}_{label}_{tag}"] = {
+                        "wavelength_nm": wl, "layer": layer, "material": m,
+                        "thickness_nm": t, "entry": tag,
+                    }
+        for tag in ENTRY_TAGS:
+            out["w"][w_name(li, tag)] = {"wavelength_nm": wl, "entry": tag}
+        out["d"][d_name(li)] = {"wavelength_nm": wl}
+        out["f"][f_name(li)] = {"wavelength_nm": wl}
+    return out
+
+
+# Reference LP writer: one token at a time, as the writer worked before it
+# built each row as one string.  Oracle for ``lpio.export_lp``.
+
+LP_MAX_LINE = 200
+
+
+def _num(x: float) -> str:
+    return format(x, ".17g")
+
+
+def reference_wrap(tokens, first_prefix: str) -> list[str]:
+    lines: list[str] = []
+    current = first_prefix
+    for tok in tokens:
+        if len(current) + len(tok) + 1 > LP_MAX_LINE and current.strip():
+            lines.append(current)
+            current = "  " + tok
+        else:
+            current = current + " " + tok if current.strip() else current + tok
+    lines.append(current)
+    return lines
+
+
+def _linear_tokens(coeffs: dict[str, float], constant: float | None = None) -> list[str]:
+    toks: list[str] = []
+    for name, c in coeffs.items():
+        sign = "-" if c < 0 else "+"
+        toks.extend([sign, _num(abs(c)), name])
+    if constant is not None and constant != 0.0:
+        sign = "-" if constant < 0 else "+"
+        toks.extend([sign, _num(abs(constant))])
+    if not toks:
+        toks = ["+", "0"]
+    if toks[0] == "+":
+        toks = toks[1:]
+    return toks
+
+
+def _quad_tokens(quad: dict[tuple[str, str], float]) -> list[str]:
+    toks: list[str] = ["["]
+    first = True
+    for (n1, n2), c in quad.items():
+        sign = "-" if c < 0 else "+"
+        group = [_num(abs(c))] if first and sign == "+" else [sign, _num(abs(c))]
+        group.extend([n1, "^", "2"] if n1 == n2 else [n1, "*", n2])
+        toks.extend(group)
+        first = False
+    toks.append("]")
+    return toks
+
+
+def reference_lp_text(model: Model) -> str:
+    """The LP text that ``lpio.export_lp`` must write for `model`."""
+    lines: list[str] = [f"\\ Model: {model.name}"]
+    lines.extend(f"\\ {c}" for c in model.header_comments)
+    if (model.variables or model.linear or model.quadratic
+            or model.objective.coeffs or model.objective.constant):
+        lines.append("Maximize" if model.objective.sense == "max" else "Minimize")
+        lines.extend(reference_wrap(_linear_tokens(model.objective.coeffs, model.objective.constant), " obj:"))
+        if model.linear or model.quadratic:
+            lines.append("Subject To")
+        for c in model.linear:
+            lines.extend(reference_wrap(_linear_tokens(c.coeffs) + [c.sense, _num(c.rhs)], f" {c.name}:"))
+        for q in model.quadratic:
+            toks = _linear_tokens(q.lin) + ["+"] if q.lin else []
+            toks += _quad_tokens(q.quad) + [q.sense, _num(q.rhs)]
+            lines.extend(reference_wrap(toks, f" {q.name}:"))
+        continuous = [v for v in model.variables if v.kind != "binary"]
+        if continuous:
+            lines.append("Bounds")
+            lines.extend(f" {_num(v.lower)} <= {v.name} <= {_num(v.upper)}" for v in continuous)
+        binaries = [v.name for v in model.variables if v.kind == "binary"]
+        if binaries:
+            lines.append("Binaries")
+            lines.extend(reference_wrap(binaries, " "))
+    lines.append("End")
+    return "\n".join(lines) + "\n"

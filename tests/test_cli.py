@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,21 @@ class TestExitCodes:
         p = tmp_path / "v.json"
         p.write_text(json.dumps(cfg))
         assert run("bounds", "--config", p, "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("name", ["Ti O2", "Ti\tO2", *(f"Ti{ch}O2" for ch in ":[]*^<>=\\")])
+    def test_lp_significant_coating_name_exit_1(self, name, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for src, dst in (("Molybdenum", "Molybdenum"), ("MgF2", "MgF2"), ("TiO2", name)):
+            shutil.copy(filmopt.materials.DATA_DIR / f"{src}.csv", data / f"{dst}.csv")
+        cfg = dict(CONFIG, materials=[name, "MgF2"], dispersion_dir=str(data),
+                   thicknesses={name: [40, 100], "MgF2": [80, 140]})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run("export", "--config", p, "--out", out, "--kind", "miqcp") == 1
+        assert repr(name) in capsys.readouterr().err
+        assert not (out / "model.lp").exists()
 
     def test_internal_error_exit_3(self, config_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 
@@ -19,12 +20,13 @@ from filmopt.model import (
     build_miqcp,
     build_misocp,
     design_point,
-    linear_constraint_count,
-    variable_map,
+    variable_map_text,
     x_name,
 )
 
-from conftest import THETA1, enumerate_designs, flat_table, models_close, random_catalog
+from conftest import (
+    THETA1, enumerate_designs, flat_table, linear_constraint_count, models_close, random_catalog,
+)
 
 
 def desk_catalog(n_layers=3, wavelengths=(500.0, 650.0)):
@@ -321,7 +323,7 @@ class TestImportSolution:
 class TestVariableMap:
     def test_bijective_and_complete(self):
         cat = desk_catalog()
-        vm = variable_map(cat)
+        vm = json.loads(variable_map_text(cat))
         m = build_miqcp(cat, bounds.tighten_bounds(cat))
         mapped = set()
         for group in vm.values():

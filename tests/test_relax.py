@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from filmopt import bounds, materials, optics, relax
+from filmopt.arrayops import denominator4
 from filmopt.errors import (
     EmptyCandidateSet,
     InconsistentBounds,
@@ -379,6 +382,53 @@ class TestBatchedMatchesReference:
             if not isinstance(want, list):
                 want = [constant_overapproximator(box, sub).coefficients()]
             assert [h.coefficients() for h in planes[li]] == want
+
+
+def slogdet_dominating_fits(pts, gvals, subsets):
+    """``relax._dominating_fits`` with singular systems dropped by a zero ``slogdet`` sign first."""
+    mat = np.ones((len(subsets), 5, 5))
+    mat[:, :, 1:] = pts[subsets]
+    rhs = gvals[subsets]
+    with np.errstate(divide="ignore"):
+        solvable = np.linalg.slogdet(mat)[0] != 0
+    mat, rhs = mat[solvable], rhs[solvable]
+    alpha = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
+    residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
+    alpha = alpha[residual <= relax.RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))]
+    vals = alpha[:, :1] + alpha[:, 1:] @ pts.T
+    scale = np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T
+    ok = (vals + relax.REL_TOL * scale >= gvals).all(axis=1)
+    alpha, scale = alpha[ok], scale[ok]
+    alpha[:, 0] += 2.0 * relax.REL_TOL * scale.max(axis=1)
+    return alpha
+
+
+class TestSingularFits:
+    def test_repeated_candidate_matches_slogdet_filter(self):
+        box = Box4((-2.0, -1.0, -3.0, 0.5), (1.0, 2.0, 0.0, 4.0))
+        sub = ComplexIndex(2.5, 3.0)
+        pts = collect_candidates(box)
+        pts = np.vstack([pts, pts[2]])  # every subset holding both copies is exactly singular
+        pts -= (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+        gvals = denominator4(pts[:, relax._ENTRY_ORDER], sub.re, sub.im)
+        subsets = np.array(list(combinations(range(len(pts)), 5)))
+        mat = np.ones((len(subsets), 5, 5))
+        mat[:, :, 1:] = pts[subsets]
+        assert (np.linalg.slogdet(mat)[0] == 0).sum() >= 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relax._dominating_fits(pts, gvals, subsets)
+        want = slogdet_dominating_fits(pts, gvals, subsets)
+        assert len(want) and np.array_equal(got, want)
+
+    def test_solve_gufunc_gives_nan_for_a_singular_system(self):
+        """``_dominating_fits`` relies on this: one singular system leaves a NaN row, not an error."""
+        mat = np.stack([np.eye(5) * 2.0, np.ones((5, 5)), np.diag([1.0, 2.0, 0.0, 4.0, 5.0])])
+        rhs = np.arange(15.0).reshape(3, 5, 1)
+        with np.errstate(invalid="ignore"):
+            out = _umath_linalg.solve(mat, rhs, signature="dd->d")[:, :, 0]
+        assert np.array_equal(out[0], np.arange(5.0) / 2.0)
+        assert np.isnan(out[1:]).all()
 
 
 class TestConcaveEnvelope:
