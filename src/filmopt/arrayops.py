@@ -7,7 +7,14 @@ scalar API remains the guarded public surface.
 """
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
+
+#: Entries (wavelengths x columns) per chunk of the leaf kernels: a float64
+#: work buffer of 1 MiB, inside L2.  See leaf_chunk_width.
+LEAF_CHUNK_ENTRIES = 2**15
 
 
 def mul4(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -129,6 +136,41 @@ def reflectance_rows4(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return terms @ carrier
 
 
+def leaf_chunk_width(n_wl: int, k: int) -> int:
+    """Columns per chunk for an (n_wl, 4, k) table: k, or a multiple of 64 from 128.
+
+    A multiple of 64 keeps every chunk on the SIMD alignment the whole
+    block has in BLAS (see _leaf_chunks).
+    """
+    return min(k, max(128, LEAF_CHUNK_ENTRIES // n_wl // 64 * 64))
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_chunks(k: int, width: int) -> tuple[tuple[slice, int], ...]:
+    """(columns, count) chunks of `width` covering ``range(k)``.
+
+    `width` is at least k or a multiple of 64 from 128.  Every chunk starts at a multiple of 64, so it keeps the SIMD alignment
+    the whole block has in BLAS.  A lone last column joins the 63 before it:
+    numpy scores a one-column matmul with gemv, which rounds differently
+    from the gemm of a wider block.  Cached: a search asks for the same
+    chunks once per prefix.
+    """
+    starts = list(range(0, k, width))
+    if len(starts) > 1 and k - starts[-1] == 1:
+        starts[-1] -= 64
+    return tuple((slice(s, e), e - s) for s, e in zip(starts, starts[1:] + [k]))
+
+
+def _reflectance_terms(rows: np.ndarray, suffix: np.ndarray, work: np.ndarray):
+    """Numerators and denominators (two (L, K) views of `work`) of R(P*S) over `suffix` columns."""
+    np.matmul(rows, suffix, out=work)
+    np.square(work, out=work)
+    num, den = work[:, 0], work[:, 2]
+    np.add(num, work[:, 1], out=num)
+    np.add(den, work[:, 3], out=den)
+    return num, den
+
+
 def weighted_reflectance4(
     rows: np.ndarray,
     suffix: np.ndarray,
@@ -139,14 +181,153 @@ def weighted_reflectance4(
     """Weighted reflectance of P*S for every column S of a suffix table.
 
     `rows` (L, 4, 4) comes from :func:`reflectance_rows4` for the prefix P;
-    `suffix` and the scratch buffer `work` are (L, 4, K) and `out` is (K,).
-    One matmul per wavelength replaces mul4 + reflectance4, and nothing is
+    `suffix` is (L, 4, K) and `out` is (K,).  The work buffer `work` is
+    (L, 4, C): the columns are scored C at a time, with C at least K or a
+    multiple of 64 from 128.  On the OpenBLAS kernels this was tested on
+    (see the tests), every column gets the same bits for any such C.  One
+    matmul per wavelength replaces mul4 + reflectance4, and nothing is
     allocated, so a search can reuse both buffers across prefixes.
     """
-    np.matmul(rows, suffix, out=work)
-    np.square(work, out=work)
-    num, den = work[:, 0], work[:, 2]
-    np.add(num, work[:, 1], out=num)
-    np.add(den, work[:, 3], out=den)
-    np.divide(num, den, out=num)
-    return np.matmul(phi, num, out=out)
+    for cols, count in _leaf_chunks(suffix.shape[2], work.shape[2]):
+        num, den = _reflectance_terms(rows, suffix[:, :, cols], work[:, :, :count])
+        np.divide(num, den, out=num)
+        np.matmul(phi, num, out=out[cols])
+    return out
+
+
+_U32, _U64 = 2.0**-24, 2.0**-53
+_TINY32, _TINY64 = 2.0**-149, 2.0**-1074
+#: The screen runs only while every row and suffix entry is below this and
+#: every float32 denominator above its inverse.  Then float32 terms stay
+#: below 2^42, squares and sums below 2^85 and quotients below 2^117, so
+#: with weights summing to at most 2 nothing overflows float32.
+_SCREEN_LIMIT = 2.0**20
+
+
+def _gamma(n: int, u: float) -> float:
+    return n * u / (1 - n * u)
+
+
+class LeafScreen:
+    """Float32 upper bound on the float64 leaf scores of one suffix table.
+
+    Built once per (L, 4, K) table and its weights `phi`.  ``bound(rows)``
+    scores every column in float32, in chunks of the width of `work`, and
+    returns max obj32 + ``margin(...)``: no score
+    :func:`weighted_reflectance4` gives for `rows` exceeds it.  Both return
+    inf where the bound does not apply (entries or weights outside the
+    float32-safe range, or a denominator too small), and the caller then
+    scores in float64.  The float32 pass runs in the first half of the
+    caller's contiguous float64 work buffer `work`, which it needs only
+    between float64 passes, so the screen adds just the float32 table.
+    """
+
+    def __init__(self, suffix: np.ndarray, phi: np.ndarray, work: np.ndarray) -> None:
+        n_wl, _, k = suffix.shape
+        self.smax = np.maximum(suffix.max(axis=2), -suffix.min(axis=2))  # no |suffix| temporary
+        self.usable = bool(
+            self.smax.max() < _SCREEN_LIMIT
+            and np.all((phi == 0) | (phi >= 2.0**-100))
+            and phi.sum() <= 2
+        )
+        self.n_wl, self.phi_sum = n_wl, float(phi.sum())
+        if self.usable:
+            self.suffix = suffix.astype(np.float32)
+            self.phi = phi.astype(np.float32)
+            width = work.shape[2]
+            self.work = work.reshape(-1).view(np.float32)[: work.size].reshape(n_wl, 4, width)
+            self.out = np.empty(width, np.float32)
+
+    def bound(self, rows: np.ndarray) -> float:
+        """max obj32 + margin for the prefix with reflectance rows `rows` (L, 4, 4), or inf."""
+        if not (self.usable and np.abs(rows).max() < _SCREEN_LIMIT):
+            return np.inf
+        rows32 = rows.astype(np.float32)
+        top, dmin = -np.inf, [np.inf] * self.n_wl
+        for cols, count in _leaf_chunks(self.suffix.shape[2], self.work.shape[2]):
+            num, den = _reflectance_terms(rows32, self.suffix[:, :, cols], self.work[:, :, :count])
+            low = den.min(axis=1).tolist()
+            if not min(low) >= 1 / _SCREEN_LIMIT:
+                return np.inf
+            dmin = [min(d, x) for d, x in zip(dmin, low)]
+            np.divide(num, den, out=num)
+            top = max(top, float(np.matmul(self.phi, num, out=self.out[:count]).max()))
+        return top + self.margin(rows, dmin, top)
+
+    def margin(self, rows: np.ndarray, dmin: list[float], top: float) -> float:
+        """A bound δ >= max_k |obj32[k] - obj64[k]| over the table, or inf.
+
+        obj64 is :func:`weighted_reflectance4` of `rows` (L, 4, 4) over the
+        float64 table, whose entries satisfy |S[l, j, k]| <= smax[l, j];
+        obj32 is the same kernel on the float32 roundings of `rows`, the
+        table and φ.  `dmin` holds each wavelength's smallest float32
+        denominator and `top` the largest obj32.  Let u be the unit
+        roundoff, τ the smallest subnormal, γ_n = nu/(1 - nu) (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, ch. 3) and
+        R = N/D the exact reflectance, N = n1² + n2², D = d1² + d2².
+        Each operation rounds as op(1 + ε) + η with |ε| <= u and |η| <= τ/2
+        (η only on underflow, never on a sum), in any order and with or
+        without FMA.
+
+        1. Terms.  Rounding the row and suffix entries and the 4-term
+           matmul give |t̂_r - t_r| <= g T_r + ν, with T_r = Σ_j |rows_rj|
+           smax_j, g = γ6 in float32 (two input roundings) and γ4 in
+           float64, and ν = τ (4 + Σ_j |rows_rj| + Σ_j smax_j) <= 2^24 τ
+           below the entry limit.  So (n̂1, n̂2) is within
+           ηN = g hypot(T_n1, T_n2) + √2 ν of (n1, n2), and n̂1² + n̂2² lies
+           in [(√N - ηN)₊², (√N + ηN)²]; likewise for D with ηD.
+        2. Squares and add: N̂ is within γ2 of n̂1² + n̂2², plus 2τ, so
+           |N̂ - N| <= γ2 N + (1 + γ2)(2√N ηN + ηN²) + 2τ; likewise D̂.
+        3. Lower bound on D: D̂32 >= dmin gives √D >= ρ - ηD32 with
+           ρ = √((dmin - 2τ)/(1 + γ2)).  Take σ = 1/(ρ - ηD32) >= 1/√D,
+           x = max_l ηN σ, y = max_l ηD σ.  Then |D̂ - D|/D <= e = γ2
+           + (1 + γ2)(2y + y²) + 2τσ², and with 2√R <= 1 + R,
+           |N̂ - N|/D <= a0 + a1 R for a0 = (1 + γ2)(x + x²) + 2τσ² and
+           a1 = γ2 + (1 + γ2) x.
+        4. Divide: N̂/D̂ - R = (N̂ - N - R(D̂ - D))/D̂, so with the rounding
+           of the quotient |R̂ - R| <= A + B R for A = (1 + u) a0/(1 - e)
+           + τ/2 and B = (1 + u)(a1 + e)/(1 - e) + u.
+        5. L-term weighted sum (φ >= 0 and never subnormal, R >= 0):
+           |obj - Σ φ_l R_l| <= C + K obj with C = (1 + γ_{L+1}) A Σφ + Lτ
+           and K = (1 + γ_{L+1}) B + γ_{L+1}.
+        6. So obj <= (top + C32)/(1 - K32) on every column, and
+           δ = C32 + C64 + (K32 + K64)(top + C32)/(1 - K32).
+
+        inf is returned when a step does not apply: an entry at or above
+        the limit, ηD32 > ρ/2 (no usable lower bound on D), e > 1/2 or
+        K32 > 1/2, or a non-finite result.  Those caps keep the operands of
+        every subtraction apart, so the float64 evaluation here errs by
+        under 200 u64 relative, and the final factor 1 + 2^-20 covers it.
+        """
+        absrows = np.abs(rows)
+        if not (self.usable and absrows.max() < _SCREEN_LIMIT):
+            return np.inf
+        scale = (absrows @ self.smax[:, :, None])[:, :, 0]  # T_r per wavelength
+        g6 = _gamma(6, _U32)
+        s_num = s_den = s_max = 0.0
+        for (t1, t2, t3, t4), low in zip(scale.tolist(), dmin):
+            rho = math.sqrt(max(low - 2 * _TINY32, 0.0) / (1 + _gamma(2, _U32)))
+            eta_den = g6 * math.hypot(t3, t4) + 2.0**24.5 * _TINY32
+            if not eta_den <= rho / 2:
+                return np.inf
+            sigma = 1 / (rho - eta_den)
+            s_num = max(s_num, math.hypot(t1, t2) * sigma)
+            s_den = max(s_den, math.hypot(t3, t4) * sigma)
+            s_max = max(s_max, sigma)
+
+        def coefficients(u: float, g: float, tiny: float) -> tuple[float, float, float]:
+            g2, gl, nu = _gamma(2, u), _gamma(self.n_wl + 1, u), 2.0**24.5 * tiny * s_max
+            x, y, under = g * s_num + nu, g * s_den + nu, 2 * tiny * s_max * s_max
+            e = g2 + (1 + g2) * (2 * y + y * y) + under
+            a0 = (1 + g2) * (x + x * x) + under
+            a1 = g2 + (1 + g2) * x
+            big_a = (1 + u) * a0 / (1 - e) + tiny / 2
+            big_b = (1 + u) * (a1 + e) / (1 - e) + u
+            return (1 + gl) * big_a * self.phi_sum + self.n_wl * tiny, (1 + gl) * big_b + gl, e
+
+        c32, k32, e32 = coefficients(_U32, g6, _TINY32)
+        c64, k64, e64 = coefficients(_U64, _gamma(4, _U64), _TINY64)
+        if not (e32 <= 0.5 and e64 <= 0.5 and k32 <= 0.5):
+            return np.inf
+        delta = (c32 + c64 + (k32 + k64) * (top + c32) / (1 - k32)) * (1 + 2.0**-20)
+        return delta if math.isfinite(delta) else np.inf

@@ -11,7 +11,9 @@ Solution files are plain `name value` pairs, one per line.
 """
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .errors import InfeasibleAssignment, ParseError
 from .materials import Catalog, read_text, write_atomic
@@ -25,6 +27,8 @@ from .model import (
 )
 
 _MAX_LINE = 200
+#: Lines per block handed to the file by export_lp.
+_BLOCK_LINES = 4096
 
 
 def _wrap(text: str, prefix: str) -> list[str]:
@@ -80,30 +84,47 @@ def _quad_text(signed: _Signed, quad: dict[tuple[str, str], float]) -> str:
 
 
 def export_lp(model: Model, path: str | Path) -> None:
+    """Validate `model` and write it to `path` in LP format, atomically.
+
+    ``build_miqcp`` and ``build_misocp`` leave validation to this call, so
+    each exported model is checked once; a model from :func:`import_lp` or
+    made by hand is checked here too.  The text goes out in blocks of
+    ``_BLOCK_LINES`` lines rather than as one string.
+    """
     model.validate()
-    lines: list[str] = [f"\\ Model: {model.name}"]
-    lines.extend(f"\\ {c}" for c in model.header_comments)
+    write_atomic(path, _blocks(_lp_lines(model)))
+
+
+def _blocks(lines: Iterator[str]) -> Iterator[str]:
+    """The lines, each ended by a newline, joined ``_BLOCK_LINES`` at a time."""
+    while block := list(islice(lines, _BLOCK_LINES)):
+        yield "\n".join(block) + "\n"
+
+
+def _lp_lines(model: Model) -> Iterator[str]:
+    """The lines of the LP text of `model`, without newlines."""
+    yield f"\\ Model: {model.name}"
+    yield from (f"\\ {c}" for c in model.header_comments)
     obj, signed = model.objective, _Signed()
     if model.variables or model.linear or model.quadratic or obj.coeffs or obj.constant:
-        lines.append("Maximize" if obj.sense == "max" else "Minimize")
-        lines.extend(_wrap(_linear_text(signed, obj.coeffs, obj.constant), " obj:"))
+        yield "Maximize" if obj.sense == "max" else "Minimize"
+        yield from _wrap(_linear_text(signed, obj.coeffs, obj.constant), " obj:")
         if model.linear or model.quadratic:
-            lines.append("Subject To")
+            yield "Subject To"
         for c in model.linear:
-            lines.extend(_wrap(f"{_linear_text(signed, c.coeffs)} {c.sense} {c.rhs:.17g}", f" {c.name}:"))
+            yield from _wrap(f"{_linear_text(signed, c.coeffs)} {c.sense} {c.rhs:.17g}", f" {c.name}:")
         for q in model.quadratic:
             body = f"{_quad_text(signed, q.quad)} {q.sense} {q.rhs:.17g}"
-            lines.extend(_wrap(f"{_linear_text(signed, q.lin)} + {body}" if q.lin else body, f" {q.name}:"))
+            yield from _wrap(f"{_linear_text(signed, q.lin)} + {body}" if q.lin else body, f" {q.name}:")
         continuous = [v for v in model.variables if v.kind != "binary"]
         if continuous:
-            lines.append("Bounds")
-            lines.extend(f" {v.lower:.17g} <= {v.name} <= {v.upper:.17g}" for v in continuous)
+            yield "Bounds"
+            yield from (f" {v.lower:.17g} <= {v.name} <= {v.upper:.17g}" for v in continuous)
         binaries = [v.name for v in model.variables if v.kind == "binary"]
         if binaries:
-            lines.append("Binaries")
-            lines.extend(_wrap(" ".join(binaries), " "))
-    lines.append("End")
-    write_atomic(path, "\n".join(lines) + "\n")
+            yield "Binaries"
+            yield from _wrap(" ".join(binaries), " ")
+    yield "End"
 
 
 # ---------------------------------------------------------------------------

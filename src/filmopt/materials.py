@@ -18,7 +18,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,12 +48,14 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def write_atomic(path: str | Path, text: str) -> None:
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write `text` as UTF-8 to `path` via a temp file in the same directory.
 
-    The file appears whole or not at all: a failed write leaves neither
-    `path` nor the temp file behind.  Missing parent directories are made,
-    and the file gets the mode `open()` would give it under the umask.
+    `text` is one string or an iterable of strings, written as they come,
+    so a caller need not hold the whole text.  The file appears whole or
+    not at all: a failed write leaves neither `path` nor the temp file
+    behind.  Missing parent directories are made, and the file gets the
+    mode `open()` would give it under the umask.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -63,7 +65,9 @@ def write_atomic(path: str | Path, text: str) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                text = (text,)
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -328,7 +328,6 @@ def build_miqcp(catalog: Catalog, entry_bounds: EntryBounds) -> Model:
                 f"qc_dcap_{li}", quad=quad, lin={d_name(li): 1.0}, sense="<=", rhs=2.0 * a
             )
         )
-    model.validate()
     return model
 
 
@@ -357,7 +356,6 @@ def build_misocp(
             model.linear.append(
                 LinearConstraint(f"c_hyp_{li}_{k}", coeffs, ">=", -h.a0)
             )
-    model.validate()
     return model
 
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -260,10 +259,24 @@ def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> Hyperplane:
 
 
 def _subset_blocks(count: int):
-    """Every 5-subset of ``range(count)``, in lexicographic order, ``FIT_BLOCK`` rows at a time."""
-    subsets = combinations(range(count), 5)
-    while (block := np.fromiter(chain.from_iterable(islice(subsets, FIT_BLOCK)), np.intp)).size:
-        yield block.reshape(-1, 5)
+    """Every 5-subset of ``range(count)``, in lexicographic order, ``FIT_BLOCK`` rows at a time.
+
+    Each row is unranked directly.  Mapping every element ``c`` to
+    ``count - 1 - c`` turns lexicographic order into descending
+    colexicographic order, where the subset of rank ``m`` has largest
+    element ``x = max{x : C(x, 5) <= m}`` and the 4-subset of rank
+    ``m - C(x, 5)`` below it, and so on down.
+    """
+    binom = np.array([[math.comb(x, i) for x in range(count)] for i in range(6)])
+    total = math.comb(count, 5)
+    for start in range(0, total, FIT_BLOCK):
+        rank = total - 1 - np.arange(start, min(start + FIT_BLOCK, total))
+        block = np.empty((len(rank), 5), np.intp)
+        for i in range(5, 0, -1):
+            x = np.searchsorted(binom[i], rank, side="right") - 1
+            block[:, 5 - i] = count - 1 - x
+            rank -= binom[i, x]
+        yield block
 
 
 def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) -> np.ndarray:

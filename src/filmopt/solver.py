@@ -15,11 +15,23 @@ which return a :class:`SolveReport`:
 The layers split into leading layers, searched node by node with shared
 prefix products, and a trailing block whose products are built once as an
 (L, 4, K) suffix table.  Every prefix that reaches the split is scored
-against the whole table with one matmul per wavelength into buffers
-allocated once per solve.  The tail grows from the last layer while its
-block fits in ``max(1024, 262_144 // L)`` designs; with pruning it is also
-capped at ``max(1, N // 2)`` layers, so bounds act on the leading half.
-Pruning happens only above the split.
+against the whole table with one matmul per wavelength, in chunks of
+``LEAF_CHUNK_ENTRIES`` (2^15) entries and a multiple of 64 columns, into
+buffers allocated once per solve.  The tail grows from the last layer
+while its block fits in ``max(1024, 262_144 // L)`` designs; with pruning
+it is also capped at ``max(1, N // 2)`` layers, so bounds act on the
+leading half.  Pruning happens only above the split.
+
+Float32 screen: on blocks of at least one chunk (``SCREEN_MIN_ENTRIES``),
+each prefix is first scored in float32
+(:class:`~filmopt.arrayops.LeafScreen`), which also gives a rigorous margin
+δ >= max_k |obj32[k] - obj64[k]| from a γ_n error analysis of the kernel.
+If ``max(obj32) + δ <= best + OBJECTIVE_EPS``, no float64 score of the
+block could replace the incumbent, and the block is skipped.  Every other
+block, and every block where δ is inf, is scored by the float64 kernel
+over the whole block, so the objective, design, tie-break, incumbents and
+node counts are the same as without the screen.  The first block is always
+scored in float64.
 
 Node accounting: ``nodes_explored`` counts designs evaluated, each tail
 block counted whole; ``nodes_pruned`` counts subtrees cut above the split
@@ -35,8 +47,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .arrayops import (
+    LEAF_CHUNK_ENTRIES,
+    LeafScreen,
     box_max_denominator4,
     interval_product4,
+    leaf_chunk_width,
     mul4,
     reflectance_rows4,
     weighted_reflectance4,
@@ -51,6 +66,13 @@ Design = tuple[tuple[str, float], ...]
 #: among tolerance-equal optima the enumeration-first (lexicographically
 #: smallest) design is kept.
 OBJECTIVE_EPS = 1e-12
+
+#: Tail blocks of fewer entries (wavelengths x columns) than one leaf chunk
+#: skip the float32 screen, whose fixed cost per block outweighs its saving
+#: there: on the 7,488-column one-wavelength B&B blocks of mo_410_n6 the
+#: screen took about 75 us and the float64 kernel 65 us (2-core Xeon VM,
+#: one BLAS thread).
+SCREEN_MIN_ENTRIES = LEAF_CHUNK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -220,7 +242,8 @@ def _search(
     n_wl = len(phi)
     split = _split_depth(counts, n_wl, prune)
     suffix = _suffix_table(mats[split:])
-    work = np.empty_like(suffix)
+    work = np.empty((n_wl, 4, leaf_chunk_width(n_wl, suffix.shape[2])))
+    screen = LeafScreen(suffix, phi, work) if n_wl * suffix.shape[2] >= SCREEN_MIN_ENTRIES else None
     scores = np.empty(suffix.shape[2])
     if prune:
         if suffix_boxes is None:
@@ -248,13 +271,15 @@ def _search(
 
     def leaf(rows: np.ndarray, chosen: list[int]) -> None:
         nonlocal best, best_design, nodes, capped
-        obj = weighted_reflectance4(rows, suffix, phi, work, scores)
-        nodes += obj.shape[0]
-        i = int(np.argmax(obj))
-        if obj[i] > best + OBJECTIVE_EPS:
-            best = float(obj[i])
-            best_design = chosen + decode_suffix(i)
-            incumbents.append(best)
+        nodes += scores.shape[0]
+        # No float64 score can beat the incumbent when the screen's bound does not.
+        if screen is None or best_design is None or not screen.bound(rows) <= best + OBJECTIVE_EPS:
+            obj = weighted_reflectance4(rows, suffix, phi, work, scores)
+            i = int(np.argmax(obj))
+            if obj[i] > best + OBJECTIVE_EPS:
+                best = float(obj[i])
+                best_design = chosen + decode_suffix(i)
+                incumbents.append(best)
         if node_cap is not None and nodes >= node_cap:
             capped = True
 

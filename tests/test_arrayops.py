@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 
 from filmopt import bounds, optics, solver
 from filmopt.arrayops import (
+    LeafScreen,
     box_max_denominator4,
     denominator4,
     interval_product4,
+    leaf_chunk_width,
     mul4,
     reflectance4,
     reflectance_rows4,
     weighted_reflectance4,
 )
+from filmopt.materials import build_catalog
 from filmopt.optics import ComplexIndex, StructuredMatrix
 
-from conftest import random_catalog
+from conftest import random_catalog, single_wavelength_config
 
 RTOL = 1e-12
 
@@ -137,6 +140,68 @@ def test_leaf_kernel_allocates_no_work_arrays():
     finally:
         tracemalloc.stop()
     assert peak < k * 8  # far below one (K,) array, let alone an (L, K) temporary
+
+
+@pytest.mark.parametrize("k", [1, 3, 63, 1023, 16385])
+def test_chunked_leaf_kernel_is_bit_identical(k):
+    rng = np.random.default_rng(k)
+    for n_wl in (1, 3):
+        rows = reflectance_rows4(rng.uniform(-2, 2, size=(n_wl, 4)),
+                                 rng.uniform(1, 4, n_wl), rng.uniform(0, 6, n_wl))
+        table = rng.uniform(-3, 3, size=(n_wl, 4, k))
+        phi = rng.random(n_wl) / n_wl
+        want = weighted_reflectance4(rows, table, phi, np.empty_like(table), np.empty(k))
+        for width in (128, 1024, leaf_chunk_width(n_wl, k)):
+            got = weighted_reflectance4(rows, table, phi, np.empty((n_wl, 4, width)), np.empty(k))
+            assert got.tobytes() == want.tobytes()
+
+
+def _float32_pass(rows, table, phi):
+    """obj32 over every column, and each wavelength's smallest float32 denominator."""
+    rows32, table32 = rows.astype(np.float32), table.astype(np.float32)
+    terms = rows32 @ table32
+    den = terms[:, 2] * terms[:, 2] + terms[:, 3] * terms[:, 3]
+    obj32 = weighted_reflectance4(rows32, table32, phi.astype(np.float32),
+                                  np.empty_like(table32), np.empty(table.shape[2], np.float32))
+    return obj32.astype(float), den.min(axis=1).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300),
+       st.floats(-2.0, 4.0), st.sampled_from([0.0, 0.3, 1.0]))
+def test_screen_margin_bounds_float32_error(seed, n_wl, k, log_scale, vanishing):
+    """δ covers |obj32 - obj64|, also for large entries and numerators near zero."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-3, 3, size=(n_wl, 4)) * 10 ** rng.uniform(-1, 2)
+    rows = reflectance_rows4(p, rng.uniform(0.2, 6, n_wl), rng.uniform(0, 8, n_wl))
+    table = rng.uniform(-1, 1, size=(n_wl, 4, k))
+    picked = rng.random(k) < vanishing
+    for li in range(n_wl):  # columns near the null space of the numerator rows
+        null = np.linalg.svd(rows[li, :2])[2][2:]
+        table[li][:, picked] = null.T @ rng.uniform(-1, 1, (2, picked.sum())) \
+            + 1e-9 * rng.uniform(-1, 1, (4, picked.sum()))
+    table *= 10**log_scale
+    phi = rng.random(n_wl) + 0.01
+    phi /= phi.sum()
+    obj64 = weighted_reflectance4(rows, table, phi, np.empty_like(table), np.empty(k))
+    obj32, dmin = _float32_pass(rows, table, phi)
+    screen = LeafScreen(table, phi, np.empty_like(table))
+    assert screen.margin(rows, dmin, float(obj32.max())) >= np.abs(obj32 - obj64).max()
+    assert screen.bound(rows) >= obj64.max()
+
+
+def test_screen_margin_is_small_on_a_real_table(data_tables):
+    cat = build_catalog(single_wavelength_config("Molybdenum", 410.0, layers=4), data_tables)
+    table = solver._suffix_table(cat.layer_matrices[1:])
+    a = np.array([s.re for s in cat.substrate_indices])
+    b = np.array([s.im for s in cat.substrate_indices])
+    phi = np.array(cat.spectrum.weights)
+    screen = LeafScreen(table, phi, np.empty_like(table))
+    for j in range(cat.layer_matrices[0].shape[0]):
+        rows = reflectance_rows4(cat.layer_matrices[0][j], a, b)
+        obj64 = weighted_reflectance4(rows, table, phi, np.empty_like(table), np.empty(table.shape[2]))
+        bound = screen.bound(rows)
+        assert obj64.max() <= bound <= obj64.max() + 1e-4
 
 
 @pytest.mark.parametrize("seed", range(6))

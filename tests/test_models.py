@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from filmopt import bounds, lpio, relax, solver
+from filmopt import bounds, lpio, materials, relax, solver
 from filmopt.errors import (
     InconsistentBounds,
     InfeasibleAssignment,
@@ -227,6 +227,40 @@ class TestLpExport:
         assert len(m2.variables) == len(m.variables)
         assert len(m2.linear) == linear_constraint_count(cat)
         assert len(m2.quadratic) == 2 * len(cat.spectrum)
+
+    def test_undeclared_variable_raises_and_writes_nothing(self, tmp_path):
+        m = Model(name="bad", objective=Objective({"ghost": 1.0}))
+        with pytest.raises(ValueError, match="undeclared"):
+            lpio.export_lp(m, tmp_path / "model.lp")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_imported_model_is_validated_before_writing(self, tmp_path):
+        path = tmp_path / "in.lp"
+        path.write_text("Maximize\n obj: 1 x\nSubject To\n c1: 1 x + 1 y <= 1\nBinaries\n x\nEnd\n")
+        parsed = lpio.import_lp(path)  # y appears in no bounds line, so it is unbounded
+        with pytest.raises(ValueError, match="finite bounds"):
+            lpio.export_lp(parsed, tmp_path / "out.lp")
+        assert not (tmp_path / "out.lp").exists()
+
+    def test_blocks_join_to_the_one_string_text(self, tmp_path, monkeypatch):
+        cat = desk_catalog()
+        eb = bounds.tighten_bounds(cat)
+        model = build_misocp(cat, eb, relax.hyperplanes_for_catalog(cat, eb))
+        lpio.export_lp(model, tmp_path / "whole.lp")
+        monkeypatch.setattr(lpio, "_BLOCK_LINES", 7)
+        lpio.export_lp(model, tmp_path / "blocks.lp")
+        assert (tmp_path / "blocks.lp").read_bytes() == (tmp_path / "whole.lp").read_bytes()
+        text = (tmp_path / "whole.lp").read_text()
+        assert text == "\n".join(lpio._lp_lines(model)) + "\n"
+
+    def test_write_failing_mid_stream_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "first block\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            materials.write_atomic(tmp_path / "model.lp", chunks())
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         cat = desk_catalog()

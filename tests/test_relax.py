@@ -403,6 +403,14 @@ def slogdet_dominating_fits(pts, gvals, subsets):
     return alpha
 
 
+@pytest.mark.parametrize("count", range(5, 31))
+def test_subset_blocks_are_combinations_in_order(count):
+    blocks = list(relax._subset_blocks(count))
+    assert all(len(b) == relax.FIT_BLOCK for b in blocks[:-1])
+    assert all(b.dtype == np.intp for b in blocks)
+    assert np.concatenate(blocks).tolist() == [list(c) for c in combinations(range(count), 5)]
+
+
 class TestSingularFits:
     def test_repeated_candidate_matches_slogdet_filter(self):
         box = Box4((-2.0, -1.0, -3.0, 0.5), (1.0, 2.0, 0.0, 4.0))

@@ -1,9 +1,15 @@
+import dataclasses
 import json
 import random
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filmopt import optics, solver
+from filmopt.arrayops import LeafScreen
 from filmopt.errors import InadmissibleDesign, InstanceTooLarge
 from filmopt.materials import CatalogConfig, build_catalog
 from filmopt.solver import (
@@ -174,6 +180,59 @@ class TestBranchAndBound:
         assert r1.design == r2.design
         assert r1.nodes_explored == r2.nodes_explored
         assert r1.objective == r2.objective
+
+
+def near_tied_catalog(seed: int):
+    """Six layers of seven thicknesses, three of them within 1e-9 to 1e-3 nm of another."""
+    rng = random.Random(seed)
+
+    def grid() -> tuple[float, ...]:
+        base = rng.sample(range(20, 300, 10), 4)
+        return tuple(sorted(base + [t + rng.choice((1e-9, 1e-6, 1e-3)) for t in base[:3]]))
+
+    tables = {"A": flat_table("A", rng.uniform(2.0, 2.6), rng.uniform(2.0, 2.6)),
+              "B": flat_table("B", rng.uniform(1.3, 1.6), rng.uniform(1.3, 1.6)),
+              "S": flat_table("S", rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0),
+                              rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0))}
+    cfg = CatalogConfig(substrate="S", materials=("A", "B"),
+                        thicknesses={"A": grid(), "B": grid()},
+                        wavelengths=tuple(sorted(rng.sample(range(400, 1001, 50), 3))),
+                        layers=6, alternating=True)
+    return build_catalog(cfg, tables)
+
+
+def _untimed(report):
+    return dataclasses.replace(report, wall_time_s=0.0)
+
+
+class TestFloat32Screen:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_reports_identical_to_float64_only_on_near_ties(self, seed):
+        """Forcing every block through float64 (margin inf) is the path before the screen."""
+        cat = near_tied_catalog(seed)
+        with patch.object(solver, "SCREEN_MIN_ENTRIES", 0):
+            screened = [brute_force(cat), branch_and_bound(cat)]
+            with patch.object(LeafScreen, "margin", lambda *args: np.inf):
+                plain = [brute_force(cat), branch_and_bound(cat)]
+        assert [_untimed(r) for r in screened] == [_untimed(r) for r in plain]
+
+    def test_mo_410_scores_few_blocks_in_float64(self, data_tables):
+        cat = build_catalog(single_wavelength_config("Molybdenum", 410.0), data_tables)
+        scored = []
+        kernel = solver.weighted_reflectance4
+
+        def counted(*args):
+            scored.append(1)
+            return kernel(*args)
+
+        with patch.object(solver, "weighted_reflectance4", counted):
+            report = brute_force(cat)
+        blocks = cat.layer_matrices[0].shape[0] * cat.layer_matrices[1].shape[0]
+        assert report.nodes_explored == cat.design_count()
+        assert len(scored) <= blocks // 10
+        with patch.object(LeafScreen, "margin", lambda *args: np.inf):
+            assert _untimed(brute_force(cat)) == _untimed(report)
 
 
 class TestReportSerialization:
