@@ -22,11 +22,12 @@ from filmopt.heuristics import (
     comparison_csv,
     quarter_wave_design,
 )
-from filmopt.materials import CatalogConfig, build_catalog, load_tables, progression
+from filmopt.materials import DATA_DIR, CatalogConfig, build_catalog, load_dispersion, progression
 
 THETA1 = {"TiO2": tuple(float(t) for t in range(20, 141, 10)),
           "MgF2": tuple(float(t) for t in range(50, 281, 10))}
 SUBSTRATES = ("Molybdenum", "Niobium", "Tantalum", "Tungsten")
+MATERIALS = ("TiO2", "MgF2", *SUBSTRATES)
 KS_TARGETS = (450.0, 500.0, 750.0, 900.0, 1000.0, 1200.0, 1500.0, 2000.0, 2200.0)
 
 
@@ -72,14 +73,7 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true", help="one substrate, three wavelengths")
     args = parser.parse_args()
 
-    cfg = CatalogConfig(
-        substrate="Molybdenum", materials=("TiO2", "MgF2"), thicknesses=THETA1,
-        wavelengths=(550.0,), layers=1)
-    tables = load_tables(cfg)
-    for sub in SUBSTRATES:
-        from filmopt.materials import DATA_DIR, load_dispersion
-        tables[sub] = load_dispersion(DATA_DIR / f"{sub}.csv")
-
+    tables = {m: load_dispersion(DATA_DIR / f"{m}.csv") for m in MATERIALS}
     substrates = SUBSTRATES[:1] if args.quick else SUBSTRATES
     wavelengths = (370, 410, 770) if args.quick else range(370, 771, 40)
 

@@ -76,12 +76,10 @@ def compare_methods(
     designs: Sequence[tuple[str, Design]],
     coating_tables: Mapping[str, DispersionTable],
     substrate_table: DispersionTable,
-    visible_grid: tuple[float, float, float] = VISIBLE_GRID,
-    broad_grid: tuple[float, float, float] = BROAD_GRID,
 ) -> list[ComparisonRow]:
     """Visible/broad averages for each named design, via the shared evaluator."""
-    vis = progression(*visible_grid)
-    broad = progression(*broad_grid)
+    vis = progression(*VISIBLE_GRID)
+    broad = progression(*BROAD_GRID)
     rows = []
     for name, design in designs:
         _, vavg = evaluate_design_on_grid(design, coating_tables, substrate_table, vis)

@@ -7,6 +7,15 @@ significant digits, so a parse-back reproduces the exact doubles and a
 re-emission is byte-identical.  Long expressions wrap onto continuation
 lines indented by two spaces; item lines are indented by one.
 
+:func:`import_lp` reads that dialect in one pass over the lines, with one
+term grammar.  An expression is a run of terms ``[+|-] [coef] name``: a
+missing coefficient is 1, and a coefficient followed by a sign, a bracket
+or the end is a constant.  Inside ``[ ]`` each name is followed by
+``* name`` or ``^ 2``.  A row is ``name: expression sense rhs``, a bounds
+line ``lo <= name <= hi``.  A name that starts like a number, an operator
+or a bracket (``0-9 . + - [ ] * ^ < > =``), a ``-`` before ``[`` (the writer
+puts ``+``), and a malformed bracket term are a ``ParseError``.
+
 Solution files are plain `name value` pairs, one per line.
 """
 from __future__ import annotations
@@ -130,192 +139,146 @@ def _lp_lines(model: Model) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # Parsing
 
+_SECTIONS = {"maximize", "minimize", "subject to", "bounds", "binaries", "end"}
+_SENSES = {"<=", ">=", "="}
+#: Tokens after which a coefficient stands alone, as a constant.
+_TERM_ENDS = {"+", "-", "[", "]"}
+#: The first characters of numbers, operators and brackets, which no variable name may have.
+_NOT_NAME = frozenset("0123456789.+-[]*^<>=")
 
-def _logical_lines(text: str) -> tuple[list[str], str | None, list[str]]:
-    """Split into logical item lines, the model name, and header comments.
 
-    Two-space-indented lines continue the previous item; leading comment
-    lines (before any section) are the exported header.
+def _name(tok: str) -> str:
+    if tok[0] in _NOT_NAME:
+        raise ParseError(f"expected a variable name, got {tok!r}")
+    return tok
+
+
+def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], float] | None, float]:
+    """An expression's terms -> (linear coeffs, quadratic coeffs or None without ``[ ]``, constant).
+
+    ``float`` runs only where a coefficient may stand, so a name costs an
+    exception only where it stands without a coefficient.
     """
-    out: list[str] = []
-    header: list[str] = []
-    name: str | None = None
-    for raw in text.splitlines():
-        if raw.startswith("\\"):
-            if out:
-                continue
-            content = raw[1:].strip()
-            if name is None and content.startswith("Model:"):
-                name = content.split(":", 1)[1].strip()
-            else:
-                header.append(content)
-            continue
-        if not raw.strip():
-            continue
-        if raw.startswith("  ") and out:
-            out[-1] += " " + raw.strip()
-        else:
-            out.append(raw.rstrip())
-    return out, name, header
-
-
-def _parse_terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], float], float]:
-    """Signed term groups -> (linear coeffs, quadratic coeffs, constant)."""
     lin: dict[str, float] = {}
-    quad: dict[tuple[str, str], float] = {}
-    const = 0.0
-    sign = 1.0
-    i = 0
-    in_quad = False
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
-            sign = 1.0
+    quad: dict[tuple[str, str], float] | None = None
+    const, inside, i, n = 0.0, False, 0, len(tokens)
+    while i < n:
+        tok, sign = tokens[i], 1.0
+        i += 1
+        if tok == "+" or tok == "-":
+            if i == n:
+                raise ParseError(f"{tok!r} ends the expression")
+            sign, tok = (1.0 if tok == "+" else -1.0), tokens[i]
             i += 1
-            continue
-        if tok == "-":
-            sign = -1.0
-            i += 1
-            continue
-        if tok == "[":
-            in_quad = True
-            sign = 1.0
-            i += 1
-            continue
-        if tok == "]":
-            in_quad = False
-            sign = 1.0
-            i += 1
+            if tok == "]" or (tok == "[" and sign < 0):
+                raise ParseError(f"{tokens[i - 2]!r} before {tok!r}")
+        if tok == "[" or tok == "]":
+            if inside == (tok == "["):
+                raise ParseError(f"unbalanced {tok!r}")
+            inside = not inside
+            if quad is None:
+                quad = {}
             continue
         try:
             coef = sign * float(tok)
         except ValueError:
-            raise ParseError(f"expected a coefficient, got {tok!r}")
-        if i + 1 < len(tokens) and tokens[i + 1] not in {"+", "-", "]", "["} and not _is_number(tokens[i + 1]):
-            name = tokens[i + 1]
-            if in_quad:
-                if i + 3 < len(tokens) and tokens[i + 2] == "*":
-                    quad[(name, tokens[i + 3])] = quad.get((name, tokens[i + 3]), 0.0) + coef
-                    i += 4
-                elif i + 3 < len(tokens) and tokens[i + 2] == "^" and tokens[i + 3] == "2":
-                    quad[(name, name)] = quad.get((name, name), 0.0) + coef
-                    i += 4
-                else:
-                    raise ParseError(f"malformed quadratic term near {name!r}")
-            else:
-                lin[name] = lin.get(name, 0.0) + coef
-                i += 2
+            coef = sign
         else:
-            const += coef
+            if i == n or tokens[i] in _TERM_ENDS:
+                const += coef
+                continue
+            tok = tokens[i]
             i += 1
-        sign = 1.0
+        name = _name(tok)
+        if not inside:
+            lin[name] = lin.get(name, 0.0) + coef
+            continue
+        op = tokens[i:i + 2]
+        if op == ["^", "2"]:
+            pair = (name, name)
+        elif len(op) == 2 and op[0] == "*":
+            pair = (name, _name(op[1]))
+        else:
+            raise ParseError(f"malformed quadratic term: {' '.join(tokens[i - 1:i + 2])!r}")
+        quad[pair] = quad.get(pair, 0.0) + coef
+        i += 2
+    if inside:
+        raise ParseError("unclosed '['")
     return lin, quad, const
 
 
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def import_lp(path: str | Path) -> Model:
-    """Parse a file previously written by :func:`export_lp`."""
-    text = read_text(path)
-    lines, name, header = _logical_lines(text)
-    model = Model(name=name or Path(path).stem, header_comments=header)
+    """Parse LP text in the dialect :func:`export_lp` writes.
+
+    Lines indented by two spaces continue the line before; comment lines
+    before the first section are the header, the first ``Model:`` one
+    naming the model.  Variables appear in Bounds order, then Binaries
+    order, then the unlisted ones (free) by name.
+    """
+    text = read_text(path).replace("\n  ", " ")
+    model = Model(name="")
+    listed: dict[str, Variable] = {}
+    used: set[str] = set()
     section = None
-    sense = "max"
-    declared: dict[str, Variable] = {}
-    bounds_order: list[str] = []
-    binaries_order: list[str] = []
-
-    def ensure_var(name: str) -> None:
-        if name not in declared:
-            declared[name] = Variable(name, float("-inf"), float("inf"))
-
-    for line in lines:
-        stripped = line.strip()
-        lowered = stripped.lower()
-        if lowered in {"maximize", "minimize"}:
-            section = "objective"
-            sense = "max" if lowered == "maximize" else "min"
+    for raw in text.splitlines():
+        if raw.startswith("\\"):
+            if section is None:
+                content = raw[1:].strip()
+                if not model.name and content.startswith("Model:"):
+                    model.name = content[6:].strip()
+                else:
+                    model.header_comments.append(content)
             continue
-        if lowered == "subject to":
-            section = "constraints"
+        key = raw.strip().lower()
+        if key in _SECTIONS:
+            if key == "end":
+                break
+            section = key
+            if key in ("maximize", "minimize"):
+                section, model.objective.sense = "objective", key[:3]
             continue
-        if lowered == "bounds":
-            section = "bounds"
+        if not key:
             continue
-        if lowered == "binaries":
-            section = "binaries"
-            continue
-        if lowered == "end":
-            break
-        if section == "objective":
-            body = stripped.split(":", 1)[1] if ":" in stripped else stripped
-            lin, quad, const = _parse_terms(body.split())
-            if quad:
-                raise ParseError("quadratic objective not supported")
-            for n in lin:
-                ensure_var(n)
-            model.objective = Objective(coeffs=lin, constant=const, sense=sense)
-        elif section == "constraints":
-            if ":" not in stripped:
-                raise ParseError(f"constraint line without name: {stripped!r}")
-            name, body = stripped.split(":", 1)
-            tokens = body.split()
-            sense_pos = max(
-                (tokens.index(s) for s in ("<=", ">=", "=") if s in tokens),
-                default=-1,
-            )
-            if sense_pos < 0:
-                raise ParseError(f"{name}: no constraint sense")
-            csense = tokens[sense_pos]
-            try:
-                (rhs,) = map(float, tokens[sense_pos + 1:])
-            except ValueError:
-                raise ParseError(f"{name}: expected one number after {csense!r}") from None
-            lin, quad, const = _parse_terms(tokens[:sense_pos])
-            for n in lin:
-                ensure_var(n)
-            for n1, n2 in quad:
-                ensure_var(n1)
-                ensure_var(n2)
-            if quad:
-                model.quadratic.append(
-                    QuadraticConstraint(name.strip(), quad, lin, csense, rhs - const)
-                )
-            else:
-                model.linear.append(
-                    LinearConstraint(name.strip(), lin, csense, rhs - const)
-                )
-        elif section == "bounds":
-            toks = stripped.split()
+        if section == "bounds":
+            toks = raw.split()
             if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
-                raise ParseError(f"unsupported bounds line: {stripped!r}")
+                raise ParseError(f"unsupported bounds line: {raw.strip()!r}")
             try:
-                lo, vname, hi = float(toks[0]), toks[2], float(toks[4])
+                lo, hi = float(toks[0]), float(toks[4])
             except ValueError:
-                raise ParseError(f"non-numeric bound: {stripped!r}") from None
-            ensure_var(vname)
-            declared[vname].lower = lo
-            declared[vname].upper = hi
-            bounds_order.append(vname)
+                raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
+            listed[_name(toks[2])] = Variable(toks[2], lo, hi)
         elif section == "binaries":
-            for vname in stripped.split():
-                ensure_var(vname)
-                declared[vname].kind = "binary"
-                declared[vname].lower = 0.0
-                declared[vname].upper = 1.0
-                binaries_order.append(vname)
+            for vname in raw.split():
+                listed[_name(vname)] = Variable(vname, 0.0, 1.0, "binary")
+        elif section == "objective":
+            head, colon, body = raw.partition(":")
+            lin, quad, const = _terms((body if colon else head).split())
+            if quad is not None:
+                raise ParseError("quadratic objective not supported")
+            model.objective = Objective(lin, const, model.objective.sense)
+            used.update(lin)
+        elif section == "subject to":
+            row, colon, body = raw.partition(":")
+            tokens = body.split()
+            if not colon or len(tokens) < 2 or tokens[-2] not in _SENSES:
+                raise ParseError(f"expected 'name: terms sense rhs', got {raw.strip()!r}")
+            try:
+                rhs = float(tokens[-1])
+            except ValueError:
+                raise ParseError(f"{row.strip()}: expected a number after {tokens[-2]!r}") from None
+            lin, quad, const = _terms(tokens[:-2])
+            used.update(lin)
+            if quad is None:
+                model.linear.append(LinearConstraint(row.strip(), lin, tokens[-2], rhs - const))
+            else:
+                used.update(*quad)
+                model.quadratic.append(QuadraticConstraint(row.strip(), quad, lin, tokens[-2], rhs - const))
         else:
-            raise ParseError(f"content outside any section: {stripped!r}")
-
-    listed = bounds_order + binaries_order
-    leftover = sorted(set(declared) - set(listed))
-    model.variables = [declared[n] for n in listed + leftover]
+            raise ParseError(f"content outside any section: {raw.strip()!r}")
+    model.name = model.name or Path(path).stem
+    unlisted = sorted(used.difference(listed))
+    model.variables = [*listed.values(), *(Variable(n, float("-inf"), float("inf")) for n in unlisted)]
     return model
 
 

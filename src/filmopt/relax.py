@@ -130,14 +130,14 @@ class Hyperplane:
         )
 
 
-def _inside(v: float, lo: float, hi: float, tol: float = POINT_TOL) -> bool:
-    return lo - tol <= v <= hi + tol
+def _inside(v: float, lo: float, hi: float) -> bool:
+    return lo - POINT_TOL <= v <= hi + POINT_TOL
 
 
-def _dedupe(points: list[tuple[float, ...]], tol: float = POINT_TOL) -> list[tuple[float, ...]]:
+def _dedupe(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     kept: list[tuple[float, ...]] = []
     for p in points:
-        if not any(max(abs(a - b) for a, b in zip(p, q)) <= tol for q in kept):
+        if not any(max(abs(a - b) for a, b in zip(p, q)) <= POINT_TOL for q in kept):
             kept.append(p)
     return kept
 

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from filmopt import bounds, lpio, materials, relax, solver
 from filmopt.errors import (
@@ -15,8 +17,11 @@ from filmopt.errors import (
 )
 from filmopt.materials import CatalogConfig, build_catalog
 from filmopt.model import (
+    LinearConstraint,
     Model,
     Objective,
+    QuadraticConstraint,
+    Variable,
     build_miqcp,
     build_misocp,
     design_point,
@@ -178,6 +183,38 @@ class TestZeroLayers:
             assert p1.read_bytes() == p2.read_bytes()
 
 
+coefficients = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     -1.7976931348623157e308, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+senses = st.sampled_from(["<=", ">=", "="])
+row_names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
+
+
+@st.composite
+def lp_models(draw):
+    """Small valid models: binary and bounded continuous variables, linear and quadratic rows."""
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True),
+                          min_size=1, max_size=8, unique=True))
+    variables = [
+        Variable(n, 0.0, 1.0, "binary") if draw(st.booleans())
+        else Variable(n, *sorted(draw(st.tuples(coefficients, coefficients))))
+        for n in names
+    ]
+    terms = st.dictionaries(st.sampled_from(names), coefficients, max_size=12)
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    linear = [LinearConstraint(draw(row_names), draw(terms), draw(senses), draw(coefficients))
+              for _ in range(draw(st.integers(0, 3)))]
+    quadratic = [
+        QuadraticConstraint(draw(row_names), draw(st.dictionaries(pairs, coefficients, min_size=1, max_size=4)),
+                            draw(terms), draw(senses), draw(coefficients))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    objective = Objective(draw(terms), draw(coefficients), draw(st.sampled_from(["max", "min"])))
+    return Model(draw(row_names), variables, linear, quadratic, objective)
+
+
 class TestLpExport:
     def test_empty_model_is_header_and_end(self, tmp_path):
         path = tmp_path / "empty.lp"
@@ -288,12 +325,39 @@ class TestLpExport:
         "Subject To\n c1: 1 x <=\nEnd\n",
         "Maximize\n obj: 1 x\nBounds\n 0 <= x <= zz\nEnd\n",
         "Subject To\n c1: 1 x <= 3 junk 7\nEnd\n",
-    ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound", "tokens-after-rhs"])
+        "Subject To\n q1: - [ 2 x ^ 2 ] <= 1\nEnd\n",
+        "Subject To\n q1: [ 1 x * ] <= 1\nEnd\n",
+        "Subject To\n c1: 3 4 x <= 1\nEnd\n",
+        "Subject To\n q1: [ 1 x ^ 2 <= 1\nEnd\n",
+    ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound", "tokens-after-rhs",
+            "minus-before-bracket", "star-without-name", "number-as-name", "unclosed-bracket"])
     def test_parse_error_on_bad_numbers(self, tmp_path, text):
         p = tmp_path / "bad.lp"
         p.write_text(text)
         with pytest.raises(ParseError):
             lpio.import_lp(p)
+
+    def test_missing_coefficient_is_one(self, tmp_path):
+        p = tmp_path / "implicit.lp"
+        p.write_text("Maximize\n obj: x\nSubject To\n c1: x + y <= 1\n c2: - x >= -3\n"
+                     " q1: y + [ x * y - x ^ 2 ] <= 2\nEnd\n")
+        m = lpio.import_lp(p)
+        assert m.objective.coeffs == {"x": 1.0}
+        assert [(c.name, c.coeffs, c.sense, c.rhs) for c in m.linear] == [
+            ("c1", {"x": 1.0, "y": 1.0}, "<=", 1.0), ("c2", {"x": -1.0}, ">=", -3.0)]
+        (q,) = m.quadratic
+        assert (q.lin, q.quad) == ({"y": 1.0}, {("x", "y"): 1.0, ("x", "x"): -1.0})
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lp_models())
+    def test_random_models_round_trip_exactly(self, tmp_path, model):
+        p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"
+        lpio.export_lp(model, p1)
+        parsed = lpio.import_lp(p1)
+        assert models_close(model, parsed, rtol=0)
+        lpio.export_lp(parsed, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_parse_error_on_non_utf8(self, tmp_path):
         p = tmp_path / "bad.lp"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from filmopt import cli, solver
+from filmopt import cli, lpio, solver
 from filmopt.errors import ConfigError, FilmoptError, ParseError
 from filmopt.materials import CatalogConfig
 
@@ -105,6 +105,22 @@ class TestConfigJson:
         assert cfg.thicknesses["TiO2"] == THETA1["TiO2"]
         assert cfg.thicknesses["MgF2"] == (50.0, 60.0)
         assert cfg.weights == (1.0,) * 11
+
+
+LP_TOKENS = ["Maximize", "Minimize", "Subject To", "Bounds", "Binaries", "End", "\\ Model: m", "\\",
+             "obj:", "c1:", ":", "+", "-", "[", "]", "*", "^", "2", "0", "1.5", "-3", "1e999", "inf",
+             "nan", "x", "y_1", "<=", ">=", "=", "\n", "\n ", "\n  "]
+
+
+class TestLpText:
+    @fuzz
+    @given(st.lists(st.sampled_from(LP_TOKENS) | st.text(max_size=4), max_size=40))
+    def test_token_soup(self, tmp_path, tokens):
+        p = tmp_path / "model.lp"
+        p.write_text(" ".join(tokens), encoding="utf-8")
+        model = only_filmopt_errors(lpio.import_lp, p)
+        if model is not None:
+            assert all(v.name[0] not in "0123456789.+-[]*^<>=" for v in model.variables)
 
 
 class TestCatalogSize:
