@@ -207,8 +207,16 @@ def extreme_points_2d(
 
 
 def collect_candidates(box: Box4) -> np.ndarray:
-    """Harvest extreme-point candidates from all sixteen corner slices, as (n, 4) x-rows."""
-    lo, hi = box.lower, box.upper
+    """Harvest extreme-point candidates from all sixteen corner slices, as (n, 4) x-rows.
+
+    A side no wider than ``POINT_TOL`` is one value at that tolerance: it is
+    collapsed to its lower end, and every candidate is put on it.  Harvested
+    from both faces, such a side would have some candidates deduped across
+    the faces and others kept apart, a lopsided set whose fits are steep.
+    """
+    lo = box.lower
+    flat = [h - l <= POINT_TOL for l, h in zip(lo, box.upper)]
+    hi = tuple(l if f else h for l, h, f in zip(lo, box.upper, flat))
     points: list[tuple[float, float, float, float]] = []
     for x1 in (lo[0], hi[0]):
         for x2 in (lo[1], hi[1]):
@@ -220,6 +228,8 @@ def collect_candidates(box: Box4) -> np.ndarray:
             beta = 1.0 - x3 * x4
             for y1, y2 in extreme_points_2d((lo[0], hi[0]), (lo[1], hi[1]), beta):
                 points.append((y1, y2, x3, x4))
+    if any(flat):
+        points = [tuple(l if f else v for v, l, f in zip(p, lo, flat)) for p in points]
     points = _dedupe(points)
     if not points:
         raise EmptyCandidateSet("no extreme-point candidates inside the box")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 from scipy.optimize import linprog
@@ -113,6 +113,15 @@ class TestCollectCandidates:
     def test_identity_point_box(self):
         box = Box4((1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
         assert collect_candidates(box).tolist() == [[1.0, 1.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("width", [0.0, 1e-10, 1e-9])
+    def test_side_within_point_tol_is_collapsed(self, width):
+        """Both faces of x4 are one at POINT_TOL, so every candidate lies on the lower one."""
+        box = Box4((0.0, 0.0, -1.0, -1.0), (1.0, 2.0, 0.25, -1.0 + width))
+        pts = collect_candidates(box)
+        assert (pts[:, 3] == -1.0).all()
+        with pytest.raises(NoValidHyperplane):
+            generate_overapproximators(box, ComplexIndex(1.0, 1.0))
 
     def test_symmetric_box_symmetry(self):
         a = 1.5
@@ -449,6 +458,8 @@ class TestConcaveEnvelope:
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(interval, min_size=4, max_size=4), st.floats(0.5, 5.0), st.floats(0.0, 5.0))
+    # x4 narrower than POINT_TOL: harvested from both faces, it left a lopsided set.
+    @example(intervals=[(0.0, 1.0), (0.0, 2.0), (-1.0, 0.25), (-1.0, 1e-9)], n=1.0, k=1.0)
     def test_hypothesis_boxes(self, intervals, n, k):
         box = Box4(tuple(lo for lo, _ in intervals), tuple(lo + w for lo, w in intervals))
         sub = ComplexIndex(n, k)
