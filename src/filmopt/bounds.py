@@ -1,13 +1,13 @@
-"""Entrywise bounds on cumulative layer-matrix products by corner propagation.
+"""Entrywise bounds on cumulative layer-matrix products by interval propagation.
 
-For a fixed right multiplier T, every entry of B*T is linear in the entries
-of B, so over a box of B-values the extremes are attained at box corners.
-Propagating the 16 corner matrices through every admissible choice of the
-next layer therefore yields sound entrywise bounds on all reachable partial
-products.  The same argument applied right-to-left bounds the product of the
-*remaining* layers, which is what the branch-and-bound search uses.  Both
-directions are one propagation over ``Catalog.layer_matrices`` that steps
-every wavelength at once.
+For a fixed layer matrix T, each entry of T*S is a linear combination of two
+entries of S, so one interval product (``arrayops.interval_product4``) gives
+the exact range of T*S over a box of S.  Its min/max over every admissible
+choice of the next layer bounds all reachable partial products.  Right to
+left this bounds the product of the *remaining* layers, which the
+branch-and-bound search uses; left to right it runs on transposes.  Both are
+one propagation over ``Catalog.layer_matrices`` for every wavelength at once.
+The scalar functions at the end are the test oracles of the box kernels.
 
 Bound arrays have shape (L, N+1, 4): wavelength index, prefix length
 (0..N, where 0 is the bare identity), entry in (a11, a12, a21, a22) order.
@@ -19,9 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .arrayops import denominator4, mul4
+from .arrayops import interval_product4
 from .materials import Catalog
-from .optics import ComplexIndex, StructuredMatrix
+from .optics import ComplexIndex, StructuredMatrix, denominator_D
 
 _IDENTITY4 = np.array([1.0, 0.0, 0.0, 1.0])
 
@@ -46,34 +46,21 @@ class EntryBounds:
         return self.lower[wavelength_idx, depth], self.upper[wavelength_idx, depth]
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for li, wl in enumerate(self.wavelengths):
-            layers = []
-            for n in range(self.lower.shape[1]):
-                layers.append(
-                    [[self.lower[li, n, e], self.upper[li, n, e]] for e in range(4)]
-                )
-            out[f"{wl:g}"] = layers
-        return out
-
-
-#: Row i picks hi[e] where set and lo[e] elsewhere: the 16 corners of a box.
-_CORNER_PICKS = np.array(list(product((False, True), repeat=4)))
-
-
-def _corner_matrices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The (..., 16, 4) corner combinations of entrywise boxes (..., 4)."""
-    return np.where(_CORNER_PICKS, hi[..., None, :], lo[..., None, :])
+        """Per wavelength, per depth, the four entries' [lo, hi] pairs."""
+        pairs = np.stack([self.lower, self.upper], axis=-1).tolist()
+        return {f"{wl:g}": pairs[li] for li, wl in enumerate(self.wavelengths)}
 
 
 def _propagate(catalog: Catalog, forward: bool) -> EntryBounds:
-    """Corner propagation over all wavelengths at once, in either direction.
+    """Interval propagation over all wavelengths at once, in either direction.
 
     Forward, the box at depth n bounds the product of layers 1..n and the
     next layer multiplies from the right; backward, the box at depth k
     bounds the product of layers k+1..N and the next layer multiplies from
-    the left.  Either way each entry of the product is linear in the corner
-    matrix, so the corners of the previous box give the extremes.
+    the left.  Each step is one exact interval product per choice
+    (``interval_product4``, forward on transposes) and a min/max over the
+    choices.  It equals stepping the 16 box corners bit for bit: rounding is
+    monotone, so the least ``fl(u + v)`` over corners is ``fl(min u + min v)``.
     """
     n_layers = catalog.n_layers
     wls = catalog.spectrum.wavelengths
@@ -81,14 +68,13 @@ def _propagate(catalog: Catalog, forward: bool) -> EntryBounds:
     upper = np.empty_like(lower)
     start, depths = (0, range(1, n_layers + 1)) if forward else (n_layers, range(n_layers - 1, -1, -1))
     lower[:, start] = upper[:, start] = _IDENTITY4
-    corners = np.broadcast_to(_IDENTITY4, (len(wls), 1, 1, 4))
+    # swapping a12 and a21 transposes a matrix, and forward B T = (T^T B^T)^T
+    order = [0, 2, 1, 3] if forward else [0, 1, 2, 3]
     for depth in depths:
-        layer = depth - 1 if forward else depth
-        mats = catalog.layer_matrices[layer].transpose(1, 0, 2)[:, None]  # (L, 1, C, 4)
-        reached = mul4(corners, mats) if forward else mul4(mats, corners)
-        lo, hi = reached.min(axis=(1, 2)), reached.max(axis=(1, 2))
-        lower[:, depth], upper[:, depth] = lo, hi
-        corners = _corner_matrices(lo, hi)[:, :, None]  # (L, 16, 1, 4)
+        prev = depth - 1 if forward else depth + 1
+        mats = catalog.layer_matrices[min(depth, prev)][..., order]  # (C, L, 4)
+        lo, hi = interval_product4(mats, lower[:, prev][:, order], upper[:, prev][:, order])
+        lower[:, depth], upper[:, depth] = lo.min(axis=0)[:, order], hi.max(axis=0)[:, order]
     return EntryBounds(wavelengths=tuple(wls), lower=lower, upper=upper)
 
 
@@ -137,6 +123,8 @@ def interval_product_box(
 def max_denominator_over_box(
     lo: np.ndarray, hi: np.ndarray, substrate: ComplexIndex
 ) -> float:
-    """Maximum of the convex quadratic D over an entrywise box (corner max)."""
-    corners = _corner_matrices(lo, hi)
-    return float(denominator4(corners, substrate.re, substrate.im).max())
+    """Maximum of the convex quadratic D over an entrywise box: the largest D at its 16 corners."""
+    return max(
+        denominator_D(StructuredMatrix(*corner), substrate)
+        for corner in product(*zip(lo.tolist(), hi.tolist()))
+    )

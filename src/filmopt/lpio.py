@@ -14,12 +14,14 @@ or the end is a constant.  Inside ``[ ]`` each name is followed by
 ``* name`` or ``^ 2``.  A row is ``name: expression sense rhs``, a bounds
 line ``lo <= name <= hi``.  A name that starts like a number, an operator
 or a bracket (``0-9 . + - [ ] * ^ < > =``), a ``-`` before ``[`` (the writer
-puts ``+``), and a malformed bracket term are a ``ParseError``.
+puts ``+``), a malformed bracket term, a NaN anywhere and an infinite
+coefficient, constant or right-hand side are a ``ParseError``.
 
 Solution files are plain `name value` pairs, one per line.
 """
 from __future__ import annotations
 
+import math
 from itertools import islice
 from pathlib import Path
 from typing import Iterator
@@ -147,6 +149,14 @@ _TERM_ENDS = {"+", "-", "[", "]"}
 _NOT_NAME = frozenset("0123456789.+-[]*^<>=")
 
 
+def _finite(tok: str) -> float:
+    """``float(tok)``; a ValueError unless it is a finite number."""
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {tok!r}")
+    return value
+
+
 def _name(tok: str) -> str:
     if tok[0] in _NOT_NAME:
         raise ParseError(f"expected a variable name, got {tok!r}")
@@ -184,6 +194,8 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
         except ValueError:
             coef = sign
         else:
+            if not math.isfinite(coef):
+                raise ParseError(f"non-finite number {tok!r}")
             if i == n or tokens[i] in _TERM_ENDS:
                 const += coef
                 continue
@@ -247,6 +259,8 @@ def import_lp(path: str | Path) -> Model:
                 lo, hi = float(toks[0]), float(toks[4])
             except ValueError:
                 raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
+            if math.isnan(lo) or math.isnan(hi):
+                raise ParseError(f"NaN bound: {raw.strip()!r}")
             listed[_name(toks[2])] = Variable(toks[2], lo, hi)
         elif section == "binaries":
             for vname in raw.split():
@@ -264,9 +278,9 @@ def import_lp(path: str | Path) -> Model:
             if not colon or len(tokens) < 2 or tokens[-2] not in _SENSES:
                 raise ParseError(f"expected 'name: terms sense rhs', got {raw.strip()!r}")
             try:
-                rhs = float(tokens[-1])
+                rhs = _finite(tokens[-1])
             except ValueError:
-                raise ParseError(f"{row.strip()}: expected a number after {tokens[-2]!r}") from None
+                raise ParseError(f"{row.strip()}: expected a finite number after {tokens[-2]!r}") from None
             lin, quad, const = _terms(tokens[:-2])
             used.update(lin)
             if quad is None:
@@ -300,7 +314,7 @@ def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, floa
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'name value'")
         try:
-            values[parts[0]] = float(parts[1])
+            values[parts[0]] = _finite(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     design: list[tuple[str, float]] = []

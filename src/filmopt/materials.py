@@ -338,6 +338,8 @@ def build_catalog(
         raise ConfigError("layer count must be nonnegative")
     if not config.materials:
         raise ConfigError("at least one coating material required")
+    if len(set(config.materials)) != len(config.materials):
+        raise ConfigError(f"coating materials repeat: {list(config.materials)}")
     for mat in (config.substrate, *config.materials):
         if mat not in tables:
             raise MissingDispersion(f"no dispersion table for {mat!r}")

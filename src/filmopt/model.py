@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
-from . import bounds as bounds_mod
+from .arrayops import box_max_denominator4
 from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
 from .materials import Catalog
@@ -100,6 +101,14 @@ class Model:
         missing = referenced - declared
         if missing:
             raise ValueError(f"constraints reference undeclared variables: {sorted(missing)[:5]}")
+        for row, rhs, coeffs in chain(
+            [("objective", self.objective.constant, self.objective.coeffs.values())],
+            ((c.name, c.rhs, c.coeffs.values()) for c in self.linear),
+            ((q.name, q.rhs, [*q.lin.values(), *q.quad.values()]) for q in self.quadratic),
+        ):
+            # a finite sum proves every term finite; only an overflowing one needs the terms
+            if not math.isfinite(rhs + sum(coeffs)) and not all(map(math.isfinite, [rhs, *coeffs])):
+                raise ValueError(f"{row}: non-finite coefficient, constant or right-hand side")
 
     def objective_value(self, values: dict[str, float]) -> float:
         return self.objective.constant + sum(
@@ -276,10 +285,9 @@ def _structure(catalog: Catalog, entry_bounds: EntryBounds, name: str) -> Model:
         model.variables.extend(
             Variable(w_name(li, tag), lo, hi) for tag, lo, hi in zip(ENTRY_TAGS, lower[-1], upper[-1])
         )
-    for li in range(n_wl):
-        sub = catalog.substrate_indices[li]
+    for li, sub in enumerate(catalog.substrate_indices):
         lo, hi = entry_bounds.box(li, n_layers)
-        dmax = bounds_mod.max_denominator_over_box(lo, hi, sub)
+        dmax = float(box_max_denominator4(lo, hi, sub.re, sub.im))
         model.variables.append(Variable(d_name(li), 0.0, dmax))
         model.variables.append(Variable(f_name(li), 0.0, 2.0))
 

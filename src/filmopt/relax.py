@@ -47,8 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .arrayops import denominator4
-from .bounds import EntryBounds, max_denominator_over_box
+from .arrayops import box_max_denominator4, denominator4
+from .bounds import EntryBounds
 from .errors import (
     EmptyCandidateSet,
     InconsistentBounds,
@@ -94,15 +94,14 @@ class Box4:
             raise InconsistentBounds(f"bad box {self.lower} > {self.upper}")
 
     @classmethod
-    def from_entry_bounds(cls, eb: EntryBounds, wavelength_idx: int, depth: int | None = None) -> "Box4":
+    def from_entry_bounds(cls, eb: EntryBounds, wavelength_idx: int) -> "Box4":
         """Final-layer box in x-order; entry arrays store (a11, a12, a21, a22)."""
-        n = eb.lower.shape[1] - 1 if depth is None else depth
-        lo, hi = eb.box(wavelength_idx, n)
+        lo, hi = eb.box(wavelength_idx, eb.lower.shape[1] - 1)
         return cls(tuple(lo[e] for e in X_ORDER), tuple(hi[e] for e in X_ORDER))
 
-    def contains(self, point: Sequence[float], tol: float = POINT_TOL) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
         return all(
-            lo - tol <= v <= hi + tol
+            lo - POINT_TOL <= v <= hi + POINT_TOL
             for v, lo, hi in zip(point, self.lower, self.upper)
         )
 
@@ -264,7 +263,7 @@ def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> Hyperplane:
     It is lifted like the fitted planes, by ``2 * REL_TOL`` times its size.
     """
     lo, hi = np.array(box.lower)[_ENTRY_ORDER], np.array(box.upper)[_ENTRY_ORDER]
-    top = max_denominator_over_box(lo, hi, substrate)
+    top = float(box_max_denominator4(lo, hi, substrate.re, substrate.im))
     return Hyperplane(top + 2.0 * REL_TOL * abs(top), 0.0, 0.0, 0.0, 0.0)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from filmopt import materials, optics
+from filmopt.arrayops import mul4
 from filmopt.materials import CatalogConfig, DispersionTable, build_catalog
 from filmopt.model import ENTRY_TAGS, Model, _labels, d_name, f_name, w_name
 
@@ -36,8 +37,11 @@ def flat_table(material_id: str, n0: float, n1: float, k0: float = 0.0, k1: floa
 
 
 def random_catalog(rng: random.Random, max_layers: int = 4, max_choices: int = 6,
-                   max_wavelengths: int = 3):
-    """Small synthetic instance: two dielectric coatings on a lossy substrate."""
+                   max_wavelengths: int = 3, alternating: bool | None = None):
+    """Small synthetic instance: two dielectric coatings on a lossy substrate.
+
+    The layer mode is drawn at random unless `alternating` fixes it.
+    """
     n_layers = rng.randint(1, max_layers)
     n_wl = rng.randint(1, max_wavelengths)
     wls = tuple(sorted(rng.sample(range(350, 2001, 25), n_wl)))
@@ -57,9 +61,39 @@ def random_catalog(rng: random.Random, max_layers: int = 4, max_choices: int = 6
         thicknesses={"A": grid(), "B": grid()},
         wavelengths=tuple(float(w) for w in wls),
         layers=n_layers,
-        alternating=bool(rng.getrandbits(1)),
+        alternating=bool(rng.getrandbits(1)) if alternating is None else alternating,
     )
     return build_catalog(cfg, tables), tables
+
+
+#: Row i picks hi[e] where set and lo[e] elsewhere: the 16 corners of a box.
+_CORNER_PICKS = np.array(list(itertools.product((False, True), repeat=4)))
+
+
+def corner_propagation(catalog, forward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bound arrays by stepping the 16 corners of each box.
+
+    Reference for ``bounds.tighten_bounds`` (forward) and
+    ``bounds.suffix_product_bounds``: each step multiplies every corner of
+    the previous box by every choice of the next layer (from the right
+    going forward, from the left going backward) and takes the entrywise
+    min/max of all the products.
+    """
+    n_layers = catalog.n_layers
+    n_wl = len(catalog.spectrum)
+    identity = np.array([1.0, 0.0, 0.0, 1.0])
+    lower = np.empty((n_wl, n_layers + 1, 4))
+    upper = np.empty_like(lower)
+    start, depths = (0, range(1, n_layers + 1)) if forward else (n_layers, range(n_layers - 1, -1, -1))
+    lower[:, start] = upper[:, start] = identity
+    corners = np.broadcast_to(identity, (n_wl, 1, 1, 4))
+    for depth in depths:
+        mats = catalog.layer_matrices[depth - 1 if forward else depth].transpose(1, 0, 2)[:, None]
+        reached = mul4(corners, mats) if forward else mul4(mats, corners)
+        lo, hi = reached.min(axis=(1, 2)), reached.max(axis=(1, 2))
+        lower[:, depth], upper[:, depth] = lo, hi
+        corners = np.where(_CORNER_PICKS, hi[..., None, :], lo[..., None, :])[:, :, None]
+    return lower, upper
 
 
 def enumerate_designs(catalog):

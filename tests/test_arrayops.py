@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filmopt import bounds, optics, solver
@@ -40,12 +40,15 @@ substrate = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(entries4, widths4, substrate)
+@example((2.5, 6.5, 10.5, -0.25), (0.0, 0.0, 0.0, 0.0), ComplexIndex(4.7, 5.4))
+@example((-3.25, 7.0, -4.25, -7.75), (1e-9, 1e-9, 1e-9, 1e-9), ComplexIndex(5.7, 6.6))
+@example((-9.0, -1.75, -8.5, -4.5), (1e-9, 1e-9, 0.0, 3.75), ComplexIndex(5.8, 1.5))
+@example((-1.75, -8.75, -11.75, -9.0), (15.25, 9.0, 0.0, 1.0), ComplexIndex(3.4, 6.7))
 def test_separable_box_max_equals_sixteen_corner_oracle(lo, w, sub):
     lo = np.array(lo)
     hi = lo + np.array(w)
     want = bounds.max_denominator_over_box(lo, hi, sub)
-    got = box_max_denominator4(lo, hi, sub.re, sub.im)
-    assert abs(got - want) <= RTOL * want
+    assert box_max_denominator4(lo, hi, sub.re, sub.im) == want
 
 
 @settings(max_examples=300, deadline=None)

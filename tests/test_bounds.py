@@ -15,7 +15,9 @@ from filmopt.errors import InternalError
 from filmopt.materials import CatalogConfig, build_catalog
 from filmopt.optics import ComplexIndex, StructuredMatrix
 
-from conftest import enumerate_designs, flat_table, random_catalog, single_wavelength_config
+from conftest import (
+    corner_propagation, enumerate_designs, flat_table, random_catalog, single_wavelength_config,
+)
 
 TOL = 1e-9
 
@@ -108,6 +110,17 @@ class TestTightenBounds:
                     e = np.array(m.entries())
                     assert np.all(e >= sb.lower[li, k] - TOL)
                     assert np.all(e <= sb.upper[li, k] + TOL)
+
+    @pytest.mark.parametrize("alternating", [True, False])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_corner_propagation_bit_for_bit(self, seed, alternating):
+        cat, _ = random_catalog(random.Random(5000 + seed), max_layers=6, max_choices=10,
+                                alternating=alternating)
+        for forward, propagate in ((True, tighten_bounds), (False, suffix_product_bounds)):
+            lower, upper = corner_propagation(cat, forward)
+            got = propagate(cat)
+            assert got.lower.tobytes() == lower.tobytes()  # bytes: -0.0 differs from 0.0
+            assert got.upper.tobytes() == upper.tobytes()
 
     def test_json_dump_shape(self):
         rng = random.Random(3)

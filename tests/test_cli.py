@@ -235,6 +235,17 @@ class TestExitCodes:
         assert repr(name) in capsys.readouterr().err
         assert not (out / "model.lp").exists()
 
+    @pytest.mark.parametrize("command", [("optimize", "--mode", "brute"), ("export", "--kind", "miqcp")])
+    def test_repeated_coating_exit_1(self, command, tmp_path, capsys):
+        cfg = dict(CONFIG, materials=["TiO2", "TiO2"], alternating=False,
+                   thicknesses={"TiO2": [40, 100]}, layers=2)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run(*command, "--config", p, "--out", out) == 1
+        assert "repeat" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     def test_internal_error_exit_3(self, config_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise InternalError("search ended without an incumbent design")

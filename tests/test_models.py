@@ -271,6 +271,24 @@ class TestLpExport:
             lpio.export_lp(m, tmp_path / "model.lp")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model", [
+        Model("m", [Variable("x", 0.0, 1.0)], objective=Objective({"x": float("nan")})),
+        Model("m", [Variable("x", 0.0, 1.0)], objective=Objective({"x": 1.0}, float("inf"))),
+        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c1", {"x": float("-inf")}, "<=", 1.0)]),
+        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c1", {"x": 1.0}, "<=", float("nan"))]),
+        Model("m", [Variable("x", 0.0, 1.0)],
+              quadratic=[QuadraticConstraint("q1", {("x", "x"): float("inf")}, {}, "<=", 1.0)]),
+    ], ids=["objective-coefficient", "objective-constant", "linear-coefficient", "rhs",
+            "quadratic-coefficient"])
+    def test_non_finite_numbers_raise_and_write_nothing(self, model, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            lpio.export_lp(model, tmp_path / "model.lp")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finite_numbers_with_an_overflowing_sum_pass(self):
+        xy = [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)]
+        Model("m", xy, [LinearConstraint("c1", {"x": 1e308, "y": 1e308}, "<=", 1e308)]).validate()
+
     def test_imported_model_is_validated_before_writing(self, tmp_path):
         path = tmp_path / "in.lp"
         path.write_text("Maximize\n obj: 1 x\nSubject To\n c1: 1 x + 1 y <= 1\nBinaries\n x\nEnd\n")
@@ -329,8 +347,17 @@ class TestLpExport:
         "Subject To\n q1: [ 1 x * ] <= 1\nEnd\n",
         "Subject To\n c1: 3 4 x <= 1\nEnd\n",
         "Subject To\n q1: [ 1 x ^ 2 <= 1\nEnd\n",
+        "Maximize\n obj: x + nan\nEnd\n",
+        "Subject To\n c1: x + 1e999 <= 3\nEnd\n",
+        "Subject To\n c1: -inf x <= 3\nEnd\n",
+        "Subject To\n q1: [ nan x ^ 2 ] <= 1\nEnd\n",
+        "Subject To\n c1: x <= nan\nEnd\n",
+        "Subject To\n c1: x >= -inf\nEnd\n",
+        "Bounds\n nan <= x <= 1\nEnd\n",
     ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound", "tokens-after-rhs",
-            "minus-before-bracket", "star-without-name", "number-as-name", "unclosed-bracket"])
+            "minus-before-bracket", "star-without-name", "number-as-name", "unclosed-bracket",
+            "nan-constant", "inf-constant", "inf-coefficient", "nan-quadratic-coefficient",
+            "nan-rhs", "inf-rhs", "nan-bound"])
     def test_parse_error_on_bad_numbers(self, tmp_path, text):
         p = tmp_path / "bad.lp"
         p.write_text(text)
@@ -407,6 +434,14 @@ class TestImportSolution:
         p.write_bytes(b"x_1 \xff1\n")
         with pytest.raises(ParseError):
             lpio.import_solution(p, desk_catalog(n_layers=1))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_parse_error_on_non_finite_value(self, tmp_path, value):
+        cat = desk_catalog(n_layers=1)
+        p = tmp_path / "sol.txt"
+        p.write_text(f"{x_name(1, *cat.choices_at(1)[0])} {value}\n")
+        with pytest.raises(ParseError):
+            lpio.import_solution(p, cat)
 
     def test_rounding_at_half(self, tmp_path):
         cat = desk_catalog(n_layers=1)
