@@ -2,7 +2,7 @@
 
 Core surface: transfer-matrix reflectance evaluation in a real 2x2 carrier
 (:mod:`filmopt.optics`), dispersion-backed instance catalogs
-(:mod:`filmopt.materials`), corner-propagated entry bounds
+(:mod:`filmopt.materials`), interval-propagated entry bounds
 (:mod:`filmopt.bounds`), exact enumeration / branch-and-bound
 (:mod:`filmopt.solver`), affine overapproximators of the reflectance
 denominator (:mod:`filmopt.relax`), and solver-agnostic MIQCP/MISOCP model

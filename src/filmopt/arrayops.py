@@ -8,7 +8,6 @@ scalar API remains the guarded public surface.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -52,30 +51,25 @@ def denominator4(w: np.ndarray, a: float | np.ndarray, b: float | np.ndarray) ->
     return (x1 - b * x3) ** 2 + (a * x3) ** 2 + (x4 + b * x2) ** 2 + (a * x2) ** 2 + 2.0 * a
 
 
+_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+
+
 def interval_product4(
     p: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact entrywise range of P*S over S in the box [lo, hi], broadcasting (..., 4).
 
     Each entry of P*S is a fixed linear combination of two entries of S, so
-    the interval extension is tight (see bounds.interval_product_box).
+    the interval extension is tight.
     """
-    p11, p12, p21, p22 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    combos = (
-        ((p11, 0), (-p12, 2)),
-        ((p11, 1), (p12, 3)),
-        ((p21, 0), (p22, 2)),
-        ((p22, 3), (-p21, 1)),
-    )
-    shape = np.broadcast_shapes(p.shape, lo.shape)
-    out_lo = np.empty(shape)
-    out_hi = np.empty(shape)
-    for e, ((c1, e1), (c2, e2)) in enumerate(combos):
-        t1a, t1b = c1 * lo[..., e1], c1 * hi[..., e1]
-        t2a, t2b = c2 * lo[..., e2], c2 * hi[..., e2]
-        out_lo[..., e] = np.minimum(t1a, t1b) + np.minimum(t2a, t2b)
-        out_hi[..., e] = np.maximum(t1a, t1b) + np.maximum(t2a, t2b)
-    return out_lo, out_hi
+    # entry e of P*S is c1[e] S[e1[e]] + c2[e] S[e2[e]]:
+    # (p11 s11 - p12 s21, p11 s12 + p12 s22, p21 s11 + p22 s21, p22 s22 - p21 s12)
+    c1 = p[..., [0, 0, 2, 3]]
+    c2 = p[..., [1, 1, 3, 2]] * _SIGNS  # exact negation where the sign is -1
+    e1, e2 = [0, 1, 0, 3], [2, 3, 2, 1]
+    t1a, t1b = c1 * lo[..., e1], c1 * hi[..., e1]
+    t2a, t2b = c2 * lo[..., e2], c2 * hi[..., e2]
+    return np.minimum(t1a, t1b) + np.minimum(t2a, t2b), np.maximum(t1a, t1b) + np.maximum(t2a, t2b)
 
 
 def box_max_denominator4(
@@ -199,139 +193,167 @@ def weighted_reflectance4(
     return out
 
 
-_U32, _U64 = 2.0**-24, 2.0**-53
-_TINY32, _TINY64 = 2.0**-149, 2.0**-1074
-#: The screen runs only while every row and suffix entry is below this and
-#: every float32 denominator above its inverse.  Then float32 terms stay
-#: below 2^42, squares and sums below 2^85 and quotients below 2^117, so
-#: with weights summing to at most 2 nothing overflows float32.
-_SCREEN_LIMIT = 2.0**20
-
-
 def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u)
 
 
-class LeafScreen:
-    """Float32 upper bound on the float64 leaf scores of one suffix table.
+_U32, _U64 = 2.0**-24, 2.0**-53
+#: The screen runs only while every prefix and table entry, a and |b| are
+#: below this, so float32 terms stay below 2^51 and their squares below 2^103.
+_SCREEN_LIMIT = 2.0**16
+#: Largest T/ρ (see DenominatorScreen.margins) for which the float32 terms
+#: err by at most 2^-10 of √D.
+_Z_CAP = 2.0**-10 / _gamma(7, _U32)
 
-    Built once per (L, 4, K) table and its weights `phi`.  ``bound(rows)``
-    scores every column in float32, in chunks of the width of `work`, and
-    returns max obj32 + ``margin(...)``: no score
-    :func:`weighted_reflectance4` gives for `rows` exceeds it.  Both return
-    inf where the bound does not apply (entries or weights outside the
-    float32-safe range, or a denominator too small), and the caller then
-    scores in float64.  The float32 pass runs in the first half of the
-    caller's contiguous float64 work buffer `work`, which it needs only
-    between float64 passes, so the screen adds just the float32 table.
+
+class DenominatorScreen:
+    """Float32 upper bound on the float64 leaf scores of one suffix table, from denominators only.
+
+    For W = P*S with terms (n1, n2, d1, d2) of R = N/D (reflectance_rows4),
+    D - N = 4a det(W) exactly, where det(W) = w11 w22 + w12 w21 is
+    multiplicative under mul4.  So R = 1 - 4a det(P) det(S)/D, and if
+    0 < c <= det(P) det(S_k) on every column k, no weighted score of the
+    block exceeds Σφ - min_k Σ_l 4 φ_l a_l c_l / D_l[k]; only the two
+    denominator rows are needed.  Built once per (L, 4, K) table with
+    c_l = det(P_l) min_k det(S_lk).  ``margins`` prepares all prefixes at the
+    split at once; ``bound`` scores one of them in float32, in chunks of the
+    width of `work`.  The float32 pass runs in the first half of the
+    caller's float64 work buffer, which it needs only between float64
+    passes (the constructor also uses it as scratch).
     """
 
-    def __init__(self, suffix: np.ndarray, phi: np.ndarray, work: np.ndarray) -> None:
+    def __init__(
+        self, suffix: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray, work: np.ndarray
+    ) -> None:
         n_wl, _, k = suffix.shape
-        self.smax = np.maximum(suffix.max(axis=2), -suffix.min(axis=2))  # no |suffix| temporary
-        self.usable = bool(
-            self.smax.max() < _SCREEN_LIMIT
-            and np.all((phi == 0) | (phi >= 2.0**-100))
-            and phi.sum() <= 2
-        )
-        self.n_wl, self.phi_sum = n_wl, float(phi.sum())
-        if self.usable:
-            self.suffix = suffix.astype(np.float32)
-            self.phi = phi.astype(np.float32)
-            width = work.shape[2]
-            self.work = work.reshape(-1).view(np.float32)[: work.size].reshape(n_wl, 4, width)
-            self.out = np.empty(width, np.float32)
+        self.n_wl, self.k, self.phi = n_wl, k, phi
+        smax = np.maximum(suffix.max(axis=2), -suffix.min(axis=2))  # no |suffix| temporary
+        det_min, spread = np.full(n_wl, np.inf), np.zeros(n_wl)
+        for cols, count in _leaf_chunks(k, work.shape[2]):
+            x, y, det = work[:, 0, :count], work[:, 1, :count], work[:, 2, :count]
+            np.multiply(suffix[:, 0, cols], suffix[:, 3, cols], out=x)
+            np.multiply(suffix[:, 1, cols], suffix[:, 2, cols], out=y)
+            det_min = np.minimum(det_min, np.add(x, y, out=det).min(axis=1))
+            both = np.add(np.abs(x, out=x), np.abs(y, out=y), out=x)
+            spread = np.maximum(spread, both.max(axis=1))
+        limits = (det_min > 0) & (a > 0) & (a < _SCREEN_LIMIT) & (np.abs(b) < _SCREEN_LIMIT)
+        self.usable = bool(smax.max() < _SCREEN_LIMIT and limits.all() and np.all(phi >= 0) and phi.sum() <= 2)
+        if not self.usable:
+            return
+        self.det_min = det_min
+        self.eps_table = _gamma(3, _U64) * spread / det_min + _U64
+        # rows are linear in P: P @ den_map (L, 4, 8) gives the (d1, d2) rows of
+        # reflectance_rows4, |P| @ scale (L, 4, 2) the (T_d1, T_d2) of margins step 2
+        unit = reflectance_rows4(np.eye(4)[:, None], a, b)[:, :, 2:]  # the rows of P = e_i
+        self.den_map = unit.reshape(4, n_wl, 8).swapaxes(0, 1)
+        self.scale = (np.abs(self.den_map).reshape(n_wl, 4, 2, 4) @ smax[:, None, :, None])[..., 0]
+        self.four_a, self.h_scale = 4 * a, 4 * phi * a
+        self.phi_sum = float(phi.sum())
+        # δ = ((k_z z + 1.007 εc) @ φ + k_sum)(1 + 2^-20), see margins
+        self.k_z = 2.02 * _gamma(7, _U32) + 4.02 * _gamma(8, _U64)
+        k_0 = (2.2 * _U32 + 1.007 * _gamma(n_wl + 3, _U32) + 5.4 * _U64
+               + 1.001 * _gamma(n_wl, _U64) + 7 * _gamma(n_wl + 3, _U64) + 2.0**-60)
+        self.k_sum = k_0 * self.phi_sum + n_wl * 2.0**-60
+        self.suffix = suffix.astype(np.float32)
+        width = work.shape[2]
+        self.work = work.reshape(-1).view(np.float32)[: n_wl * 2 * width].reshape(n_wl, 2, width)
+        self.q = np.empty(width, np.float32)
 
-    def bound(self, rows: np.ndarray) -> float:
-        """max obj32 + margin for the prefix with reflectance rows `rows` (L, 4, 4), or inf."""
-        if not (self.usable and np.abs(rows).max() < _SCREEN_LIMIT):
-            return np.inf
-        rows32 = rows.astype(np.float32)
-        top, dmin = -np.inf, [np.inf] * self.n_wl
-        for cols, count in _leaf_chunks(self.suffix.shape[2], self.work.shape[2]):
-            num, den = _reflectance_terms(rows32, self.suffix[:, :, cols], self.work[:, :, :count])
-            low = den.min(axis=1).tolist()
-            if not min(low) >= 1 / _SCREEN_LIMIT:
-                return np.inf
-            dmin = [min(d, x) for d, x in zip(dmin, low)]
-            np.divide(num, den, out=num)
-            top = max(top, float(np.matmul(self.phi, num, out=self.out[:count]).max()))
-        return top + self.margin(rows, dmin, top)
+    def margins(self, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float32 den rows (..., L, 2, 4), weights h = 4 φ a c (..., L) and margins δ (...).
 
-    def margin(self, rows: np.ndarray, dmin: list[float], top: float) -> float:
-        """A bound δ >= max_k |obj32[k] - obj64[k]| over the table, or inf.
+        For (..., L, 4) `prefixes`, δ bounds how far a float64 score of
+        :func:`weighted_reflectance4` can exceed the bound Σφ - min_k Q̂_k of
+        ``bound``, Q̂_k = fl(Σ_l h_l/D̂_l[k]) with float32 denominators D̂.
+        Let u = 2^-53, v = 2^-24, γ_n(u) = nu/(1 - nu) (Higham, *Accuracy
+        and Stability of Numerical Algorithms*, ch. 3; each operation rounds
+        as op(1 + ε), |ε| <= u or v, with or without FMA).  Per wavelength,
+        P̂ is the float64 prefix and, for a column S, the exact terms of
+        W = P̂*S give N, D and R = N/D; smax_j = max_k |S_jk|.
 
-        obj64 is :func:`weighted_reflectance4` of `rows` (L, 4, 4) over the
-        float64 table, whose entries satisfy |S[l, j, k]| <= smax[l, j];
-        obj32 is the same kernel on the float32 roundings of `rows`, the
-        table and φ.  `dmin` holds each wavelength's smallest float32
-        denominator and `top` the largest obj32.  Let u be the unit
-        roundoff, τ the smallest subnormal, γ_n = nu/(1 - nu) (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, ch. 3) and
-        R = N/D the exact reflectance, N = n1² + n2², D = d1² + d2².
-        Each operation rounds as op(1 + ε) + η with |ε| <= u and |η| <= τ/2
-        (η only on underflow, never on a sum), in any order and with or
-        without FMA.
+        0. det.  fl(x11 x22 + x12 x21) errs by at most γ3(u) α̂,
+           α̂ = fl(|x11 x22| + |x12 x21|).  With m̂ = min_k det̂(S_k),
+           εS = γ3 max_k α̂(S_k)/m̂, εP = γ3 α̂(P̂)/det̂(P̂), c = fl(det̂(P̂) m̂)
+           and εc = εP + εS + u, c* = c (1 - εc) <= det(P̂) det(S_k) on
+           every column when det̂(P̂), m̂ > 0.
+        1. D = N + 4a det(W) >= 4a c* = ρ².
+        2. Terms.  The float64 rows (reflectance_rows4 or P̂ ``den_map``)
+           err by γ4(u) Ā, Ā = |terms| |carrier| = |P̂| |den_map| on the
+           den rows, and Ā smax gives T_n1 = T_d1 = t1 and T_n2 = T_d2 = t2
+           (|P̂| ``scale``).  So the float64 kernel's terms
+           (n̂1, n̂2) and (d̂1, d̂2) lie within g T, T = hypot(t1, t2), of
+           the exact ones, with g = γ8(u); the screen's, from rows and table
+           rounded to float32 and a float32 matmul, with g = γ7(v)
+           (Higham, Lemma 3.3).  Let z = T/ρ and y = g z.
+        3. Squares and sum (√D >= ρ, √N <= √D (1 + R)/2):
+           |D̂ - D| <= e D, e = γ2 + (1 + γ2)(2y + y²), and
+           |N̂ - N| <= (a0 + a1 R) D, a0 = (1 + γ2)(y + y²),
+           a1 = γ2 + (1 + γ2) y.
+        4. Kernel.  N̂/D̂ - R = (N̂ - N - R(D̂ - D))/D̂ and the rounded
+           quotient give |R̂ - R| <= A + B R, A = (1 + u) a0/(1 - e),
+           B = (1 + u)(a1 + e)/(1 - e) + u; with R <= 1 and the L-term φ
+           sum, obj64 <= Σ φ_l R_l + Σ φ_l E_l, E = (1 + γL)(A + B) + γL.
+        5. Bound.  D <= D̂/(1 - e) for the screen's e, and q = 4ac/D̂ <=
+           1/((1 - εc)(1 - e)) since 4ac* <= D, so
+           R <= 1 - 4ac*/D <= 1 - q + (εc + e)/((1 - εc)(1 - e)).
+        6. Screen arithmetic.  h (γ2(u), then rounded to float32), the
+           reciprocal or quotient, the product and the (L - 1)-term sum put
+           Q̂_k within γ_{L+3}(v) Σ φ_l q_l of Σ φ_l q_l.
+        7. So obj64[k] <= Σφ - Q̂_k + Σ φ_l F_l, F = E + (εc + e +
+           γ_{L+3}(v))/((1 - εc)(1 - e)).  With εc <= 2^-9 and z <= _Z_CAP
+           (the screen's y <= 2^-10), the screen's e <= 2.005 γ7(v) z + 2.1v
+           and the kernel's E <= 4.02 γ8(u) z + 5.4u + 1.001 γL(u), so
+           F <= k_z z + 1.007 εc + k_0 with the constants of __init__.  The
+           final fl(fl(Σφ) - Q̂) and the addition of δ err by at most
+           7 γ_{L+3}(u) Σφ.  Underflow adds at most 2^-60 per wavelength,
+           both to F and to the sum: entries below 2^16 and ρ² >= 2^-40
+           keep every underflow error under 2^-100 of √D.
 
-        1. Terms.  Rounding the row and suffix entries and the 4-term
-           matmul give |t̂_r - t_r| <= g T_r + ν, with T_r = Σ_j |rows_rj|
-           smax_j, g = γ6 in float32 (two input roundings) and γ4 in
-           float64, and ν = τ (4 + Σ_j |rows_rj| + Σ_j smax_j) <= 2^24 τ
-           below the entry limit.  So (n̂1, n̂2) is within
-           ηN = g hypot(T_n1, T_n2) + √2 ν of (n1, n2), and n̂1² + n̂2² lies
-           in [(√N - ηN)₊², (√N + ηN)²]; likewise for D with ηD.
-        2. Squares and add: N̂ is within γ2 of n̂1² + n̂2², plus 2τ, so
-           |N̂ - N| <= γ2 N + (1 + γ2)(2√N ηN + ηN²) + 2τ; likewise D̂.
-        3. Lower bound on D: D̂32 >= dmin gives √D >= ρ - ηD32 with
-           ρ = √((dmin - 2τ)/(1 + γ2)).  Take σ = 1/(ρ - ηD32) >= 1/√D,
-           x = max_l ηN σ, y = max_l ηD σ.  Then |D̂ - D|/D <= e = γ2
-           + (1 + γ2)(2y + y²) + 2τσ², and with 2√R <= 1 + R,
-           |N̂ - N|/D <= a0 + a1 R for a0 = (1 + γ2)(x + x²) + 2τσ² and
-           a1 = γ2 + (1 + γ2) x.
-        4. Divide: N̂/D̂ - R = (N̂ - N - R(D̂ - D))/D̂, so with the rounding
-           of the quotient |R̂ - R| <= A + B R for A = (1 + u) a0/(1 - e)
-           + τ/2 and B = (1 + u)(a1 + e)/(1 - e) + u.
-        5. L-term weighted sum (φ >= 0 and never subnormal, R >= 0):
-           |obj - Σ φ_l R_l| <= C + K obj with C = (1 + γ_{L+1}) A Σφ + Lτ
-           and K = (1 + γ_{L+1}) B + γ_{L+1}.
-        6. So obj <= (top + C32)/(1 - K32) on every column, and
-           δ = C32 + C64 + (K32 + K64)(top + C32)/(1 - K32).
-
-        inf is returned when a step does not apply: an entry at or above
-        the limit, ηD32 > ρ/2 (no usable lower bound on D), e > 1/2 or
-        K32 > 1/2, or a non-finite result.  Those caps keep the operands of
-        every subtraction apart, so the float64 evaluation here errs by
-        under 200 u64 relative, and the final factor 1 + 2^-20 covers it.
+        δ = (Σ φ_l (k_z z_l + 1.007 εc_l + k_0) + 7 γ_{L+3}(u) Σφ
+        + L 2^-60)(1 + 2^-20); the last factor covers the float64
+        evaluation of δ itself, a sum of positive terms.  δ is inf when a
+        step does not apply: a_l <= 0, c_l <= 0, εc > 2^-9, z > _Z_CAP,
+        ρ² < 2^-40 (no usable lower bound on the denominator), an entry at
+        or past the limit, or a non-finite result.
         """
-        absrows = np.abs(rows)
-        if not (self.usable and absrows.max() < _SCREEN_LIMIT):
-            return np.inf
-        scale = (absrows @ self.smax[:, :, None])[:, :, 0]  # T_r per wavelength
-        g6 = _gamma(6, _U32)
-        s_num = s_den = s_max = 0.0
-        for (t1, t2, t3, t4), low in zip(scale.tolist(), dmin):
-            rho = math.sqrt(max(low - 2 * _TINY32, 0.0) / (1 + _gamma(2, _U32)))
-            eta_den = g6 * math.hypot(t3, t4) + 2.0**24.5 * _TINY32
-            if not eta_den <= rho / 2:
-                return np.inf
-            sigma = 1 / (rho - eta_den)
-            s_num = max(s_num, math.hypot(t1, t2) * sigma)
-            s_den = max(s_den, math.hypot(t3, t4) * sigma)
-            s_max = max(s_max, sigma)
+        if not self.usable:
+            zero = np.broadcast_to(np.float32(0), prefixes.shape[:-1] + (2, 4))
+            return zero, zero[..., 0, 0], np.full(prefixes.shape[:-2], np.inf)
+        absp = np.abs(prefixes)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x, y = prefixes[..., 0] * prefixes[..., 3], prefixes[..., 1] * prefixes[..., 2]
+            det = x + y
+            c = det * self.det_min
+            # det <= 0 makes eps or rho2 fail its test below (nan fails too)
+            eps = (np.abs(x) + np.abs(y)) * _gamma(3, _U64) / det + self.eps_table
+            rho2 = self.four_a * c * (1 - eps)
+            t = np.square(absp[..., None, :] @ self.scale)
+            z2 = (t[..., 0, 0] + t[..., 0, 1]) / rho2
+            ok = (eps <= 2.0**-9) & (z2 <= _Z_CAP**2) & (rho2 >= 2.0**-40)
+            ok = ok.all(axis=-1) & (absp.max(axis=(-2, -1)) < _SCREEN_LIMIT)
+            delta = ((self.k_z * np.sqrt(z2) + 1.007 * eps) @ self.phi + self.k_sum) * (1 + 2.0**-20)
+            h = (self.h_scale * c).astype(np.float32)
+            den_rows = (prefixes[..., None, :] @ self.den_map).astype(np.float32)
+        return den_rows.reshape(*prefixes.shape[:-1], 2, 4), h, np.where(ok, delta, np.inf)
 
-        def coefficients(u: float, g: float, tiny: float) -> tuple[float, float, float]:
-            g2, gl, nu = _gamma(2, u), _gamma(self.n_wl + 1, u), 2.0**24.5 * tiny * s_max
-            x, y, under = g * s_num + nu, g * s_den + nu, 2 * tiny * s_max * s_max
-            e = g2 + (1 + g2) * (2 * y + y * y) + under
-            a0 = (1 + g2) * (x + x * x) + under
-            a1 = g2 + (1 + g2) * x
-            big_a = (1 + u) * a0 / (1 - e) + tiny / 2
-            big_b = (1 + u) * (a1 + e) / (1 - e) + u
-            return (1 + gl) * big_a * self.phi_sum + self.n_wl * tiny, (1 + gl) * big_b + gl, e
+    def bound(self, den_rows: np.ndarray, h: np.ndarray, delta: float) -> float:
+        """Σφ - min_k Σ_l h_l / D̂_l[k] + δ for one prefix, or inf when δ is.
 
-        c32, k32, e32 = coefficients(_U32, g6, _TINY32)
-        c64, k64, e64 = coefficients(_U64, _gamma(4, _U64), _TINY64)
-        if not (e32 <= 0.5 and e64 <= 0.5 and k32 <= 0.5):
+        `den_rows` (L, 2, 4), `h` (L,) and δ are one prefix's entries of
+        ``margins``.  No score :func:`weighted_reflectance4` gives for that
+        prefix exceeds the result.
+        """
+        if not delta < np.inf:
             return np.inf
-        delta = (c32 + c64 + (k32 + k64) * (top + c32) / (1 - k32)) * (1 + 2.0**-20)
-        return delta if math.isfinite(delta) else np.inf
+        low = np.inf
+        for cols, count in _leaf_chunks(self.k, self.work.shape[2]):
+            terms = self.work[:, :, :count]
+            np.matmul(den_rows, self.suffix[:, :, cols], out=terms)
+            np.square(terms, out=terms)
+            den = np.add(terms[:, 0], terms[:, 1], out=terms[:, 0])
+            if self.n_wl == 1:  # the score falls as D grows: one maximum, one division
+                low = min(low, float(h[0]) / float(den.max()))
+            else:
+                weighted = np.matmul(h, np.reciprocal(den, out=den), out=self.q[:count])
+                low = min(low, float(weighted.min()))
+        return self.phi_sum - low + float(delta)

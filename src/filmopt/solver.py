@@ -6,11 +6,12 @@ which return a :class:`SolveReport`:
 * :func:`brute_force` — exhaustive enumeration (``prune=False``).
 * :func:`branch_and_bound` — the same search with interval-box pruning
   (``prune=True``): each child prefix gets an optimistic completion value
-  from its matrix times the corner-propagated box of the remaining-layer
-  product, with the box maximum of ``D`` taken separably; children are
-  visited in decreasing bound order and cut when the bound cannot beat the
-  incumbent.  A child bound above its parent's means unsound boxes and
-  raises InternalError.
+  from its matrix times the box of the remaining-layer product, with the
+  box maximum of ``D`` taken separably; children are visited in decreasing
+  bound order and cut when the bound cannot beat the incumbent.  The box at
+  the split is the exact entrywise range of the suffix table, and shallower
+  boxes are interval-propagated from it.  A child bound above its parent's
+  means unsound boxes and raises InternalError.
 
 The layers split into leading layers, searched node by node with shared
 prefix products, and a trailing block whose products are built once as an
@@ -22,16 +23,14 @@ while its block fits in ``max(1024, 262_144 // L)`` designs; with pruning
 it is also capped at ``max(1, N // 2)`` layers, so bounds act on the
 leading half.  Pruning happens only above the split.
 
-Float32 screen: on blocks of at least one chunk (``SCREEN_MIN_ENTRIES``),
-each prefix is first scored in float32
-(:class:`~filmopt.arrayops.LeafScreen`), which also gives a rigorous margin
-δ >= max_k |obj32[k] - obj64[k]| from a γ_n error analysis of the kernel.
-If ``max(obj32) + δ <= best + OBJECTIVE_EPS``, no float64 score of the
-block could replace the incumbent, and the block is skipped.  Every other
-block, and every block where δ is inf, is scored by the float64 kernel
+Denominator screen: since D - N = 4a det(W), reflectance is
+1 - 4a det(P) det(S)/D, so the denominators alone bound every score of a
+block (:class:`~filmopt.arrayops.DenominatorScreen`, float32, with a
+rigorous margin δ from a γ_n error analysis).  A block whose bound cannot
+beat the incumbent plus ``OBJECTIVE_EPS`` is skipped; every other block,
+the first and every block where δ is inf are scored by the float64 kernel
 over the whole block, so the objective, design, tie-break, incumbents and
-node counts are the same as without the screen.  The first block is always
-scored in float64.
+node counts are the same as without the screen.
 
 Node accounting: ``nodes_explored`` counts designs evaluated, each tail
 block counted whole; ``nodes_pruned`` counts subtrees cut above the split
@@ -47,8 +46,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .arrayops import (
-    LEAF_CHUNK_ENTRIES,
-    LeafScreen,
+    DenominatorScreen,
     box_max_denominator4,
     interval_product4,
     leaf_chunk_width,
@@ -66,13 +64,6 @@ Design = tuple[tuple[str, float], ...]
 #: among tolerance-equal optima the enumeration-first (lexicographically
 #: smallest) design is kept.
 OBJECTIVE_EPS = 1e-12
-
-#: Tail blocks of fewer entries (wavelengths x columns) than one leaf chunk
-#: skip the float32 screen, whose fixed cost per block outweighs its saving
-#: there: on the 7,488-column one-wavelength B&B blocks of mo_410_n6 the
-#: screen took about 75 us and the float64 kernel 65 us (2-core Xeon VM,
-#: one BLAS thread).
-SCREEN_MIN_ENTRIES = LEAF_CHUNK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -243,11 +234,11 @@ def _search(
     split = _split_depth(counts, n_wl, prune)
     suffix = _suffix_table(mats[split:])
     work = np.empty((n_wl, 4, leaf_chunk_width(n_wl, suffix.shape[2])))
-    screen = LeafScreen(suffix, phi, work) if n_wl * suffix.shape[2] >= SCREEN_MIN_ENTRIES else None
+    screen = DenominatorScreen(suffix, a, b, phi, work)
     scores = np.empty(suffix.shape[2])
     if prune:
         if suffix_boxes is None:
-            suffix_boxes = bounds_mod.suffix_product_bounds(catalog)
+            suffix_boxes = bounds_mod.suffix_product_bounds(catalog, split, suffix)
         slo, shi = suffix_boxes.lower, suffix_boxes.upper
 
     best = -np.inf
@@ -269,12 +260,14 @@ def _search(
         lo, hi = interval_product4(prefixes, slo[:, depth], shi[:, depth])
         return (1.0 - 4.0 * a / box_max_denominator4(lo, hi, a, b)) @ phi
 
-    def leaf(rows: np.ndarray, chosen: list[int]) -> None:
+    def leaf(prefix: np.ndarray, screened: tuple, j: int, chosen: list[int]) -> None:
+        """Score `prefix` against the table unless entry `j` of its `screened` margins rules it out."""
         nonlocal best, best_design, nodes, capped
         nodes += scores.shape[0]
+        den_rows, h, delta = screened
         # No float64 score can beat the incumbent when the screen's bound does not.
-        if screen is None or best_design is None or not screen.bound(rows) <= best + OBJECTIVE_EPS:
-            obj = weighted_reflectance4(rows, suffix, phi, work, scores)
+        if best_design is None or not screen.bound(den_rows[j], h[j], delta[j]) <= best + OBJECTIVE_EPS:
+            obj = weighted_reflectance4(reflectance_rows4(prefix, a, b), suffix, phi, work, scores)
             i = int(np.argmax(obj))
             if obj[i] > best + OBJECTIVE_EPS:
                 best = float(obj[i])
@@ -283,9 +276,10 @@ def _search(
         if node_cap is not None and nodes >= node_cap:
             capped = True
 
-    def descend(depth: int, prefix: np.ndarray, chosen: list[int], bound: float) -> None:
+    def descend(depth: int, chosen: list[int], bound: float, children: np.ndarray,
+                screened: tuple | None) -> None:
+        """Visit the (c, L, 4) `children` of prefix `chosen`; `screened` are their margins at the split."""
         nonlocal pruned
-        children = mul4(prefix[None, :, :], mats[depth])
         order = range(counts[depth])
         child_bound = np.full(counts[depth], np.inf)
         if prune:
@@ -294,8 +288,10 @@ def _search(
                 raise InternalError(f"child bound exceeds parent bound at depth {depth + 1}")
             order = np.argsort(-child_bound, kind="stable")
         last = depth + 1 == split
-        if last:
-            rows = reflectance_rows4(children, a, b)
+        if not last:
+            grand = mul4(children[:, None], mats[depth + 1][None])
+            if depth + 2 == split:  # one margins call for all prefixes at the split below
+                screened = screen.margins(grand)
         for j in order:
             if capped:
                 return
@@ -303,15 +299,18 @@ def _search(
                 pruned += 1
                 continue
             if last:
-                leaf(rows[j], chosen + [int(j)])
+                leaf(children[j], screened, j, chosen + [int(j)])
             else:
-                descend(depth + 1, children[j], chosen + [int(j)], child_bound[j])
+                below = None if screened is None else tuple(m[j] for m in screened)
+                descend(depth + 1, chosen + [int(j)], child_bound[j], grand[j], below)
 
     identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0]), (n_wl, 1))
     if split == 0:
-        leaf(reflectance_rows4(identity, a, b), [])
+        leaf(identity, screen.margins(identity[None]), 0, [])
     else:
-        descend(0, identity, [], bounds_at(identity[None], 0)[0] if prune else np.inf)
+        children = mul4(identity[None], mats[0])
+        descend(0, [], bounds_at(identity[None], 0)[0] if prune else np.inf, children,
+                screen.margins(children) if split == 1 else None)
     if best_design is None:
         raise InternalError("search ended without an incumbent design")
     design = tuple(catalog.choices_at(n + 1)[j] for n, j in enumerate(best_design))

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filmopt import bounds, optics, solver
+from filmopt import optics, solver
 from filmopt.arrayops import (
-    LeafScreen,
+    DenominatorScreen,
     box_max_denominator4,
     denominator4,
     interval_product4,
@@ -24,6 +24,7 @@ from filmopt.materials import build_catalog
 from filmopt.optics import ComplexIndex, StructuredMatrix
 
 from conftest import random_catalog, single_wavelength_config
+from oracles import interval_product_box, max_denominator_over_box
 
 RTOL = 1e-12
 
@@ -47,7 +48,7 @@ substrate = st.builds(
 def test_separable_box_max_equals_sixteen_corner_oracle(lo, w, sub):
     lo = np.array(lo)
     hi = lo + np.array(w)
-    want = bounds.max_denominator_over_box(lo, hi, sub)
+    want = max_denominator_over_box(lo, hi, sub)
     assert box_max_denominator4(lo, hi, sub.re, sub.im) == want
 
 
@@ -56,7 +57,7 @@ def test_separable_box_max_equals_sixteen_corner_oracle(lo, w, sub):
 def test_interval_product_equals_scalar(p, lo, w):
     lo = np.array(lo)
     hi = lo + np.array(w)
-    want_lo, want_hi = bounds.interval_product_box(StructuredMatrix(*p), lo, hi)
+    want_lo, want_hi = interval_product_box(StructuredMatrix(*p), lo, hi)
     got_lo, got_hi = interval_product4(np.array(p), lo, hi)
     assert np.array_equal(got_lo, want_lo)
     assert np.array_equal(got_hi, want_hi)
@@ -159,38 +160,86 @@ def test_chunked_leaf_kernel_is_bit_identical(k):
             assert got.tobytes() == want.tobytes()
 
 
-def _float32_pass(rows, table, phi):
-    """obj32 over every column, and each wavelength's smallest float32 denominator."""
-    rows32, table32 = rows.astype(np.float32), table.astype(np.float32)
-    terms = rows32 @ table32
-    den = terms[:, 2] * terms[:, 2] + terms[:, 3] * terms[:, 3]
-    obj32 = weighted_reflectance4(rows32, table32, phi.astype(np.float32),
-                                  np.empty_like(table32), np.empty(table.shape[2], np.float32))
-    return obj32.astype(float), den.min(axis=1).tolist()
+def _screen_and_kernel(p, table, a, b, phi, width=None):
+    """The screen's bound and the float64 kernel's largest score for prefix `p` (L, 4)."""
+    n_wl, _, k = table.shape
+    work = np.empty((n_wl, 4, width or k))
+    screen = DenominatorScreen(table, a, b, phi, work)
+    den_rows, h, delta = screen.margins(p[None])
+    bound = screen.bound(den_rows[0], h[0], delta[0])
+    obj64 = weighted_reflectance4(reflectance_rows4(p, a, b), table, phi, work, np.empty(k))
+    return bound, float(obj64.max())
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300),
-       st.floats(-2.0, 4.0), st.sampled_from([0.0, 0.3, 1.0]))
-def test_screen_margin_bounds_float32_error(seed, n_wl, k, log_scale, vanishing):
-    """δ covers |obj32 - obj64|, also for large entries and numerators near zero."""
+def _with_det(rng, det, count):
+    """(4, count) carrier matrices with random entries and the given det = x11 x22 + x12 x21."""
+    x11, x12, x21 = rng.uniform(0.5, 2, count) * rng.choice([-1, 1], count), *rng.uniform(-2, 2, (2, count))
+    return np.array([x11, x12, x21, (det - x12 * x21) / x11])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300), st.floats(-2.0, 7.8),
+       st.floats(-6.0, 3.0), st.booleans(), st.sampled_from([0.0, 0.3, 1.0]),
+       st.sampled_from([None, 128]))
+@example(0, 1, 300, 7.6, 0.0, False, 0.0, 128)  # entries near the 2^16 limit
+@example(1, 3, 200, 0.0, -6.0, True, 0.0, None)  # det near zero: tiny denominators
+def test_screen_bound_tops_the_float64_kernel(seed, n_wl, k, log_scale, log_det, spread,
+                                               vanishing, width):
+    """bound >= max obj64 for dets far from 1 and near 0, large entries and numerators near zero."""
     rng = np.random.default_rng(seed)
-    p = rng.uniform(-3, 3, size=(n_wl, 4)) * 10 ** rng.uniform(-1, 2)
-    rows = reflectance_rows4(p, rng.uniform(0.2, 6, n_wl), rng.uniform(0, 8, n_wl))
-    table = rng.uniform(-1, 1, size=(n_wl, 4, k))
+    a, b = rng.uniform(0.05, 6, n_wl), rng.uniform(-1, 8, n_wl)
+    det = 10**log_det * (rng.uniform(1, 10, (n_wl, k)) if spread else np.ones((n_wl, k)))
+    table = np.stack([_with_det(rng, d, k) for d in det])
+    p = np.stack([_with_det(rng, rng.uniform(0.5, 2), 1)[:, 0] for _ in range(n_wl)])
+    rows = reflectance_rows4(p, a, b)
     picked = rng.random(k) < vanishing
     for li in range(n_wl):  # columns near the null space of the numerator rows
         null = np.linalg.svd(rows[li, :2])[2][2:]
         table[li][:, picked] = null.T @ rng.uniform(-1, 1, (2, picked.sum())) \
             + 1e-9 * rng.uniform(-1, 1, (4, picked.sum()))
-    table *= 10**log_scale
+    scale = 10 ** (log_scale / 2)  # the products scale by 10^log_scale
+    table *= scale
+    p *= scale
     phi = rng.random(n_wl) + 0.01
     phi /= phi.sum()
-    obj64 = weighted_reflectance4(rows, table, phi, np.empty_like(table), np.empty(k))
-    obj32, dmin = _float32_pass(rows, table, phi)
-    screen = LeafScreen(table, phi, np.empty_like(table))
-    assert screen.margin(rows, dmin, float(obj32.max())) >= np.abs(obj32 - obj64).max()
-    assert screen.bound(rows) >= obj64.max()
+    bound, top = _screen_and_kernel(p, table, a, b, phi, width if width and width < k else None)
+    assert bound >= top
+
+
+def test_screen_bound_is_finite_and_tight_when_dets_are_equal():
+    """With det(S) the same on every column the bound is the block max plus δ."""
+    rng = np.random.default_rng(11)
+    gaps = []
+    for _ in range(200):
+        n_wl, k = rng.integers(1, 5), rng.integers(1, 400)
+        table = np.stack([_with_det(rng, 1.0, k) for _ in range(n_wl)])
+        p = np.stack([_with_det(rng, 1.0, 1)[:, 0] for _ in range(n_wl)])
+        phi = np.full(n_wl, 1 / n_wl)
+        bound, top = _screen_and_kernel(p, table, rng.uniform(0.5, 6, n_wl),
+                                        rng.uniform(0, 8, n_wl), phi)
+        gaps.append(bound - top)
+    assert min(gaps) >= 0 and max(gaps) < 1e-3
+
+
+@pytest.mark.parametrize("case", ["a-zero", "a-negative", "prefix-det-zero", "prefix-det-negative",
+                                  "table-det-negative", "entry-at-limit"])
+def test_screen_returns_inf_where_the_bound_does_not_apply(case):
+    rng = np.random.default_rng(2)
+    table = np.stack([_with_det(rng, 1.0, 50) for _ in range(2)])
+    p = np.stack([_with_det(rng, 1.0, 1)[:, 0] for _ in range(2)])
+    a, b, phi = np.array([2.0, 3.0]), np.array([1.0, 4.0]), np.array([0.5, 0.5])
+    if case.startswith("a-"):
+        a[1] = 0.0 if case == "a-zero" else -1.0
+    elif case == "prefix-det-zero":
+        p[0] = [1.0, 1.0, -1.0, 1.0]
+    elif case == "prefix-det-negative":
+        p[1] = [1.0, 2.0, -1.0, 1.0]
+    elif case == "table-det-negative":
+        table[0, :, 7] = [1.0, 2.0, -1.0, 1.0]
+    else:
+        p[0] *= 2.0**16 / np.abs(p[0]).max()
+    bound, top = _screen_and_kernel(p, table, a, b, phi)
+    assert bound == np.inf
 
 
 def test_screen_margin_is_small_on_a_real_table(data_tables):
@@ -199,12 +248,9 @@ def test_screen_margin_is_small_on_a_real_table(data_tables):
     a = np.array([s.re for s in cat.substrate_indices])
     b = np.array([s.im for s in cat.substrate_indices])
     phi = np.array(cat.spectrum.weights)
-    screen = LeafScreen(table, phi, np.empty_like(table))
-    for j in range(cat.layer_matrices[0].shape[0]):
-        rows = reflectance_rows4(cat.layer_matrices[0][j], a, b)
-        obj64 = weighted_reflectance4(rows, table, phi, np.empty_like(table), np.empty(table.shape[2]))
-        bound = screen.bound(rows)
-        assert obj64.max() <= bound <= obj64.max() + 1e-4
+    for prefix in cat.layer_matrices[0]:
+        bound, top = _screen_and_kernel(prefix, table, a, b, phi)
+        assert top <= bound <= top + 1e-4
 
 
 @pytest.mark.parametrize("seed", range(6))

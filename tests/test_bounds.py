@@ -1,16 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from filmopt import bounds, optics, solver
-from filmopt.bounds import (
-    EntryBounds,
-    interval_product_box,
-    max_denominator_over_box,
-    suffix_product_bounds,
-    tighten_bounds,
-)
+from filmopt.bounds import EntryBounds, suffix_product_bounds, tighten_bounds
 from filmopt.errors import InternalError
 from filmopt.materials import CatalogConfig, build_catalog
 from filmopt.optics import ComplexIndex, StructuredMatrix
@@ -18,6 +13,7 @@ from filmopt.optics import ComplexIndex, StructuredMatrix
 from conftest import (
     corner_propagation, enumerate_designs, flat_table, random_catalog, single_wavelength_config,
 )
+from oracles import interval_product_box, max_denominator_over_box
 
 TOL = 1e-9
 
@@ -110,6 +106,23 @@ class TestTightenBounds:
                     e = np.array(m.entries())
                     assert np.all(e >= sb.lower[li, k] - TOL)
                     assert np.all(e <= sb.upper[li, k] + TOL)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_split_box_is_sound_and_inside_the_propagated_boxes(self, seed):
+        cat, _ = random_catalog(random.Random(2500 + seed), max_layers=5, max_choices=6)
+        plain = suffix_product_bounds(cat)
+        for split in range(cat.n_layers):
+            tight = suffix_product_bounds(cat, split, solver._suffix_table(cat.layer_matrices[split:]))
+            assert np.all(tight.lower >= plain.lower - TOL) and np.all(tight.upper <= plain.upper + TOL)
+            assert np.array_equal(tight.lower[:, split + 1:], plain.lower[:, split + 1:])
+            for li, wl in enumerate(cat.spectrum.wavelengths):
+                for k in range(cat.n_layers + 1):
+                    tails = itertools.product(*[cat.choices_at(n) for n in range(k + 1, cat.n_layers + 1)])
+                    for picks in tails:
+                        e = np.array(optics.chain_product(
+                            [cat.matrix(mat, t, wl) for mat, t in picks]).entries())
+                        assert np.all(e >= tight.lower[li, k] - TOL)
+                        assert np.all(e <= tight.upper[li, k] + TOL)
 
     @pytest.mark.parametrize("alternating", [True, False])
     @pytest.mark.parametrize("seed", range(10))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmopt import optics, solver
-from filmopt.arrayops import LeafScreen
+from filmopt.arrayops import DenominatorScreen
 from filmopt.errors import InadmissibleDesign, InstanceTooLarge
 from filmopt.materials import CatalogConfig, build_catalog
 from filmopt.solver import (
@@ -205,34 +205,57 @@ def _untimed(report):
     return dataclasses.replace(report, wall_time_s=0.0)
 
 
-class TestFloat32Screen:
+def _unscreened(margins):
+    """``DenominatorScreen.margins`` with every δ forced to inf: every block is scored in float64."""
+    def forced(self, prefixes):
+        den_rows, h, delta = margins(self, prefixes)
+        return den_rows, h, np.full_like(delta, np.inf)
+    return forced
+
+
+def _counting_kernel(scored):
+    kernel = solver.weighted_reflectance4
+
+    def counted(*args):
+        scored.append(1)
+        return kernel(*args)
+    return counted
+
+
+class TestDenominatorScreen:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_reports_identical_to_float64_only_on_near_ties(self, seed):
-        """Forcing every block through float64 (margin inf) is the path before the screen."""
+        """Forcing every block through float64 (margin inf) is the search without the screen."""
         cat = near_tied_catalog(seed)
-        with patch.object(solver, "SCREEN_MIN_ENTRIES", 0):
-            screened = [brute_force(cat), branch_and_bound(cat)]
-            with patch.object(LeafScreen, "margin", lambda *args: np.inf):
-                plain = [brute_force(cat), branch_and_bound(cat)]
+        screened = [brute_force(cat), branch_and_bound(cat)]
+        with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
+            plain = [brute_force(cat), branch_and_bound(cat)]
         assert [_untimed(r) for r in screened] == [_untimed(r) for r in plain]
 
     def test_mo_410_scores_few_blocks_in_float64(self, data_tables):
         cat = build_catalog(single_wavelength_config("Molybdenum", 410.0), data_tables)
         scored = []
-        kernel = solver.weighted_reflectance4
-
-        def counted(*args):
-            scored.append(1)
-            return kernel(*args)
-
-        with patch.object(solver, "weighted_reflectance4", counted):
+        with patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
             report = brute_force(cat)
         blocks = cat.layer_matrices[0].shape[0] * cat.layer_matrices[1].shape[0]
         assert report.nodes_explored == cat.design_count()
         assert len(scored) <= blocks // 10
-        with patch.object(LeafScreen, "margin", lambda *args: np.inf):
+        with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
             assert _untimed(brute_force(cat)) == _untimed(report)
+
+    @pytest.mark.parametrize("substrate, designs", [("Molybdenum", 7_869_888),
+                                                     ("Tungsten", 7_809_984)])
+    def test_mo_410_bnb_skips_almost_every_leaf_block(self, data_tables, substrate, designs):
+        """Exact split boxes cut the designs B&B evaluates; the screen skips most blocks it enters."""
+        cat = build_catalog(single_wavelength_config(substrate, 410.0), data_tables)
+        scored = []
+        with patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
+            report = branch_and_bound(cat)
+        block = np.prod([m.shape[0] for m in cat.layer_matrices[3:]])
+        assert report.nodes_explored == designs
+        assert report.design == brute_force(cat).design
+        assert len(scored) <= 0.05 * report.nodes_explored / block
 
 
 class TestReportSerialization:
