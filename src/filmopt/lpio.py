@@ -14,8 +14,9 @@ or the end is a constant.  Inside ``[ ]`` each name is followed by
 ``* name`` or ``^ 2``.  A row is ``name: expression sense rhs``, a bounds
 line ``lo <= name <= hi``.  A name that starts like a number, an operator
 or a bracket (``0-9 . + - [ ] * ^ < > =``), a ``-`` before ``[`` (the writer
-puts ``+``), a malformed bracket term, a NaN anywhere and an infinite
-coefficient, constant or right-hand side are a ``ParseError``.
+puts ``+``), a malformed bracket term, a row without a name, a NaN anywhere
+and an infinite coefficient, constant or right-hand side are a
+``ParseError``.
 
 Solution files are plain `name value` pairs, one per line.
 """
@@ -26,16 +27,11 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .errors import InfeasibleAssignment, ParseError
 from .materials import Catalog, read_text, write_atomic
-from .model import (
-    LinearConstraint,
-    Model,
-    Objective,
-    QuadraticConstraint,
-    Variable,
-    x_name,
-)
+from .model import LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
 
 _MAX_LINE = 200
 #: Lines per block handed to the file by export_lp.
@@ -116,26 +112,58 @@ def _lp_lines(model: Model) -> Iterator[str]:
     """The lines of the LP text of `model`, without newlines."""
     yield f"\\ Model: {model.name}"
     yield from (f"\\ {c}" for c in model.header_comments)
-    obj, signed = model.objective, _Signed()
-    if model.variables or model.linear or model.quadratic or obj.coeffs or obj.constant:
+    obj, var, signed = model.objective, model.variables, _Signed()
+    if var or model.linear or model.quadratic or obj.coeffs or obj.constant:
         yield "Maximize" if obj.sense == "max" else "Minimize"
         yield from _wrap(_linear_text(signed, obj.coeffs, obj.constant), " obj:")
         if model.linear or model.quadratic:
             yield "Subject To"
-        for c in model.linear:
-            yield from _wrap(f"{_linear_text(signed, c.coeffs)} {c.sense} {c.rhs:.17g}", f" {c.name}:")
+        yield from _row_lines(signed, model.linear)
         for q in model.quadratic:
             body = f"{_quad_text(signed, q.quad)} {q.sense} {q.rhs:.17g}"
             yield from _wrap(f"{_linear_text(signed, q.lin)} + {body}" if q.lin else body, f" {q.name}:")
-        continuous = [v for v in model.variables if v.kind != "binary"]
-        if continuous:
+        continuous = ~var.binary
+        if continuous.any():
             yield "Bounds"
-            yield from (f" {v.lower:.17g} <= {v.name} <= {v.upper:.17g}" for v in continuous)
-        binaries = [v.name for v in model.variables if v.kind == "binary"]
+            names = [var.names[i] for i in np.flatnonzero(continuous).tolist()]
+            lower, upper = _numbers(var.lower[continuous]), _numbers(var.upper[continuous])
+            yield from (f" {lo} <= {name} <= {hi}" for lo, name, hi in zip(lower, names, upper))
+        binaries = [var.names[i] for i in np.flatnonzero(var.binary).tolist()]
         if binaries:
             yield "Binaries"
             yield from _wrap(" ".join(binaries), " ")
     yield "End"
+
+
+def _numbers(values: np.ndarray) -> list[str]:
+    """``f"{v:.17g}"`` of each value, formatted once per distinct bit pattern, so ``-0.0`` stays ``-0``."""
+    bits, which = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+    return [texts[i] for i in which.tolist()]
+
+
+def _row_lines(signed: _Signed, rows: LinearRows) -> Iterator[str]:
+    """The lines of the linear rows, built ``_BLOCK_LINES`` rows at a time.
+
+    Each distinct coefficient is formatted once (``-0.0`` and ``0.0`` both
+    print as ``+ 0``), as is each distinct right-hand side; a row's text is
+    joined from its CSR slice, and only a row longer than ``_MAX_LINE``
+    goes through :func:`_wrap`.
+    """
+    distinct, which = np.unique(rows.vals, return_inverse=True)
+    texts = [signed[c] for c in distinct.tolist()]
+    columns, ptr, senses, rhs = rows.columns, rows.indptr.tolist(), rows.senses.tolist(), _numbers(rows.rhs)
+    for start in range(0, len(rows), _BLOCK_LINES):
+        stop = min(start + _BLOCK_LINES, len(rows))
+        lo, hi = ptr[start], ptr[stop]
+        terms = [f"{texts[t]} {columns[c]}" for t, c in zip(which[lo:hi].tolist(), rows.cols[lo:hi].tolist())]
+        for i, name in zip(range(start, stop), rows.names[start:stop]):
+            body = f"{' '.join(terms[ptr[i] - lo:ptr[i + 1] - lo]).removeprefix('+ ') or '0'} {senses[i]} {rhs[i]}"
+            line = f" {name}: {body}"
+            if len(line) <= _MAX_LINE:
+                yield line
+            else:
+                yield from _wrap(body, f" {name}:")
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +256,23 @@ def import_lp(path: str | Path) -> Model:
     order, then the unlisted ones (free) by name.
     """
     text = read_text(path).replace("\n  ", " ")
-    model = Model(name="")
-    listed: dict[str, Variable] = {}
+    name, header, objective = "", [], Objective({})
+    listed: dict[str, tuple[float, float, bool]] = {}  # name -> (lower, upper, binary)
     used: set[str] = set()
+    row_names: list[str] = []
+    row_coeffs: list[dict[str, float]] = []
+    row_senses: list[str] = []
+    row_rhs: list[float] = []
+    quadratic: list[QuadraticConstraint] = []
     section = None
     for raw in text.splitlines():
         if raw.startswith("\\"):
             if section is None:
                 content = raw[1:].strip()
-                if not model.name and content.startswith("Model:"):
-                    model.name = content[6:].strip()
+                if not name and content.startswith("Model:"):
+                    name = content[6:].strip()
                 else:
-                    model.header_comments.append(content)
+                    header.append(content)
             continue
         key = raw.strip().lower()
         if key in _SECTIONS:
@@ -247,7 +280,7 @@ def import_lp(path: str | Path) -> Model:
                 break
             section = key
             if key in ("maximize", "minimize"):
-                section, model.objective.sense = "objective", key[:3]
+                section, objective.sense = "objective", key[:3]
             continue
         if not key:
             continue
@@ -261,39 +294,46 @@ def import_lp(path: str | Path) -> Model:
                 raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
             if math.isnan(lo) or math.isnan(hi):
                 raise ParseError(f"NaN bound: {raw.strip()!r}")
-            listed[_name(toks[2])] = Variable(toks[2], lo, hi)
+            listed[_name(toks[2])] = (lo, hi, False)
         elif section == "binaries":
             for vname in raw.split():
-                listed[_name(vname)] = Variable(vname, 0.0, 1.0, "binary")
+                listed[_name(vname)] = (0.0, 1.0, True)
         elif section == "objective":
             head, colon, body = raw.partition(":")
             lin, quad, const = _terms((body if colon else head).split())
             if quad is not None:
                 raise ParseError("quadratic objective not supported")
-            model.objective = Objective(lin, const, model.objective.sense)
+            objective = Objective(lin, const, objective.sense)
             used.update(lin)
         elif section == "subject to":
             row, colon, body = raw.partition(":")
-            tokens = body.split()
+            row, tokens = row.strip(), body.split()
             if not colon or len(tokens) < 2 or tokens[-2] not in _SENSES:
                 raise ParseError(f"expected 'name: terms sense rhs', got {raw.strip()!r}")
+            if not row:
+                raise ParseError(f"row without a name: {raw.strip()!r}")
             try:
                 rhs = _finite(tokens[-1])
             except ValueError:
-                raise ParseError(f"{row.strip()}: expected a finite number after {tokens[-2]!r}") from None
+                raise ParseError(f"{row}: expected a finite number after {tokens[-2]!r}") from None
             lin, quad, const = _terms(tokens[:-2])
             used.update(lin)
             if quad is None:
-                model.linear.append(LinearConstraint(row.strip(), lin, tokens[-2], rhs - const))
+                row_names.append(row)
+                row_coeffs.append(lin)
+                row_senses.append(tokens[-2])
+                row_rhs.append(rhs - const)
             else:
                 used.update(*quad)
-                model.quadratic.append(QuadraticConstraint(row.strip(), quad, lin, tokens[-2], rhs - const))
+                quadratic.append(QuadraticConstraint(row, quad, lin, tokens[-2], rhs - const))
         else:
             raise ParseError(f"content outside any section: {raw.strip()!r}")
-    model.name = model.name or Path(path).stem
     unlisted = sorted(used.difference(listed))
-    model.variables = [*listed.values(), *(Variable(n, float("-inf"), float("inf")) for n in unlisted)]
-    return model
+    bounds = [*listed.values(), *[(-math.inf, math.inf, False)] * len(unlisted)]
+    lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
+    variables = Variables((*listed, *unlisted), lower, upper, binary)
+    linear = LinearRows.pack(variables.names, row_names, row_coeffs, row_senses, row_rhs)
+    return Model(name or Path(path).stem, variables, linear, quadratic, objective, header)
 
 
 def write_solution(values: dict[str, float], path: str | Path) -> None:

@@ -11,6 +11,11 @@ so only v, w, d, f and the binaries remain.  Per wavelength the structure is
 one loop over layer boundaries, with coefficients read from the dense
 ``Catalog.layer_matrices``.
 
+A :class:`Model` keeps its variables and linear rows as columns: name,
+bound and binary arrays, and the rows in CSR form over variable indices.
+The builders fill them one numpy block at a time.  Quadratic rows and the
+objective stay dicts keyed by variable name.
+
 The relaxation keeps everything except the reverse-convex cap `d <= D(w)`,
 which is replaced by validated affine overapproximators of D.
 """
@@ -18,8 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .arrayops import box_max_denominator4
 from .bounds import EntryBounds
@@ -35,7 +43,7 @@ ENTRY_TAGS = ("11", "12", "21", "22")
 # Generic container
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variable:
     name: str
     lower: float
@@ -43,7 +51,7 @@ class Variable:
     kind: str = "continuous"  # or "binary"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearConstraint:
     name: str
     coeffs: dict[str, float]
@@ -67,48 +75,178 @@ class Objective:
     sense: str = "max"
 
 
-@dataclass
-class Model:
-    name: str
-    variables: list[Variable] = field(default_factory=list)
-    linear: list[LinearConstraint] = field(default_factory=list)
-    quadratic: list[QuadraticConstraint] = field(default_factory=list)
-    objective: Objective = field(default_factory=lambda: Objective({}))
-    header_comments: list[str] = field(default_factory=list)
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
-    def variable_names(self) -> set[str]:
-        return {v.name for v in self.variables}
+
+@dataclass(frozen=True, eq=False)
+class Variables:
+    """The variables as columns: names, bound arrays and a binary mask.
+
+    Iterating yields each one as a :class:`Variable` value; the arrays are
+    read-only.
+    """
+
+    names: tuple[str, ...]
+    lower: np.ndarray
+    upper: np.ndarray
+    binary: np.ndarray
+
+    def __post_init__(self) -> None:
+        _frozen(self.lower, self.upper, self.binary)
+
+    @classmethod
+    def pack(cls, variables: Iterable[Variable]) -> Variables:
+        variables = list(variables)
+        return cls(
+            tuple(v.name for v in variables),
+            np.array([v.lower for v in variables], dtype=float),
+            np.array([v.upper for v in variables], dtype=float),
+            np.array([v.kind == "binary" for v in variables], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self) -> Iterator[Variable]:
+        kinds = [("continuous", "binary")[b] for b in self.binary.tolist()]
+        return map(Variable, self.names, self.lower.tolist(), self.upper.tolist(), kinds)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearRows:
+    """The linear rows in CSR form.
+
+    Row ``i`` is ``names[i]: sum_j vals[j] * x[cols[j]] senses[i] rhs[i]``
+    over ``j`` in ``indptr[i]:indptr[i + 1]``, where ``cols`` index
+    ``columns``, the model's variable names, so every term names a declared
+    variable.  Iterating yields each row as a :class:`LinearConstraint`
+    value; the arrays are read-only.
+    """
+
+    columns: tuple[str, ...]
+    names: tuple[str, ...]
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    senses: np.ndarray  # "<=", "=" or ">=" per row
+    rhs: np.ndarray
+
+    def __post_init__(self) -> None:
+        _frozen(self.indptr, self.cols, self.vals, self.senses, self.rhs)
+
+    @classmethod
+    def pack(
+        cls,
+        columns: tuple[str, ...],
+        names: Sequence[str],
+        coeffs: Sequence[dict[str, float]],
+        senses: Sequence[str],
+        rhs: Sequence[float],
+    ) -> LinearRows:
+        """Rows given as parallel lists, their terms as ``{variable name: coefficient}``.
+
+        A term on a name that is not in `columns` is a ValueError.
+        """
+        index = {n: i for i, n in enumerate(columns)}
+        indptr = np.cumsum([0, *map(len, coeffs)])
+        try:
+            cols = np.fromiter(map(index.__getitem__, chain.from_iterable(coeffs)), np.intp, indptr[-1])
+        except KeyError as exc:
+            raise ValueError(f"constraints reference undeclared variables: {[exc.args[0]]}") from None
+        vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, indptr[-1])
+        return cls(columns, tuple(names), indptr, cols, vals, np.array(senses, dtype=str), np.array(rhs, dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self) -> Iterator[LinearConstraint]:
+        ptr, cols, vals = self.indptr.tolist(), self.cols.tolist(), self.vals.tolist()
+        columns = self.columns
+        for i, (name, sense, rhs) in enumerate(zip(self.names, self.senses.tolist(), self.rhs.tolist())):
+            terms = range(ptr[i], ptr[i + 1])
+            yield LinearConstraint(name, {columns[cols[j]]: vals[j] for j in terms}, sense, rhs)
+
+
+def _repeated(names: Sequence[str]) -> str | None:
+    """The first name that occurs a second time, or None."""
+    if len(set(names)) == len(names):
+        return None
+    seen: set[str] = set()
+    return next(n for n in names if n in seen or seen.add(n))
+
+
+def _all_finite(*numbers: float) -> bool:
+    # a finite sum proves every term finite; only an overflowing one needs the terms
+    return math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers))
+
+
+class Model:
+    """Variables and linear rows as columns, quadratic rows and the objective as dicts.
+
+    ``variables`` and ``linear`` may be given as :class:`Variables` and
+    :class:`LinearRows` (whose ``columns`` must be ``variables.names``) or
+    as iterables of :class:`Variable` and :class:`LinearConstraint`, which
+    are packed into columns.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        variables: Variables | Iterable[Variable] = (),
+        linear: LinearRows | Iterable[LinearConstraint] = (),
+        quadratic: Iterable[QuadraticConstraint] = (),
+        objective: Objective | None = None,
+        header_comments: Iterable[str] = (),
+    ) -> None:
+        self.name = name
+        self.variables = variables if isinstance(variables, Variables) else Variables.pack(variables)
+        if not isinstance(linear, LinearRows):
+            rows = list(linear)
+            linear = LinearRows.pack(
+                self.variables.names, [r.name for r in rows], [r.coeffs for r in rows],
+                [r.sense for r in rows], [r.rhs for r in rows],
+            )
+        elif linear.columns is not self.variables.names:
+            raise ValueError("linear rows index variables other than the model's")
+        self.linear = linear
+        self.quadratic = list(quadratic)
+        self.objective = Objective({}) if objective is None else objective
+        self.header_comments = list(header_comments)
 
     def validate(self) -> None:
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
-        declared = set(names)
-        for v in self.variables:
-            if v.kind == "continuous" and not (
-                math.isfinite(v.lower) and math.isfinite(v.upper)
-            ):
-                raise ValueError(f"{v.name}: continuous variable needs finite bounds")
-            if v.lower > v.upper:
-                raise ValueError(f"{v.name}: lower bound exceeds upper")
-        referenced = set(self.objective.coeffs)
-        for c in self.linear:
-            referenced.update(c.coeffs)
+        var, rows, obj = self.variables, self.linear, self.objective
+        repeated = _repeated(var.names)
+        if repeated is not None:
+            raise ValueError(f"{repeated}: duplicate variable name")
+        repeated = _repeated([*rows.names, *(q.name for q in self.quadratic)])
+        if repeated is not None:
+            raise ValueError(f"{repeated}: duplicate row name")
+        unbounded = ~var.binary & ~(np.isfinite(var.lower) & np.isfinite(var.upper))
+        if unbounded.any():
+            raise ValueError(f"{var.names[unbounded.argmax()]}: continuous variable needs finite bounds")
+        crossed = var.lower > var.upper
+        if crossed.any():
+            raise ValueError(f"{var.names[crossed.argmax()]}: lower bound exceeds upper")
+        referenced = set(obj.coeffs)
         for q in self.quadratic:
             referenced.update(q.lin)
             for pair in q.quad:
                 referenced.update(pair)
-        missing = referenced - declared
+        missing = referenced.difference(var.names)
         if missing:
             raise ValueError(f"constraints reference undeclared variables: {sorted(missing)[:5]}")
-        for row, rhs, coeffs in chain(
-            [("objective", self.objective.constant, self.objective.coeffs.values())],
-            ((c.name, c.rhs, c.coeffs.values()) for c in self.linear),
-            ((q.name, q.rhs, [*q.lin.values(), *q.quad.values()]) for q in self.quadratic),
-        ):
-            # a finite sum proves every term finite; only an overflowing one needs the terms
-            if not math.isfinite(rhs + sum(coeffs)) and not all(map(math.isfinite, [rhs, *coeffs])):
-                raise ValueError(f"{row}: non-finite coefficient, constant or right-hand side")
+        bad_rows = ~np.isfinite(rows.rhs)
+        bad_rows[np.searchsorted(rows.indptr, np.flatnonzero(~np.isfinite(rows.vals)), side="right") - 1] = True
+        non_finite = chain(
+            [] if _all_finite(obj.constant, *obj.coeffs.values()) else ["objective"],
+            (rows.names[i] for i in np.flatnonzero(bad_rows)),
+            (q.name for q in self.quadratic if not _all_finite(q.rhs, *q.lin.values(), *q.quad.values())),
+        )
+        row = next(non_finite, None)
+        if row is not None:
+            raise ValueError(f"{row}: non-finite coefficient, constant or right-hand side")
 
     def objective_value(self, values: dict[str, float]) -> float:
         return self.objective.constant + sum(
@@ -117,28 +255,23 @@ class Model:
 
     def check_point(self, values: dict[str, float]) -> float:
         """Largest constraint/bound violation of a full assignment (0 if feasible)."""
-        worst = 0.0
-
-        def residual(lhs: float, sense: str, rhs: float) -> float:
-            if sense == "<=":
-                return lhs - rhs
-            if sense == ">=":
-                return rhs - lhs
-            return abs(lhs - rhs)
-
-        for v in self.variables:
-            x = values[v.name]
-            worst = max(worst, v.lower - x, x - v.upper)
-            if v.kind == "binary":
-                worst = max(worst, min(abs(x), abs(x - 1.0)))
-        for c in self.linear:
-            lhs = sum(coef * values[n] for n, coef in c.coeffs.items())
-            worst = max(worst, residual(lhs, c.sense, c.rhs))
-        for q in self.quadratic:
-            lhs = sum(coef * values[n] for n, coef in q.lin.items())
-            lhs += sum(coef * values[n1] * values[n2] for (n1, n2), coef in q.quad.items())
-            worst = max(worst, residual(lhs, q.sense, q.rhs))
-        return worst
+        var, rows, quad = self.variables, self.linear, self.quadratic
+        x = np.array([values[n] for n in var.names], dtype=float)
+        row_of_term = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+        quad_lhs = [
+            sum(c * values[n] for n, c in q.lin.items())
+            + sum(c * values[n1] * values[n2] for (n1, n2), c in q.quad.items())
+            for q in quad
+        ]
+        gaps = [np.maximum(var.lower - x, x - var.upper), np.minimum(abs(x), abs(x - 1.0))[var.binary]]
+        for lhs, senses, rhs in (
+            (np.bincount(row_of_term, rows.vals * x[rows.cols], len(rows)), rows.senses, rows.rhs),
+            (np.array(quad_lhs, dtype=float), np.array([q.sense for q in quad], dtype=str),
+             np.array([q.rhs for q in quad], dtype=float)),
+        ):
+            gap = lhs - rhs
+            gaps.append(np.where(senses == "<=", gap, np.where(senses == ">=", -gap, abs(gap))))
+        return float(max(g.max(initial=0.0) for g in gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +359,56 @@ _HEADER = [
 ]
 
 
-#: Entry e of (copy * T) as (copy entry, T entry, sign) terms; the product
-#: rule of the carrier, so each row of a chain constraint is linear in the copies.
-_IMAGE = (
-    ((0, 0, 1.0), (1, 2, -1.0)),  # a11*t11 - a12*t21
-    ((0, 1, 1.0), (1, 3, 1.0)),   # a11*t12 + a12*t22
-    ((2, 0, 1.0), (3, 2, 1.0)),   # a21*t11 + a22*t21
-    ((3, 3, 1.0), (2, 1, -1.0)),  # a22*t22 - a21*t12
-)
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+#: Entry e of (copy * T), row e, as two terms (copy entry, T entry, sign): the
+#: product rule of the carrier, so each row of a chain constraint is linear in
+#: the copies.  Row 0 is a11*t11 - a12*t21, row 1 a11*t12 + a12*t22, row 2
+#: a21*t11 + a22*t21 and row 3 a22*t22 - a21*t12.
+_IMAGE_SRC = np.array([[0, 1], [0, 1], [2, 3], [3, 2]])
+_IMAGE_ENTRY = np.array([[0, 2], [1, 3], [0, 2], [3, 1]])
+_IMAGE_SIGN = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0])
+_TAG_OFFSETS = np.arange(4)
+
+def _join(columns: tuple[str, ...], blocks: list[tuple]) -> LinearRows:
+    """The rows of `blocks`, in order, as one :class:`LinearRows` over `columns`.
+
+    A block is ``(names, cols, vals, senses, rhs)``: rows with as many terms
+    each, ``cols`` of shape (rows, terms), ``vals`` broadcast to that shape
+    and ``senses`` and ``rhs`` to one value per row.
+    """
+    names: list[str] = []
+    cols, vals, senses, rhs, lengths = [], [], [], [], []
+    for block_names, block_cols, block_vals, block_senses, block_rhs in blocks:
+        n = len(block_names)
+        names += block_names
+        cols.append(block_cols.ravel())
+        vals.append(np.broadcast_to(block_vals, block_cols.shape).ravel())
+        senses.append(np.broadcast_to(block_senses, n))
+        rhs.append(np.broadcast_to(block_rhs, n))
+        lengths.append(np.full(n, block_cols.shape[1]))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+    return LinearRows(columns, tuple(names), indptr, np.concatenate(cols), np.concatenate(vals),
+                      np.concatenate(senses), np.concatenate(rhs))
 
 
-def _structure(catalog: Catalog, entry_bounds: EntryBounds, name: str) -> Model:
+def _structure(
+    catalog: Catalog,
+    entry_bounds: EntryBounds,
+    name: str,
+    overapproximators: Sequence[Sequence[Hyperplane]] = (),
+) -> Model:
     """Common part of both models: everything except the d <= D(w) coupling.
 
     Per wavelength, boundary 0 ties the copies entering layer 1 to the
     identity, and boundary k ties the image of layer k's copies under their
     layer matrices to the copies entering layer k+1; the last boundary ties
-    it to w instead (with 0 layers, w itself is the identity).
+    it to w instead (with 0 layers, w itself is the identity).  Given
+    `overapproximators`, the rows ``c_hyp_<l>_<k>`` of the relaxation follow.
+
+    Every block of rows is built with numpy from ``Catalog.layer_matrices``
+    and the entry bounds.  Variable columns are: the binaries x in choice
+    order; per wavelength the 4 copies of each choice, then the 4 entries
+    of w; then d and f of each wavelength.
     """
     if entry_bounds.lower.shape[1] != catalog.n_layers + 1:
         raise InconsistentBounds("entry bounds depth does not match the catalog")
@@ -253,67 +418,76 @@ def _structure(catalog: Catalog, entry_bounds: EntryBounds, name: str) -> Model:
     n_layers = catalog.n_layers
     n_wl = len(catalog.spectrum)
     labels = _labels(catalog)
-    model = Model(name=name, header_comments=list(_HEADER))
+    flat = [lab for layer_labels in labels for lab in layer_labels]
+    n_x = len(flat)
+    counts = [len(layer_labels) for layer_labels in labels]
+    first = np.cumsum([0, *counts])  # column of each layer's first binary
+    layer_of = np.repeat(np.arange(n_layers), counts)
+    per_wl = 4 * n_x + 4
+    d_col = n_x + n_wl * per_wl  # d of wavelength l is column d_col + 2l, f the next one
 
-    for layer_labels in labels:
-        model.variables.extend(Variable(f"x_{lab}", 0.0, 1.0, "binary") for lab in layer_labels)
+    names = [f"x_{lab}" for lab in flat]
+    lower, upper = [np.zeros(n_x)], [np.ones(n_x)]
+    blocks: list[tuple] = []
     for li in range(n_wl):
-        lower, upper = entry_bounds.lower[li].tolist(), entry_bounds.upper[li].tolist()
-        # copies[k] enter layer k+1; w enters the (absent) layer N+1
-        copies = [[f"v_{li}_{lab}" for lab in layer_labels] for layer_labels in labels] + [[f"w_{li}"]]
+        lo, hi = entry_bounds.lower[li], entry_bounds.upper[li]
+        copies = n_x + li * per_wl + 4 * np.arange(n_x)  # column of each choice's 11 copy
+        w = n_x + li * per_wl + 4 * n_x
+        # heads[k]: the 11 columns of the copies entering layer k+1 (w after the last layer)
+        heads = [copies[first[k]:first[k + 1]] for k in range(n_layers)] + [np.array([w])]
         for k in range(n_layers + 1):
-            rows = [{} for _ in ENTRY_TAGS]
-            if k:
-                for v, t in zip(copies[k - 1], catalog.layer_matrices[k - 1][:, li].tolist()):
-                    for row, terms in zip(rows, _IMAGE):
-                        for src, entry, sign in terms:
-                            row[f"{v}_{ENTRY_TAGS[src]}"] = sign * t[entry]
             prefix = f"c_final_{li}" if k == n_layers else f"c_chain_{li}_{k}" if k else f"c_u0_{li}"
-            for e, (tag, row) in enumerate(zip(ENTRY_TAGS, rows)):
-                row.update({f"{v}_{tag}": -1.0 if k else 1.0 for v in copies[k]})
-                model.linear.append(LinearConstraint(f"{prefix}_{tag}", row, "=", 0.0 if k else _IDENTITY[e]))
-        for layer_labels, layer_copies, lo, hi in zip(labels, copies, lower, upper):
-            for lab, v in zip(layer_labels, layer_copies):
-                xn = f"x_{lab}"
-                for e, tag in enumerate(ENTRY_TAGS):
-                    vn = f"{v}_{tag}"
-                    model.variables.append(Variable(vn, min(lo[e], 0.0), max(hi[e], 0.0)))
-                    for kind, bound, sense in (("ub", hi, "<="), ("lb", lo, ">=")):
-                        model.linear.append(LinearConstraint(
-                            f"c_{kind}_{li}_{lab}_{tag}", {vn: 1.0, xn: -bound[e]}, sense, 0.0
-                        ))
-        model.variables.extend(
-            Variable(w_name(li, tag), lo, hi) for tag, lo, hi in zip(ENTRY_TAGS, lower[-1], upper[-1])
-        )
+            row_names = [f"{prefix}_{tag}" for tag in ENTRY_TAGS]
+            entering = _TAG_OFFSETS[:, None] + heads[k]
+            if not k:
+                blocks.append((row_names, entering, 1.0, "=", _IDENTITY))
+                continue
+            layer = catalog.layer_matrices[k - 1][:, li]  # (choices, 4)
+            image_cols = (heads[k - 1][:, None] + _IMAGE_SRC[:, None]).reshape(4, -1)
+            image_vals = (_IMAGE_SIGN[:, None] * layer[:, _IMAGE_ENTRY].transpose(1, 0, 2)).reshape(4, -1)
+            blocks.append((row_names, np.hstack([image_cols, entering]),
+                           np.hstack([image_vals, np.full(entering.shape, -1.0)]), "=", 0.0))
+        # the copies of a choice are boxed to 0 unless its binary fires, and by its layer's box if it does
+        gate_lo, gate_hi = lo[layer_of], hi[layer_of]
+        names += [f"v_{li}_{lab}_{tag}" for lab in flat for tag in ENTRY_TAGS]
+        names += [w_name(li, tag) for tag in ENTRY_TAGS]
+        # min(lo, 0.0) and max(hi, 0.0) as Python gives them, the bound itself unless 0 is strictly
+        # past it, so a -0.0 bound stays -0.0 (np.minimum(-0.0, 0.0) is 0.0)
+        lower += [np.where(gate_lo > 0.0, 0.0, gate_lo).ravel(), lo[-1]]
+        upper += [np.where(gate_hi < 0.0, 0.0, gate_hi).ravel(), hi[-1]]
+        # rows c_ub (v - hi*x <= 0) and c_lb (v - lo*x >= 0) of each copy v, in turn
+        gate_cols = np.column_stack([(copies[:, None] + _TAG_OFFSETS).repeat(2), np.arange(n_x).repeat(8)])
+        gate_vals = np.column_stack([np.ones(8 * n_x), -np.stack([gate_hi, gate_lo], axis=-1).ravel()])
+        blocks.append((
+            [f"c_{kind}_{li}_{lab}_{tag}" for lab in flat for tag in ENTRY_TAGS for kind in ("ub", "lb")],
+            gate_cols, gate_vals, np.tile(["<=", ">="], 4 * n_x), 0.0,
+        ))
+    dmax = []
     for li, sub in enumerate(catalog.substrate_indices):
         lo, hi = entry_bounds.box(li, n_layers)
-        dmax = float(box_max_denominator4(lo, hi, sub.re, sub.im))
-        model.variables.append(Variable(d_name(li), 0.0, dmax))
-        model.variables.append(Variable(f_name(li), 0.0, 2.0))
+        dmax.append(float(box_max_denominator4(lo, hi, sub.re, sub.im)))
+        names += [d_name(li), f_name(li)]
+    lower.append(np.zeros(2 * n_wl))
+    upper.append(np.column_stack([dmax, np.full(n_wl, 2.0)]).ravel())
+    variables = Variables(tuple(names), np.concatenate(lower), np.concatenate(upper), np.arange(len(names)) < n_x)
 
-    for layer, layer_labels in enumerate(labels, start=1):
-        coeffs = {f"x_{lab}": 1.0 for lab in layer_labels}
-        model.linear.append(LinearConstraint(f"c_pick_{layer}", coeffs, "=", 1.0))
+    for layer in range(n_layers):
+        blocks.append(([f"c_pick_{layer + 1}"], np.arange(first[layer], first[layer + 1])[None], 1.0, "=", 1.0))
+    for li, planes in enumerate(overapproximators):
+        #  a1*x1 + a2*x2 + a3*x3 + a4*x4 - d >= -a0
+        a = np.array([h.coefficients() for h in planes])
+        hyp_cols = [*(n_x + li * per_wl + 4 * n_x + np.array(X_ORDER)), d_col + 2 * li]
+        blocks.append(([f"c_hyp_{li}_{k}" for k in range(len(planes))], np.tile(hyp_cols, (len(planes), 1)),
+                       np.column_stack([a[:, 1:], np.full(len(planes), -1.0)]), ">=", -a[:, 0]))
 
-    for li in range(n_wl):
-        a = catalog.substrate_indices[li].re
-        model.quadratic.append(
-            QuadraticConstraint(
-                f"qc_cone_{li}",
-                quad={(d_name(li), f_name(li)): 1.0},
-                lin={},
-                sense=">=",
-                rhs=4.0 * a,
-            )
-        )
-
+    quadratic = [
+        QuadraticConstraint(f"qc_cone_{li}", quad={(d_name(li), f_name(li)): 1.0}, lin={}, sense=">=",
+                            rhs=4.0 * catalog.substrate_indices[li].re)
+        for li in range(n_wl)
+    ]
     phi = catalog.spectrum.weights
-    model.objective = Objective(
-        coeffs={f_name(li): -phi[li] for li in range(n_wl)},
-        constant=sum(phi),
-        sense="max",
-    )
-    return model
+    objective = Objective(coeffs={f_name(li): -phi[li] for li in range(n_wl)}, constant=sum(phi), sense="max")
+    return Model(name, variables, _join(variables.names, blocks), quadratic, objective, _HEADER)
 
 
 def build_miqcp(catalog: Catalog, entry_bounds: EntryBounds) -> Model:
@@ -352,19 +526,7 @@ def build_misocp(
         )
     if any(not planes for planes in overapproximators):
         raise MissingHyperplanes("a wavelength has an empty hyperplane family")
-    model = _structure(catalog, entry_bounds, "misocp")
-    for li, planes in enumerate(overapproximators):
-        for k, h in enumerate(planes):
-            #  a1*x1 + a2*x2 + a3*x3 + a4*x4 - d >= -a0
-            coeffs = {
-                w_name(li, ENTRY_TAGS[e]): a
-                for e, a in zip(X_ORDER, h.coefficients()[1:])
-            }
-            coeffs[d_name(li)] = -1.0
-            model.linear.append(
-                LinearConstraint(f"c_hyp_{li}_{k}", coeffs, ">=", -h.a0)
-            )
-    return model
+    return _structure(catalog, entry_bounds, "misocp", overapproximators)
 
 
 def design_point(

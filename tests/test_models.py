@@ -25,12 +25,14 @@ from filmopt.model import (
     build_miqcp,
     build_misocp,
     design_point,
+    v_name,
     variable_map_text,
     x_name,
 )
 
 from conftest import (
     THETA1, enumerate_designs, flat_table, linear_constraint_count, models_close, random_catalog,
+    reference_lp_text,
 )
 
 
@@ -82,6 +84,20 @@ class TestBuildMiqcp:
             assert m.check_point(point) <= 1e-8
             _, avg = solver.evaluate_design(design, cat)
             assert abs(m.objective_value(point) - avg) <= 1e-8
+
+    @pytest.mark.parametrize("value", [0.125, -0.125], ids=["above-c_ub", "below-c_lb"])
+    def test_check_point_returns_a_gate_violation(self, value):
+        cat = desk_catalog()
+        m = build_miqcp(cat, bounds.tighten_bounds(cat))
+        design = next(enumerate_designs(cat))
+        point = design_point(cat, design)
+        assert m.check_point(point) == 0.0
+        # An unpicked choice's copy is gated to 0, so moving it by 0.125 breaks its c_ub or
+        # c_lb row by exactly 0.125.  The layer-1 copies sum to the identity exactly, and no
+        # chain coefficient on this copy is 1 or more, so no other row is broken by more.
+        unpicked = next(choice for choice in cat.choices_at(1) if choice != design[0])
+        point[v_name(0, 1, *unpicked, "11")] = value
+        assert m.check_point(point) == 0.125
 
     def test_quadratics_tight_at_design_points(self):
         cat = desk_catalog()
@@ -204,12 +220,14 @@ def lp_models(draw):
     ]
     terms = st.dictionaries(st.sampled_from(names), coefficients, max_size=12)
     pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
-    linear = [LinearConstraint(draw(row_names), draw(terms), draw(senses), draw(coefficients))
-              for _ in range(draw(st.integers(0, 3)))]
+    # row names are unique across the linear and quadratic rows
+    rows = draw(st.lists(row_names, max_size=6, unique=True))
+    split = draw(st.integers(0, len(rows)))
+    linear = [LinearConstraint(row, draw(terms), draw(senses), draw(coefficients)) for row in rows[:split]]
     quadratic = [
-        QuadraticConstraint(draw(row_names), draw(st.dictionaries(pairs, coefficients, min_size=1, max_size=4)),
+        QuadraticConstraint(row, draw(st.dictionaries(pairs, coefficients, min_size=1, max_size=4)),
                             draw(terms), draw(senses), draw(coefficients))
-        for _ in range(draw(st.integers(0, 3)))
+        for row in rows[split:]
     ]
     objective = Objective(draw(terms), draw(coefficients), draw(st.sampled_from(["max", "min"])))
     return Model(draw(row_names), variables, linear, quadratic, objective)
@@ -285,6 +303,15 @@ class TestLpExport:
             lpio.export_lp(model, tmp_path / "model.lp")
         assert list(tmp_path.iterdir()) == []
 
+    def test_duplicate_row_names_raise_and_write_nothing(self, tmp_path):
+        xy = [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)]
+        model = Model("m", xy, [LinearConstraint("c1", {"x": 1.0}, "<=", 1.0),
+                                LinearConstraint("c1", {"y": 1.0}, "<=", 1.0)],
+                      [QuadraticConstraint("c1", {("x", "y"): 1.0}, {}, "<=", 1.0)])
+        with pytest.raises(ValueError, match="c1: duplicate row name"):
+            lpio.export_lp(model, tmp_path / "model.lp")
+        assert list(tmp_path.iterdir()) == []
+
     def test_finite_numbers_with_an_overflowing_sum_pass(self):
         xy = [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)]
         Model("m", xy, [LinearConstraint("c1", {"x": 1e308, "y": 1e308}, "<=", 1e308)]).validate()
@@ -354,10 +381,11 @@ class TestLpExport:
         "Subject To\n c1: x <= nan\nEnd\n",
         "Subject To\n c1: x >= -inf\nEnd\n",
         "Bounds\n nan <= x <= 1\nEnd\n",
+        "Subject To\n : x <= 1\nEnd\n",
     ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound", "tokens-after-rhs",
             "minus-before-bracket", "star-without-name", "number-as-name", "unclosed-bracket",
             "nan-constant", "inf-constant", "inf-coefficient", "nan-quadratic-coefficient",
-            "nan-rhs", "inf-rhs", "nan-bound"])
+            "nan-rhs", "inf-rhs", "nan-bound", "empty-row-name"])
     def test_parse_error_on_bad_numbers(self, tmp_path, text):
         p = tmp_path / "bad.lp"
         p.write_text(text)
@@ -381,6 +409,8 @@ class TestLpExport:
     def test_random_models_round_trip_exactly(self, tmp_path, model):
         p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"
         lpio.export_lp(model, p1)
+        # signed zeros, wrapped rows and empty rows print as the token-at-a-time writer prints them
+        assert p1.read_bytes() == reference_lp_text(model).encode()
         parsed = lpio.import_lp(p1)
         assert models_close(model, parsed, rtol=0)
         lpio.export_lp(parsed, p2)
@@ -463,4 +493,4 @@ class TestVariableMap:
             for name in group:
                 assert name not in mapped
                 mapped.add(name)
-        assert mapped == m.variable_names()
+        assert mapped == {v.name for v in m.variables}
