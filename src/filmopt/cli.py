@@ -94,9 +94,6 @@ def cmd_evaluate(config: Path, out: Path, design: Path, grid: str | None) -> int
     )
     cfg, tables, _ = _load_instance(config)
     layers = _read_design(design)
-    for mat, _t in layers:
-        if mat not in tables:
-            raise ConfigError(f"design uses material {mat!r} with no dispersion table")
     substrate = tables[cfg.substrate]
 
     curve, _ = solver.evaluate_design_on_grid(layers, tables, substrate, curve_pts)
@@ -138,15 +135,10 @@ def cmd_optimize(config: Path, out: Path, mode: str, cap_nodes: int | None) -> i
     return 0
 
 
-def _write_hyperplanes(out_dir: Path, catalog: Catalog, planes: list[list[relax.Hyperplane]]) -> None:
-    """hyperplanes.json: the coefficient lists of each wavelength, keyed by wavelength."""
-    _write_json(
-        out_dir / "hyperplanes.json",
-        {
-            f"{wl:g}": [list(h.coefficients()) for h in planes[li]]
-            for li, wl in enumerate(catalog.spectrum.wavelengths)
-        },
-    )
+def _write_hyperplanes(out_dir: Path, catalog: Catalog, planes: list) -> None:
+    """hyperplanes.json: the (P, 5) coefficient rows of each wavelength, keyed by wavelength."""
+    wavelengths = catalog.spectrum.wavelengths
+    _write_json(out_dir / "hyperplanes.json", {f"{wl:g}": p.tolist() for wl, p in zip(wavelengths, planes)})
 
 
 def cmd_export(config: Path, out: Path, kind: str) -> int:
@@ -221,12 +213,12 @@ def cmd_compare(config: Path, out: Path, design: list[str]) -> int:
     return 0
 
 
-def cmd_extreme_points(beta: float, box: str) -> int:
-    parts = _parse_numbers(box, ",", "--box")
-    if len(parts) != 4:
-        raise ConfigError("--box must be lo1,hi1,lo2,hi2")
-    pts = relax.extreme_points_2d((parts[0], parts[1]), (parts[2], parts[3]), beta)
-    print(json.dumps({"beta": beta, "box": parts, "points": [list(p) for p in pts]}))
+def cmd_extreme_points(beta: str, box: str) -> int:
+    betas, parts = _parse_numbers(beta, ",", "--beta"), _parse_numbers(box, ",", "--box")
+    if len(betas) != 1 or len(parts) != 4 or parts[0] > parts[1] or parts[2] > parts[3]:
+        raise ConfigError(f"expected --beta b --box lo1,hi1,lo2,hi2, each lo <= its hi; got {beta!r} {box!r}")
+    pts = relax.extreme_points_2d((parts[0], parts[1]), (parts[2], parts[3]), betas[0])
+    print(json.dumps({"beta": betas[0], "box": parts, "points": [list(p) for p in pts]}))
     return 0
 
 
@@ -279,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extreme-points", help="debug: 2-d extreme points of y1*y2=beta in a box")
     p.set_defaults(func=cmd_extreme_points)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", required=True)
     p.add_argument("--box", required=True, help="lo1,hi1,lo2,hi2")
 
     return parser

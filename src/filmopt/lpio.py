@@ -12,11 +12,11 @@ term grammar.  An expression is a run of terms ``[+|-] [coef] name``: a
 missing coefficient is 1, and a coefficient followed by a sign, a bracket
 or the end is a constant.  Inside ``[ ]`` each name is followed by
 ``* name`` or ``^ 2``.  A row is ``name: expression sense rhs``, a bounds
-line ``lo <= name <= hi``.  A name that starts like a number, an operator
-or a bracket (``0-9 . + - [ ] * ^ < > =``), a ``-`` before ``[`` (the writer
-puts ``+``), a malformed bracket term, a row without a name, a NaN anywhere
-and an infinite coefficient, constant or right-hand side are a
-``ParseError``.
+line ``lo <= name <= hi``.  A name that breaks the rule of
+:func:`~filmopt.model.invalid_name` (the one ``Model.validate`` applies),
+a ``-`` before ``[`` (the writer puts ``+``), a malformed bracket term, a
+NaN anywhere and an infinite coefficient, constant or right-hand side are
+a ``ParseError``.
 
 Solution files are plain `name value` pairs, one per line.
 """
@@ -31,7 +31,9 @@ import numpy as np
 
 from .errors import InfeasibleAssignment, ParseError
 from .materials import Catalog, read_text, write_atomic
-from .model import LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
+from .model import (
+    SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, invalid_name, x_name,
+)
 
 _MAX_LINE = 200
 #: Lines per block handed to the file by export_lp.
@@ -170,11 +172,8 @@ def _row_lines(signed: _Signed, rows: LinearRows) -> Iterator[str]:
 # Parsing
 
 _SECTIONS = {"maximize", "minimize", "subject to", "bounds", "binaries", "end"}
-_SENSES = {"<=", ">=", "="}
 #: Tokens after which a coefficient stands alone, as a constant.
 _TERM_ENDS = {"+", "-", "[", "]"}
-#: The first characters of numbers, operators and brackets, which no variable name may have.
-_NOT_NAME = frozenset("0123456789.+-[]*^<>=")
 
 
 def _finite(tok: str) -> float:
@@ -183,12 +182,6 @@ def _finite(tok: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {tok!r}")
     return value
-
-
-def _name(tok: str) -> str:
-    if tok[0] in _NOT_NAME:
-        raise ParseError(f"expected a variable name, got {tok!r}")
-    return tok
 
 
 def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], float] | None, float]:
@@ -229,15 +222,14 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
                 continue
             tok = tokens[i]
             i += 1
-        name = _name(tok)
         if not inside:
-            lin[name] = lin.get(name, 0.0) + coef
+            lin[tok] = lin.get(tok, 0.0) + coef
             continue
         op = tokens[i:i + 2]
         if op == ["^", "2"]:
-            pair = (name, name)
+            pair = (tok, tok)
         elif len(op) == 2 and op[0] == "*":
-            pair = (name, _name(op[1]))
+            pair = (tok, op[1])
         else:
             raise ParseError(f"malformed quadratic term: {' '.join(tokens[i - 1:i + 2])!r}")
         quad[pair] = quad.get(pair, 0.0) + coef
@@ -294,10 +286,10 @@ def import_lp(path: str | Path) -> Model:
                 raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
             if math.isnan(lo) or math.isnan(hi):
                 raise ParseError(f"NaN bound: {raw.strip()!r}")
-            listed[_name(toks[2])] = (lo, hi, False)
+            listed[toks[2]] = (lo, hi, False)
         elif section == "binaries":
             for vname in raw.split():
-                listed[_name(vname)] = (0.0, 1.0, True)
+                listed[vname] = (0.0, 1.0, True)
         elif section == "objective":
             head, colon, body = raw.partition(":")
             lin, quad, const = _terms((body if colon else head).split())
@@ -308,10 +300,8 @@ def import_lp(path: str | Path) -> Model:
         elif section == "subject to":
             row, colon, body = raw.partition(":")
             row, tokens = row.strip(), body.split()
-            if not colon or len(tokens) < 2 or tokens[-2] not in _SENSES:
+            if not colon or len(tokens) < 2 or tokens[-2] not in SENSES:
                 raise ParseError(f"expected 'name: terms sense rhs', got {raw.strip()!r}")
-            if not row:
-                raise ParseError(f"row without a name: {raw.strip()!r}")
             try:
                 rhs = _finite(tokens[-1])
             except ValueError:
@@ -329,6 +319,9 @@ def import_lp(path: str | Path) -> Model:
         else:
             raise ParseError(f"content outside any section: {raw.strip()!r}")
     unlisted = sorted(used.difference(listed))
+    bad = invalid_name([*listed, *unlisted, *row_names, *(q.name for q in quadratic)])
+    if bad is not None:
+        raise ParseError(f"{bad!r} is not a name")
     bounds = [*listed.values(), *[(-math.inf, math.inf, False)] * len(unlisted)]
     lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
     variables = Variables((*listed, *unlisted), lower, upper, binary)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -34,9 +35,12 @@ from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
 from .materials import Catalog
 from .optics import StructuredMatrix, chain_product, denominator_D
-from .relax import X_ORDER, Hyperplane
+from .relax import X_ORDER, plane_values
 
 ENTRY_TAGS = ("11", "12", "21", "22")
+SENSES = ("<=", "=", ">=")
+#: In lowercased names joined by spaces: an empty name, a bad first character or a section keyword.
+_BAD_START = re.compile(r" (?:[0-9.+\-\[\]*^<>= ]|(?:maximize|minimize|bounds|binaries|end) )")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,22 @@ def _repeated(names: Sequence[str]) -> str | None:
     return next(n for n in names if n in seen or seen.add(n))
 
 
+def invalid_name(names: Sequence[str]) -> str | None:
+    """The first of `names` that LP text cannot carry and read back as itself, or None.
+
+    A name is printable without spaces or ``:``, does not start like a number, an operator or a
+    bracket (``0-9.+-[]*^<>=``) and is no section keyword in any case.  The joined names are
+    checked at once, not one by one.  The LP reader checks its names with this rule too.
+    """
+    text = " ".join(["", *names, ""]).lower()
+    codes = np.frombuffer(text.encode(), np.uint8)  # printable ASCII runs from " " to "~"
+    printable = codes.min() >= 32 and codes.max() < 127 or text.isprintable()
+    if not printable or ":" in text or text.count(" ") != len(names) + 1:
+        return next(n for n in names if not n.isprintable() or ":" in n or " " in n)
+    bad = _BAD_START.search(text)
+    return None if bad is None else names[text.count(" ", 0, bad.start())]
+
+
 def _all_finite(*numbers: float) -> bool:
     # a finite sum proves every term finite; only an overflowing one needs the terms
     return math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers))
@@ -217,12 +237,18 @@ class Model:
 
     def validate(self) -> None:
         var, rows, obj = self.variables, self.linear, self.objective
-        repeated = _repeated(var.names)
-        if repeated is not None:
-            raise ValueError(f"{repeated}: duplicate variable name")
-        repeated = _repeated([*rows.names, *(q.name for q in self.quadratic)])
-        if repeated is not None:
-            raise ValueError(f"{repeated}: duplicate row name")
+        row_names = [*rows.names, *(q.name for q in self.quadratic)]
+        for kind, names in (("variable", var.names), ("row", row_names)):
+            repeated = _repeated(names)
+            if repeated is not None:
+                raise ValueError(f"{repeated}: duplicate {kind} name")
+        bad = invalid_name([*var.names, *row_names])
+        if bad is not None:
+            raise ValueError(f"{bad!r}: not a name LP text can carry")
+        senses = np.concatenate([rows.senses, np.array([q.sense for q in self.quadratic], dtype=str)])
+        odd = np.flatnonzero(~np.isin(senses, SENSES))
+        if len(odd):
+            raise ValueError(f"{row_names[odd[0]]}: unknown row sense {str(senses[odd[0]])!r}")
         unbounded = ~var.binary & ~(np.isfinite(var.lower) & np.isfinite(var.upper))
         if unbounded.any():
             raise ValueError(f"{var.names[unbounded.argmax()]}: continuous variable needs finite bounds")
@@ -395,7 +421,7 @@ def _structure(
     catalog: Catalog,
     entry_bounds: EntryBounds,
     name: str,
-    overapproximators: Sequence[Sequence[Hyperplane]] = (),
+    overapproximators: Sequence[np.ndarray] = (),
 ) -> Model:
     """Common part of both models: everything except the d <= D(w) coupling.
 
@@ -475,10 +501,9 @@ def _structure(
         blocks.append(([f"c_pick_{layer + 1}"], np.arange(first[layer], first[layer + 1])[None], 1.0, "=", 1.0))
     for li, planes in enumerate(overapproximators):
         #  a1*x1 + a2*x2 + a3*x3 + a4*x4 - d >= -a0
-        a = np.array([h.coefficients() for h in planes])
         hyp_cols = [*(n_x + li * per_wl + 4 * n_x + np.array(X_ORDER)), d_col + 2 * li]
         blocks.append(([f"c_hyp_{li}_{k}" for k in range(len(planes))], np.tile(hyp_cols, (len(planes), 1)),
-                       np.column_stack([a[:, 1:], np.full(len(planes), -1.0)]), ">=", -a[:, 0]))
+                       np.column_stack([planes[:, 1:], np.full(len(planes), -1.0)]), ">=", -planes[:, 0]))
 
     quadratic = [
         QuadraticConstraint(f"qc_cone_{li}", quad={(d_name(li), f_name(li)): 1.0}, lin={}, sense=">=",
@@ -516,7 +541,7 @@ def build_miqcp(catalog: Catalog, entry_bounds: EntryBounds) -> Model:
 def build_misocp(
     catalog: Catalog,
     entry_bounds: EntryBounds,
-    overapproximators: list[list[Hyperplane]],
+    overapproximators: list[np.ndarray],
 ) -> Model:
     """Convex relaxation: the cap is replaced by affine overapproximators of D."""
     if len(overapproximators) != len(catalog.spectrum):
@@ -524,7 +549,7 @@ def build_misocp(
             f"{len(overapproximators)} hyperplane families for "
             f"{len(catalog.spectrum)} wavelengths"
         )
-    if any(not planes for planes in overapproximators):
+    if any(len(planes) == 0 for planes in overapproximators):
         raise MissingHyperplanes("a wavelength has an empty hyperplane family")
     return _structure(catalog, entry_bounds, "misocp", overapproximators)
 
@@ -532,7 +557,7 @@ def build_misocp(
 def design_point(
     catalog: Catalog,
     design: tuple[tuple[str, float], ...],
-    overapproximators: list[list[Hyperplane]] | None = None,
+    overapproximators: list[np.ndarray] | None = None,
 ) -> dict[str, float]:
     """Full variable assignment induced by a concrete design.
 
@@ -561,7 +586,7 @@ def design_point(
         d = denominator_D(w, sub)
         if overapproximators is not None:
             x = [w_entries[e] for e in X_ORDER]
-            d = min(d, min(h.value(x) for h in overapproximators[li]))
+            d = min(d, float(plane_values(overapproximators[li], x).min()))
         values[d_name(li)] = d
         values[f_name(li)] = 4.0 * sub.re / d
     return values

@@ -100,33 +100,16 @@ class Box4:
         return cls(tuple(lo[e] for e in X_ORDER), tuple(hi[e] for e in X_ORDER))
 
     def contains(self, point: Sequence[float]) -> bool:
-        return all(
-            lo - POINT_TOL <= v <= hi + POINT_TOL
-            for v, lo, hi in zip(point, self.lower, self.upper)
-        )
+        return all(_inside(v, lo, hi) for v, lo, hi in zip(point, self.lower, self.upper))
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine overapproximator a0 + a1*x1 + a2*x2 + a3*x3 + a4*x4 >= g(x)."""
+def plane_values(planes: np.ndarray, point: Sequence[float]) -> np.ndarray:
+    """``a0 + a1*x1 + a2*x2 + a3*x3 + a4*x4`` of each (P, 5) plane row at an x-ordered point.
 
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        return (self.a0, self.a1, self.a2, self.a3, self.a4)
-
-    def value(self, point: Sequence[float]) -> float:
-        return (
-            self.a0
-            + self.a1 * point[0]
-            + self.a2 * point[1]
-            + self.a3 * point[2]
-            + self.a4 * point[3]
-        )
+    Summed left to right, so each value is the double the scalar expression gives.
+    """
+    a0, a1, a2, a3, a4 = planes.T
+    return a0 + a1 * point[0] + a2 * point[1] + a3 * point[2] + a4 * point[3]
 
 
 def _inside(v: float, lo: float, hi: float) -> bool:
@@ -237,8 +220,8 @@ def collect_candidates(box: Box4) -> np.ndarray:
 
 def fit_hyperplane(
     points: Sequence[Sequence[float]], g: Callable[[Sequence[float]], float]
-) -> Hyperplane:
-    """Affine interpolation of g through 5 points in 4-space.
+) -> np.ndarray:
+    """Coefficients ``(a0, ..., a4)`` of the affine interpolation of g through 5 points in 4-space.
 
     The scalar reference for the batched fits of :func:`generate_overapproximators`.
     """
@@ -254,17 +237,18 @@ def fit_hyperplane(
         residual = np.abs(mat @ alpha - rhs).max()
     if not np.isfinite(alpha).all() or residual > RESIDUAL_TOL * max(1.0, np.abs(rhs).max()):
         raise SingularSystem(f"ill-conditioned system, residual {residual:g}")
-    return Hyperplane(*map(float, alpha))
+    return alpha
 
 
-def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> Hyperplane:
+def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> np.ndarray:
     """Global fallback: the corner maximum of the convex D bounds D on the whole box.
 
-    It is lifted like the fitted planes, by ``2 * REL_TOL`` times its size.
+    It is one (1, 5) plane row, lifted like the fitted planes, by
+    ``2 * REL_TOL`` times its size.
     """
     lo, hi = np.array(box.lower)[_ENTRY_ORDER], np.array(box.upper)[_ENTRY_ORDER]
     top = float(box_max_denominator4(lo, hi, substrate.re, substrate.im))
-    return Hyperplane(top + 2.0 * REL_TOL * abs(top), 0.0, 0.0, 0.0, 0.0)
+    return np.array([[top + 2.0 * REL_TOL * abs(top), 0.0, 0.0, 0.0, 0.0]])
 
 
 def _subset_blocks(count: int):
@@ -312,8 +296,8 @@ def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) ->
     return alpha
 
 
-def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> list[Hyperplane]:
-    """All validated affine overapproximators of D over the box's det-1 set.
+def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> np.ndarray:
+    """All validated affine overapproximators of D over the box's det-1 set, as (P, 5) rows.
 
     Every 5-point subset of the candidate set is fitted, in coordinates
     centred on the candidates' bounding box.  A fit survives if it falls
@@ -346,17 +330,17 @@ def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> list[Hyper
     kept[:, 0] -= (kept[:, 1:] * center).sum(axis=1)
     scale = np.abs(kept[:, :1]) + np.abs(kept[:, 1:]) @ np.abs(pts).T
     kept[:, 0] += UNCENTRED_ROUNDING * scale.max(axis=1)
-    return [Hyperplane(*map(float, row)) for row in kept]
+    return kept
 
 
-def hyperplanes_for_catalog(catalog: Catalog, entry_bounds: EntryBounds) -> list[list[Hyperplane]]:
-    """Per-wavelength overapproximator families, with the constant fallback."""
-    out: list[list[Hyperplane]] = []
+def hyperplanes_for_catalog(catalog: Catalog, entry_bounds: EntryBounds) -> list[np.ndarray]:
+    """Per-wavelength (P, 5) overapproximator families, with the constant fallback."""
+    out: list[np.ndarray] = []
     for li in range(len(catalog.spectrum)):
         box = Box4.from_entry_bounds(entry_bounds, li)
         sub = catalog.substrate_indices[li]
         try:
             out.append(generate_overapproximators(box, sub))
         except (NoValidHyperplane, EmptyCandidateSet):
-            out.append([constant_overapproximator(box, sub)])
+            out.append(constant_overapproximator(box, sub))
     return out

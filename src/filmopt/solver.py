@@ -19,9 +19,9 @@ prefix products, and a trailing block whose products are built once as an
 against the whole table with one matmul per wavelength, in chunks of
 ``LEAF_CHUNK_ENTRIES`` (2^15) entries and a multiple of 64 columns, into
 buffers allocated once per solve.  The tail grows from the last layer
-while its block fits in ``max(1024, 262_144 // L)`` designs; with pruning
-it is also capped at ``max(1, N // 2)`` layers, so bounds act on the
-leading half.  Pruning happens only above the split.
+while its block fits in ``max(1024, 262_144 // L)`` designs and at least
+``MIN_PREFIXES`` prefixes stay above the split, where B&B prunes.  Both
+solvers split alike, so B&B evaluates no design brute force does not.
 
 Denominator screen: since D - N = 4a det(W), reflectance is
 1 - 4a det(P) det(S)/D, so the denominators alone bound every score of a
@@ -38,6 +38,7 @@ block counted whole; ``nodes_pruned`` counts subtrees cut above the split
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -54,7 +55,7 @@ from .arrayops import (
     reflectance_rows4,
     weighted_reflectance4,
 )
-from .errors import ConfigError, InadmissibleDesign, InstanceTooLarge, InternalError, ParseError
+from .errors import ConfigError, InadmissibleDesign, InstanceTooLarge, InternalError, MissingDispersion, ParseError
 from .materials import Catalog, DispersionTable, expect, finite_number, index_at
 from .optics import ComplexIndex, chain_product, make_transfer_matrix, reflectance
 
@@ -64,6 +65,8 @@ Design = tuple[tuple[str, float], ...]
 #: among tolerance-equal optima the enumeration-first (lexicographically
 #: smallest) design is kept.
 OBJECTIVE_EPS = 1e-12
+#: The fewest prefixes the tail block leaves above the split, for B&B to cut.
+MIN_PREFIXES = 16
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,9 @@ def evaluate_design_on_grid(
     dropped), so the design need not come from any catalog; thicknesses may
     be off-grid.  The average is unweighted.
     """
+    for m, _ in design:
+        if m not in coating_tables:
+            raise MissingDispersion(f"design uses material {m!r} with no dispersion table")
     per = []
     for wl in grid:
         mats = []
@@ -177,17 +183,16 @@ def _report(
     )
 
 
-def _split_depth(counts: list[int], n_wl: int, prune: bool) -> int:
+def _split_depth(counts: list[int], n_wl: int) -> int:
     """Number of leading layers searched node by node; the rest form the tail block.
 
     The tail grows from the last layer while its block of designs fits in
-    ``max(1024, 262_144 // n_wl)`` columns.  With pruning it is also capped at
-    half the stack, so bounds can cut subtrees on the leading half.
+    ``max(1024, 262_144 // n_wl)`` columns and leaves at least
+    ``MIN_PREFIXES`` prefixes above the split.  Brute force and B&B share it.
     """
-    limit = max(1024, 262_144 // n_wl)
-    max_tail = max(1, len(counts) // 2) if prune else len(counts)
+    limit = min(max(1024, 262_144 // n_wl), math.prod(counts) // MIN_PREFIXES)
     tail, size = 1, counts[-1]
-    while tail < max_tail and size * counts[-tail - 1] <= limit:
+    while tail < len(counts) and size * counts[-tail - 1] <= limit:
         tail += 1
         size *= counts[-tail]
     return len(counts) - tail
@@ -231,7 +236,7 @@ def _search(
     a, b, phi = _substrate_arrays(catalog)
     counts = [m.shape[0] for m in mats]
     n_wl = len(phi)
-    split = _split_depth(counts, n_wl, prune)
+    split = _split_depth(counts, n_wl)
     suffix = _suffix_table(mats[split:])
     work = np.empty((n_wl, 4, leaf_chunk_width(n_wl, suffix.shape[2])))
     screen = DenominatorScreen(suffix, a, b, phi, work)

@@ -185,13 +185,11 @@ def test_07_overapproximator_validity():
                 g = denominator_on_x(cat.substrate_indices[li])
                 box = Box4.from_entry_bounds(eb, li)
                 for p in collect_candidates(box):
-                    for h in planes[li]:
-                        assert h.value(p) >= g(p) - 1e-9
+                    assert (relax.plane_values(planes[li], p) >= g(p) - 1e-9).all()
                 for picks in enumerate_designs(cat):
                     w = optics.chain_product([cat.matrix(m, t, wl) for m, t in picks])
                     x = (w.a11, w.a22, w.a12, w.a21)
-                    for h in planes[li]:
-                        assert h.value(x) >= g(x) - 1e-6
+                    assert (relax.plane_values(planes[li], x) >= g(x) - 1e-6).all()
         assert time.perf_counter() - t0 < 60.0
 
 

@@ -246,6 +246,17 @@ class TestExitCodes:
         assert "repeat" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
+    @pytest.mark.parametrize("command", ["compare", "evaluate"])
+    def test_design_material_without_dispersion_exit_1(self, command, config_path, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps([{"material": "Unobtainium", "thickness_nm": 50}]))
+        out = tmp_path / "o"
+        flag = f"d={design}" if command == "compare" else design
+        assert run(command, "--config", config_path, "--out", out, "--design", flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Unobtainium" in err
+        assert not out.exists()
+
     def test_internal_error_exit_3(self, config_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise InternalError("search ended without an incumbent design")
@@ -276,6 +287,11 @@ class TestExitCodes:
         ("heuristic", "--targets", "450,900", "--layers-per-target", "two"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "-1"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "0"),
+        ("extreme-points", "--beta", "nan", "--box", "0,1,0,2"),
+        ("extreme-points", "--beta", "inf", "--box", "0,1,0,2"),
+        ("extreme-points", "--beta", "1,2", "--box", "0,1,0,2"),
+        ("extreme-points", "--beta", "4", "--box", "0,2,2,0"),
+        ("extreme-points", "--beta", "4", "--box", "2,0,0,2"),
     ])
     def test_malformed_number_exit_1(self, command, config_path, tmp_path, capsys):
         args = list(command)

@@ -25,6 +25,7 @@ from filmopt.model import (
     build_miqcp,
     build_misocp,
     design_point,
+    invalid_name,
     v_name,
     variable_map_text,
     x_name,
@@ -140,17 +141,16 @@ class TestBuildMisocp:
         eb = bounds.tighten_bounds(cat)
         box = relax.Box4.from_entry_bounds(eb, 0)
         h = relax.constant_overapproximator(box, cat.substrate_indices[0])
-        m = build_misocp(cat, eb, [[h]])
+        m = build_misocp(cat, eb, [h])
         caps = [c for c in m.linear if c.name.startswith("c_hyp_")]
         assert len(caps) == 1
         assert caps[0].coeffs["d_0"] == -1.0
-        assert caps[0].rhs == -h.a0
+        assert caps[0].rhs == -h[0, 0]
 
     def test_coefficient_wiring(self):
         cat = desk_catalog(wavelengths=(500.0,))
         eb = bounds.tighten_bounds(cat)
-        h = relax.Hyperplane(10.0, 1.0, 2.0, 3.0, 4.0)
-        m = build_misocp(cat, eb, [[h]])
+        m = build_misocp(cat, eb, [np.array([[10.0, 1.0, 2.0, 3.0, 4.0]])])
         cap = next(c for c in m.linear if c.name == "c_hyp_0_0")
         assert cap.coeffs["w_0_11"] == 1.0
         assert cap.coeffs["w_0_22"] == 2.0
@@ -205,14 +205,16 @@ coefficients = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 senses = st.sampled_from(["<=", ">=", "="])
-row_names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
+# names LP text can carry; a section keyword such as "end" matches the patterns but is no name
+row_names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(lambda n: invalid_name([n]) is None)
+variable_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True).filter(
+    lambda n: invalid_name([n]) is None)
 
 
 @st.composite
 def lp_models(draw):
     """Small valid models: binary and bounded continuous variables, linear and quadratic rows."""
-    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True),
-                          min_size=1, max_size=8, unique=True))
+    names = draw(st.lists(variable_names, min_size=1, max_size=8, unique=True))
     variables = [
         Variable(n, 0.0, 1.0, "binary") if draw(st.booleans())
         else Variable(n, *sorted(draw(st.tuples(coefficients, coefficients))))
@@ -312,6 +314,31 @@ class TestLpExport:
             lpio.export_lp(model, tmp_path / "model.lp")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model", [
+        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c1", {"x": 1.0}, "<", 1.0)]),
+        Model("m", [Variable("x", 0.0, 1.0)],
+              quadratic=[QuadraticConstraint("q1", {("x", "x"): 1.0}, {}, "=<", 1.0)]),
+        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c:1", {"x": 1.0}, "<=", 1.0)]),
+        Model("m", [Variable("1x", 0.0, 1.0)], [LinearConstraint("c1", {"1x": 1.0}, "<=", 1.0)]),
+        Model("m", [Variable("x y", 0.0, 1.0)], [LinearConstraint("c1", {"x y": 1.0}, "<=", 1.0)]),
+        Model("m", [Variable("End", 0.0, 1.0, "binary")], [LinearConstraint("c1", {"End": 1.0}, "<=", 1.0)]),
+        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("", {"x": 1.0}, "<=", 1.0)]),
+    ], ids=["sense-<", "quadratic-sense", "row-c:1", "variable-1x", "variable-x-y", "binary-End",
+            "empty-row-name"])
+    def test_what_lp_cannot_read_back_raises_and_writes_nothing(self, model, tmp_path):
+        with pytest.raises(ValueError, match="sense|not a name"):
+            lpio.export_lp(model, tmp_path / "model.lp")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("names, bad", [
+        (["x", "c 1", "y"], "c 1"), (["x", "a\tb"], "a\tb"), (["x", "a\nb"], "a\nb"), (["x", "y:z"], "y:z"),
+        (["x", ""], ""), (["", "x"], ""), (["x", "-y"], "-y"), (["x", "[y"], "[y"), (["x", "BOUNDS"], "BOUNDS"),
+        (["x", "maximize"], "maximize"), (["x", "\u00e9", "1\u00e9"], "1\u00e9"), (["x", "a\xa0b"], "a\xa0b"),
+        (["x", "end_1", "subject", "obj", "\u00e9"], None), ([], None),
+    ])
+    def test_invalid_name_finds_the_first_name_lp_cannot_carry(self, names, bad):
+        assert invalid_name(names) == bad
+
     def test_finite_numbers_with_an_overflowing_sum_pass(self):
         xy = [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)]
         Model("m", xy, [LinearConstraint("c1", {"x": 1e308, "y": 1e308}, "<=", 1e308)]).validate()
@@ -382,10 +409,14 @@ class TestLpExport:
         "Subject To\n c1: x >= -inf\nEnd\n",
         "Bounds\n nan <= x <= 1\nEnd\n",
         "Subject To\n : x <= 1\nEnd\n",
+        "Subject To\n c1: x + bounds <= 1\nEnd\n",
+        "Bounds\n 0 <= x:y <= 1\nEnd\n",
+        "Binaries\n x 2y\nEnd\n",
     ], ids=["non-numeric-rhs", "missing-rhs", "non-numeric-bound", "tokens-after-rhs",
             "minus-before-bracket", "star-without-name", "number-as-name", "unclosed-bracket",
             "nan-constant", "inf-constant", "inf-coefficient", "nan-quadratic-coefficient",
-            "nan-rhs", "inf-rhs", "nan-bound", "empty-row-name"])
+            "nan-rhs", "inf-rhs", "nan-bound", "empty-row-name", "keyword-as-name", "colon-in-name",
+            "binary-starting-like-a-number"])
     def test_parse_error_on_bad_numbers(self, tmp_path, text):
         p = tmp_path / "bad.lp"
         p.write_text(text)

@@ -25,13 +25,13 @@ from filmopt.errors import (
 from filmopt.optics import ComplexIndex
 from filmopt.relax import (
     Box4,
-    Hyperplane,
     collect_candidates,
     constant_overapproximator,
     extreme_points_2d,
     fit_hyperplane,
     generate_overapproximators,
     hyperplanes_for_catalog,
+    plane_values,
 )
 
 from conftest import SUBSTRATES, denominator_on_x, enumerate_designs, random_catalog
@@ -188,7 +188,7 @@ class TestFitHyperplane:
 
         pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
         h = fit_hyperplane(pts, g)
-        assert h.coefficients() == pytest.approx((3.0, -2.0, 0.5, 4.0, -1.5), abs=1e-12)
+        assert h.tolist() == pytest.approx([3.0, -2.0, 0.5, 4.0, -1.5], abs=1e-12)
 
     def test_against_least_squares_oracle(self, data_tables):
         from filmopt.materials import index_at
@@ -200,8 +200,8 @@ class TestFitHyperplane:
         mat = np.column_stack([np.ones(5), pts])
         rhs = np.array([g(p) for p in pts])
         oracle, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        assert np.allclose(h.coefficients(), oracle, atol=1e-8)
-        assert np.abs(mat @ np.array(h.coefficients()) - rhs).max() <= 1e-8 * max(1, rhs.max())
+        assert np.allclose(h, oracle, atol=1e-8)
+        assert np.abs(mat @ h - rhs).max() <= 1e-8 * max(1, rhs.max())
 
     def test_wrong_count(self):
         g = denominator_on_x(ComplexIndex(2.0))
@@ -232,8 +232,7 @@ class TestGenerateOverapproximators:
                 except NoValidHyperplane:
                     continue
                 for p in collect_candidates(box):
-                    for h in planes:
-                        assert h.value(p) >= g(p) - TOL
+                    assert (plane_values(planes, p) >= g(p) - TOL).all()
 
     def test_domination_on_enumerated_designs(self):
         for seed in range(4):
@@ -245,8 +244,7 @@ class TestGenerateOverapproximators:
                 for picks in enumerate_designs(cat):
                     w = optics.chain_product([cat.matrix(m, t, wl) for m, t in picks])
                     x = (w.a11, w.a22, w.a12, w.a21)
-                    for h in planes[li]:
-                        assert h.value(x) >= g(x) - 1e-6
+                    assert (plane_values(planes[li], x) >= g(x) - 1e-6).all()
 
     def test_thin_boxes_dominate_on_candidates(self):
         # One coordinate 1e-12..1e-6 wide: the slopes are steep, so a0
@@ -263,7 +261,7 @@ class TestGenerateOverapproximators:
                 continue
             g = denominator_on_x(sub)
             for p in collect_candidates(box):
-                assert all(h.value(p) >= g(p) for h in planes)
+                assert (plane_values(planes, p) >= g(p)).all()
 
     def test_too_few_candidates_raises(self):
         box = Box4((1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
@@ -275,9 +273,7 @@ class TestGenerateOverapproximators:
         eb = bounds.tighten_bounds(cat)
         h1 = hyperplanes_for_catalog(cat, eb)
         h2 = hyperplanes_for_catalog(cat, eb)
-        assert [[p.coefficients() for p in planes] for planes in h1] == [
-            [p.coefficients() for p in planes] for planes in h2
-        ]
+        assert [planes.tolist() for planes in h1] == [planes.tolist() for planes in h2]
 
 
 def reference_overapproximators(box, substrate):
@@ -297,7 +293,7 @@ def reference_overapproximators(box, substrate):
             h = fit_hyperplane(centred[list(subset)], lambda p: d_at[tuple(p)])
         except SingularSystem:
             continue
-        a = np.array(h.coefficients())
+        a = h
         vals = a[0] + centred @ a[1:]
         scale = abs(a[0]) + np.abs(centred) @ np.abs(a[1:])
         if np.all(vals + relax.REL_TOL * scale >= gvals):
@@ -307,18 +303,16 @@ def reference_overapproximators(box, substrate):
                 kept.append(a)
     if not kept:
         raise NoValidHyperplane("no 5-point fit dominates D on the candidate set")
-    planes = []
     for a in kept:
         a[0] -= (a[1:] * center).sum()
         a[0] += relax.UNCENTRED_ROUNDING * (abs(a[0]) + np.abs(pts) @ np.abs(a[1:])).max()
-        planes.append(Hyperplane(*map(float, a)))
-    return planes
+    return np.array(kept)
 
 
 def outcome(generate, box, substrate):
-    """Coefficient tuples of the generated planes, or the error class raised."""
+    """Coefficient lists of the generated planes, or the error class raised."""
     try:
-        return [h.coefficients() for h in generate(box, substrate)]
+        return generate(box, substrate).tolist()
     except (NoValidHyperplane, EmptyCandidateSet) as exc:
         return type(exc)
 
@@ -348,8 +342,7 @@ def lifted_candidates(box, substrate):
 def assert_family_is_envelope(planes, pts, gvals, seed):
     """At random convex combinations of the candidates, min_h h(x) is the Qhull envelope."""
     x = np.random.default_rng(seed).dirichlet(np.full(len(pts), 0.3), size=200) @ pts
-    coeffs = np.array([h.coefficients() for h in planes])
-    family = (coeffs[:, :1] + coeffs[:, 1:] @ x.T).min(axis=0)
+    family = (planes[:, :1] + planes[:, 1:] @ x.T).min(axis=0)
     np.testing.assert_allclose(family, qhull_envelope(pts, gvals, x), rtol=1e-6, atol=0)
 
 
@@ -389,8 +382,8 @@ class TestBatchedMatchesReference:
             want = outcome(reference_overapproximators, box, sub)
             assert outcome(generate_overapproximators, box, sub) == want
             if not isinstance(want, list):
-                want = [constant_overapproximator(box, sub).coefficients()]
-            assert [h.coefficients() for h in planes[li]] == want
+                want = constant_overapproximator(box, sub).tolist()
+            assert planes[li].tolist() == want
 
 
 def slogdet_dominating_fits(pts, gvals, subsets):
@@ -481,8 +474,7 @@ class TestBroadSampledValidity:
                 w = optics.chain_product([cat.matrix(m, t, wl) for m, t in design])
                 d = optics.denominator_D(w, cat.substrate_indices[li])
                 x = (w.a11, w.a22, w.a12, w.a21)
-                for h in planes[li]:
-                    assert h.value(x) >= d - 1e-9 * max(1.0, abs(d))
+                assert (plane_values(planes[li], x) >= d - 1e-9 * max(1.0, abs(d))).all()
 
 
 class TestConstantFallback:
@@ -494,7 +486,7 @@ class TestConstantFallback:
         rng = np.random.default_rng(11)
         for _ in range(500):
             x = rng.uniform(box.lower, box.upper)
-            assert h.value(x) >= g(x)
+            assert plane_values(h, x)[0] >= g(x)
 
     def test_fallback_used_for_degenerate_identity_box(self):
         # a zero-layer instance has the identity point as its whole box
@@ -507,7 +499,7 @@ class TestConstantFallback:
         eb = bounds.tighten_bounds(cat)
         planes = hyperplanes_for_catalog(cat, eb)
         assert len(planes[0]) == 1
-        assert planes[0][0].coefficients()[1:] == (0.0, 0.0, 0.0, 0.0)
+        assert planes[0][0, 1:].tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestBox4:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import random
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmopt import optics, solver
+from filmopt import bounds, optics, solver
 from filmopt.arrayops import DenominatorScreen
 from filmopt.errors import InadmissibleDesign, InstanceTooLarge
-from filmopt.materials import CatalogConfig, build_catalog
+from filmopt.materials import CatalogConfig, build_catalog, load_tables
 from filmopt.solver import (
     branch_and_bound,
     brute_force,
@@ -28,6 +30,8 @@ from conftest import (
     random_catalog,
     single_wavelength_config,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_catalog(n_layers=2, thick_a=(40.0, 80.0), thick_b=(90.0, 150.0)):
@@ -244,18 +248,66 @@ class TestDenominatorScreen:
         with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
             assert _untimed(brute_force(cat)) == _untimed(report)
 
-    @pytest.mark.parametrize("substrate, designs", [("Molybdenum", 7_869_888),
-                                                     ("Tungsten", 7_809_984)])
-    def test_mo_410_bnb_skips_almost_every_leaf_block(self, data_tables, substrate, designs):
+    @pytest.mark.parametrize("substrate, designs, most_scored", [("Molybdenum", 15_185_664, 34),
+                                                                  ("Tungsten", 15_088_320, 33)])
+    def test_mo_410_bnb_skips_almost_every_leaf_block(self, data_tables, substrate, designs, most_scored):
         """Exact split boxes cut the designs B&B evaluates; the screen skips most blocks it enters."""
         cat = build_catalog(single_wavelength_config(substrate, 410.0), data_tables)
         scored = []
         with patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
-            report = branch_and_bound(cat)
-        block = np.prod([m.shape[0] for m in cat.layer_matrices[3:]])
+            report, (tail,) = _tail_layers(branch_and_bound, cat)
+        block = math.prod(m.shape[0] for m in cat.layer_matrices[-tail:])
         assert report.nodes_explored == designs
+        assert report.nodes_explored % block == 0
         assert report.design == brute_force(cat).design
-        assert len(scored) <= 0.05 * report.nodes_explored / block
+        assert len(scored) <= most_scored < report.nodes_explored // block
+        propagated = branch_and_bound(cat, suffix_boxes=bounds.suffix_product_bounds(cat))
+        assert propagated.design == report.design
+        assert designs < propagated.nodes_explored
+
+
+def _tail_layers(solve, cat):
+    """The report of ``solve(cat)`` and the layer count of each tail block it built."""
+    tails = []
+    table = solver._suffix_table
+
+    def recorded(mats):
+        tails.append(len(mats))
+        return table(mats)
+
+    with patch.object(solver, "_suffix_table", recorded):
+        return solve(cat), tails
+
+
+def _bundled(name, **changes):
+    return dataclasses.replace(CatalogConfig.from_json(CONFIGS / f"{name}.json"), **changes)
+
+
+class TestOneTree:
+    """Both solvers split the same tree, so B&B never evaluates a design brute force does not."""
+
+    @staticmethod
+    def assert_same_tree(cat):
+        brute, brute_tails = _tail_layers(brute_force, cat)
+        bnb, bnb_tails = _tail_layers(branch_and_bound, cat)
+        assert bnb_tails == brute_tails and len(bnb_tails) == 1
+        assert bnb.nodes_explored <= brute.nodes_explored
+        assert abs(bnb.objective - brute.objective) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_instances(self, seed):
+        cat, _ = random_catalog(random.Random(8000 + seed), max_layers=6, max_choices=6)
+        self.assert_same_tree(cat)
+
+    @pytest.mark.parametrize("config", [
+        _bundled("mo_410_n6"),
+        _bundled("visible_n6_lambda40"),
+        # the bench's multi-wl instance: the visible config on 20-nm grids
+        _bundled("visible_n6_lambda40", thicknesses={"TiO2": tuple(map(float, range(20, 141, 20))),
+                                                     "MgF2": tuple(map(float, range(50, 271, 20)))}),
+    ], ids=["mo_410_n6", "visible_n6_lambda40", "multi-wl"])
+    def test_bundled_configs(self, config):
+        self.assert_same_tree(build_catalog(config, load_tables(config)))
 
 
 class TestReportSerialization:
