@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrayops import interval_product4
-from .materials import Catalog
+from .materials import Catalog, wavelength_key
 
 _IDENTITY4 = np.array([1.0, 0.0, 0.0, 1.0])
 
@@ -47,7 +47,7 @@ class EntryBounds:
     def to_json_dict(self) -> dict:
         """Per wavelength, per depth, the four entries' [lo, hi] pairs."""
         pairs = np.stack([self.lower, self.upper], axis=-1).tolist()
-        return {f"{wl:g}": pairs[li] for li, wl in enumerate(self.wavelengths)}
+        return {wavelength_key(wl): pairs[li] for li, wl in enumerate(self.wavelengths)}
 
 
 def _propagate(

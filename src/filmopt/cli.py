@@ -33,7 +33,7 @@ from .errors import (
 )
 from .materials import (
     Catalog, CatalogConfig, _rank_by_mean_index, build_catalog, load_tables, progression, read_text,
-    write_atomic,
+    wavelength_key, write_atomic,
 )
 
 USAGE_ERRORS = (
@@ -103,7 +103,7 @@ def cmd_evaluate(config: Path, out: Path, design: Path, grid: str | None) -> int
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["wavelength_nm", "reflectance"])
     for wl, r in zip(curve_pts, curve):
-        writer.writerow([f"{wl:g}", f"{r:.9f}"])
+        writer.writerow([wavelength_key(wl), f"{r:.9f}"])
     write_atomic(out / "spectrum.csv", buf.getvalue())
     _write_json(
         out / "summary.json",
@@ -137,8 +137,8 @@ def cmd_optimize(config: Path, out: Path, mode: str, cap_nodes: int | None) -> i
 
 def _write_hyperplanes(out_dir: Path, catalog: Catalog, planes: list) -> None:
     """hyperplanes.json: the (P, 5) coefficient rows of each wavelength, keyed by wavelength."""
-    wavelengths = catalog.spectrum.wavelengths
-    _write_json(out_dir / "hyperplanes.json", {f"{wl:g}": p.tolist() for wl, p in zip(wavelengths, planes)})
+    keys = map(wavelength_key, catalog.spectrum.wavelengths)
+    _write_json(out_dir / "hyperplanes.json", {key: p.tolist() for key, p in zip(keys, planes)})
 
 
 def cmd_export(config: Path, out: Path, kind: str) -> int:
@@ -152,10 +152,10 @@ def cmd_export(config: Path, out: Path, kind: str) -> int:
         _write_hyperplanes(out, catalog, planes)
         print(
             "hyperplanes per wavelength: "
-            + ", ".join(f"{wl:g}:{len(planes[li])}" for li, wl in enumerate(catalog.spectrum.wavelengths))
+            + ", ".join(f"{wavelength_key(wl)}:{len(p)}" for wl, p in zip(catalog.spectrum.wavelengths, planes))
         )
     lpio.export_lp(model, out / "model.lp")
-    write_atomic(out / "varmap.json", model_mod.variable_map_text(catalog))
+    write_atomic(out / "varmap.json", model_mod.variable_map_pieces(catalog))
     print(
         f"{kind}: {len(model.variables)} variables, {len(model.linear)} linear, "
         f"{len(model.quadratic)} quadratic constraints -> {out / 'model.lp'}"
@@ -176,7 +176,7 @@ def cmd_hyperplanes(config: Path, out: Path) -> int:
     eb = bounds_mod.tighten_bounds(catalog)
     planes = relax.hyperplanes_for_catalog(catalog, eb)
     _write_hyperplanes(out, catalog, planes)
-    print(", ".join(f"{wl:g}: {len(planes[li])}" for li, wl in enumerate(catalog.spectrum.wavelengths)))
+    print(", ".join(f"{wavelength_key(wl)}: {len(p)}" for wl, p in zip(catalog.spectrum.wavelengths, planes)))
     return 0
 
 

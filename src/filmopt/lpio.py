@@ -18,26 +18,33 @@ a ``-`` before ``[`` (the writer puts ``+``), a malformed bracket term, a
 NaN anywhere and an infinite coefficient, constant or right-hand side are
 a ``ParseError``.
 
+Memory grows with the model, not with its text.  Both directions work in
+blocks of ``_BLOCK_LINES`` lines: :func:`export_lp` formats and writes
+one block of rows, bounds or lines at a time, and :func:`import_lp` reads
+one block of lines at a time and appends each row's terms to one flat
+list of name ids and one flat array of coefficients, never holding the
+whole text or a dict per row.
+
 Solution files are plain `name value` pairs, one per line.
 """
 from __future__ import annotations
 
 import math
-from itertools import islice
+from array import array
+from collections import defaultdict
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .errors import InfeasibleAssignment, ParseError
-from .materials import Catalog, read_text, write_atomic
+from .materials import Catalog, read_chunks, read_text, write_atomic
 from .model import (
-    SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, invalid_name, x_name,
+    _BLOCK_LINES, SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, invalid_name, x_name,
 )
 
 _MAX_LINE = 200
-#: Lines per block handed to the file by export_lp.
-_BLOCK_LINES = 4096
 
 
 def _wrap(text: str, prefix: str) -> list[str]:
@@ -67,26 +74,23 @@ def _wrap(text: str, prefix: str) -> list[str]:
     return lines
 
 
-class _Signed(dict):
-    """``c`` -> ``"+ |c|"`` or ``"- |c|"`` to 17 digits, formatted once: rows repeat coefficients."""
-
-    def __missing__(self, c: float) -> str:
-        text = self[c] = f"{'-' if c < 0 else '+'} {abs(c):.17g}"
-        return text
+def _signed(c: float) -> str:
+    """``"+ |c|"`` or ``"- |c|"`` to 17 digits; ``-0.0`` prints as ``+ 0``."""
+    return f"{'-' if c < 0 else '+'} {abs(c):.17g}"
 
 
-def _linear_text(signed: _Signed, coeffs: dict[str, float], constant: float = 0.0) -> str:
+def _linear_text(coeffs: dict[str, float], constant: float = 0.0) -> str:
     """Signed terms ``c name`` (and a nonzero constant), without a leading ``+``."""
-    terms = [f"{signed[c]} {name}" for name, c in coeffs.items()]
+    terms = [f"{_signed(c)} {name}" for name, c in coeffs.items()]
     if constant:
-        terms.append(signed[constant])
+        terms.append(_signed(constant))
     return " ".join(terms).removeprefix("+ ") or "0"
 
 
-def _quad_text(signed: _Signed, quad: dict[tuple[str, str], float]) -> str:
+def _quad_text(quad: dict[tuple[str, str], float]) -> str:
     """The bracketed quadratic part, ``[ c x * y - c z ^ 2 ]``, without a leading ``+``."""
     text = " ".join([
-        f"{signed[c]} {n1} ^ 2" if n1 == n2 else f"{signed[c]} {n1} * {n2}"
+        f"{_signed(c)} {n1} ^ 2" if n1 == n2 else f"{_signed(c)} {n1} * {n2}"
         for (n1, n2), c in quad.items()
     ]).removeprefix("+ ")
     return f"[ {text} ]" if text else "[ ]"
@@ -114,21 +118,23 @@ def _lp_lines(model: Model) -> Iterator[str]:
     """The lines of the LP text of `model`, without newlines."""
     yield f"\\ Model: {model.name}"
     yield from (f"\\ {c}" for c in model.header_comments)
-    obj, var, signed = model.objective, model.variables, _Signed()
+    obj, var = model.objective, model.variables
     if var or model.linear or model.quadratic or obj.coeffs or obj.constant:
         yield "Maximize" if obj.sense == "max" else "Minimize"
-        yield from _wrap(_linear_text(signed, obj.coeffs, obj.constant), " obj:")
+        yield from _wrap(_linear_text(obj.coeffs, obj.constant), " obj:")
         if model.linear or model.quadratic:
             yield "Subject To"
-        yield from _row_lines(signed, model.linear)
+        yield from _row_lines(model.linear)
         for q in model.quadratic:
-            body = f"{_quad_text(signed, q.quad)} {q.sense} {q.rhs:.17g}"
-            yield from _wrap(f"{_linear_text(signed, q.lin)} + {body}" if q.lin else body, f" {q.name}:")
-        continuous = ~var.binary
-        if continuous.any():
+            body = f"{_quad_text(q.quad)} {q.sense} {q.rhs:.17g}"
+            yield from _wrap(f"{_linear_text(q.lin)} + {body}" if q.lin else body, f" {q.name}:")
+        continuous = np.flatnonzero(~var.binary)
+        if len(continuous):
             yield "Bounds"
-            names = [var.names[i] for i in np.flatnonzero(continuous).tolist()]
-            lower, upper = _numbers(var.lower[continuous]), _numbers(var.upper[continuous])
+        for start in range(0, len(continuous), _BLOCK_LINES):
+            block = continuous[start:start + _BLOCK_LINES]
+            names = map(var.names.__getitem__, block.tolist())
+            lower, upper = _numbers(var.lower[block]), _numbers(var.upper[block])
             yield from (f" {lo} <= {name} <= {hi}" for lo, name, hi in zip(lower, names, upper))
         binaries = [var.names[i] for i in np.flatnonzero(var.binary).tolist()]
         if binaries:
@@ -144,23 +150,27 @@ def _numbers(values: np.ndarray) -> list[str]:
     return [texts[i] for i in which.tolist()]
 
 
-def _row_lines(signed: _Signed, rows: LinearRows) -> Iterator[str]:
+def _row_lines(rows: LinearRows) -> Iterator[str]:
     """The lines of the linear rows, built ``_BLOCK_LINES`` rows at a time.
 
-    Each distinct coefficient is formatted once (``-0.0`` and ``0.0`` both
-    print as ``+ 0``), as is each distinct right-hand side; a row's text is
-    joined from its CSR slice, and only a row longer than ``_MAX_LINE``
-    goes through :func:`_wrap`.
+    Within a block each distinct coefficient is formatted once (``-0.0``
+    and ``0.0`` both print as ``+ 0``), as is each distinct right-hand
+    side; a row's text is joined from the words of its CSR slice, and only
+    a row longer than ``_MAX_LINE`` goes through :func:`_wrap`.
     """
-    distinct, which = np.unique(rows.vals, return_inverse=True)
-    texts = [signed[c] for c in distinct.tolist()]
-    columns, ptr, senses, rhs = rows.columns, rows.indptr.tolist(), rows.senses.tolist(), _numbers(rows.rhs)
+    columns = np.array(rows.columns, dtype=object)
     for start in range(0, len(rows), _BLOCK_LINES):
         stop = min(start + _BLOCK_LINES, len(rows))
-        lo, hi = ptr[start], ptr[stop]
-        terms = [f"{texts[t]} {columns[c]}" for t, c in zip(which[lo:hi].tolist(), rows.cols[lo:hi].tolist())]
-        for i, name in zip(range(start, stop), rows.names[start:stop]):
-            body = f"{' '.join(terms[ptr[i] - lo:ptr[i + 1] - lo]).removeprefix('+ ') or '0'} {senses[i]} {rhs[i]}"
+        ptr = rows.indptr[start:stop + 1]
+        lo, hi = ptr[0], ptr[-1]
+        distinct, which = np.unique(rows.vals[lo:hi], return_inverse=True)
+        words = np.empty((hi - lo, 2), dtype=object)  # each term's signed coefficient and name
+        words[:, 0] = np.array([_signed(c) for c in distinct.tolist()], dtype=object)[which]
+        words[:, 1] = columns[rows.cols[lo:hi]]
+        words, ends = words.ravel().tolist(), (2 * (ptr - lo)).tolist()
+        senses, rhs = rows.senses[start:stop].tolist(), _numbers(rows.rhs[start:stop])
+        for i, name in enumerate(rows.names[start:stop]):
+            body = f"{' '.join(words[ends[i]:ends[i + 1]]).removeprefix('+ ') or '0'} {senses[i]} {rhs[i]}"
             line = f" {name}: {body}"
             if len(line) <= _MAX_LINE:
                 yield line
@@ -239,25 +249,55 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
     return lin, quad, const
 
 
+def _lines(path: str | Path) -> Iterator[str]:
+    """The lines of the LP text at `path`, each with its continuation lines joined on.
+
+    The text is read ``_BLOCK_LINES`` lines at a time and cut after the
+    last newline that no two-space indent follows, so joining continuations
+    (``"\\n  "`` -> ``" "``) within each piece and ``str.splitlines`` give
+    the lines of the whole text.
+    """
+    rest = ""
+    for chunk in read_chunks(path, _BLOCK_LINES):
+        text = rest + chunk
+        # each newline of `rest` that has two characters after it is followed by an indent
+        floor = max(len(rest) - 2, 0)
+        cut = text.rfind("\n", floor, len(text) - 2)
+        while cut >= 0 and text.startswith("  ", cut + 1):
+            cut = text.rfind("\n", floor, cut)
+        yield from text[:cut + 1].replace("\n  ", " ").splitlines()
+        rest = text[cut + 1:]
+    yield from rest.replace("\n  ", " ").splitlines()
+
+
 def import_lp(path: str | Path) -> Model:
     """Parse LP text in the dialect :func:`export_lp` writes.
 
     Lines indented by two spaces continue the line before; comment lines
     before the first section are the header, the first ``Model:`` one
     naming the model.  Variables appear in Bounds order, then Binaries
-    order, then the unlisted ones (free) by name.
+    order, then the unlisted ones (free) by name; a variable listed twice
+    keeps its first place and its last bounds.
+
+    Each name gets an id at its first use, and each linear row appends its
+    terms' ids and coefficients to one flat list and one flat array; one
+    take maps the ids to columns at the end.
     """
-    text = read_text(path).replace("\n  ", " ")
     name, header, objective = "", [], Objective({})
-    listed: dict[str, tuple[float, float, bool]] = {}  # name -> (lower, upper, binary)
-    used: set[str] = set()
-    row_names: list[str] = []
-    row_coeffs: list[dict[str, float]] = []
-    row_senses: list[str] = []
-    row_rhs: list[float] = []
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # a name's id is the count of names seen before it
+    to_id = ids.__getitem__
+    # Ids, counts and flags go to lists, whose items are the ids' own int objects or cached small
+    # ints (8 bytes an item, and list appends are cheaper than array ones); floats go to arrays,
+    # where a list would keep a 24-byte float object alive for each.
+    # One entry per name on a bounds or binaries line, in file order:
+    listed, listed_binary, listed_lower, listed_upper = [], [], array("d"), array("d")
+    # One entry per linear row, and one per term of a linear row:
+    row_names, lengths, senses, rhs_values = [], [], [], array("d")
+    term_ids, vals = [], array("d")
     quadratic: list[QuadraticConstraint] = []
     section = None
-    for raw in text.splitlines():
+    for raw in _lines(path):
         if raw.startswith("\\"):
             if section is None:
                 content = raw[1:].strip()
@@ -286,17 +326,25 @@ def import_lp(path: str | Path) -> Model:
                 raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
             if math.isnan(lo) or math.isnan(hi):
                 raise ParseError(f"NaN bound: {raw.strip()!r}")
-            listed[toks[2]] = (lo, hi, False)
+            listed.append(to_id(toks[2]))
+            listed_lower.append(lo)
+            listed_upper.append(hi)
+            listed_binary.append(False)
         elif section == "binaries":
-            for vname in raw.split():
-                listed[vname] = (0.0, 1.0, True)
+            count = len(listed)
+            listed.extend(map(to_id, raw.split()))
+            count = len(listed) - count
+            listed_lower.extend(repeat(0.0, count))
+            listed_upper.extend(repeat(1.0, count))
+            listed_binary.extend(repeat(True, count))
         elif section == "objective":
             head, colon, body = raw.partition(":")
             lin, quad, const = _terms((body if colon else head).split())
             if quad is not None:
                 raise ParseError("quadratic objective not supported")
             objective = Objective(lin, const, objective.sense)
-            used.update(lin)
+            for n in lin:
+                to_id(n)
         elif section == "subject to":
             row, colon, body = raw.partition(":")
             row, tokens = row.strip(), body.split()
@@ -307,26 +355,63 @@ def import_lp(path: str | Path) -> Model:
             except ValueError:
                 raise ParseError(f"{row}: expected a finite number after {tokens[-2]!r}") from None
             lin, quad, const = _terms(tokens[:-2])
-            used.update(lin)
             if quad is None:
                 row_names.append(row)
-                row_coeffs.append(lin)
-                row_senses.append(tokens[-2])
-                row_rhs.append(rhs - const)
+                term_ids.extend(map(to_id, lin))
+                vals.extend(lin.values())
+                lengths.append(len(lin))
+                senses.append(SENSES.index(tokens[-2]))
+                rhs_values.append(rhs - const)
             else:
-                used.update(*quad)
+                for n in chain(lin, *quad):
+                    to_id(n)
                 quadratic.append(QuadraticConstraint(row, quad, lin, tokens[-2], rhs - const))
         else:
             raise ParseError(f"content outside any section: {raw.strip()!r}")
-    unlisted = sorted(used.difference(listed))
-    bad = invalid_name([*listed, *unlisted, *row_names, *(q.name for q in quadratic)])
+    # the id map and the term-id list are freed as soon as their contents have moved, to keep the peak low
+    names = np.fromiter(ids, object, len(ids))
+    ids.clear()
+    variables, column = _variables(names, listed, listed_binary, listed_lower, listed_upper)
+    bad = invalid_name(chain(variables.names, row_names, (q.name for q in quadratic)))
     if bad is not None:
         raise ParseError(f"{bad!r} is not a name")
-    bounds = [*listed.values(), *[(-math.inf, math.inf, False)] * len(unlisted)]
-    lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
-    variables = Variables((*listed, *unlisted), lower, upper, binary)
-    linear = LinearRows.pack(variables.names, row_names, row_coeffs, row_senses, row_rhs)
+    cols = np.array(term_ids, np.intp)
+    term_ids.clear()
+    linear = LinearRows(
+        variables.names, tuple(row_names), np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
+        column[cols], np.frombuffer(vals),
+        np.array(SENSES)[np.array(senses, np.intp)], np.frombuffer(rhs_values),
+    )
     return Model(name or Path(path).stem, variables, linear, quadratic, objective, header)
+
+
+def _variables(
+    names: np.ndarray, listed: list[int], binary: list[bool], lower: array, upper: array,
+) -> tuple[Variables, np.ndarray]:
+    """The variables (Bounds and Binaries order, then the unlisted ones by name) and each id's column.
+
+    `names` holds the names by id.  `listed` holds the id of each name on a
+    bounds or binaries line, in file order, and `binary`, `lower` and
+    `upper` what that line gives it.  A name listed twice keeps its
+    first place and its last bounds; an unlisted one is free.
+    """
+    listed = np.array(listed, np.intp)
+    once, first = np.unique(listed, return_index=True)
+    last = len(listed) - 1 - np.unique(listed[::-1], return_index=True)[1]
+    by_place = np.argsort(first)
+    kept = last[by_place]
+    free = np.setdiff1d(np.arange(len(names)), once)
+    free = free[np.argsort(names[free])]
+    order = np.concatenate([once[by_place], free])
+    column = np.empty(len(names), np.intp)
+    column[order] = np.arange(len(names))
+    variables = Variables(
+        tuple(names[order]),
+        np.concatenate([np.frombuffer(lower)[kept], np.full(len(free), -math.inf)]),
+        np.concatenate([np.frombuffer(upper)[kept], np.full(len(free), math.inf)]),
+        np.concatenate([np.array(binary, bool)[kept], np.zeros(len(free), bool)]),
+    )
+    return variables, column
 
 
 def write_solution(values: dict[str, float], path: str | Path) -> None:

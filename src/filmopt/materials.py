@@ -10,15 +10,18 @@ array per layer.
 from __future__ import annotations
 
 import bisect
+import codecs
 import csv
+import io
 import json
 import math
 import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,10 +45,42 @@ MAX_PROGRESSION = 1_000_000
 
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of `path`; other bytes are a ParseError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return "".join(read_chunks(path))
+
+
+def read_chunks(path: str | Path, lines: int | None = None) -> Iterator[str]:
+    """The UTF-8 text of `path`, decoded `lines` lines at a time (all at once if None).
+
+    A line here ends at a ``\\n`` byte.  Newlines are translated as
+    ``open()`` translates them, ``\\r\\n`` and ``\\r`` to ``\\n``.
+    Bytes that are not UTF-8 are a ParseError that gives their offset in
+    the file.
+    """
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            data = fh.read() if lines is None else b"".join(islice(fh, lines))
+            pending = len(decoder.getstate()[0])  # bytes of a character cut by the last piece
+            try:
+                text = decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                at = offset - pending + exc.start
+                raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {at}") from None
+            offset += len(data)
+            if text:
+                yield text
+            if not data:
+                return
+
+
+def wavelength_key(wl: float) -> str:
+    """A wavelength as a JSON key or CSV field: ``f"{wl:g}"`` if that reads back as `wl`, else ``repr``.
+
+    Distinct wavelengths get distinct keys, and the short form stays where it is exact.
+    """
+    text = f"{wl:g}"
+    return text if float(text) == wl else repr(wl)
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:

@@ -25,7 +25,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ from .relax import X_ORDER, plane_values
 
 ENTRY_TAGS = ("11", "12", "21", "22")
 SENSES = ("<=", "=", ">=")
+#: Lines per block: LP text is written and read, and names are checked, this many at a time.
+_BLOCK_LINES = 4096
 #: In lowercased names joined by spaces: an empty name, a bad first character or a section keyword.
 _BAD_START = re.compile(r" (?:[0-9.+\-\[\]*^<>= ]|(?:maximize|minimize|bounds|binaries|end) )")
 
@@ -181,20 +183,26 @@ def _repeated(names: Sequence[str]) -> str | None:
     return next(n for n in names if n in seen or seen.add(n))
 
 
-def invalid_name(names: Sequence[str]) -> str | None:
-    """The first of `names` that LP text cannot carry and read back as itself, or None.
+def invalid_name(names: Iterable[str]) -> str | None:
+    """A name of `names` that LP text cannot carry and read back as itself, or None.
 
     A name is printable without spaces or ``:``, does not start like a number, an operator or a
-    bracket (``0-9.+-[]*^<>=``) and is no section keyword in any case.  The joined names are
-    checked at once, not one by one.  The LP reader checks its names with this rule too.
+    bracket (``0-9.+-[]*^<>=``) and is no section keyword in any case.  The first name that
+    breaks the first rule is returned if there is one, else the first that breaks another.  The
+    names are checked ``_BLOCK_LINES`` at a time, each block joined and checked at once.  The LP
+    reader checks its names with this rule too.
     """
-    text = " ".join(["", *names, ""]).lower()
-    codes = np.frombuffer(text.encode(), np.uint8)  # printable ASCII runs from " " to "~"
-    printable = codes.min() >= 32 and codes.max() < 127 or text.isprintable()
-    if not printable or ":" in text or text.count(" ") != len(names) + 1:
-        return next(n for n in names if not n.isprintable() or ":" in n or " " in n)
-    bad = _BAD_START.search(text)
-    return None if bad is None else names[text.count(" ", 0, bad.start())]
+    names, first_bad_start = iter(names), None
+    while block := list(islice(names, _BLOCK_LINES)):
+        text = " ".join(["", *block, ""]).lower()
+        codes = np.frombuffer(text.encode(), np.uint8)  # printable ASCII runs from " " to "~"
+        printable = codes.min() >= 32 and codes.max() < 127 or text.isprintable()
+        if not printable or ":" in text or text.count(" ") != len(block) + 1:
+            return next(n for n in block if not n.isprintable() or ":" in n or " " in n)
+        bad = None if first_bad_start is not None else _BAD_START.search(text)
+        if bad is not None:
+            first_bad_start = block[text.count(" ", 0, bad.start())]
+    return first_bad_start
 
 
 def _all_finite(*numbers: float) -> bool:
@@ -242,7 +250,7 @@ class Model:
             repeated = _repeated(names)
             if repeated is not None:
                 raise ValueError(f"{repeated}: duplicate {kind} name")
-        bad = invalid_name([*var.names, *row_names])
+        bad = invalid_name(chain(var.names, row_names))
         if bad is not None:
             raise ValueError(f"{bad!r}: not a name LP text can carry")
         senses = np.concatenate([rows.senses, np.array([q.sense for q in self.quadratic], dtype=str)])
@@ -342,35 +350,44 @@ def f_name(li: int) -> str:
     return f"f_{li}"
 
 
-def variable_map_text(catalog: Catalog) -> str:
-    """varmap.json: name -> meaning of every variable of the catalog's models.
+def variable_map_pieces(catalog: Catalog) -> Iterator[str]:
+    """varmap.json in pieces: name -> meaning of every variable of the catalog's models.
 
-    Equal to ``json.dumps(..., indent=2)`` of ``{"x": {name: meaning}, "v":
-    ..., "w": ..., "d": ..., "f": ...}``.  The large ``v`` group is joined from
-    per-choice pieces: ``json.dumps`` escapes a string one character at a
-    time, so escaped labels concatenate into escaped names.
+    The pieces join to ``json.dumps(..., indent=2)`` of ``{"x": {name:
+    meaning}, "v": ..., "w": ..., "d": ..., "f": ...}``.  The large ``v``
+    group comes one wavelength at a time, joined from per-choice pieces:
+    ``json.dumps`` escapes a string one character at a time, so escaped
+    labels concatenate into escaped names.
     """
     q = json.dumps
+
+    def nested(group: dict) -> str:
+        # JSON text holds no raw newline, so indenting each line nests it one level down
+        return q(group, indent=2).replace("\n", "\n  ")
+
     x: dict[str, dict] = {}
-    v_pieces: list[tuple[str, str]] = []  # each v entry's text after its wavelength index, and after the wavelength
+    # each v entry's text after its wavelength index and after its wavelength, indented for its place
+    v_pieces: list[tuple[str, str]] = []
     for layer, (layer_labels, choices) in enumerate(zip(_labels(catalog), catalog.layer_choices), start=1):
         for label, (m, t) in zip(layer_labels, choices):
             x[f"x_{label}"] = {"layer": layer, "material": m, "thickness_nm": t}
-            meaning = f'"layer": {layer},\n    "material": {q(m)},\n    "thickness_nm": {q(t)}'
-            v_pieces += [(f'_{q(label)[1:-1]}_{tag}": {{\n    "wavelength_nm": ',
-                          f',\n    {meaning},\n    "entry": "{tag}"\n  }}') for tag in ENTRY_TAGS]
+            meaning = f'"layer": {layer},\n      "material": {q(m)},\n      "thickness_nm": {q(t)}'
+            v_pieces += [(f'_{q(label)[1:-1]}_{tag}": {{\n      "wavelength_nm": ',
+                          f',\n      {meaning},\n      "entry": "{tag}"\n    }}') for tag in ENTRY_TAGS]
+    yield '{\n  "x": ' + nested(x) + ',\n  "v": '
     wls = list(enumerate(catalog.spectrum.wavelengths))
-    v = [f'  "v_{li}{head}{wl}{tail}' for li, wl in enumerate(map(q, catalog.spectrum.wavelengths))
-         for head, tail in v_pieces]
-    groups = {
-        "x": q(x, indent=2),
-        "v": "{\n" + ",\n".join(v) + "\n}" if v else "{}",
-        "w": q({w_name(li, tag): {"wavelength_nm": wl, "entry": tag} for li, wl in wls for tag in ENTRY_TAGS}, indent=2),
-        "d": q({d_name(li): {"wavelength_nm": wl} for li, wl in wls}, indent=2),
-        "f": q({f_name(li): {"wavelength_nm": wl} for li, wl in wls}, indent=2),
-    }
-    # JSON text holds no raw newline, so indenting each line nests a group one level down
-    return "{\n" + ",\n".join(f'  "{key}": ' + text.replace("\n", "\n  ") for key, text in groups.items()) + "\n}\n"
+    if not (wls and v_pieces):
+        yield "{}"
+    else:
+        for li, wl in enumerate(map(q, catalog.spectrum.wavelengths)):
+            yield ("{\n" if li == 0 else ",\n") + ",\n".join(
+                [f'    "v_{li}{head}{wl}{tail}' for head, tail in v_pieces])
+        yield "\n  }"
+    w = {w_name(li, tag): {"wavelength_nm": wl, "entry": tag} for li, wl in wls for tag in ENTRY_TAGS}
+    yield ',\n  "w": ' + nested(w)
+    yield ',\n  "d": ' + nested({d_name(li): {"wavelength_nm": wl} for li, wl in wls})
+    yield ',\n  "f": ' + nested({f_name(li): {"wavelength_nm": wl} for li, wl in wls})
+    yield "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def linear_constraint_count(catalog) -> int:
 
 
 def variable_map(catalog) -> dict:
-    """Oracle for ``model.variable_map_text``: the name -> meaning map as nested dicts."""
+    """Oracle for ``model.variable_map_pieces``: the name -> meaning map as nested dicts."""
     labels = _labels(catalog)
     out: dict[str, dict] = {"x": {}, "v": {}, "w": {}, "d": {}, "f": {}}
     for layer, choices in enumerate(catalog.layer_choices, start=1):

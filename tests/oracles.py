@@ -1,13 +1,23 @@
-"""Scalar oracles of the vectorized box kernels, on the StructuredMatrix API.
+"""Reference implementations that production code is tested against.
 
 ``interval_product_box`` is the reference for ``arrayops.interval_product4``
-and ``max_denominator_over_box`` for ``arrayops.box_max_denominator4``; the
-corner propagation of the entry bounds is ``conftest.corner_propagation``.
+and ``max_denominator_over_box`` for ``arrayops.box_max_denominator4``, both
+scalar, on the StructuredMatrix API; the corner propagation of the entry
+bounds is ``conftest.corner_propagation``.  ``invalid_name`` checks all
+names in one joined text, where ``model.invalid_name`` checks them in
+blocks, and ``import_lp`` parses the whole LP text into a dict per row,
+where ``lpio.import_lp`` reads it in blocks into flat arrays.
 """
+import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+from filmopt.errors import ParseError
+from filmopt.lpio import _SECTIONS, _finite, _terms
+from filmopt.materials import read_text
+from filmopt.model import _BAD_START, SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables
 from filmopt.optics import ComplexIndex, StructuredMatrix, denominator_D
 
 
@@ -48,3 +58,98 @@ def max_denominator_over_box(
         denominator_D(StructuredMatrix(*corner), substrate)
         for corner in product(*zip(lo.tolist(), hi.tolist()))
     )
+
+
+def invalid_name(names):
+    """A name LP text cannot carry, or None: ``model.invalid_name``'s rule on all `names` joined at once."""
+    text = " ".join(["", *names, ""]).lower()
+    codes = np.frombuffer(text.encode(), np.uint8)  # printable ASCII runs from " " to "~"
+    printable = codes.min() >= 32 and codes.max() < 127 or text.isprintable()
+    if not printable or ":" in text or text.count(" ") != len(names) + 1:
+        return next(n for n in names if not n.isprintable() or ":" in n or " " in n)
+    bad = _BAD_START.search(text)
+    return None if bad is None else names[text.count(" ", 0, bad.start())]
+
+
+def import_lp(path):
+    """LP text -> Model: the whole text at once, continuations joined by one replace, a dict per row."""
+    text = read_text(path).replace("\n  ", " ")
+    name, header, objective = "", [], Objective({})
+    listed: dict[str, tuple[float, float, bool]] = {}  # name -> (lower, upper, binary)
+    used: set[str] = set()
+    row_names: list[str] = []
+    row_coeffs: list[dict[str, float]] = []
+    row_senses: list[str] = []
+    row_rhs: list[float] = []
+    quadratic: list[QuadraticConstraint] = []
+    section = None
+    for raw in text.splitlines():
+        if raw.startswith("\\"):
+            if section is None:
+                content = raw[1:].strip()
+                if not name and content.startswith("Model:"):
+                    name = content[6:].strip()
+                else:
+                    header.append(content)
+            continue
+        key = raw.strip().lower()
+        if key in _SECTIONS:
+            if key == "end":
+                break
+            section = key
+            if key in ("maximize", "minimize"):
+                section, objective.sense = "objective", key[:3]
+            continue
+        if not key:
+            continue
+        if section == "bounds":
+            toks = raw.split()
+            if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
+                raise ParseError(f"unsupported bounds line: {raw.strip()!r}")
+            try:
+                lo, hi = float(toks[0]), float(toks[4])
+            except ValueError:
+                raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
+            if math.isnan(lo) or math.isnan(hi):
+                raise ParseError(f"NaN bound: {raw.strip()!r}")
+            listed[toks[2]] = (lo, hi, False)
+        elif section == "binaries":
+            for vname in raw.split():
+                listed[vname] = (0.0, 1.0, True)
+        elif section == "objective":
+            head, colon, body = raw.partition(":")
+            lin, quad, const = _terms((body if colon else head).split())
+            if quad is not None:
+                raise ParseError("quadratic objective not supported")
+            objective = Objective(lin, const, objective.sense)
+            used.update(lin)
+        elif section == "subject to":
+            row, colon, body = raw.partition(":")
+            row, tokens = row.strip(), body.split()
+            if not colon or len(tokens) < 2 or tokens[-2] not in SENSES:
+                raise ParseError(f"expected 'name: terms sense rhs', got {raw.strip()!r}")
+            try:
+                rhs = _finite(tokens[-1])
+            except ValueError:
+                raise ParseError(f"{row}: expected a finite number after {tokens[-2]!r}") from None
+            lin, quad, const = _terms(tokens[:-2])
+            used.update(lin)
+            if quad is None:
+                row_names.append(row)
+                row_coeffs.append(lin)
+                row_senses.append(tokens[-2])
+                row_rhs.append(rhs - const)
+            else:
+                used.update(*quad)
+                quadratic.append(QuadraticConstraint(row, quad, lin, tokens[-2], rhs - const))
+        else:
+            raise ParseError(f"content outside any section: {raw.strip()!r}")
+    unlisted = sorted(used.difference(listed))
+    bad = invalid_name([*listed, *unlisted, *row_names, *(q.name for q in quadratic)])
+    if bad is not None:
+        raise ParseError(f"{bad!r} is not a name")
+    bounds = [*listed.values(), *[(-math.inf, math.inf, False)] * len(unlisted)]
+    lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
+    variables = Variables((*listed, *unlisted), lower, upper, binary)
+    linear = LinearRows.pack(variables.names, row_names, row_coeffs, row_senses, row_rhs)
+    return Model(name or Path(path).stem, variables, linear, quadratic, objective, header)

@@ -181,6 +181,26 @@ class TestBoundsAndHyperplanes:
         planes = json.loads((out / "hyperplanes.json").read_text())
         assert all(len(hs) >= 1 for hs in planes.values())
 
+    def test_wavelengths_equal_to_six_digits_keep_their_own_keys(self, tmp_path, capsys):
+        # both print as 550 with :g, so one family used to overwrite the other
+        p = tmp_path / "close.json"
+        p.write_text(json.dumps(dict(CONFIG, wavelengths=[550.00001, 550.00002])))
+        keys = ["550.00001", "550.00002"]
+        assert run("bounds", "--config", p, "--out", tmp_path / "b") == 0
+        assert run("hyperplanes", "--config", p, "--out", tmp_path / "h") == 0
+        assert run("export", "--config", p, "--out", tmp_path / "e", "--kind", "misocp") == 0
+        for path in (tmp_path / "b" / "bounds.json", tmp_path / "h" / "hyperplanes.json",
+                     tmp_path / "e" / "hyperplanes.json"):
+            assert list(json.loads(path.read_text())) == keys
+        printed = capsys.readouterr().out
+        assert all(f"{key}:" in printed for key in keys)
+        design = tmp_path / "design.json"
+        design.write_text("[]")
+        assert run("evaluate", "--config", p, "--design", design, "--out", tmp_path / "ev",
+                   "--grid", "550:0.00001:550.0001") == 0
+        rows = list(csv.reader(open(tmp_path / "ev" / "spectrum.csv")))[1:]
+        assert len({r[0] for r in rows}) == len(rows) > 5
+
 
 class TestHeuristicAndCompare:
     def test_heuristic_then_compare(self, config_path, tmp_path):

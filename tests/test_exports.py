@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from filmopt import bounds, lpio, materials, relax
 from filmopt.materials import CatalogConfig, build_catalog
-from filmopt.model import build_miqcp, build_misocp, variable_map_text
+from filmopt.model import build_miqcp, build_misocp, variable_map_pieces
 
 from conftest import LP_MAX_LINE, flat_table, reference_lp_text, reference_wrap, variable_map
 
@@ -59,7 +59,7 @@ def test_lp_file_matches_reference(name, kind, tmp_path):
 @pytest.mark.parametrize("name", INSTANCES)
 def test_varmap_matches_json_dumps(name):
     catalog, _ = instance(name)
-    assert variable_map_text(catalog) == json.dumps(variable_map(catalog), indent=2) + "\n"
+    assert "".join(variable_map_pieces(catalog)) == json.dumps(variable_map(catalog), indent=2) + "\n"
 
 
 def test_varmap_escapes_names_and_keeps_number_forms():
@@ -70,7 +70,7 @@ def test_varmap_escapes_names_and_keeps_number_forms():
                            thicknesses={"Tiö₂": (12.5, 20), 'Mg"F\\2': (1e-3, 90.0)},
                            wavelengths=(500, 612.5), layers=3)
     catalog = build_catalog(config, tables)
-    assert variable_map_text(catalog) == json.dumps(variable_map(catalog), indent=2) + "\n"
+    assert "".join(variable_map_pieces(catalog)) == json.dumps(variable_map(catalog), indent=2) + "\n"
 
 
 token = st.one_of(

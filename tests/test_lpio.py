@@ -1,0 +1,207 @@
+"""The block-wise LP reader against the whole-text oracle, and the memory budgets of the export path."""
+import dataclasses
+import functools
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from filmopt import bounds, lpio, materials, model, relax
+from filmopt.errors import ParseError
+from filmopt.materials import CatalogConfig, build_catalog, write_atomic
+from filmopt.model import build_miqcp, build_misocp, variable_map_pieces
+
+from test_models import lp_models
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SUBSTRATES = ("Molybdenum", "Niobium", "Tantalum", "Tungsten")
+#: Block sizes that put a block boundary after every line, every other line and nowhere.
+BLOCKS = (1, 2, 3, 4096)
+MB = 1_000_000
+
+hypothesis_settings = settings(max_examples=150, deadline=None,
+                               suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@functools.cache
+def bundled_model(config: str, substrate: str, kind: str) -> model.Model:
+    cfg = dataclasses.replace(CatalogConfig.from_json(CONFIGS / f"{config}.json"), substrate=substrate)
+    catalog = build_catalog(cfg, materials.load_tables(cfg))
+    eb = bounds.tighten_bounds(catalog)
+    if kind == "miqcp":
+        return build_miqcp(catalog, eb)
+    return build_misocp(catalog, eb, relax.hyperplanes_for_catalog(catalog, eb))
+
+
+def model_state(m: model.Model) -> tuple:
+    """Everything a model holds, arrays as bytes and floats by repr, so equal states are equal bit for bit."""
+    var, rows = m.variables, m.linear
+    return (
+        m.name, m.header_comments, var.names, var.lower.tobytes(), var.upper.tobytes(), var.binary.tobytes(),
+        rows.names, rows.indptr.tobytes(), rows.cols.tobytes(), rows.vals.tobytes(), rows.senses.tolist(),
+        rows.rhs.tobytes(), repr([(q.name, q.quad, q.lin, q.sense, q.rhs) for q in m.quadratic]),
+        repr((m.objective.coeffs, m.objective.constant, m.objective.sense)),
+    )
+
+
+def import_both(path: Path, block: int, monkeypatch) -> tuple:
+    """The model state, or the ParseError message, of lpio.import_lp in blocks of `block` lines and of the oracle."""
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(lpio, "_BLOCK_LINES", block)
+        for parse in (lpio.import_lp, oracles.import_lp):
+            try:
+                results.append(model_state(parse(path)))
+            except ParseError as exc:
+                results.append(str(exc))
+    return tuple(results)
+
+
+@pytest.mark.parametrize("kind", ["miqcp", "misocp"])
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+@pytest.mark.parametrize("config", ["mo_410_n6", "visible_n6_lambda40", "broad_n20_theta2"])
+def test_bundled_lp_imports_as_the_oracle_and_writes_back_the_same_bytes(config, substrate, kind, tmp_path):
+    p1, p2 = tmp_path / "model.lp", tmp_path / "again.lp"
+    lpio.export_lp(bundled_model(config, substrate, kind), p1)
+    parsed = lpio.import_lp(p1)
+    assert model_state(parsed) == model_state(oracles.import_lp(p1))
+    lpio.export_lp(parsed, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@hypothesis_settings
+@given(lp_models(), st.sampled_from(BLOCKS))
+def test_random_models_import_as_the_oracle(tmp_path, monkeypatch, m, block):
+    path = tmp_path / "model.lp"
+    lpio.export_lp(m, path)
+    new, old = import_both(path, block, monkeypatch)
+    assert new == old
+
+
+LP_WORDS = ["Maximize", "Minimize", "Subject To", "Bounds", "Binaries", "End", "\\ Model: m", "\\ note",
+            "obj:", "c1:", "c2:", "q1:", "+", "-", "[", "]", "*", "^ 2", "0", "1.5", "-3", "x", "y", "z", "<=",
+            ">=", "=", "0 <= x <= 1", "-1 <= y <= 2"]
+LP_BREAKS = ["\n", "\n ", "\n  ", "\n   ", "\r\n", "\r\n  ", "\r", "\r  ", "\x0c", "\x0c  ", "\x1e", "\x85",
+             "\u2028", " "]
+
+
+@hypothesis_settings
+@given(st.lists(st.tuples(st.sampled_from(LP_WORDS), st.sampled_from(LP_BREAKS)), max_size=30),
+       st.sampled_from(BLOCKS))
+def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, block):
+    path = tmp_path / "model.lp"
+    path.write_text("".join(w + b for w, b in words), encoding="utf-8", newline="")
+    new, old = import_both(path, block, monkeypatch)
+    assert new == old
+
+
+HEAD = "Maximize\n obj: x\nSubject To\n"
+
+
+@pytest.mark.parametrize("text, rows", [
+    # every separator str.splitlines knows ends a line
+    (HEAD.replace("\n", "\r\n") + " c1: x + y <= 1\r\n c2: y >= 0\r\nEnd\r\n", ["c1", "c2"]),
+    (HEAD.replace("\n", "\r") + " c1: x + y <= 1\r c2: y >= 0\rEnd\r", ["c1", "c2"]),
+    (HEAD + " c1: x + y <= 1\x0c c2: y >= 0\x1e c3: x = 1\x85 c4: y <= 3\u2028End", ["c1", "c2", "c3", "c4"]),
+    # \r\n and \r read as \n, so two spaces after them continue the line; after \x0c they do not
+    (HEAD + " c1: x\r\n  + y\r  - z >= 0\nEnd\n", ["c1"]),
+    (HEAD + " c1: x + y <= 1\x0c  c2: y >= 0\nEnd\n", ["c1", "c2"]),
+    # a last line without a newline, with and without End
+    (HEAD + " c1: x + y <= 1\nEnd", ["c1"]),
+    (HEAD + " c1: x + y <= 1", ["c1"]),
+])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_line_separators(tmp_path, monkeypatch, text, rows, block):
+    path = tmp_path / "model.lp"
+    path.write_text(text, encoding="utf-8", newline="")
+    new, old = import_both(path, block, monkeypatch)
+    assert new == old
+    assert list(new[6]) == rows
+
+
+def test_a_continuation_after_crlf_joins_the_row(tmp_path):
+    path = tmp_path / "model.lp"
+    path.write_bytes(b"Subject To\r\n c1: x\r\n  + y <= 1\r\nBounds\r\n 0 <= x <= 1\r\n 0 <= y <= 1\r\nEnd\r\n")
+    (row,) = lpio.import_lp(path).linear
+    assert (row.name, row.coeffs, row.sense, row.rhs) == ("c1", {"x": 1.0, "y": 1.0}, "<=", 1.0)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_names_sums_and_empty_rows(tmp_path, monkeypatch, block):
+    path = tmp_path / "model.lp"
+    path.write_text(
+        "Maximize\n obj: z + 2 b\nSubject To\n c1: x + 2 x - y + y <= 3\n c0: 0 <= 1\n c2: 5 >= 2\n"
+        " q1: x + [ ] <= 1\n q2: [ w * z - v ^ 2 ] <= 4\nBounds\n 0 <= y <= 1\n 0 <= x <= 2\n"
+        "Binaries\n b x\nEnd\n", encoding="utf-8")
+    new, old = import_both(path, block, monkeypatch)
+    assert new == old
+    with monkeypatch.context() as patch:
+        patch.setattr(lpio, "_BLOCK_LINES", block)
+        m = lpio.import_lp(path)
+    var = m.variables
+    # bounds order, then binaries order, then the free names by name; x keeps its first place and last kind
+    assert var.names == ("y", "x", "b", "v", "w", "z")
+    assert var.binary.tolist() == [False, True, True, False, False, False]
+    assert var.upper.tolist()[:3] == [1.0, 1.0, 1.0]
+    assert [(r.name, r.coeffs, r.sense, r.rhs) for r in m.linear] == [
+        ("c1", {"x": 3.0, "y": 0.0}, "<=", 3.0), ("c0", {}, "<=", 1.0), ("c2", {}, ">=", -3.0)]
+    assert [(q.name, q.lin, q.quad) for q in m.quadratic] == [
+        ("q1", {"x": 1.0}, {}), ("q2", {}, {("w", "z"): 1.0, ("v", "v"): -1.0})]
+
+
+NAME_PARTS = st.sampled_from(["x", "y_1", "é", "Ω", "end", "END", "Bounds", "maximize", "MiniMize", "binaries",
+                              "subject", "1", ".", "-", "[", "^", "<", "=", " ", "\t", "\n", ":", "\xa0", ""])
+
+
+@hypothesis_settings
+@given(st.lists(st.lists(NAME_PARTS, max_size=3).map("".join), max_size=12), st.sampled_from(BLOCKS))
+@example(["x", "Bounds"], 1)
+@example(["x"] * 5 + [""], 2)
+@example(["", " "], 1)  # a name with a space is reported before an earlier empty one
+def test_invalid_name_in_blocks_finds_what_the_joined_text_finds(monkeypatch, names, block):
+    monkeypatch.setattr(model, "_BLOCK_LINES", block)
+    assert model.invalid_name(names) == oracles.invalid_name(names)
+
+
+# ---------------------------------------------------------------------------
+# Memory budgets on the broad Tungsten MISOCP model (21,808 variables, 44,575 rows)
+
+
+def traced_peak(call) -> float:
+    """Bytes allocated by `call()` at its peak, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def broad_lp(tmp_path_factory):
+    path = tmp_path_factory.mktemp("broad") / "model.lp"
+    lpio.export_lp(bundled_model("broad_n20_theta2", "Tungsten", "misocp"), path)
+    lpio.import_lp(path)  # the first call loads what numpy loads lazily
+    return path
+
+
+def test_import_peaks_below_three_times_the_text(broad_lp):
+    assert traced_peak(lambda: lpio.import_lp(broad_lp)) <= 3 * broad_lp.stat().st_size
+
+
+def test_export_of_a_built_model_peaks_below_5_mb(broad_lp, tmp_path):
+    m = bundled_model("broad_n20_theta2", "Tungsten", "misocp")
+    assert traced_peak(lambda: lpio.export_lp(m, tmp_path / "model.lp")) <= 5 * MB
+    assert (tmp_path / "model.lp").read_bytes() == broad_lp.read_bytes()
+
+
+def test_varmap_write_peaks_below_5_mb(tmp_path):
+    cfg = dataclasses.replace(CatalogConfig.from_json(CONFIGS / "broad_n20_theta2.json"), substrate="Tungsten")
+    catalog = build_catalog(cfg, materials.load_tables(cfg))
+    path = tmp_path / "varmap.json"
+    assert traced_peak(lambda: write_atomic(path, variable_map_pieces(catalog))) <= 5 * MB
+    assert path.stat().st_size > 3 * MB

@@ -27,7 +27,7 @@ from filmopt.model import (
     design_point,
     invalid_name,
     v_name,
-    variable_map_text,
+    variable_map_pieces,
     x_name,
 )
 
@@ -517,7 +517,7 @@ class TestImportSolution:
 class TestVariableMap:
     def test_bijective_and_complete(self):
         cat = desk_catalog()
-        vm = json.loads(variable_map_text(cat))
+        vm = json.loads("".join(variable_map_pieces(cat)))
         m = build_miqcp(cat, bounds.tighten_bounds(cat))
         mapped = set()
         for group in vm.values():
