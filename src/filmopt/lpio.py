@@ -415,8 +415,9 @@ def _variables(
 
 
 def write_solution(values: dict[str, float], path: str | Path) -> None:
-    lines = [f"{name} {val:.17g}" for name, val in values.items()]
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write `values` as ``name value`` lines, in blocks; no values give one empty line."""
+    lines = (f"{name} {val:.17g}" for name, val in values.items())
+    write_atomic(path, _blocks(lines) if values else "\n")
 
 
 def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, float], ...]:

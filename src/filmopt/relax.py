@@ -16,7 +16,7 @@ point geometry to a 2-d slice y1*y2 = beta inside a rectangle:
 * beta = 0 degenerates the curve to the coordinate axes and the slice to a
   cross, whose hull vertices are the axis-box crossings.
 
-Candidate points are harvested from all sixteen corner slices, affine
+Candidate points are harvested from all eight corner slices, affine
 functions are interpolated through every 5-point subset of them, and only
 those dominating D on every candidate survive.  Up to the tolerances below,
 the survivors' pointwise minimum is the concave envelope of D over the
@@ -32,11 +32,16 @@ that it clears every candidate by that margin.  Centring keeps that scale
 near D on a box that is thin in some coordinate, where the planes' slopes
 are large and ``a0`` would otherwise cancel ``a . x``.
 
-The subsets of one wavelength are fitted in blocks: one batched LU solve
-fits them all, an exactly zero pivot leaves a NaN row that is dropped with
-the other non-finite fits, and one matrix product tests every fit against
-every candidate.  The accepted planes and their order are those of fitting
-each subset in turn with the scalar :func:`fit_hyperplane`.
+A wavelength's subsets are unranked once and fitted in blocks, one batched
+LU solve each (an exactly zero pivot gives a NaN fit, which fails every
+test).  Each fit is first held to a reach bound: ``s <= |a| . reach`` at
+every candidate, ``reach = [1, max|xi|]``, so a fit that falls short of D
+by more than ``REL_TOL * (1 + 1e-9) * |a| . reach`` anywhere fails the
+exact test too; both tests read ``value + tol >= D``, ``1 + 1e-9`` covers
+the rounding of the two scales, and rounding is monotone.  Only the ~1% of
+fits that pass get the exact ``s`` and the dominance test, and only the
+dominating ones the residual test.  The accepted planes and their order
+are those of fitting each subset in turn with :func:`fit_hyperplane`.
 """
 from __future__ import annotations
 
@@ -49,16 +54,15 @@ from numpy.linalg import _umath_linalg
 
 from .arrayops import box_max_denominator4, denominator4
 from .bounds import EntryBounds
-from .errors import (
-    EmptyCandidateSet,
-    InconsistentBounds,
-    NoValidHyperplane,
-    SingularSystem,
-)
+from .errors import EmptyCandidateSet, InconsistentBounds, NoValidHyperplane, SingularSystem
 from .materials import Catalog
 from .optics import ComplexIndex
 
-#: Membership / deduplication tolerance for candidate points.
+#: Membership / deduplication tolerance for candidate points.  It is absolute:
+#: on broad_n20_theta2 (Tungsten) 93 candidate pairs lie 2e-10 to 7e-7 of the
+#: box span apart, distinct extreme points of the outer set, not rounding twins.
+#: Merging one moves a plane's value up to ~1e3 times the ``2 * REL_TOL`` lift,
+#: so a relative tolerance would trade soundness for speed.
 POINT_TOL = 1e-9
 #: A fit may fall short of D by this multiple of ``|a0| + sum |ai||xi|`` at a
 #: candidate, over 1e6 times the rounding error of evaluating it there
@@ -75,7 +79,7 @@ RESIDUAL_TOL = 1e-8
 #: so dropping it moves the family's minimum by no more than that.
 DEDUPE_TOL = 1e-7
 #: Subsets fitted per batched solve; bounds the temporaries of one block.
-FIT_BLOCK = 512
+FIT_BLOCK = 1024
 #: Entry indices (into a11, a12, a21, a22) of (x1, x2, x3, x4) = (w11, w22, w12, w21).
 X_ORDER = (0, 3, 1, 2)
 #: Columns of an x-ordered (x1, x2, x3, x4) array in entry order (a11, a12, a21, a22).
@@ -152,8 +156,7 @@ def _tangent_quad(beta: float, crossings: list[tuple[float, float]]) -> list[tup
         y1 = (2.0 * t2 - y2) * t1 / t2
         if _inside(y1, y1lo, y1hi):
             tangent.append((y1, y2))
-    out = crossings + [(s1 * p, s2 * q) for p, q in _dedupe(tangent)]
-    return out
+    return crossings + [(s1 * p, s2 * q) for p, q in _dedupe(tangent)]
 
 
 def extreme_points_2d(
@@ -182,14 +185,13 @@ def extreme_points_2d(
         return []
     orthants = {(p > 0, q > 0) for p, q in crossings}
     if len(orthants) > 1 or len(crossings) < 2:
-        # Both branches reached (or a degenerate tangential touch): the
-        # crossings themselves are the polytope vertices.
+        # Both branches reached, or a tangential touch: the crossings are the vertices.
         return crossings
     return _dedupe(_tangent_quad(beta, crossings))
 
 
 def collect_candidates(box: Box4) -> np.ndarray:
-    """Harvest extreme-point candidates from all sixteen corner slices, as (n, 4) x-rows.
+    """Extreme-point candidates as (n, 4) x-rows: at most 4 from each of 8 corner slices, n <= 32.
 
     A side no wider than ``POINT_TOL`` is one value at that tolerance: it is
     collapsed to its lower end, and every candidate is put on it.  Harvested
@@ -218,9 +220,7 @@ def collect_candidates(box: Box4) -> np.ndarray:
     return np.array(points)
 
 
-def fit_hyperplane(
-    points: Sequence[Sequence[float]], g: Callable[[Sequence[float]], float]
-) -> np.ndarray:
+def fit_hyperplane(points: Sequence[Sequence[float]], g: Callable[[Sequence[float]], float]) -> np.ndarray:
     """Coefficients ``(a0, ..., a4)`` of the affine interpolation of g through 5 points in 4-space.
 
     The scalar reference for the batched fits of :func:`generate_overapproximators`.
@@ -254,43 +254,45 @@ def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> np.ndarray:
 def _subset_blocks(count: int):
     """Every 5-subset of ``range(count)``, in lexicographic order, ``FIT_BLOCK`` rows at a time.
 
-    Each row is unranked directly.  Mapping every element ``c`` to
+    They are unranked at once into one uint8 array (``count <= 32``, see
+    :func:`collect_candidates`) and sliced.  Mapping every element ``c`` to
     ``count - 1 - c`` turns lexicographic order into descending
     colexicographic order, where the subset of rank ``m`` has largest
     element ``x = max{x : C(x, 5) <= m}`` and the 4-subset of rank
     ``m - C(x, 5)`` below it, and so on down.
     """
-    binom = np.array([[math.comb(x, i) for x in range(count)] for i in range(6)])
-    total = math.comb(count, 5)
-    for start in range(0, total, FIT_BLOCK):
-        rank = total - 1 - np.arange(start, min(start + FIT_BLOCK, total))
-        block = np.empty((len(rank), 5), np.intp)
-        for i in range(5, 0, -1):
-            x = np.searchsorted(binom[i], rank, side="right") - 1
-            block[:, 5 - i] = count - 1 - x
-            rank -= binom[i, x]
-        yield block
+    binom = np.array([[math.comb(x, i) for x in range(count)] for i in range(6)], np.int32)
+    rank = np.arange(math.comb(count, 5), dtype=np.int32)[::-1]
+    subsets = np.empty((len(rank), 5), np.min_scalar_type(count))
+    for i in range(5, 0, -1):
+        x = np.searchsorted(binom[i], rank, side="right")
+        subsets[:, 5 - i] = count - x
+        rank -= binom[i, x - 1]
+    for start in range(0, len(subsets), FIT_BLOCK):
+        yield subsets[start:start + FIT_BLOCK]
 
 
-def _dominating_fits(pts: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+def _dominating_fits(aug: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Lifted coefficient rows of the fits of one block that dominate ``gvals``, in order.
 
-    ``np.linalg.solve`` raises for the whole batch if one system is singular;
-    its gufunc, called directly, gives NaN for a system whose LU meets an
-    exactly zero pivot (where ``fit_hyperplane`` raises ``SingularSystem``).
+    ``aug`` holds the candidates as ``[1, x]`` rows, so ``reach`` is the column
+    maximum of ``|aug|``.  The tests run in the module docstring's order, each
+    on the survivors of the one before.  ``np.linalg.solve`` raises if one
+    system is singular; its gufunc gives NaN where ``fit_hyperplane`` raises.
     """
-    mat = np.ones((len(subsets), 5, 5))
-    mat[:, :, 1:] = pts[subsets]
-    rhs = gvals[subsets]
-    with np.errstate(invalid="ignore"):  # a singular system flags invalid and gives NaN
+    mat, rhs = np.take(aug, subsets, axis=0), np.take(gvals, subsets)
+    pts = aug[:, 1:]
+    with np.errstate(invalid="ignore", over="ignore"):  # singular and non-finite fits fail below
         alpha = _umath_linalg.solve(mat, rhs[:, :, None], signature="dd->d")[:, :, 0]
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite fits are dropped below
+        vals = alpha[:, :1] + alpha[:, 1:] @ pts.T
+        bound = REL_TOL * (1.0 + 1e-9) * (np.abs(alpha) @ np.abs(aug).max(axis=0))[:, None]
+        keep = np.flatnonzero((vals + bound >= gvals).all(axis=1) & np.isfinite(alpha).all(axis=1))
+        alpha, vals = alpha[keep], vals[keep]
+        scale = np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T
+        ok = (vals + REL_TOL * scale >= gvals).all(axis=1)
+        mat, rhs, alpha, scale = mat[keep[ok]], rhs[keep[ok]], alpha[ok], scale[ok]
         residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
-    tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))
-    alpha = alpha[np.isfinite(alpha).all(axis=1) & ~(residual > tol)]
-    vals = alpha[:, :1] + alpha[:, 1:] @ pts.T
-    scale = np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T
-    ok = (vals + REL_TOL * scale >= gvals).all(axis=1)
+    ok = ~(residual > RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1)))
     alpha, scale = alpha[ok], scale[ok]
     alpha[:, 0] += 2.0 * REL_TOL * scale.max(axis=1)
     return alpha
@@ -307,22 +309,20 @@ def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> np.ndarray
     they dominate D on the candidates, and by convexity on their hull, with
     room to spare.  Near-duplicates of earlier survivors are dropped, and
     the rest are shifted back to uncentred coordinates and lifted by
-    ``UNCENTRED_ROUNDING`` times their largest uncentred ``s``.  The subsets
-    are fitted in batched blocks (see the module docstring), with the same
-    result as fitting each centred subset with :func:`fit_hyperplane` in
-    turn.
+    ``UNCENTRED_ROUNDING`` times their largest uncentred ``s``.  Fits are made
+    in batched blocks and held to their reach bound before ``s`` is formed
+    (module docstring), with the result of fitting each subset in turn.
     """
     pts = collect_candidates(box)
     gvals = denominator4(pts[:, _ENTRY_ORDER], substrate.re, substrate.im)
     if len(pts) < 5:
         raise NoValidHyperplane(f"only {len(pts)} candidates, need 5")
-
     center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
-    centred = pts - center
-    reach = np.concatenate([[1.0], np.abs(centred).max(axis=0)])
+    aug = np.column_stack([np.ones(len(pts)), pts - center])
+    reach = np.abs(aug).max(axis=0)
     kept = np.empty((0, 5))
     for subsets in _subset_blocks(len(pts)):
-        for row in _dominating_fits(centred, gvals, subsets):
+        for row in _dominating_fits(aug, gvals, subsets):
             if not (np.abs(kept - row) @ reach <= DEDUPE_TOL * (np.abs(row) @ reach)).any():
                 kept = np.vstack([kept, row])
     if not len(kept):

@@ -7,14 +7,19 @@ bounds is ``conftest.corner_propagation``.  ``invalid_name`` checks all
 names in one joined text, where ``model.invalid_name`` checks them in
 blocks, and ``import_lp`` parses the whole LP text into a dict per row,
 where ``lpio.import_lp`` reads it in blocks into flat arrays.
+``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
+block on its own and puts every fit through every test, residual first.
 """
 import math
 from itertools import product
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from filmopt.errors import ParseError
+from filmopt import relax
+from filmopt.arrayops import denominator4
+from filmopt.errors import EmptyCandidateSet, NoValidHyperplane, ParseError
 from filmopt.lpio import _SECTIONS, _finite, _terms
 from filmopt.materials import read_text
 from filmopt.model import _BAD_START, SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables
@@ -153,3 +158,70 @@ def import_lp(path):
     variables = Variables((*listed, *unlisted), lower, upper, binary)
     linear = LinearRows.pack(variables.names, row_names, row_coeffs, row_senses, row_rhs)
     return Model(name or Path(path).stem, variables, linear, quadratic, objective, header)
+
+
+def subset_blocks(count, block=512):
+    """Every 5-subset of ``range(count)`` in lexicographic order, each block of rows unranked on its own."""
+    binom = np.array([[math.comb(x, i) for x in range(count)] for i in range(6)])
+    total = math.comb(count, 5)
+    for start in range(0, total, block):
+        rank = total - 1 - np.arange(start, min(start + block, total))
+        rows = np.empty((len(rank), 5), np.intp)
+        for i in range(5, 0, -1):
+            x = np.searchsorted(binom[i], rank, side="right") - 1
+            rows[:, 5 - i] = count - 1 - x
+            rank -= binom[i, x]
+        yield rows
+
+
+def dominating_fits(pts, gvals, subsets):
+    """Lifted fits of one block that pass the residual test, are finite and dominate ``gvals``, in order."""
+    mat = np.ones((len(subsets), 5, 5))
+    mat[:, :, 1:] = pts[subsets]
+    rhs = gvals[subsets]
+    with np.errstate(invalid="ignore", over="ignore"):
+        alpha = _umath_linalg.solve(mat, rhs[:, :, None], signature="dd->d")[:, :, 0]
+        residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
+    tol = relax.RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))
+    alpha = alpha[np.isfinite(alpha).all(axis=1) & ~(residual > tol)]
+    vals = alpha[:, :1] + alpha[:, 1:] @ pts.T
+    scale = np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T
+    ok = (vals + relax.REL_TOL * scale >= gvals).all(axis=1)
+    alpha, scale = alpha[ok], scale[ok]
+    alpha[:, 0] += 2.0 * relax.REL_TOL * scale.max(axis=1)
+    return alpha
+
+
+def overapproximators(box, substrate):
+    """``relax.generate_overapproximators`` with the fits of :func:`dominating_fits`."""
+    pts = relax.collect_candidates(box)
+    gvals = denominator4(pts[:, relax._ENTRY_ORDER], substrate.re, substrate.im)
+    if len(pts) < 5:
+        raise NoValidHyperplane(f"only {len(pts)} candidates, need 5")
+    center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+    centred = pts - center
+    reach = np.concatenate([[1.0], np.abs(centred).max(axis=0)])
+    kept = np.empty((0, 5))
+    for subsets in subset_blocks(len(pts)):
+        for row in dominating_fits(centred, gvals, subsets):
+            if not (np.abs(kept - row) @ reach <= relax.DEDUPE_TOL * (np.abs(row) @ reach)).any():
+                kept = np.vstack([kept, row])
+    if not len(kept):
+        raise NoValidHyperplane("no 5-point fit dominates D on the candidate set")
+    kept[:, 0] -= (kept[:, 1:] * center).sum(axis=1)
+    scale = np.abs(kept[:, :1]) + np.abs(kept[:, 1:]) @ np.abs(pts).T
+    kept[:, 0] += relax.UNCENTRED_ROUNDING * scale.max(axis=1)
+    return kept
+
+
+def hyperplanes_for_catalog(catalog, entry_bounds):
+    """``relax.hyperplanes_for_catalog`` with the planes of :func:`overapproximators`."""
+    out = []
+    for li in range(len(catalog.spectrum)):
+        box = relax.Box4.from_entry_bounds(entry_bounds, li)
+        sub = catalog.substrate_indices[li]
+        try:
+            out.append(overapproximators(box, sub))
+        except (NoValidHyperplane, EmptyCandidateSet):
+            out.append(relax.constant_overapproximator(box, sub))
+    return out

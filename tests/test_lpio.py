@@ -205,3 +205,18 @@ def test_varmap_write_peaks_below_5_mb(tmp_path):
     path = tmp_path / "varmap.json"
     assert traced_peak(lambda: write_atomic(path, variable_map_pieces(catalog))) <= 5 * MB
     assert path.stat().st_size > 3 * MB
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("point", ["broad", "empty"])
+def test_solution_file_is_the_joined_lines(tmp_path, monkeypatch, block, point):
+    """write_solution's blocks give the bytes of all ``name value`` lines joined at once."""
+    values = {}
+    if point == "broad":
+        cfg = dataclasses.replace(CatalogConfig.from_json(CONFIGS / "broad_n20_theta2.json"), substrate="Tungsten")
+        catalog = build_catalog(cfg, materials.load_tables(cfg))
+        values = model.design_point(catalog, tuple(c[0] for c in catalog.layer_choices))
+    monkeypatch.setattr(lpio, "_BLOCK_LINES", block)
+    lpio.write_solution(values, tmp_path / "solution.txt")
+    want = "\n".join(f"{name} {val:.17g}" for name, val in values.items()) + "\n"
+    assert (tmp_path / "solution.txt").read_bytes() == want.encode()

@@ -34,10 +34,11 @@ from filmopt.relax import (
     plane_values,
 )
 
+import oracles
 from conftest import SUBSTRATES, denominator_on_x, enumerate_designs, random_catalog
 
 TOL = 1e-9
-BROAD_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "broad_n20_theta2.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 interval = st.tuples(st.floats(-3.0, 2.0), st.floats(0.0, 4.0))
 
 
@@ -309,6 +310,14 @@ def reference_overapproximators(box, substrate):
     return np.array(kept)
 
 
+def candidate_count(box):
+    """How many candidates `box` yields, 0 if it yields none."""
+    try:
+        return len(collect_candidates(box))
+    except EmptyCandidateSet:
+        return 0
+
+
 def outcome(generate, box, substrate):
     """Coefficient lists of the generated planes, or the error class raised."""
     try:
@@ -347,10 +356,10 @@ def assert_family_is_envelope(planes, pts, gvals, seed):
 
 
 @functools.cache
-def broad_catalog(substrate):
-    """broad_n20_theta2 on `substrate`: (catalog, entry bounds, planes)."""
+def bundled_catalog(name, substrate):
+    """configs/`name`.json on `substrate`: (catalog, entry bounds, planes)."""
     config = dataclasses.replace(
-        materials.CatalogConfig.from_json(BROAD_CONFIG), substrate=substrate
+        materials.CatalogConfig.from_json(CONFIGS / f"{name}.json"), substrate=substrate
     )
     cat = materials.build_catalog(config, materials.load_tables(config))
     eb = bounds.tighten_bounds(cat)
@@ -359,7 +368,7 @@ def broad_catalog(substrate):
 
 @pytest.fixture(scope="module", params=SUBSTRATES)
 def broad(request):
-    return broad_catalog(request.param)
+    return bundled_catalog("broad_n20_theta2", request.param)
 
 
 class TestBatchedMatchesReference:
@@ -368,6 +377,7 @@ class TestBatchedMatchesReference:
     def test_hypothesis_boxes(self, intervals, n, k):
         box = Box4(tuple(lo for lo, _ in intervals), tuple(lo + w for lo, w in intervals))
         sub = ComplexIndex(n, k)
+        assert candidate_count(box) <= 32
         assert outcome(generate_overapproximators, box, sub) == outcome(
             reference_overapproximators, box, sub
         )
@@ -375,7 +385,7 @@ class TestBatchedMatchesReference:
     # One substrate: each broad wavelength has up to C(24, 5) subsets to fit one by one.
     @pytest.mark.parametrize("substrate", ["Tungsten"])
     def test_every_broad_wavelength(self, substrate):
-        cat, eb, planes = broad_catalog(substrate)
+        cat, eb, planes = bundled_catalog("broad_n20_theta2", substrate)
         for li in range(len(cat.spectrum)):
             box = Box4.from_entry_bounds(eb, li)
             sub = cat.substrate_indices[li]
@@ -386,30 +396,32 @@ class TestBatchedMatchesReference:
             assert planes[li].tolist() == want
 
 
+@pytest.mark.parametrize("name, substrate", [
+    *(("broad_n20_theta2", s) for s in SUBSTRATES),
+    ("mo_410_n6", "Molybdenum"),
+    ("visible_n6_lambda40", "Molybdenum"),
+])
+def test_planes_equal_the_every_test_oracle(name, substrate):
+    """Bit for bit and in order, the planes of putting every fit through every test, residual first."""
+    cat, eb, planes = bundled_catalog(name, substrate)
+    want = oracles.hyperplanes_for_catalog(cat, eb)
+    assert [(p.shape, p.tobytes()) for p in planes] == [(p.shape, p.tobytes()) for p in want]
+
+
 def slogdet_dominating_fits(pts, gvals, subsets):
     """``relax._dominating_fits`` with singular systems dropped by a zero ``slogdet`` sign first."""
     mat = np.ones((len(subsets), 5, 5))
     mat[:, :, 1:] = pts[subsets]
-    rhs = gvals[subsets]
     with np.errstate(divide="ignore"):
         solvable = np.linalg.slogdet(mat)[0] != 0
-    mat, rhs = mat[solvable], rhs[solvable]
-    alpha = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
-    residual = np.abs((mat @ alpha[:, :, None])[:, :, 0] - rhs).max(axis=1)
-    alpha = alpha[residual <= relax.RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))]
-    vals = alpha[:, :1] + alpha[:, 1:] @ pts.T
-    scale = np.abs(alpha[:, :1]) + np.abs(alpha[:, 1:]) @ np.abs(pts).T
-    ok = (vals + relax.REL_TOL * scale >= gvals).all(axis=1)
-    alpha, scale = alpha[ok], scale[ok]
-    alpha[:, 0] += 2.0 * relax.REL_TOL * scale.max(axis=1)
-    return alpha
+    return oracles.dominating_fits(pts, gvals, subsets[solvable])
 
 
-@pytest.mark.parametrize("count", range(5, 31))
+@pytest.mark.parametrize("count", range(5, 33))
 def test_subset_blocks_are_combinations_in_order(count):
     blocks = list(relax._subset_blocks(count))
     assert all(len(b) == relax.FIT_BLOCK for b in blocks[:-1])
-    assert all(b.dtype == np.intp for b in blocks)
+    assert all(b.dtype == np.uint8 for b in blocks)
     assert np.concatenate(blocks).tolist() == [list(c) for c in combinations(range(count), 5)]
 
 
@@ -425,9 +437,10 @@ class TestSingularFits:
         mat = np.ones((len(subsets), 5, 5))
         mat[:, :, 1:] = pts[subsets]
         assert (np.linalg.slogdet(mat)[0] == 0).sum() >= 100
+        aug = np.column_stack([np.ones(len(pts)), pts])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = relax._dominating_fits(pts, gvals, subsets)
+            got = relax._dominating_fits(aug, gvals, subsets)
         want = slogdet_dominating_fits(pts, gvals, subsets)
         assert len(want) and np.array_equal(got, want)
 
@@ -461,6 +474,7 @@ class TestConcaveEnvelope:
             qhull_envelope(pts, gvals, pts)  # raises unless the lifted hull is full-dimensional
         except (EmptyCandidateSet, QhullError):
             assume(False)
+        assert len(pts) <= 32
         assert_family_is_envelope(generate_overapproximators(box, sub), pts, gvals, 0)
 
 
