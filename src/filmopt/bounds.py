@@ -36,8 +36,9 @@ class EntryBounds:
     def __post_init__(self) -> None:
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower/upper shape mismatch")
-        if np.any(self.lower > self.upper + 1e-15):
-            raise ValueError("lower bound exceeds upper bound")
+        # interval propagation rounds monotonically, so sound boxes are ordered exactly; NaN fails
+        if not np.all(self.lower <= self.upper):
+            raise ValueError("lower bound exceeds upper bound, or a bound is NaN")
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
 

@@ -3,9 +3,10 @@
 Dispersion data comes in as CSV (`wavelength_nm,n,k`, strictly increasing
 wavelengths).  A :class:`Catalog` freezes one optimization instance: the
 spectrum, the substrate index at each wavelength, the admissible
-(material, thickness) choices per layer, and the precomputed layer matrix
-for every admissible combination, both as scalar matrices and as one dense
-array per layer.
+(material, thickness) choices per layer, and the precomputed layer matrices
+as one dense array per layer.  Those arrays are the truth that every
+solver, bound and model reads; the float-keyed scalar matrices beside them
+are kept only as the scalar oracle of the tests.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    InadmissibleDesign,
     MissingDispersion,
     OutOfRange,
     ParseError,
@@ -302,10 +304,13 @@ class Catalog:
 
     `layer_choices[i]` lists the admissible (material, thickness) pairs of
     layer i+1 (layer 1 sits next to the substrate), sorted by material then
-    thickness; `fixed[(material, thickness, wavelength)]` is the layer matrix.
-    `layer_matrices[i]` holds the same matrices as one read-only
-    (choices, wavelengths, 4) array in `layer_choices[i]` order; layers with
-    the same choices share one array.
+    thickness.  `layer_matrices[i]` is the read-only (choices, wavelengths,
+    4) array of its layer matrices in `layer_choices[i]` order; layers with
+    the same choices share one array.  These arrays are the truth: every
+    production path reads them, by (layer, choice) through
+    :meth:`choice_indices`.  `fixed[(material, thickness, wavelength)]` and
+    :meth:`matrix` give the same matrices as scalars, keyed by floats; they
+    are the scalar oracle and follow no change made to the arrays.
     """
 
     n_layers: int
@@ -318,6 +323,17 @@ class Catalog:
 
     def matrix(self, material: str, thickness: float, wavelength: float) -> StructuredMatrix:
         return self.fixed[(material, thickness, wavelength)]
+
+    def choice_indices(self, design: Sequence[tuple[str, float]]) -> list[int]:
+        """Each layer's index of its pair of `design`; InadmissibleDesign if the length or a pair is off."""
+        if len(design) != self.n_layers:
+            raise InadmissibleDesign(f"design has {len(design)} layers, catalog expects {self.n_layers}")
+        picks = []
+        for layer, (pair, choices) in enumerate(zip(design, self.layer_choices), start=1):
+            if pair not in choices:
+                raise InadmissibleDesign(f"layer {layer}: {pair!r} not admissible")
+            picks.append(choices.index(pair))
+        return picks
 
     def choices_at(self, layer: int) -> tuple[tuple[str, float], ...]:
         """Admissible pairs of 1-based `layer`."""

@@ -34,7 +34,7 @@ from .arrayops import box_max_denominator4
 from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
 from .materials import Catalog
-from .optics import StructuredMatrix, chain_product, denominator_D
+from .optics import IDENTITY, StructuredMatrix, denominator_D, multiply
 from .relax import X_ORDER, plane_values
 
 ENTRY_TAGS = ("11", "12", "21", "22")
@@ -334,10 +334,6 @@ def x_name(layer: int, material: str, thickness: float) -> str:
     return f"x_{_label(layer, material, thickness)}"
 
 
-def v_name(li: int, layer: int, material: str, thickness: float, tag: str) -> str:
-    return f"v_{li}_{_label(layer, material, thickness)}_{tag}"
-
-
 def w_name(li: int, tag: str) -> str:
     return f"w_{li}_{tag}"
 
@@ -455,8 +451,6 @@ def _structure(
     """
     if entry_bounds.lower.shape[1] != catalog.n_layers + 1:
         raise InconsistentBounds("entry bounds depth does not match the catalog")
-    if (entry_bounds.lower > entry_bounds.upper).any():
-        raise InconsistentBounds("entrywise lower bound exceeds upper bound")
 
     n_layers = catalog.n_layers
     n_wl = len(catalog.spectrum)
@@ -578,32 +572,30 @@ def design_point(
 ) -> dict[str, float]:
     """Full variable assignment induced by a concrete design.
 
+    The copies entering each layer are one running product, per
+    wavelength, of the ``Catalog.layer_matrices`` entries that
+    ``Catalog.choice_indices`` picks (InadmissibleDesign off the catalog).
     For the exact model, d = D(w) and f = 4 Re(a)/d make both quadratic
     couplings tight.  With hyperplanes given, d is additionally capped by
     their minimum so the point is feasible in the relaxation as well.
     """
-    values: dict[str, float] = {}
-    for layer in range(1, catalog.n_layers + 1):
-        for m, t in catalog.choices_at(layer):
-            values[x_name(layer, m, t)] = 1.0 if design[layer - 1] == (m, t) else 0.0
-    for li, wl in enumerate(catalog.spectrum.wavelengths):
-        mats = [catalog.matrix(m, t, wl) for m, t in design]
-        running: list[StructuredMatrix] = [chain_product(mats[:k]) for k in range(len(design) + 1)]
-        for layer in range(1, catalog.n_layers + 1):
-            u_prev = running[layer - 1].entries()
-            for m, t in catalog.choices_at(layer):
-                chosen = design[layer - 1] == (m, t)
-                for e, tag in enumerate(ENTRY_TAGS):
-                    values[v_name(li, layer, m, t, tag)] = u_prev[e] if chosen else 0.0
-        w = running[-1]
-        w_entries = w.entries()
-        for e, tag in enumerate(ENTRY_TAGS):
-            values[w_name(li, tag)] = w_entries[e]
-        sub = catalog.substrate_indices[li]
+    picks = catalog.choice_indices(design)
+    labels = _labels(catalog)
+    rows = [m[j].tolist() for m, j in zip(catalog.layer_matrices, picks)]
+    values = {f"x_{lab}": float(j == pick) for layer_labels, pick in zip(labels, picks)
+              for j, lab in enumerate(layer_labels)}
+    for li, sub in enumerate(catalog.substrate_indices):
+        w = IDENTITY
+        for layer_labels, pick, r in zip(labels, picks, rows):
+            entering = w.entries()
+            for j, lab in enumerate(layer_labels):
+                copy = entering if j == pick else (0.0,) * 4
+                values.update({f"v_{li}_{lab}_{tag}": x for tag, x in zip(ENTRY_TAGS, copy)})
+            w = multiply(w, StructuredMatrix(*r[li]))
+        values.update({w_name(li, tag): x for tag, x in zip(ENTRY_TAGS, w.entries())})
         d = denominator_D(w, sub)
         if overapproximators is not None:
-            x = [w_entries[e] for e in X_ORDER]
-            d = min(d, float(plane_values(overapproximators[li], x).min()))
+            d = min(d, float(plane_values(overapproximators[li], [w.entries()[e] for e in X_ORDER]).min()))
         values[d_name(li)] = d
         values[f_name(li)] = 4.0 * sub.re / d
     return values

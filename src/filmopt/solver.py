@@ -55,9 +55,9 @@ from .arrayops import (
     reflectance_rows4,
     weighted_reflectance4,
 )
-from .errors import ConfigError, InadmissibleDesign, InstanceTooLarge, InternalError, MissingDispersion, ParseError
+from .errors import ConfigError, InstanceTooLarge, InternalError, MissingDispersion, ParseError
 from .materials import Catalog, DispersionTable, expect, finite_number, index_at
-from .optics import ComplexIndex, chain_product, make_transfer_matrix, reflectance
+from .optics import ComplexIndex, StructuredMatrix, chain_product, make_transfer_matrix, reflectance
 
 Design = tuple[tuple[str, float], ...]
 
@@ -67,6 +67,8 @@ Design = tuple[tuple[str, float], ...]
 OBJECTIVE_EPS = 1e-12
 #: The fewest prefixes the tail block leaves above the split, for B&B to cut.
 MIN_PREFIXES = 16
+#: The most designs brute force enumerates; above it, InstanceTooLarge.
+LEAF_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -113,20 +115,18 @@ def design_from_json(items: object) -> Design:
 
 
 def evaluate_design(design: Design, catalog: Catalog) -> tuple[tuple[float, ...], float]:
-    """Per-wavelength reflectances and the weighted average, on the catalog spectrum."""
-    if len(design) != catalog.n_layers:
-        raise InadmissibleDesign(
-            f"design has {len(design)} layers, catalog expects {catalog.n_layers}"
-        )
-    for layer, pair in enumerate(design, start=1):
-        if pair not in catalog.choices_at(layer):
-            raise InadmissibleDesign(f"layer {layer}: {pair!r} not admissible")
-    per = []
-    for li, wl in enumerate(catalog.spectrum.wavelengths):
-        w = chain_product([catalog.matrix(m, t, wl) for m, t in design])
-        per.append(reflectance(w, catalog.substrate_indices[li]))
-    avg = sum(p * phi for p, phi in zip(per, catalog.spectrum.weights))
-    return tuple(per), avg
+    """Per-wavelength reflectances and the weighted average, on the catalog spectrum.
+
+    The scalar ``chain_product`` and ``reflectance``, an independent check of
+    the array kernels, run on the ``Catalog.layer_matrices`` entries that
+    ``Catalog.choice_indices`` picks (InadmissibleDesign off the catalog).
+    """
+    rows = [m[j].tolist() for m, j in zip(catalog.layer_matrices, catalog.choice_indices(design))]
+    per = tuple(
+        reflectance(chain_product([StructuredMatrix(*r[li]) for r in rows]), sub)
+        for li, sub in enumerate(catalog.substrate_indices)
+    )
+    return per, sum(p * phi for p, phi in zip(per, catalog.spectrum.weights))
 
 
 def evaluate_design_on_grid(
@@ -213,12 +213,7 @@ def _suffix_table(mats: Sequence[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _search(
-    catalog: Catalog,
-    prune: bool,
-    suffix_boxes: bounds_mod.EntryBounds | None = None,
-    node_cap: int | None = None,
-) -> SolveReport:
+def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> SolveReport:
     """Depth-first search over the leading layers, tail block scored by GEMM.
 
     Prefixes of the first `split` layers are enumerated depth first (with
@@ -242,9 +237,8 @@ def _search(
     screen = DenominatorScreen(suffix, a, b, phi, work)
     scores = np.empty(suffix.shape[2])
     if prune:
-        if suffix_boxes is None:
-            suffix_boxes = bounds_mod.suffix_product_bounds(catalog, split, suffix)
-        slo, shi = suffix_boxes.lower, suffix_boxes.upper
+        boxes = bounds_mod.suffix_product_bounds(catalog, split, suffix)
+        slo, shi = boxes.lower, boxes.upper
 
     best = -np.inf
     best_design: list[int] | None = None
@@ -322,23 +316,19 @@ def _search(
     return _report(catalog, design, nodes, pruned, t0, not capped, incumbents)
 
 
-def brute_force(catalog: Catalog, leaf_cap: int = 100_000_000) -> SolveReport:
+def brute_force(catalog: Catalog) -> SolveReport:
     """Provably optimal design by exhaustive enumeration.
 
     Ties within the improvement tolerance keep the first (lexicographically
-    smallest) design found.  Raises InstanceTooLarge above `leaf_cap` designs.
+    smallest) design found.  Raises InstanceTooLarge above ``LEAF_CAP`` designs.
     """
     total = catalog.design_count()
-    if total > leaf_cap:
-        raise InstanceTooLarge(f"{total} designs exceed cap {leaf_cap}")
+    if total > LEAF_CAP:
+        raise InstanceTooLarge(f"{total} designs exceed cap {LEAF_CAP}")
     return _search(catalog, prune=False)
 
 
-def branch_and_bound(
-    catalog: Catalog,
-    suffix_boxes: bounds_mod.EntryBounds | None = None,
-    node_cap: int | None = None,
-) -> SolveReport:
+def branch_and_bound(catalog: Catalog, node_cap: int | None = None) -> SolveReport:
     """Optimal design by bound-pruned depth-first search.
 
     Children are expanded in decreasing order of their optimistic bound; a
@@ -346,6 +336,6 @@ def branch_and_bound(
     together with its whole subtree.  With `node_cap` set, the search stops
     early once that many designs were evaluated and the report is flagged as
     incumbent-only.  Raises InternalError if a child's bound ever exceeds
-    its parent's (a sign of unsound `suffix_boxes`).
+    its parent's (a sign of unsound suffix boxes).
     """
-    return _search(catalog, prune=True, suffix_boxes=suffix_boxes, node_cap=node_cap)
+    return _search(catalog, prune=True, node_cap=node_cap)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -225,9 +226,11 @@ class TestUpperBoundObjective:
         lower, upper = sb.lower.copy(), sb.upper.copy()
         lower[:, 0] = upper[:, 0] = [1.0, 0.0, 0.0, 1.0]
         collapsed = EntryBounds(sb.wavelengths, lower, upper)
-        with pytest.raises(InternalError, match="exceeds parent bound"):
-            solver.branch_and_bound(cat, suffix_boxes=collapsed)
-        solver.branch_and_bound(cat, suffix_boxes=sb)
+        with patch.object(solver.bounds_mod, "suffix_product_bounds", lambda *args: collapsed):
+            with pytest.raises(InternalError, match="exceeds parent bound"):
+                solver.branch_and_bound(cat)
+        with patch.object(solver.bounds_mod, "suffix_product_bounds", lambda *args: sb):
+            solver.branch_and_bound(cat)
 
     def test_corner_max_dominates_interior_samples(self):
         rng = np.random.default_rng(5)
@@ -249,3 +252,16 @@ class TestEntryBounds:
         hi[0, 1, 2] = -1.0
         with pytest.raises(ValueError):
             EntryBounds(wavelengths=(500.0,), lower=lo, upper=hi)
+
+    @pytest.mark.parametrize("lower, upper", [(np.nan, 1.0), (1.0, np.nan), (1.0, 1.0 - 8.9e-16),
+                                              (6.4e4, np.nextafter(6.4e4, 0.0))],
+                             ids=["nan-lower", "nan-upper", "crossed-near-1", "crossed-1-ulp-at-6.4e4"])
+    def test_order_check_is_exact_and_rejects_nan(self, lower, upper):
+        """Sound boxes come out of monotonically rounded propagation, so no tolerance is needed."""
+        lo, hi = np.zeros((1, 2, 4)), np.ones((1, 2, 4))
+        lo[0, 1, 3], hi[0, 1, 3] = lower, upper
+        with pytest.raises(ValueError, match="exceeds upper"):
+            EntryBounds(wavelengths=(500.0,), lower=lo, upper=hi)
+        hi[0, 1, 3] = lower
+        if not np.isnan(lower):
+            EntryBounds(wavelengths=(500.0,), lower=lo, upper=hi)  # equal bounds are a box

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -9,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from filmopt import bounds, lpio, materials, relax, solver
+from filmopt.arrayops import mul4
 from filmopt.errors import (
+    InadmissibleDesign,
     InconsistentBounds,
     InfeasibleAssignment,
     MissingHyperplanes,
@@ -17,23 +20,26 @@ from filmopt.errors import (
 )
 from filmopt.materials import CatalogConfig, build_catalog
 from filmopt.model import (
+    ENTRY_TAGS,
     LinearConstraint,
     Model,
     Objective,
     QuadraticConstraint,
     Variable,
+    _labels,
     build_miqcp,
     build_misocp,
     design_point,
     invalid_name,
-    v_name,
     variable_map_pieces,
+    w_name,
     x_name,
 )
+from filmopt.optics import StructuredMatrix, chain_product, reflectance
 
 from conftest import (
     THETA1, enumerate_designs, flat_table, linear_constraint_count, models_close, random_catalog,
-    reference_lp_text,
+    reference_lp_text, single_wavelength_config,
 )
 
 
@@ -96,8 +102,8 @@ class TestBuildMiqcp:
         # An unpicked choice's copy is gated to 0, so moving it by 0.125 breaks its c_ub or
         # c_lb row by exactly 0.125.  The layer-1 copies sum to the identity exactly, and no
         # chain coefficient on this copy is 1 or more, so no other row is broken by more.
-        unpicked = next(choice for choice in cat.choices_at(1) if choice != design[0])
-        point[v_name(0, 1, *unpicked, "11")] = value
+        unpicked = next(j for j, choice in enumerate(cat.choices_at(1)) if choice != design[0])
+        point[f"v_0_{_labels(cat)[0][unpicked]}_11"] = value
         assert m.check_point(point) == 0.125
 
     def test_quadratics_tight_at_design_points(self):
@@ -174,6 +180,48 @@ class TestBuildMisocp:
         m = build_misocp(cat, eb, planes)
         assert len(m.linear) == linear_constraint_count(cat) + sum(len(p) for p in planes)
         assert len(m.quadratic) == len(cat.spectrum)
+
+
+class TestDesignPoint:
+    @pytest.mark.parametrize("change", ["extra-layer", "low-index-at-layer-1", "short", "unknown-pair"])
+    def test_inadmissible_design_rejected(self, data_tables, change):
+        cat = build_catalog(single_wavelength_config("Molybdenum", 410.0), data_tables)
+        design = tuple(c[0] for c in cat.layer_choices)
+        assert cat.choices_at(1)[0][0] == "TiO2" and cat.choices_at(2)[0][0] == "MgF2"
+        bad = {
+            "extra-layer": design + (cat.choices_at(1)[3],),
+            "low-index-at-layer-1": (cat.choices_at(2)[0], *design[1:]),
+            "short": design[:-1],
+            "unknown-pair": (("TiO2", 25.0), *design[1:]),
+        }[change]
+        with pytest.raises(InadmissibleDesign):
+            design_point(cat, bad)
+        with pytest.raises(InadmissibleDesign):
+            solver.evaluate_design(bad, cat)
+
+    def test_points_follow_the_layer_arrays(self, data_tables):
+        """A fixed layer product P folded into layer 1's array is part of every design."""
+        config = single_wavelength_config("Tungsten", 410.0)
+        cat = build_catalog(dataclasses.replace(config, wavelengths=(410.0, 550.0, 700.0)), data_tables)
+        m0, *rest = cat.layer_matrices
+        p = mul4(cat.layer_matrices[1][4], cat.layer_matrices[0][7])  # (wavelengths, 4)
+        folded = dataclasses.replace(cat, layer_matrices=(mul4(p, m0), *rest))
+        design = tuple(c[len(c) // 2] for c in cat.layer_choices)
+        per, avg = solver.evaluate_design(design, folded)
+        point = design_point(folded, design)
+        for li, wl in enumerate(cat.spectrum.wavelengths):
+            chain = [StructuredMatrix(*p[li]), *(cat.matrix(m, t, wl) for m, t in design)]
+            w = chain_product(chain)
+            assert per[li] == reflectance(w, cat.substrate_indices[li])
+            assert tuple(point[w_name(li, tag)] for tag in ENTRY_TAGS) == w.entries()
+            # the copies entering layer 2 hold P times layer 1's pick
+            label = _labels(cat)[1][cat.layer_choices[1].index(design[1])]
+            entering = chain_product(chain[:2]).entries()
+            assert tuple(point[f"v_{li}_{label}_{tag}"] for tag in ENTRY_TAGS) == entering
+        assert per != solver.evaluate_design(design, cat)[0]
+        model = build_miqcp(folded, bounds.tighten_bounds(folded))
+        assert model.check_point(point) <= 1e-9
+        assert model.objective_value(point) == pytest.approx(avg, abs=1e-12)
 
 
 class TestZeroLayers:

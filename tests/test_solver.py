@@ -111,9 +111,11 @@ class TestBruteForce:
         assert rep.design == (("A", 60.0), ("A", 60.0))
 
     def test_instance_too_large(self):
-        cat = tiny_catalog()
-        with pytest.raises(InstanceTooLarge):
-            brute_force(cat, leaf_cap=3)
+        cat = tiny_catalog(n_layers=27, thick_a=(40.0,), thick_b=(90.0,))
+        assert cat.design_count() == 2**27 > solver.LEAF_CAP
+        with patch.object(solver, "_search", side_effect=AssertionError("searched")):
+            with pytest.raises(InstanceTooLarge):
+                brute_force(cat)
 
     def test_zero_layers(self):
         tables = {"A": flat_table("A", 2.0, 2.0), "S": flat_table("S", 3.0, 3.0, 1.0, 1.0)}
@@ -261,7 +263,9 @@ class TestDenominatorScreen:
         assert report.nodes_explored % block == 0
         assert report.design == brute_force(cat).design
         assert len(scored) <= most_scored < report.nodes_explored // block
-        propagated = branch_and_bound(cat, suffix_boxes=bounds.suffix_product_bounds(cat))
+        identity_boxes = bounds.suffix_product_bounds(cat)  # not from the exact box at the split
+        with patch.object(solver.bounds_mod, "suffix_product_bounds", lambda *args: identity_boxes):
+            propagated = branch_and_bound(cat)
         assert propagated.design == report.design
         assert designs < propagated.nodes_explored
 
