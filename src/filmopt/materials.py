@@ -4,9 +4,9 @@ Dispersion data comes in as CSV (`wavelength_nm,n,k`, strictly increasing
 wavelengths).  A :class:`Catalog` freezes one optimization instance: the
 spectrum, the substrate index at each wavelength, the admissible
 (material, thickness) choices per layer, and the precomputed layer matrices
-as one dense array per layer.  Those arrays are the truth that every
-solver, bound and model reads; the float-keyed scalar matrices beside them
-are kept only as the scalar oracle of the tests.
+as one dense array per layer.  Those arrays are the only stored copy, and
+every solver, bound and model reads them; `Catalog.fixed` and
+`Catalog.matrix` are a scalar view of them, built on first use.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -298,7 +299,7 @@ class CatalogConfig:
             raise ConfigError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Catalog:
     """Frozen optimization instance with precomputed layer matrices.
 
@@ -306,11 +307,11 @@ class Catalog:
     layer i+1 (layer 1 sits next to the substrate), sorted by material then
     thickness.  `layer_matrices[i]` is the read-only (choices, wavelengths,
     4) array of its layer matrices in `layer_choices[i]` order; layers with
-    the same choices share one array.  These arrays are the truth: every
-    production path reads them, by (layer, choice) through
-    :meth:`choice_indices`.  `fixed[(material, thickness, wavelength)]` and
-    :meth:`matrix` give the same matrices as scalars, keyed by floats; they
-    are the scalar oracle and follow no change made to the arrays.
+    the same choices share one array.  These arrays are the only stored
+    copy: every production path reads them, by (layer, choice) through
+    :meth:`choice_indices`.  `fixed` and :meth:`matrix` are a scalar view of
+    them, built on first use, for the benchmark's checks and tracer.
+    Catalogs compare by identity.
     """
 
     n_layers: int
@@ -318,8 +319,18 @@ class Catalog:
     spectrum: Spectrum
     substrate_id: str
     substrate_indices: tuple[ComplexIndex, ...]
-    fixed: Mapping[tuple[str, float, float], StructuredMatrix] = field(repr=False)
-    layer_matrices: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    layer_matrices: tuple[np.ndarray, ...] = field(repr=False)
+
+    @cached_property
+    def fixed(self) -> dict[tuple[str, float, float], StructuredMatrix]:
+        """(material, thickness, wavelength) -> layer matrix; where layer arrays differ, the last wins."""
+        shared = {id(arr): (choices, arr) for choices, arr in zip(self.layer_choices, self.layer_matrices)}
+        return {
+            (m, t, wl): StructuredMatrix(*entries)
+            for choices, arr in shared.values()
+            for (m, t), rows in zip(choices, arr.tolist())
+            for wl, entries in zip(self.spectrum.wavelengths, rows)
+        }
 
     def matrix(self, material: str, thickness: float, wavelength: float) -> StructuredMatrix:
         return self.fixed[(material, thickness, wavelength)]
@@ -340,10 +351,7 @@ class Catalog:
         return self.layer_choices[layer - 1]
 
     def design_count(self) -> int:
-        count = 1
-        for choices in self.layer_choices:
-            count *= len(choices)
-        return count
+        return math.prod(map(len, self.layer_choices))
 
 
 def load_tables(config: CatalogConfig) -> dict[str, DispersionTable]:
@@ -441,46 +449,31 @@ def build_catalog(
         for mats in allowed
     )
 
-    coatings_in_use = sorted({m for choices in layer_choices for m, _ in choices})
-    indices: dict[tuple[str, float], float] = {}
-    for mat in coatings_in_use:
-        lossy = False
-        for w in spectrum.wavelengths:
-            idx = index_at(tables[mat], w)
-            lossy = lossy or idx.im != 0
-            indices[(mat, w)] = idx.re
-        if lossy:
-            warnings.warn(
-                f"{mat}: nonzero extinction in dispersion data ignored "
-                "(coatings are treated as ideal dielectrics)",
-                stacklevel=2,
-            )
+    coating_matrices = {}
+    for mat in sorted({m for mats in allowed for m in mats}):
+        indices = [index_at(tables[mat], w) for w in spectrum.wavelengths]
+        if any(idx.im != 0 for idx in indices):
+            warnings.warn(f"{mat}: nonzero extinction in dispersion data ignored "
+                          "(coatings are treated as ideal dielectrics)", stacklevel=2)
+        arr = np.array([[make_transfer_matrix(ComplexIndex(idx.re), t, w).entries()
+                         for idx, w in zip(indices, spectrum.wavelengths)]
+                        for t in by_mat[mat].thicknesses])
+        arr.setflags(write=False)
+        coating_matrices[mat] = arr
 
-    fixed: dict[tuple[str, float, float], StructuredMatrix] = {}
-    for mat in coatings_in_use:
-        for t in by_mat[mat].thicknesses:
-            for w in spectrum.wavelengths:
-                fixed[(mat, t, w)] = make_transfer_matrix(
-                    ComplexIndex(indices[(mat, w)]), t, w
-                )
+    if config.alternating:
+        layer_matrices = tuple(coating_matrices[mat] for (mat,) in allowed)
+    elif config.layers:  # choices sort by material, as the coating arrays stack
+        layer_matrices = (np.concatenate(list(coating_matrices.values())),) * config.layers
+        layer_matrices[0].setflags(write=False)
+    else:
+        layer_matrices = ()
 
-    arrays: dict[tuple[tuple[str, float], ...], np.ndarray] = {}
-    for choices in layer_choices:
-        if choices not in arrays:
-            arrays[choices] = np.array(
-                [[fixed[(m, t, w)].entries() for w in spectrum.wavelengths] for m, t in choices]
-            )
-            arrays[choices].setflags(write=False)
-
-    substrate_indices = tuple(
-        index_at(tables[config.substrate], w) for w in spectrum.wavelengths
-    )
     return Catalog(
         n_layers=config.layers,
         layer_choices=layer_choices,
         spectrum=spectrum,
         substrate_id=config.substrate,
-        substrate_indices=substrate_indices,
-        fixed=fixed,
-        layer_matrices=tuple(arrays[choices] for choices in layer_choices),
+        substrate_indices=tuple(index_at(tables[config.substrate], w) for w in spectrum.wavelengths),
+        layer_matrices=layer_matrices,
     )

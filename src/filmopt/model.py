@@ -555,14 +555,17 @@ def build_misocp(
     overapproximators: list[np.ndarray],
 ) -> Model:
     """Convex relaxation: the cap is replaced by affine overapproximators of D."""
+    _check_families(catalog, overapproximators)
+    return _structure(catalog, entry_bounds, "misocp", overapproximators)
+
+
+def _check_families(catalog: Catalog, overapproximators: Sequence[np.ndarray]) -> None:
+    """MissingHyperplanes unless there is one nonempty hyperplane family per wavelength."""
     if len(overapproximators) != len(catalog.spectrum):
         raise MissingHyperplanes(
-            f"{len(overapproximators)} hyperplane families for "
-            f"{len(catalog.spectrum)} wavelengths"
-        )
+            f"{len(overapproximators)} hyperplane families for {len(catalog.spectrum)} wavelengths")
     if any(len(planes) == 0 for planes in overapproximators):
         raise MissingHyperplanes("a wavelength has an empty hyperplane family")
-    return _structure(catalog, entry_bounds, "misocp", overapproximators)
 
 
 def design_point(
@@ -576,10 +579,12 @@ def design_point(
     wavelength, of the ``Catalog.layer_matrices`` entries that
     ``Catalog.choice_indices`` picks (InadmissibleDesign off the catalog).
     For the exact model, d = D(w) and f = 4 Re(a)/d make both quadratic
-    couplings tight.  With hyperplanes given, d is additionally capped by
-    their minimum so the point is feasible in the relaxation as well.
+    couplings tight.  Given hyperplanes (one nonempty family per wavelength,
+    else MissingHyperplanes), d is capped by their minimum to fit the relaxation too.
     """
     picks = catalog.choice_indices(design)
+    if overapproximators is not None:
+        _check_families(catalog, overapproximators)
     labels = _labels(catalog)
     rows = [m[j].tolist() for m, j in zip(catalog.layer_matrices, picks)]
     values = {f"x_{lab}": float(j == pick) for layer_labels, pick in zip(labels, picks)

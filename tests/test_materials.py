@@ -1,5 +1,8 @@
+import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +26,11 @@ from filmopt.materials import (
     load_dispersion,
     load_tables,
 )
+from filmopt.optics import ComplexIndex, make_transfer_matrix
 
 from conftest import THETA1, flat_table
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_csv(tmp_path, name, rows, header="wavelength_nm,n,k"):
@@ -186,9 +192,38 @@ class TestBuildCatalog:
             assert not arr.flags.writeable
             for j, (m, t) in enumerate(choices):
                 for li, wl in enumerate(cat.spectrum.wavelengths):
-                    assert tuple(arr[j, li]) == cat.matrix(m, t, wl).entries()
+                    n = ComplexIndex(index_at(data_tables[m], wl).re)
+                    assert tuple(arr[j, li]) == make_transfer_matrix(n, t, wl).entries()
         with pytest.raises(ValueError):
             cat.layer_matrices[0][0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("name, count", [
+        ("mo_410_n6", 37), ("visible_n6_lambda40", 407), ("broad_n20_theta2", 533),
+    ])
+    def test_fixed_is_a_view_built_on_first_use(self, name, count):
+        cfg = CatalogConfig.from_json(CONFIGS / f"{name}.json")
+        cat = build_catalog(cfg, load_tables(cfg))
+        assert "fixed" not in vars(cat)
+        assert "fixed" not in {f.name for f in dataclasses.fields(Catalog)}
+        assert len(cat.fixed) == count
+        assert "fixed" in vars(cat)
+        for choices, arr in zip(cat.layer_choices, cat.layer_matrices):
+            for j, (m, t) in enumerate(choices):
+                for li, wl in enumerate(cat.spectrum.wavelengths):
+                    assert cat.matrix(m, t, wl).entries() == tuple(arr[j, li])
+
+    def test_replaced_arrays_give_a_new_view_and_a_different_catalog(self, data_tables):
+        cfg = CatalogConfig(
+            substrate="Tungsten", materials=("TiO2", "MgF2"),
+            thicknesses=THETA1, wavelengths=(410.0, 550.0), layers=3, alternating=True)
+        cat = build_catalog(cfg, data_tables)
+        m, t = cat.choices_at(1)[2]
+        before = cat.matrix(m, t, 550.0)
+        halved = dataclasses.replace(cat, layer_matrices=tuple(a / 2 for a in cat.layer_matrices))
+        assert halved.matrix(m, t, 550.0).entries() == tuple(x / 2 for x in before.entries())
+        assert cat.matrix(m, t, 550.0) == before
+        assert halved != cat
+        assert build_catalog(cfg, data_tables) != cat  # catalogs compare by identity
 
     def test_deterministic_construction(self, data_tables):
         cfg = CatalogConfig(
@@ -197,8 +232,9 @@ class TestBuildCatalog:
         c1 = build_catalog(cfg, data_tables)
         c2 = build_catalog(cfg, data_tables)
         assert c1.layer_choices == c2.layer_choices
-        for key, m in c1.fixed.items():
-            assert m == c2.fixed[key]
+        assert len(c1.layer_matrices) == len(c2.layer_matrices) == 3
+        for a1, a2 in zip(c1.layer_matrices, c2.layer_matrices):
+            assert np.array_equal(a1, a2)
 
     def test_missing_dispersion(self, data_tables):
         cfg = CatalogConfig(

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,27 @@ class TestDesignPoint:
             design_point(cat, bad)
         with pytest.raises(InadmissibleDesign):
             solver.evaluate_design(bad, cat)
+
+    @pytest.mark.parametrize("families", ["none", "all-empty", "one", "one-extra"])
+    def test_hyperplane_families_checked_as_in_build_misocp(self, families):
+        """One nonempty family per wavelength, or MissingHyperplanes from both."""
+        config = CatalogConfig.from_json(Path(__file__).resolve().parents[1] / "configs" / "visible_n6_lambda40.json")
+        cat = build_catalog(config, materials.load_tables(config))
+        count = len(cat.spectrum)
+        assert count == 11
+        plane = np.array([[10.0, 0.0, 0.0, 0.0, 0.0]])
+        planes = {
+            "none": [],
+            "all-empty": [np.zeros((0, 5))] * count,
+            "one": [plane],
+            "one-extra": [plane] * (count + 1),
+        }[families]
+        design = tuple(c[0] for c in cat.layer_choices)
+        with pytest.raises(MissingHyperplanes):
+            design_point(cat, design, planes)
+        with pytest.raises(MissingHyperplanes):
+            build_misocp(cat, bounds.tighten_bounds(cat), planes)
+        design_point(cat, design, [plane] * count)  # one nonempty family per wavelength passes
 
     def test_points_follow_the_layer_arrays(self, data_tables):
         """A fixed layer product P folded into layer 1's array is part of every design."""
