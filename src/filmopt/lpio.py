@@ -13,7 +13,7 @@ missing coefficient is 1, and a coefficient followed by a sign, a bracket
 or the end is a constant.  Inside ``[ ]`` each name is followed by
 ``* name`` or ``^ 2``.  A row is ``name: expression sense rhs``, a bounds
 line ``lo <= name <= hi``.  A name that breaks the rule of
-:func:`~filmopt.model.invalid_name` (the one ``Model.validate`` applies),
+:func:`~filmopt.materials.invalid_name` (the one ``Model.validate`` applies),
 a ``-`` before ``[`` (the writer puts ``+``), a malformed bracket term, a
 NaN anywhere and an infinite coefficient, constant or right-hand side are
 a ``ParseError``.
@@ -39,10 +39,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InfeasibleAssignment, ParseError
-from .materials import Catalog, read_chunks, read_text, write_atomic
-from .model import (
-    _BLOCK_LINES, SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, invalid_name, x_name,
-)
+from .materials import _BLOCK_LINES, Catalog, invalid_name, read_chunks, read_text, write_atomic
+from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
 
 _MAX_LINE = 200
 

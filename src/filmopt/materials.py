@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -44,6 +45,10 @@ CSV_HEADER = ["wavelength_nm", "n", "k"]
 DATA_DIR = Path(__file__).parent / "data"
 #: Longest arithmetic progression accepted from a config or the command line.
 MAX_PROGRESSION = 1_000_000
+#: Lines per block: LP text is written and read, and names are checked, this many at a time.
+_BLOCK_LINES = 4096
+#: In lowercased names joined by spaces: an empty name, a bad first character or a section keyword.
+_BAD_START = re.compile(r" (?:[0-9.+\-\[\]*^<>= ]|(?:maximize|minimize|bounds|binaries|end) )")
 
 
 def read_text(path: str | Path) -> str:
@@ -84,6 +89,28 @@ def wavelength_key(wl: float) -> str:
     """
     text = f"{wl:g}"
     return text if float(text) == wl else repr(wl)
+
+
+def invalid_name(names: Iterable[str]) -> str | None:
+    """A name of `names` that LP text cannot carry and read back as itself, or None.
+
+    A name is printable without spaces or ``:``, does not start like a number, an operator or a
+    bracket (``0-9.+-[]*^<>=``) and is no section keyword in any case.  The first name that
+    breaks the first rule is returned if there is one, else the first that breaks another.  The
+    names are checked ``_BLOCK_LINES`` at a time, each block joined and checked at once.
+    ``Model.validate``, the LP reader and the config's coating names use this rule.
+    """
+    names, first_bad_start = iter(names), None
+    while block := list(islice(names, _BLOCK_LINES)):
+        text = " ".join(["", *block, ""]).lower()
+        codes = np.frombuffer(text.encode(), np.uint8)  # printable ASCII runs from " " to "~"
+        printable = codes.min() >= 32 and codes.max() < 127 or text.isprintable()
+        if not printable or ":" in text or text.count(" ") != len(block) + 1:
+            return next(n for n in block if not n.isprintable() or ":" in n or " " in n)
+        bad = None if first_bad_start is not None else _BAD_START.search(text)
+        if bad is not None:
+            first_bad_start = block[text.count(" ", 0, bad.start())]
+    return first_bad_start
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -229,8 +256,8 @@ def expect(value, kind: type, what: str):
 def _coating_name(value) -> str:
     """`value` if it is a string that can sit inside an LP variable name, else ConfigError."""
     name = expect(value, str, "materials")
-    if any(ch.isspace() or ch in ":[]*^<>=\\" for ch in name):  # these end an LP token
-        raise ConfigError(f"materials: {name!r} holds whitespace or one of :[]*^<>=\\, unfit for LP names")
+    if invalid_name([f"x_1_{name}_1"]) is not None:
+        raise ConfigError(f"materials: {name!r} cannot sit in an LP name (whitespace, ':' or non-printable)")
     return name
 
 

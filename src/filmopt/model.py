@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,36 +32,16 @@ import numpy as np
 from .arrayops import box_max_denominator4
 from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
-from .materials import Catalog
+from .materials import Catalog, invalid_name
 from .optics import IDENTITY, StructuredMatrix, denominator_D, multiply
 from .relax import X_ORDER, plane_values
 
 ENTRY_TAGS = ("11", "12", "21", "22")
 SENSES = ("<=", "=", ">=")
-#: Lines per block: LP text is written and read, and names are checked, this many at a time.
-_BLOCK_LINES = 4096
-#: In lowercased names joined by spaces: an empty name, a bad first character or a section keyword.
-_BAD_START = re.compile(r" (?:[0-9.+\-\[\]*^<>= ]|(?:maximize|minimize|bounds|binaries|end) )")
 
 
 # ---------------------------------------------------------------------------
 # Generic container
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lower: float
-    upper: float
-    kind: str = "continuous"  # or "binary"
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    name: str
-    coeffs: dict[str, float]
-    sense: str  # "<=", "=", ">="
-    rhs: float
 
 
 @dataclass
@@ -88,11 +67,7 @@ def _frozen(*arrays: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Variables:
-    """The variables as columns: names, bound arrays and a binary mask.
-
-    Iterating yields each one as a :class:`Variable` value; the arrays are
-    read-only.
-    """
+    """The variables as columns: names, bound arrays and a binary mask; the arrays are read-only."""
 
     names: tuple[str, ...]
     lower: np.ndarray
@@ -102,22 +77,8 @@ class Variables:
     def __post_init__(self) -> None:
         _frozen(self.lower, self.upper, self.binary)
 
-    @classmethod
-    def pack(cls, variables: Iterable[Variable]) -> Variables:
-        variables = list(variables)
-        return cls(
-            tuple(v.name for v in variables),
-            np.array([v.lower for v in variables], dtype=float),
-            np.array([v.upper for v in variables], dtype=float),
-            np.array([v.kind == "binary" for v in variables], dtype=bool),
-        )
-
     def __len__(self) -> int:
         return len(self.names)
-
-    def __iter__(self) -> Iterator[Variable]:
-        kinds = [("continuous", "binary")[b] for b in self.binary.tolist()]
-        return map(Variable, self.names, self.lower.tolist(), self.upper.tolist(), kinds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +88,7 @@ class LinearRows:
     Row ``i`` is ``names[i]: sum_j vals[j] * x[cols[j]] senses[i] rhs[i]``
     over ``j`` in ``indptr[i]:indptr[i + 1]``, where ``cols`` index
     ``columns``, the model's variable names, so every term names a declared
-    variable.  Iterating yields each row as a :class:`LinearConstraint`
-    value; the arrays are read-only.
+    variable.  The arrays are read-only.
     """
 
     columns: tuple[str, ...]
@@ -142,37 +102,8 @@ class LinearRows:
     def __post_init__(self) -> None:
         _frozen(self.indptr, self.cols, self.vals, self.senses, self.rhs)
 
-    @classmethod
-    def pack(
-        cls,
-        columns: tuple[str, ...],
-        names: Sequence[str],
-        coeffs: Sequence[dict[str, float]],
-        senses: Sequence[str],
-        rhs: Sequence[float],
-    ) -> LinearRows:
-        """Rows given as parallel lists, their terms as ``{variable name: coefficient}``.
-
-        A term on a name that is not in `columns` is a ValueError.
-        """
-        index = {n: i for i, n in enumerate(columns)}
-        indptr = np.cumsum([0, *map(len, coeffs)])
-        try:
-            cols = np.fromiter(map(index.__getitem__, chain.from_iterable(coeffs)), np.intp, indptr[-1])
-        except KeyError as exc:
-            raise ValueError(f"constraints reference undeclared variables: {[exc.args[0]]}") from None
-        vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, indptr[-1])
-        return cls(columns, tuple(names), indptr, cols, vals, np.array(senses, dtype=str), np.array(rhs, dtype=float))
-
     def __len__(self) -> int:
         return len(self.names)
-
-    def __iter__(self) -> Iterator[LinearConstraint]:
-        ptr, cols, vals = self.indptr.tolist(), self.cols.tolist(), self.vals.tolist()
-        columns = self.columns
-        for i, (name, sense, rhs) in enumerate(zip(self.names, self.senses.tolist(), self.rhs.tolist())):
-            terms = range(ptr[i], ptr[i + 1])
-            yield LinearConstraint(name, {columns[cols[j]]: vals[j] for j in terms}, sense, rhs)
 
 
 def _repeated(names: Sequence[str]) -> str | None:
@@ -183,28 +114,6 @@ def _repeated(names: Sequence[str]) -> str | None:
     return next(n for n in names if n in seen or seen.add(n))
 
 
-def invalid_name(names: Iterable[str]) -> str | None:
-    """A name of `names` that LP text cannot carry and read back as itself, or None.
-
-    A name is printable without spaces or ``:``, does not start like a number, an operator or a
-    bracket (``0-9.+-[]*^<>=``) and is no section keyword in any case.  The first name that
-    breaks the first rule is returned if there is one, else the first that breaks another.  The
-    names are checked ``_BLOCK_LINES`` at a time, each block joined and checked at once.  The LP
-    reader checks its names with this rule too.
-    """
-    names, first_bad_start = iter(names), None
-    while block := list(islice(names, _BLOCK_LINES)):
-        text = " ".join(["", *block, ""]).lower()
-        codes = np.frombuffer(text.encode(), np.uint8)  # printable ASCII runs from " " to "~"
-        printable = codes.min() >= 32 and codes.max() < 127 or text.isprintable()
-        if not printable or ":" in text or text.count(" ") != len(block) + 1:
-            return next(n for n in block if not n.isprintable() or ":" in n or " " in n)
-        bad = None if first_bad_start is not None else _BAD_START.search(text)
-        if bad is not None:
-            first_bad_start = block[text.count(" ", 0, bad.start())]
-    return first_bad_start
-
-
 def _all_finite(*numbers: float) -> bool:
     # a finite sum proves every term finite; only an overflowing one needs the terms
     return math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers))
@@ -213,31 +122,23 @@ def _all_finite(*numbers: float) -> bool:
 class Model:
     """Variables and linear rows as columns, quadratic rows and the objective as dicts.
 
-    ``variables`` and ``linear`` may be given as :class:`Variables` and
-    :class:`LinearRows` (whose ``columns`` must be ``variables.names``) or
-    as iterables of :class:`Variable` and :class:`LinearConstraint`, which
-    are packed into columns.
+    ``linear.columns`` must be ``variables.names`` itself, so every row
+    indexes the model's own variables.
     """
 
     def __init__(
         self,
         name: str,
-        variables: Variables | Iterable[Variable] = (),
-        linear: LinearRows | Iterable[LinearConstraint] = (),
+        variables: Variables,
+        linear: LinearRows,
         quadratic: Iterable[QuadraticConstraint] = (),
         objective: Objective | None = None,
         header_comments: Iterable[str] = (),
     ) -> None:
-        self.name = name
-        self.variables = variables if isinstance(variables, Variables) else Variables.pack(variables)
-        if not isinstance(linear, LinearRows):
-            rows = list(linear)
-            linear = LinearRows.pack(
-                self.variables.names, [r.name for r in rows], [r.coeffs for r in rows],
-                [r.sense for r in rows], [r.rhs for r in rows],
-            )
-        elif linear.columns is not self.variables.names:
+        if linear.columns is not variables.names:
             raise ValueError("linear rows index variables other than the model's")
+        self.name = name
+        self.variables = variables
         self.linear = linear
         self.quadratic = list(quadratic)
         self.objective = Objective({}) if objective is None else objective

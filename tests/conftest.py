@@ -138,28 +138,24 @@ def denominator_on_x(substrate: optics.ComplexIndex):
 
 
 def models_close(a: Model, b: Model, rtol: float = 1e-15) -> bool:
-    """Structural equality up to relative coefficient tolerance."""
+    """Structural equality up to relative coefficient tolerance, the variables in any order."""
 
-    def close(x: float, y: float) -> bool:
-        return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
+    def close(x, y) -> bool:
+        return bool(np.all(abs(x - y) <= rtol * np.maximum(1.0, np.maximum(abs(x), abs(y)))))
 
-    avars = {v.name: v for v in a.variables}
-    bvars = {v.name: v for v in b.variables}
-    if set(avars) != set(bvars):
+    va, vb, ra, rb = a.variables, b.variables, a.linear, b.linear
+    if sorted(va.names) != sorted(vb.names):
         return False
-    for name, va in avars.items():
-        vb = bvars[name]
-        if va.kind != vb.kind or not (close(va.lower, vb.lower) and close(va.upper, vb.upper)):
-            return False
-    if len(a.linear) != len(b.linear) or len(a.quadratic) != len(b.quadratic):
+    column_in_b = {n: i for i, n in enumerate(vb.names)}
+    at = np.array([column_in_b[n] for n in va.names], np.intp)  # b's column of each of a's variables
+    if not (np.array_equal(va.binary, vb.binary[at]) and close(va.lower, vb.lower[at])
+            and close(va.upper, vb.upper[at])):
         return False
-    for ca, cb in zip(a.linear, b.linear):
-        if ca.name != cb.name or ca.sense != cb.sense or not close(ca.rhs, cb.rhs):
-            return False
-        if set(ca.coeffs) != set(cb.coeffs):
-            return False
-        if not all(close(ca.coeffs[n], cb.coeffs[n]) for n in ca.coeffs):
-            return False
+    if (ra.names, ra.senses.tolist()) != (rb.names, rb.senses.tolist()) or len(a.quadratic) != len(b.quadratic):
+        return False
+    if not (np.array_equal(ra.indptr, rb.indptr) and np.array_equal(at[ra.cols], rb.cols)
+            and close(ra.vals, rb.vals) and close(ra.rhs, rb.rhs)):
+        return False
     for qa, qb in zip(a.quadratic, b.quadratic):
         if qa.name != qb.name or qa.sense != qb.sense or not close(qa.rhs, qb.rhs):
             return False
@@ -176,6 +172,14 @@ def models_close(a: Model, b: Model, rtol: float = 1e-15) -> bool:
     if not all(close(a.objective.coeffs[n], b.objective.coeffs[n]) for n in a.objective.coeffs):
         return False
     return close(a.objective.constant, b.objective.constant)
+
+
+def linear_rows(model: Model) -> list[tuple[str, dict[str, float], str, float]]:
+    """Each linear row of `model` as ``(name, {variable name: coefficient}, sense, rhs)``, read from its CSR."""
+    rows, names = model.linear, model.variables.names
+    ptr, cols, vals = rows.indptr.tolist(), rows.cols.tolist(), rows.vals.tolist()
+    return [(name, {names[cols[j]]: vals[j] for j in range(ptr[i], ptr[i + 1])}, sense, rhs)
+            for i, (name, sense, rhs) in enumerate(zip(rows.names, rows.senses.tolist(), rows.rhs.tolist()))]
 
 
 def linear_constraint_count(catalog) -> int:
@@ -269,17 +273,18 @@ def reference_lp_text(model: Model) -> str:
         lines.extend(reference_wrap(_linear_tokens(model.objective.coeffs, model.objective.constant), " obj:"))
         if model.linear or model.quadratic:
             lines.append("Subject To")
-        for c in model.linear:
-            lines.extend(reference_wrap(_linear_tokens(c.coeffs) + [c.sense, _num(c.rhs)], f" {c.name}:"))
+        for name, coeffs, sense, rhs in linear_rows(model):
+            lines.extend(reference_wrap(_linear_tokens(coeffs) + [sense, _num(rhs)], f" {name}:"))
         for q in model.quadratic:
             toks = _linear_tokens(q.lin) + ["+"] if q.lin else []
             toks += _quad_tokens(q.quad) + [q.sense, _num(q.rhs)]
             lines.extend(reference_wrap(toks, f" {q.name}:"))
-        continuous = [v for v in model.variables if v.kind != "binary"]
-        if continuous:
+        var = model.variables
+        continuous = np.flatnonzero(~var.binary)
+        if len(continuous):
             lines.append("Bounds")
-            lines.extend(f" {_num(v.lower)} <= {v.name} <= {_num(v.upper)}" for v in continuous)
-        binaries = [v.name for v in model.variables if v.kind == "binary"]
+            lines.extend(f" {_num(var.lower[i])} <= {var.names[i]} <= {_num(var.upper[i])}" for i in continuous)
+        binaries = [var.names[i] for i in np.flatnonzero(var.binary)]
         if binaries:
             lines.append("Binaries")
             lines.extend(reference_wrap(binaries, " "))

@@ -4,7 +4,7 @@
 and ``max_denominator_over_box`` for ``arrayops.box_max_denominator4``, both
 scalar, on the StructuredMatrix API; the corner propagation of the entry
 bounds is ``conftest.corner_propagation``.  ``invalid_name`` checks all
-names in one joined text, where ``model.invalid_name`` checks them in
+names in one joined text, where ``materials.invalid_name`` checks them in
 blocks, and ``import_lp`` parses the whole LP text into a dict per row,
 where ``lpio.import_lp`` reads it in blocks into flat arrays.
 ``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
@@ -21,8 +21,8 @@ from filmopt import relax
 from filmopt.arrayops import denominator4
 from filmopt.errors import EmptyCandidateSet, NoValidHyperplane, ParseError
 from filmopt.lpio import _SECTIONS, _finite, _terms
-from filmopt.materials import read_text
-from filmopt.model import _BAD_START, SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables
+from filmopt.materials import _BAD_START, read_text
+from filmopt.model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables
 from filmopt.optics import ComplexIndex, StructuredMatrix, denominator_D
 
 
@@ -66,7 +66,7 @@ def max_denominator_over_box(
 
 
 def invalid_name(names):
-    """A name LP text cannot carry, or None: ``model.invalid_name``'s rule on all `names` joined at once."""
+    """A name LP text cannot carry, or None: ``materials.invalid_name``'s rule on all `names` joined at once."""
     text = " ".join(["", *names, ""]).lower()
     codes = np.frombuffer(text.encode(), np.uint8)  # printable ASCII runs from " " to "~"
     printable = codes.min() >= 32 and codes.max() < 127 or text.isprintable()
@@ -156,7 +156,13 @@ def import_lp(path):
     bounds = [*listed.values(), *[(-math.inf, math.inf, False)] * len(unlisted)]
     lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
     variables = Variables((*listed, *unlisted), lower, upper, binary)
-    linear = LinearRows.pack(variables.names, row_names, row_coeffs, row_senses, row_rhs)
+    column = {n: i for i, n in enumerate(variables.names)}
+    linear = LinearRows(
+        variables.names, tuple(row_names), np.cumsum([0, *map(len, row_coeffs)]),
+        np.array([column[n] for coeffs in row_coeffs for n in coeffs], np.intp),
+        np.array([c for coeffs in row_coeffs for c in coeffs.values()], float),
+        np.array(row_senses, str), np.array(row_rhs, float),
+    )
     return Model(name or Path(path).stem, variables, linear, quadratic, objective, header)
 
 

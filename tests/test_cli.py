@@ -127,7 +127,7 @@ class TestExport:
         assert run("export", "--config", config_path, "--out", out, "--kind", "miqcp") == 0
         assert (out / "model.lp").exists() and (out / "varmap.json").exists()
         m = lpio.import_lp(out / "model.lp")
-        assert any(v.kind == "binary" for v in m.variables)
+        assert m.variables.binary.any()
 
     def test_misocp_files_and_hyperplane_dump(self, config_path, tmp_path):
         out = tmp_path / "exp"
@@ -136,7 +136,7 @@ class TestExport:
         assert set(planes) == {"410", "550"}
         assert all(len(h) == 5 for hs in planes.values() for h in hs)
         m = lpio.import_lp(out / "model.lp")
-        assert sum(1 for c in m.linear if c.name.startswith("c_hyp_")) == sum(
+        assert sum(name.startswith("c_hyp_") for name in m.linear.names) == sum(
             len(hs) for hs in planes.values())
 
     def test_outputs_get_the_umask_mode(self, config_path, tmp_path):
@@ -240,8 +240,9 @@ class TestExitCodes:
         p.write_text(json.dumps(cfg))
         assert run("bounds", "--config", p, "--out", tmp_path / "o") == 1
 
-    @pytest.mark.parametrize("name", ["Ti O2", "Ti\tO2", *(f"Ti{ch}O2" for ch in ":[]*^<>=\\")])
-    def test_lp_significant_coating_name_exit_1(self, name, tmp_path, capsys):
+    @staticmethod
+    def coating_config(name, tmp_path):
+        """A config whose high-index coating is named `name`, its table a copy of TiO2's."""
         data = tmp_path / "data"
         data.mkdir()
         for src, dst in (("Molybdenum", "Molybdenum"), ("MgF2", "MgF2"), ("TiO2", name)):
@@ -250,10 +251,22 @@ class TestExitCodes:
                    thicknesses={name: [40, 100], "MgF2": [80, 140]})
         p = tmp_path / "c.json"
         p.write_text(json.dumps(cfg))
+        return p
+
+    @pytest.mark.parametrize("name", ["Ti O2", "Ti\tO2", "Ti\xa0O2", "Ti\u200bO2", "Ti:O2"])
+    def test_lp_significant_coating_name_exit_1(self, name, tmp_path, capsys):
         out = tmp_path / "o"
-        assert run("export", "--config", p, "--out", out, "--kind", "miqcp") == 1
+        assert run("export", "--config", self.coating_config(name, tmp_path), "--out", out, "--kind", "miqcp") == 1
         assert repr(name) in capsys.readouterr().err
         assert not (out / "model.lp").exists()
+
+    @pytest.mark.parametrize("name", [f"Ti{ch}O2" for ch in "[]*^<>=\\"])
+    def test_coating_name_lp_carries_round_trips(self, name, tmp_path):
+        out = tmp_path / "o"
+        assert run("export", "--config", self.coating_config(name, tmp_path), "--out", out, "--kind", "miqcp") == 0
+        assert f"x_1_{name}_40" in json.loads((out / "varmap.json").read_text())["x"]
+        lpio.export_lp(lpio.import_lp(out / "model.lp"), tmp_path / "again.lp")
+        assert (tmp_path / "again.lp").read_bytes() == (out / "model.lp").read_bytes()
 
     @pytest.mark.parametrize("command", [("optimize", "--mode", "brute"), ("export", "--kind", "miqcp")])
     def test_repeated_coating_exit_1(self, command, tmp_path, capsys):

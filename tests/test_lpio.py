@@ -14,6 +14,7 @@ from filmopt.errors import ParseError
 from filmopt.materials import CatalogConfig, build_catalog, write_atomic
 from filmopt.model import build_miqcp, build_misocp, variable_map_pieces
 
+from conftest import linear_rows
 from test_models import lp_models
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -125,8 +126,7 @@ def test_line_separators(tmp_path, monkeypatch, text, rows, block):
 def test_a_continuation_after_crlf_joins_the_row(tmp_path):
     path = tmp_path / "model.lp"
     path.write_bytes(b"Subject To\r\n c1: x\r\n  + y <= 1\r\nBounds\r\n 0 <= x <= 1\r\n 0 <= y <= 1\r\nEnd\r\n")
-    (row,) = lpio.import_lp(path).linear
-    assert (row.name, row.coeffs, row.sense, row.rhs) == ("c1", {"x": 1.0, "y": 1.0}, "<=", 1.0)
+    assert linear_rows(lpio.import_lp(path)) == [("c1", {"x": 1.0, "y": 1.0}, "<=", 1.0)]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -146,7 +146,7 @@ def test_names_sums_and_empty_rows(tmp_path, monkeypatch, block):
     assert var.names == ("y", "x", "b", "v", "w", "z")
     assert var.binary.tolist() == [False, True, True, False, False, False]
     assert var.upper.tolist()[:3] == [1.0, 1.0, 1.0]
-    assert [(r.name, r.coeffs, r.sense, r.rhs) for r in m.linear] == [
+    assert linear_rows(m) == [
         ("c1", {"x": 3.0, "y": 0.0}, "<=", 3.0), ("c0", {}, "<=", 1.0), ("c2", {}, ">=", -3.0)]
     assert [(q.name, q.lin, q.quad) for q in m.quadratic] == [
         ("q1", {"x": 1.0}, {}), ("q2", {}, {("w", "z"): 1.0, ("v", "v"): -1.0})]
@@ -162,8 +162,8 @@ NAME_PARTS = st.sampled_from(["x", "y_1", "é", "Ω", "end", "END", "Bounds", "m
 @example(["x"] * 5 + [""], 2)
 @example(["", " "], 1)  # a name with a space is reported before an earlier empty one
 def test_invalid_name_in_blocks_finds_what_the_joined_text_finds(monkeypatch, names, block):
-    monkeypatch.setattr(model, "_BLOCK_LINES", block)
-    assert model.invalid_name(names) == oracles.invalid_name(names)
+    monkeypatch.setattr(materials, "_BLOCK_LINES", block)
+    assert materials.invalid_name(names) == oracles.invalid_name(names)
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,18 @@ from filmopt.errors import (
     MissingHyperplanes,
     ParseError,
 )
-from filmopt.materials import CatalogConfig, build_catalog
+from filmopt.materials import CatalogConfig, build_catalog, invalid_name
 from filmopt.model import (
     ENTRY_TAGS,
-    LinearConstraint,
+    LinearRows,
     Model,
     Objective,
     QuadraticConstraint,
-    Variable,
+    Variables,
     _labels,
     build_miqcp,
     build_misocp,
     design_point,
-    invalid_name,
     variable_map_pieces,
     w_name,
     x_name,
@@ -39,7 +38,7 @@ from filmopt.model import (
 from filmopt.optics import StructuredMatrix, chain_product, reflectance
 
 from conftest import (
-    THETA1, enumerate_designs, flat_table, linear_constraint_count, models_close, random_catalog,
+    THETA1, enumerate_designs, flat_table, linear_constraint_count, linear_rows, models_close, random_catalog,
     reference_lp_text, single_wavelength_config,
 )
 
@@ -60,8 +59,7 @@ class TestBuildMiqcp:
                             thicknesses={"A": (70.0,)}, wavelengths=(500.0,), layers=1)
         cat = build_catalog(cfg, tables)
         m = build_miqcp(cat, bounds.tighten_bounds(cat))
-        binaries = [v for v in m.variables if v.kind == "binary"]
-        assert len(binaries) == 1
+        assert m.variables.binary.sum() == 1
         point = design_point(cat, (("A", 70.0),))
         assert m.check_point(point) <= 1e-9
         _, avg = solver.evaluate_design((("A", 70.0),), cat)
@@ -73,8 +71,7 @@ class TestBuildMiqcp:
             thicknesses=THETA1, wavelengths=(410.0,), layers=6, alternating=True)
         cat = build_catalog(cfg, data_tables)
         m = build_miqcp(cat, bounds.tighten_bounds(cat))
-        binaries = [v for v in m.variables if v.kind == "binary"]
-        assert len(binaries) == 3 * 13 + 3 * 24 == 111
+        assert m.variables.binary.sum() == 3 * 13 + 3 * 24 == 111
 
     @pytest.mark.parametrize("seed", range(5))
     def test_linear_constraint_count_formula(self, seed):
@@ -149,20 +146,21 @@ class TestBuildMisocp:
         box = relax.Box4.from_entry_bounds(eb, 0)
         h = relax.constant_overapproximator(box, cat.substrate_indices[0])
         m = build_misocp(cat, eb, [h])
-        caps = [c for c in m.linear if c.name.startswith("c_hyp_")]
+        caps = [(coeffs, rhs) for name, coeffs, _, rhs in linear_rows(m) if name.startswith("c_hyp_")]
         assert len(caps) == 1
-        assert caps[0].coeffs["d_0"] == -1.0
-        assert caps[0].rhs == -h[0, 0]
+        coeffs, rhs = caps[0]
+        assert coeffs["d_0"] == -1.0
+        assert rhs == -h[0, 0]
 
     def test_coefficient_wiring(self):
         cat = desk_catalog(wavelengths=(500.0,))
         eb = bounds.tighten_bounds(cat)
         m = build_misocp(cat, eb, [np.array([[10.0, 1.0, 2.0, 3.0, 4.0]])])
-        cap = next(c for c in m.linear if c.name == "c_hyp_0_0")
-        assert cap.coeffs["w_0_11"] == 1.0
-        assert cap.coeffs["w_0_22"] == 2.0
-        assert cap.coeffs["w_0_12"] == 3.0
-        assert cap.coeffs["w_0_21"] == 4.0
+        cap = next(coeffs for name, coeffs, _, _ in linear_rows(m) if name == "c_hyp_0_0")
+        assert cap["w_0_11"] == 1.0
+        assert cap["w_0_22"] == 2.0
+        assert cap["w_0_12"] == 3.0
+        assert cap["w_0_21"] == 4.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_relaxation_accepts_every_design(self, seed):
@@ -255,8 +253,7 @@ class TestZeroLayers:
         for m, point in ((build_miqcp(cat, eb), design_point(cat, ())),
                          (build_misocp(cat, eb, planes), design_point(cat, (), planes))):
             for li in range(len(cat.spectrum)):
-                rows = [(c.name, c.coeffs, c.sense, c.rhs) for c in m.linear
-                        if c.name.startswith(f"c_final_{li}_")]
+                rows = [row for row in linear_rows(m) if row[0].startswith(f"c_final_{li}_")]
                 assert rows == [
                     (f"c_final_{li}_{tag}", {f"w_{li}_{tag}": 1.0}, "=", rhs)
                     for tag, rhs in zip(("11", "12", "21", "22"), (1.0, 0.0, 0.0, 1.0))
@@ -269,6 +266,7 @@ class TestZeroLayers:
             assert p1.read_bytes() == p2.read_bytes()
 
 
+X, Y = ("x", 0.0, 1.0, False), ("y", 0.0, 1.0, False)
 coefficients = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                      -1.7976931348623157e308, -1.0]),
@@ -281,34 +279,49 @@ variable_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True).f
     lambda n: invalid_name([n]) is None)
 
 
+def small_model(variables, rows=(), quadratic=(), objective=None, name="m") -> Model:
+    """A model from `variables` as ``(name, lower, upper, binary)`` and `rows` as ``(name, terms, sense, rhs)``.
+
+    The terms of a row are ``(column, coefficient)`` pairs, the column an index into `variables`.
+    """
+    names, lower, upper, binary = (tuple(v[k] for v in variables) for k in range(4))
+    terms = [term for row in rows for term in row[1]]
+    linear = LinearRows(names, tuple(row[0] for row in rows), np.cumsum([0, *(len(row[1]) for row in rows)]),
+                        np.array([c for c, _ in terms], np.intp), np.array([v for _, v in terms], float),
+                        np.array([row[2] for row in rows], str), np.array([row[3] for row in rows], float))
+    variables = Variables(names, np.array(lower, float), np.array(upper, float), np.array(binary, bool))
+    return Model(name, variables, linear, quadratic, objective)
+
+
 @st.composite
 def lp_models(draw):
     """Small valid models: binary and bounded continuous variables, linear and quadratic rows."""
     names = draw(st.lists(variable_names, min_size=1, max_size=8, unique=True))
     variables = [
-        Variable(n, 0.0, 1.0, "binary") if draw(st.booleans())
-        else Variable(n, *sorted(draw(st.tuples(coefficients, coefficients))))
+        (n, 0.0, 1.0, True) if draw(st.booleans())
+        else (n, *sorted(draw(st.tuples(coefficients, coefficients))), False)
         for n in names
     ]
+    columns = st.dictionaries(st.integers(0, len(names) - 1), coefficients, max_size=12)
     terms = st.dictionaries(st.sampled_from(names), coefficients, max_size=12)
     pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
     # row names are unique across the linear and quadratic rows
     rows = draw(st.lists(row_names, max_size=6, unique=True))
     split = draw(st.integers(0, len(rows)))
-    linear = [LinearConstraint(row, draw(terms), draw(senses), draw(coefficients)) for row in rows[:split]]
+    linear = [(row, list(draw(columns).items()), draw(senses), draw(coefficients)) for row in rows[:split]]
     quadratic = [
         QuadraticConstraint(row, draw(st.dictionaries(pairs, coefficients, min_size=1, max_size=4)),
                             draw(terms), draw(senses), draw(coefficients))
         for row in rows[split:]
     ]
     objective = Objective(draw(terms), draw(coefficients), draw(st.sampled_from(["max", "min"])))
-    return Model(draw(row_names), variables, linear, quadratic, objective)
+    return small_model(variables, linear, quadratic, objective, draw(row_names))
 
 
 class TestLpExport:
     def test_empty_model_is_header_and_end(self, tmp_path):
         path = tmp_path / "empty.lp"
-        lpio.export_lp(Model(name="void"), path)
+        lpio.export_lp(small_model([], name="void"), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "\\ Model: void"
         assert lines[-1] == "End"
@@ -356,18 +369,17 @@ class TestLpExport:
         assert len(m2.quadratic) == 2 * len(cat.spectrum)
 
     def test_undeclared_variable_raises_and_writes_nothing(self, tmp_path):
-        m = Model(name="bad", objective=Objective({"ghost": 1.0}))
+        m = small_model([], objective=Objective({"ghost": 1.0}), name="bad")
         with pytest.raises(ValueError, match="undeclared"):
             lpio.export_lp(m, tmp_path / "model.lp")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("model", [
-        Model("m", [Variable("x", 0.0, 1.0)], objective=Objective({"x": float("nan")})),
-        Model("m", [Variable("x", 0.0, 1.0)], objective=Objective({"x": 1.0}, float("inf"))),
-        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c1", {"x": float("-inf")}, "<=", 1.0)]),
-        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c1", {"x": 1.0}, "<=", float("nan"))]),
-        Model("m", [Variable("x", 0.0, 1.0)],
-              quadratic=[QuadraticConstraint("q1", {("x", "x"): float("inf")}, {}, "<=", 1.0)]),
+        small_model([X], objective=Objective({"x": float("nan")})),
+        small_model([X], objective=Objective({"x": 1.0}, float("inf"))),
+        small_model([X], [("c1", [(0, float("-inf"))], "<=", 1.0)]),
+        small_model([X], [("c1", [(0, 1.0)], "<=", float("nan"))]),
+        small_model([X], quadratic=[QuadraticConstraint("q1", {("x", "x"): float("inf")}, {}, "<=", 1.0)]),
     ], ids=["objective-coefficient", "objective-constant", "linear-coefficient", "rhs",
             "quadratic-coefficient"])
     def test_non_finite_numbers_raise_and_write_nothing(self, model, tmp_path):
@@ -376,23 +388,20 @@ class TestLpExport:
         assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_row_names_raise_and_write_nothing(self, tmp_path):
-        xy = [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)]
-        model = Model("m", xy, [LinearConstraint("c1", {"x": 1.0}, "<=", 1.0),
-                                LinearConstraint("c1", {"y": 1.0}, "<=", 1.0)],
-                      [QuadraticConstraint("c1", {("x", "y"): 1.0}, {}, "<=", 1.0)])
+        model = small_model([X, Y], [("c1", [(0, 1.0)], "<=", 1.0), ("c1", [(1, 1.0)], "<=", 1.0)],
+                            [QuadraticConstraint("c1", {("x", "y"): 1.0}, {}, "<=", 1.0)])
         with pytest.raises(ValueError, match="c1: duplicate row name"):
             lpio.export_lp(model, tmp_path / "model.lp")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("model", [
-        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c1", {"x": 1.0}, "<", 1.0)]),
-        Model("m", [Variable("x", 0.0, 1.0)],
-              quadratic=[QuadraticConstraint("q1", {("x", "x"): 1.0}, {}, "=<", 1.0)]),
-        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("c:1", {"x": 1.0}, "<=", 1.0)]),
-        Model("m", [Variable("1x", 0.0, 1.0)], [LinearConstraint("c1", {"1x": 1.0}, "<=", 1.0)]),
-        Model("m", [Variable("x y", 0.0, 1.0)], [LinearConstraint("c1", {"x y": 1.0}, "<=", 1.0)]),
-        Model("m", [Variable("End", 0.0, 1.0, "binary")], [LinearConstraint("c1", {"End": 1.0}, "<=", 1.0)]),
-        Model("m", [Variable("x", 0.0, 1.0)], [LinearConstraint("", {"x": 1.0}, "<=", 1.0)]),
+        small_model([X], [("c1", [(0, 1.0)], "<", 1.0)]),
+        small_model([X], quadratic=[QuadraticConstraint("q1", {("x", "x"): 1.0}, {}, "=<", 1.0)]),
+        small_model([X], [("c:1", [(0, 1.0)], "<=", 1.0)]),
+        small_model([("1x", 0.0, 1.0, False)], [("c1", [(0, 1.0)], "<=", 1.0)]),
+        small_model([("x y", 0.0, 1.0, False)], [("c1", [(0, 1.0)], "<=", 1.0)]),
+        small_model([("End", 0.0, 1.0, True)], [("c1", [(0, 1.0)], "<=", 1.0)]),
+        small_model([X], [("", [(0, 1.0)], "<=", 1.0)]),
     ], ids=["sense-<", "quadratic-sense", "row-c:1", "variable-1x", "variable-x-y", "binary-End",
             "empty-row-name"])
     def test_what_lp_cannot_read_back_raises_and_writes_nothing(self, model, tmp_path):
@@ -410,8 +419,16 @@ class TestLpExport:
         assert invalid_name(names) == bad
 
     def test_finite_numbers_with_an_overflowing_sum_pass(self):
-        xy = [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)]
-        Model("m", xy, [LinearConstraint("c1", {"x": 1e308, "y": 1e308}, "<=", 1e308)]).validate()
+        small_model([X, Y], [("c1", [(0, 1e308), (1, 1e308)], "<=", 1e308)]).validate()
+
+    def test_rows_over_an_equal_but_distinct_names_tuple_rejected(self):
+        variables = Variables(("x",), np.zeros(1), np.ones(1), np.zeros(1, bool))
+        names = tuple(list(variables.names))
+        assert names == variables.names and names is not variables.names
+        empty = (np.zeros(1, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0, str), np.zeros(0))
+        with pytest.raises(ValueError, match="other than the model's"):
+            Model("m", variables, LinearRows(names, (), *empty))
+        assert Model("m", variables, LinearRows(variables.names, (), *empty)).linear.columns is variables.names
 
     def test_imported_model_is_validated_before_writing(self, tmp_path):
         path = tmp_path / "in.lp"
@@ -499,7 +516,7 @@ class TestLpExport:
                      " q1: y + [ x * y - x ^ 2 ] <= 2\nEnd\n")
         m = lpio.import_lp(p)
         assert m.objective.coeffs == {"x": 1.0}
-        assert [(c.name, c.coeffs, c.sense, c.rhs) for c in m.linear] == [
+        assert linear_rows(m) == [
             ("c1", {"x": 1.0, "y": 1.0}, "<=", 1.0), ("c2", {"x": -1.0}, ">=", -3.0)]
         (q,) = m.quadratic
         assert (q.lin, q.quad) == ({"y": 1.0}, {("x", "y"): 1.0, ("x", "x"): -1.0})
@@ -594,4 +611,4 @@ class TestVariableMap:
             for name in group:
                 assert name not in mapped
                 mapped.add(name)
-        assert mapped == {v.name for v in m.variables}
+        assert mapped == set(m.variables.names)

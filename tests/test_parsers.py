@@ -120,7 +120,7 @@ class TestLpText:
         p.write_text(" ".join(tokens), encoding="utf-8")
         model = only_filmopt_errors(lpio.import_lp, p)
         if model is not None:
-            assert all(v.name[0] not in "0123456789.+-[]*^<>=" for v in model.variables)
+            assert all(name[0] not in "0123456789.+-[]*^<>=" for name in model.variables.names)
 
 
 class TestCatalogSize:
