@@ -16,6 +16,15 @@ import numpy as np
 LEAF_CHUNK_ENTRIES = 2**15
 
 
+#: The carrier product as a table: entry e of A*B is the sum over t of
+#: ``PRODUCT_SIGN[e, t] * A[PRODUCT_LEFT[e, t]] * B[PRODUCT_RIGHT[e, t]]``,
+#: that is (a11 b11 - a12 b21, a11 b12 + a12 b22, a21 b11 + a22 b21,
+#: a22 b22 - a21 b12).  mul4 and optics.multiply write it out by hand.
+PRODUCT_LEFT = np.array([[0, 1], [0, 1], [2, 3], [3, 2]])
+PRODUCT_RIGHT = np.array([[0, 2], [1, 3], [0, 2], [3, 1]])
+PRODUCT_SIGN = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+
+
 def mul4(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Carrier product with broadcasting over leading axes of (..., 4) arrays.
 
@@ -51,22 +60,17 @@ def denominator4(w: np.ndarray, a: float | np.ndarray, b: float | np.ndarray) ->
     return (x1 - b * x3) ** 2 + (a * x3) ** 2 + (x4 + b * x2) ** 2 + (a * x2) ** 2 + 2.0 * a
 
 
-_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
-
-
 def interval_product4(
     p: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact entrywise range of P*S over S in the box [lo, hi], broadcasting (..., 4).
 
-    Each entry of P*S is a fixed linear combination of two entries of S, so
-    the interval extension is tight.
+    Each entry of P*S is a fixed linear combination of two entries of S
+    (the product table), so the interval extension is tight.
     """
-    # entry e of P*S is c1[e] S[e1[e]] + c2[e] S[e2[e]]:
-    # (p11 s11 - p12 s21, p11 s12 + p12 s22, p21 s11 + p22 s21, p22 s22 - p21 s12)
-    c1 = p[..., [0, 0, 2, 3]]
-    c2 = p[..., [1, 1, 3, 2]] * _SIGNS  # exact negation where the sign is -1
-    e1, e2 = [0, 1, 0, 3], [2, 3, 2, 1]
+    c1 = p[..., PRODUCT_LEFT[:, 0]]
+    c2 = p[..., PRODUCT_LEFT[:, 1]] * PRODUCT_SIGN[:, 1]  # exact negation where the sign is -1
+    e1, e2 = PRODUCT_RIGHT.T
     t1a, t1b = c1 * lo[..., e1], c1 * hi[..., e1]
     t2a, t2b = c2 * lo[..., e2], c2 * hi[..., e2]
     return np.minimum(t1a, t1b) + np.minimum(t2a, t2b), np.maximum(t1a, t1b) + np.maximum(t2a, t2b)
@@ -108,18 +112,9 @@ def reflectance_rows4(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     prefix P of shape (..., L, 4) the four terms (n1, n2, d1, d2) are linear
     in the entries of S.  Row r of the returned map gives term r.
     """
-    p11, p12, p21, p22 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    zero = np.zeros_like(p11)
     # rows: entries (w11, w12, w21, w22) of P*S as maps of (s11, s12, s21, s22)
-    carrier = np.stack(
-        [
-            np.stack([p11, zero, -p12, zero], axis=-1),
-            np.stack([zero, p11, zero, p12], axis=-1),
-            np.stack([p21, zero, p22, zero], axis=-1),
-            np.stack([zero, -p21, zero, p22], axis=-1),
-        ],
-        axis=-2,
-    )
+    carrier = np.zeros(p.shape + (4,))
+    carrier[..., np.arange(4)[:, None], PRODUCT_RIGHT] = p[..., PRODUCT_LEFT] * PRODUCT_SIGN
     one, nil = np.ones_like(a), np.zeros_like(a)
     # rows: (n1, n2, d1, d2) as maps of (w11, w12, w21, w22), per wavelength
     terms = np.stack(

@@ -12,6 +12,7 @@ table at the split.
 
 Bound arrays have shape (L, N+1, 4): wavelength index, prefix length
 (0..N, where 0 is the bare identity), entry in (a11, a12, a21, a22) order.
+The suffix boxes stop at the split: (L, split+1, 4).
 """
 from __future__ import annotations
 
@@ -51,57 +52,44 @@ class EntryBounds:
         return {wavelength_key(wl): pairs[li] for li, wl in enumerate(self.wavelengths)}
 
 
-def _propagate(
-    catalog: Catalog, forward: bool, start: int, lower: np.ndarray, upper: np.ndarray
-) -> None:
-    """Fill the (L, N+1, 4) boxes past depth `start` by interval propagation from its box.
+def _propagated(catalog: Catalog, forward: bool, start: int, lo: np.ndarray, hi: np.ndarray) -> EntryBounds:
+    """Boxes interval-propagated from the (L, 4) box [lo, hi] at depth `start`.
 
     Forward, the box at depth n bounds the product of layers 1..n and the
-    next layer multiplies from the right; backward, the box at depth k
-    bounds the product of layers k+1..N and the next layer multiplies from
-    the left.  Each step is one exact interval product per choice
+    next layer multiplies from the right, up to depth N; backward, the box
+    at depth k bounds the product of layers k+1..N and the next layer
+    multiplies from the left, down to depth 0 (so only depths 0..start are
+    returned).  Each step is one exact interval product per choice
     (``interval_product4``, forward on transposes) and a min/max over the
     choices.  It equals stepping the 16 box corners bit for bit: rounding is
     monotone, so the least ``fl(u + v)`` over corners is ``fl(min u + min v)``.
     """
-    depths = range(start + 1, catalog.n_layers + 1) if forward else range(start - 1, -1, -1)
+    n_depths = catalog.n_layers + 1 if forward else start + 1
+    lower = np.empty((len(catalog.spectrum.wavelengths), n_depths, 4))
+    upper = np.empty_like(lower)
+    lower[:, start], upper[:, start] = lo, hi
+    depths = range(start + 1, n_depths) if forward else range(start - 1, -1, -1)
     # swapping a12 and a21 transposes a matrix, and forward B T = (T^T B^T)^T
     order = [0, 2, 1, 3] if forward else [0, 1, 2, 3]
     for depth in depths:
         prev = depth - 1 if forward else depth + 1
         mats = catalog.layer_matrices[min(depth, prev)][..., order]  # (C, L, 4)
-        lo, hi = interval_product4(mats, lower[:, prev][:, order], upper[:, prev][:, order])
-        lower[:, depth], upper[:, depth] = lo.min(axis=0)[:, order], hi.max(axis=0)[:, order]
-
-
-def _identity_propagation(catalog: Catalog, forward: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) boxes propagated from the identity at depth 0 (forward) or N."""
-    start = 0 if forward else catalog.n_layers
-    lower = np.empty((len(catalog.spectrum.wavelengths), catalog.n_layers + 1, 4))
-    upper = np.empty_like(lower)
-    lower[:, start] = upper[:, start] = _IDENTITY4
-    _propagate(catalog, forward, start, lower, upper)
-    return lower, upper
+        step_lo, step_hi = interval_product4(mats, lower[:, prev][:, order], upper[:, prev][:, order])
+        lower[:, depth], upper[:, depth] = step_lo.min(axis=0)[:, order], step_hi.max(axis=0)[:, order]
+    return EntryBounds(tuple(catalog.spectrum.wavelengths), lower, upper)
 
 
 def tighten_bounds(catalog: Catalog) -> EntryBounds:
     """Bounds on the product of layers 1..n, indexed by prefix depth n."""
-    lower, upper = _identity_propagation(catalog, forward=True)
-    return EntryBounds(tuple(catalog.spectrum.wavelengths), lower, upper)
+    return _propagated(catalog, True, 0, _IDENTITY4, _IDENTITY4)
 
 
-def suffix_product_bounds(
-    catalog: Catalog, split: int | None = None, table: np.ndarray | None = None
-) -> EntryBounds:
-    """Bounds on the product of layers k+1..N, indexed by prefix depth k.
+def suffix_product_bounds(catalog: Catalog, split: int, table: np.ndarray) -> EntryBounds:
+    """Bounds on the product of layers k+1..N for depths k = 0..split.
 
-    Depth N is the empty suffix (exactly the identity).  With `table`, the
-    (L, 4, K) products of layers split+1..N (``solver._suffix_table``), the
-    box at depth `split` is their exact entrywise min/max and shallower
-    boxes propagate from it; deeper ones are propagated from the identity.
+    `table` holds the (L, 4, K) products of layers split+1..N
+    (``solver._suffix_table``; at split N, the identity as one column).
+    The box at depth `split` is their exact entrywise min/max, and
+    shallower boxes propagate from it.
     """
-    lower, upper = _identity_propagation(catalog, forward=False)
-    if table is not None:
-        lower[:, split], upper[:, split] = table.min(axis=2), table.max(axis=2)
-        _propagate(catalog, False, split, lower, upper)
-    return EntryBounds(tuple(catalog.spectrum.wavelengths), lower, upper)
+    return _propagated(catalog, False, split, table.min(axis=2), table.max(axis=2))

@@ -121,6 +121,8 @@ def cmd_evaluate(config: Path, out: Path, design: Path, grid: str | None) -> int
 
 
 def cmd_optimize(config: Path, out: Path, mode: str, cap_nodes: int | None) -> int:
+    if mode == "brute" and cap_nodes is not None:
+        raise ConfigError("--cap-nodes applies to --mode bnb only")
     _, _, catalog = _load_instance(config)
     if mode == "brute":
         report = solver.brute_force(catalog)
@@ -253,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("optimize", cmd_optimize, "solve the instance exactly")
     p.add_argument("--mode", choices=("brute", "bnb"), default="brute")
-    p.add_argument("--cap-nodes", type=_int_at_least(1), default=None)
+    p.add_argument("--cap-nodes", type=_int_at_least(1), default=None,
+                   help="bnb only: stop after this many designs and report the incumbent")
 
     p = command("export", cmd_export, "write the algebraic model as LP text")
     p.add_argument("--kind", choices=("miqcp", "misocp"), default="miqcp")

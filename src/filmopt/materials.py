@@ -469,7 +469,7 @@ def build_catalog(
         high, low = _rank_by_mean_index(config.materials, tables, spectrum.wavelengths)
         allowed = [(high,) if n % 2 == 1 else (low,) for n in range(1, config.layers + 1)]
     else:
-        allowed = [tuple(config.materials) for _ in range(config.layers)]
+        allowed = [tuple(sorted(config.materials))] * config.layers
 
     layer_choices = tuple(
         tuple(sorted((m, t) for m in mats for t in by_mat[m].thicknesses))
@@ -482,19 +482,16 @@ def build_catalog(
         if any(idx.im != 0 for idx in indices):
             warnings.warn(f"{mat}: nonzero extinction in dispersion data ignored "
                           "(coatings are treated as ideal dielectrics)", stacklevel=2)
-        arr = np.array([[make_transfer_matrix(ComplexIndex(idx.re), t, w).entries()
-                         for idx, w in zip(indices, spectrum.wavelengths)]
-                        for t in by_mat[mat].thicknesses])
-        arr.setflags(write=False)
-        coating_matrices[mat] = arr
+        coating_matrices[mat] = np.array([[make_transfer_matrix(ComplexIndex(idx.re), t, w).entries()
+                                           for idx, w in zip(indices, spectrum.wavelengths)]
+                                          for t in by_mat[mat].thicknesses])
 
-    if config.alternating:
-        layer_matrices = tuple(coating_matrices[mat] for (mat,) in allowed)
-    elif config.layers:  # choices sort by material, as the coating arrays stack
-        layer_matrices = (np.concatenate(list(coating_matrices.values())),) * config.layers
-        layer_matrices[0].setflags(write=False)
-    else:
-        layer_matrices = ()
+    # one read-only array per choice set, its coatings stacked in sorted order as the choices sort
+    stacked: dict[tuple[str, ...], np.ndarray] = {}
+    for mats in allowed:
+        if mats not in stacked:
+            stacked[mats] = np.concatenate([coating_matrices[m] for m in mats])
+            stacked[mats].setflags(write=False)
 
     return Catalog(
         n_layers=config.layers,
@@ -502,5 +499,5 @@ def build_catalog(
         spectrum=spectrum,
         substrate_id=config.substrate,
         substrate_indices=tuple(index_at(tables[config.substrate], w) for w in spectrum.wavelengths),
-        layer_matrices=layer_matrices,
+        layer_matrices=tuple(stacked[mats] for mats in allowed),
     )

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arrayops import box_max_denominator4
+from .arrayops import PRODUCT_LEFT, PRODUCT_RIGHT, PRODUCT_SIGN, box_max_denominator4
 from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
 from .materials import Catalog, invalid_name
@@ -299,15 +299,9 @@ _HEADER = [
 ]
 
 
-#: Entry e of (copy * T), row e, as two terms (copy entry, T entry, sign): the
-#: product rule of the carrier, so each row of a chain constraint is linear in
-#: the copies.  Row 0 is a11*t11 - a12*t21, row 1 a11*t12 + a12*t22, row 2
-#: a21*t11 + a22*t21 and row 3 a22*t22 - a21*t12.
-_IMAGE_SRC = np.array([[0, 1], [0, 1], [2, 3], [3, 2]])
-_IMAGE_ENTRY = np.array([[0, 2], [1, 3], [0, 2], [3, 1]])
-_IMAGE_SIGN = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 _IDENTITY = np.array([1.0, 0.0, 0.0, 1.0])
 _TAG_OFFSETS = np.arange(4)
+
 
 def _join(columns: tuple[str, ...], blocks: list[tuple]) -> LinearRows:
     """The rows of `blocks`, in order, as one :class:`LinearRows` over `columns`.
@@ -381,8 +375,9 @@ def _structure(
                 blocks.append((row_names, entering, 1.0, "=", _IDENTITY))
                 continue
             layer = catalog.layer_matrices[k - 1][:, li]  # (choices, 4)
-            image_cols = (heads[k - 1][:, None] + _IMAGE_SRC[:, None]).reshape(4, -1)
-            image_vals = (_IMAGE_SIGN[:, None] * layer[:, _IMAGE_ENTRY].transpose(1, 0, 2)).reshape(4, -1)
+            # row e of (copies * T) by the product table, linear in the copies
+            image_cols = (heads[k - 1][:, None] + PRODUCT_LEFT[:, None]).reshape(4, -1)
+            image_vals = (PRODUCT_SIGN[:, None] * layer[:, PRODUCT_RIGHT].transpose(1, 0, 2)).reshape(4, -1)
             blocks.append((row_names, np.hstack([image_cols, entering]),
                            np.hstack([image_vals, np.full(entering.shape, -1.0)]), "=", 0.0))
         # the copies of a choice are boxed to 0 unless its binary fires, and by its layer's box if it does

@@ -32,21 +32,24 @@ that it clears every candidate by that margin.  Centring keeps that scale
 near D on a box that is thin in some coordinate, where the planes' slopes
 are large and ``a0`` would otherwise cancel ``a . x``.
 
-A wavelength's subsets are unranked once and fitted in blocks, one batched
-LU solve each (an exactly zero pivot gives a NaN fit, which fails every
-test).  Each fit is first held to a reach bound: ``s <= |a| . reach`` at
-every candidate, ``reach = [1, max|xi|]``, so a fit that falls short of D
-by more than ``REL_TOL * (1 + 1e-9) * |a| . reach`` anywhere fails the
-exact test too; both tests read ``value + tol >= D``, ``1 + 1e-9`` covers
-the rounding of the two scales, and rounding is monotone.  Only the ~1% of
-fits that pass get the exact ``s`` and the dominance test, and only the
-dominating ones the residual test.  The accepted planes and their order
-are those of fitting each subset in turn with :func:`fit_hyperplane`.
+The subsets come from ``itertools.combinations``, cached per candidate
+count, and are fitted in blocks, one batched LU solve each (an exactly
+zero pivot gives a NaN fit, which fails every test).  Each fit is first
+held to a reach bound: ``s <= |a| . reach`` at every candidate,
+``reach = [1, max|xi|]``, so a fit that falls short of D by more than
+``REL_TOL * (1 + 1e-9) * |a| . reach`` anywhere fails the exact test too;
+both tests read ``value + tol >= D``, ``1 + 1e-9`` covers the rounding of
+the two scales, and rounding is monotone.  Only the ~1% of fits that pass
+get the exact ``s`` and the dominance test, and only the dominating ones
+the residual test.  The accepted planes and their order are those of
+fitting each subset in turn with :func:`fit_hyperplane`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,25 +254,16 @@ def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> np.ndarray:
     return np.array([[top + 2.0 * REL_TOL * abs(top), 0.0, 0.0, 0.0, 0.0]])
 
 
-def _subset_blocks(count: int):
-    """Every 5-subset of ``range(count)``, in lexicographic order, ``FIT_BLOCK`` rows at a time.
+@functools.cache
+def _subsets(count: int) -> np.ndarray:
+    """Every 5-subset of ``range(count)`` as a read-only uint8 array, in lexicographic order.
 
-    They are unranked at once into one uint8 array (``count <= 32``, see
-    :func:`collect_candidates`) and sliced.  Mapping every element ``c`` to
-    ``count - 1 - c`` turns lexicographic order into descending
-    colexicographic order, where the subset of rank ``m`` has largest
-    element ``x = max{x : C(x, 5) <= m}`` and the 4-subset of rank
-    ``m - C(x, 5)`` below it, and so on down.
+    ``count <= 32`` (see :func:`collect_candidates`), so the cache holds at
+    most 28 arrays; a catalog's wavelengths share those of equal count.
     """
-    binom = np.array([[math.comb(x, i) for x in range(count)] for i in range(6)], np.int32)
-    rank = np.arange(math.comb(count, 5), dtype=np.int32)[::-1]
-    subsets = np.empty((len(rank), 5), np.min_scalar_type(count))
-    for i in range(5, 0, -1):
-        x = np.searchsorted(binom[i], rank, side="right")
-        subsets[:, 5 - i] = count - x
-        rank -= binom[i, x - 1]
-    for start in range(0, len(subsets), FIT_BLOCK):
-        yield subsets[start:start + FIT_BLOCK]
+    subsets = np.fromiter(chain.from_iterable(combinations(range(count), 5)), np.uint8).reshape(-1, 5)
+    subsets.setflags(write=False)
+    return subsets
 
 
 def _dominating_fits(aug: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -321,8 +315,9 @@ def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> np.ndarray
     aug = np.column_stack([np.ones(len(pts)), pts - center])
     reach = np.abs(aug).max(axis=0)
     kept = np.empty((0, 5))
-    for subsets in _subset_blocks(len(pts)):
-        for row in _dominating_fits(aug, gvals, subsets):
+    subsets = _subsets(len(pts))
+    for start in range(0, len(subsets), FIT_BLOCK):
+        for row in _dominating_fits(aug, gvals, subsets[start:start + FIT_BLOCK]):
             if not (np.abs(kept - row) @ reach <= DEDUPE_TOL * (np.abs(row) @ reach)).any():
                 kept = np.vstack([kept, row])
     if not len(kept):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,16 +83,7 @@ class SolveReport:
     incumbents: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "design": design_to_json(self.design),
-            "objective": self.objective,
-            "per_wavelength": list(self.per_wavelength),
-            "nodes_explored": self.nodes_explored,
-            "nodes_pruned": self.nodes_pruned,
-            "wall_time_s": self.wall_time_s,
-            "proven_optimal": self.proven_optimal,
-            "incumbents": list(self.incumbents),
-        }
+        return {**asdict(self), "design": design_to_json(self.design)}
 
 
 def design_to_json(design: Design) -> list[dict]:
@@ -152,13 +143,6 @@ def evaluate_design_on_grid(
             mats.append(make_transfer_matrix(ComplexIndex(idx.re), t, wl))
         per.append(reflectance(chain_product(mats), index_at(substrate_table, wl)))
     return per, sum(per) / len(per)
-
-
-def _substrate_arrays(catalog: Catalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = np.array([s.re for s in catalog.substrate_indices])
-    b = np.array([s.im for s in catalog.substrate_indices])
-    phi = np.array(catalog.spectrum.weights)
-    return a, b, phi
 
 
 def _report(
@@ -228,7 +212,9 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
         return _report(catalog, (), 1, 0, t0, True, [avg])
 
     mats = catalog.layer_matrices
-    a, b, phi = _substrate_arrays(catalog)
+    a = np.array([s.re for s in catalog.substrate_indices])
+    b = np.array([s.im for s in catalog.substrate_indices])
+    phi = np.array(catalog.spectrum.weights)
     counts = [m.shape[0] for m in mats]
     n_wl = len(phi)
     split = _split_depth(counts, n_wl)
@@ -247,13 +233,6 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
     pruned = 0
     capped = False
 
-    def decode_suffix(index: int) -> list[int]:
-        picks: list[int] = []
-        for u in range(n_layers - 1, split - 1, -1):
-            index, j = divmod(index, counts[u])
-            picks.append(j)
-        return picks[::-1]
-
     def bounds_at(prefixes: np.ndarray, depth: int) -> np.ndarray:
         """Optimistic objective of every completion of (c, L, 4) depth-`depth` prefixes."""
         lo, hi = interval_product4(prefixes, slo[:, depth], shi[:, depth])
@@ -270,7 +249,7 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
             i = int(np.argmax(obj))
             if obj[i] > best + OBJECTIVE_EPS:
                 best = float(obj[i])
-                best_design = chosen + decode_suffix(i)
+                best_design = chosen + list(np.unravel_index(i, counts[split:]))
                 incumbents.append(best)
         if node_cap is not None and nodes >= node_cap:
             capped = True

@@ -6,6 +6,7 @@ import pytest
 
 from filmopt import materials, optics
 from filmopt.arrayops import mul4
+from filmopt.bounds import suffix_product_bounds
 from filmopt.materials import CatalogConfig, DispersionTable, build_catalog
 from filmopt.model import ENTRY_TAGS, Model, _labels, d_name, f_name, w_name
 
@@ -94,6 +95,12 @@ def corner_propagation(catalog, forward: bool) -> tuple[np.ndarray, np.ndarray]:
         lower[:, depth], upper[:, depth] = lo, hi
         corners = np.where(_CORNER_PICKS, hi[..., None, :], lo[..., None, :])[:, :, None]
     return lower, upper
+
+
+def identity_suffix_bounds(catalog):
+    """``bounds.suffix_product_bounds`` split after the last layer: every depth, from the identity."""
+    identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0])[:, None], (len(catalog.spectrum), 1, 1))
+    return suffix_product_bounds(catalog, catalog.n_layers, identity)
 
 
 def enumerate_designs(catalog):

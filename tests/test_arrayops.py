@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from filmopt import optics, solver
 from filmopt.arrayops import (
+    PRODUCT_LEFT,
+    PRODUCT_RIGHT,
+    PRODUCT_SIGN,
     DenominatorScreen,
     box_max_denominator4,
     denominator4,
@@ -88,6 +91,18 @@ def test_batched_kernels_match_row_by_row():
             assert np.array_equal(got_lo[i, li], want_lo)
             assert np.array_equal(got_hi[i, li], want_hi)
             assert dmax[i, li] == box_max_denominator4(want_lo, want_hi, a[li], b[li])
+
+
+def test_product_table_equals_mul4_bit_for_bit():
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(2, 50, 40, 4))
+    for m in (a, b):  # signed zeros: the table's sums must round to mul4's zeros, sign included
+        m[rng.random(m.shape) < 0.2] = 0.0
+        m[rng.random(m.shape) < 0.2] = -0.0
+    (l0, l1), (r0, r1), (s0, s1) = PRODUCT_LEFT.T, PRODUCT_RIGHT.T, PRODUCT_SIGN.T
+    assert np.all(s0 == 1.0)
+    table = a[..., l0] * b[..., r0] + s1 * a[..., l1] * b[..., r1]
+    assert table.tobytes() == mul4(a, b).tobytes()
 
 
 def _random_instance(seed):

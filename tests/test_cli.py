@@ -320,6 +320,7 @@ class TestExitCodes:
         ("heuristic", "--targets", "450,900", "--layers-per-target", "two"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "-1"),
         ("optimize", "--mode", "bnb", "--cap-nodes", "0"),
+        ("optimize", "--mode", "brute", "--cap-nodes", "5"),
         ("extreme-points", "--beta", "nan", "--box", "0,1,0,2"),
         ("extreme-points", "--beta", "inf", "--box", "0,1,0,2"),
         ("extreme-points", "--beta", "1,2", "--box", "0,1,0,2"),

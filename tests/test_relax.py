@@ -418,11 +418,11 @@ def slogdet_dominating_fits(pts, gvals, subsets):
 
 
 @pytest.mark.parametrize("count", range(5, 33))
-def test_subset_blocks_are_combinations_in_order(count):
-    blocks = list(relax._subset_blocks(count))
-    assert all(len(b) == relax.FIT_BLOCK for b in blocks[:-1])
-    assert all(b.dtype == np.uint8 for b in blocks)
-    assert np.concatenate(blocks).tolist() == [list(c) for c in combinations(range(count), 5)]
+def test_subsets_are_combinations_in_order(count):
+    subsets = relax._subsets(count)
+    assert subsets.dtype == np.uint8 and not subsets.flags.writeable
+    assert relax._subsets(count) is subsets
+    assert subsets.tolist() == [list(c) for c in combinations(range(count), 5)]
 
 
 class TestSingularFits:

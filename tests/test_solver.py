@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmopt import bounds, optics, solver
+from filmopt import optics, solver
 from filmopt.arrayops import DenominatorScreen
 from filmopt.errors import InadmissibleDesign, InstanceTooLarge
 from filmopt.materials import CatalogConfig, build_catalog, load_tables
@@ -26,6 +26,7 @@ from filmopt.solver import (
 from conftest import (
     enumerate_designs,
     flat_table,
+    identity_suffix_bounds,
     naive_best,
     random_catalog,
     single_wavelength_config,
@@ -263,7 +264,7 @@ class TestDenominatorScreen:
         assert report.nodes_explored % block == 0
         assert report.design == brute_force(cat).design
         assert len(scored) <= most_scored < report.nodes_explored // block
-        identity_boxes = bounds.suffix_product_bounds(cat)  # not from the exact box at the split
+        identity_boxes = identity_suffix_bounds(cat)  # not from the exact box at the split
         with patch.object(solver.bounds_mod, "suffix_product_bounds", lambda *args: identity_boxes):
             propagated = branch_and_bound(cat)
         assert propagated.design == report.design
