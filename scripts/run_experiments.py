@@ -2,11 +2,12 @@
 """Benchmark runs: exact single-wavelength optima, uncoated baselines, and
 the quarter-wave stacking comparison.
 
-    python scripts/run_experiments.py --quick    # one substrate, ~1 min
-    python scripts/run_experiments.py            # all four substrates
+    python scripts/run_experiments.py --quick    # one substrate, ~1 s
+    python scripts/run_experiments.py            # all four substrates, ~5 s
 
-Each 6-layer single-wavelength solve enumerates ~3.0e7 designs; the full
-sweep over 4 substrates x 11 wavelengths takes a few minutes.
+Each 6-layer single-wavelength solve enumerates ~3.0e7 designs in about
+0.1 s; the full sweep over 4 substrates x 11 wavelengths takes about 5 s
+(measured on 2 Intel Xeon cores).
 """
 from __future__ import annotations
 

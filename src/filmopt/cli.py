@@ -9,8 +9,6 @@ infeasible or too-large instance, 3 internal invariant violation
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -32,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .materials import (
-    Catalog, CatalogConfig, _rank_by_mean_index, build_catalog, load_tables, progression, read_text,
+    Catalog, CatalogConfig, _rank_by_mean_index, build_catalog, csv_text, load_tables, progression, read_json,
     wavelength_key, write_atomic,
 )
 
@@ -78,10 +76,7 @@ def _load_instance(config_path: Path) -> tuple[CatalogConfig, dict, Catalog]:
 
 
 def _read_design(path: Path) -> solver.Design:
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    raw = read_json(path)
     try:
         return solver.design_from_json(raw)
     except (ParseError, ConfigError) as exc:
@@ -99,12 +94,8 @@ def cmd_evaluate(config: Path, out: Path, design: Path, grid: str | None) -> int
     curve, _ = solver.evaluate_design_on_grid(layers, tables, substrate, curve_pts)
     (row,) = heuristics.compare_methods([("design", layers)], tables, substrate)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["wavelength_nm", "reflectance"])
-    for wl, r in zip(curve_pts, curve):
-        writer.writerow([wavelength_key(wl), f"{r:.9f}"])
-    write_atomic(out / "spectrum.csv", buf.getvalue())
+    rows = [[wavelength_key(wl), f"{r:.9f}"] for wl, r in zip(curve_pts, curve)]
+    write_atomic(out / "spectrum.csv", csv_text([["wavelength_nm", "reflectance"], *rows]))
     _write_json(
         out / "summary.json",
         {
@@ -123,6 +114,8 @@ def cmd_evaluate(config: Path, out: Path, design: Path, grid: str | None) -> int
 def cmd_optimize(config: Path, out: Path, mode: str, cap_nodes: int | None) -> int:
     if mode == "brute" and cap_nodes is not None:
         raise ConfigError("--cap-nodes applies to --mode bnb only")
+    if cap_nodes is not None and cap_nodes < 1:
+        raise ConfigError(f"--cap-nodes must be >= 1, got {cap_nodes}")
     _, _, catalog = _load_instance(config)
     if mode == "brute":
         report = solver.brute_force(catalog)
@@ -138,9 +131,10 @@ def cmd_optimize(config: Path, out: Path, mode: str, cap_nodes: int | None) -> i
 
 
 def _write_hyperplanes(out_dir: Path, catalog: Catalog, planes: list) -> None:
-    """hyperplanes.json: the (P, 5) coefficient rows of each wavelength, keyed by wavelength."""
-    keys = map(wavelength_key, catalog.spectrum.wavelengths)
+    """Write each wavelength's (P, 5) coefficient rows to hyperplanes.json, and their counts to stdout."""
+    keys = list(map(wavelength_key, catalog.spectrum.wavelengths))
     _write_json(out_dir / "hyperplanes.json", {key: p.tolist() for key, p in zip(keys, planes)})
+    print("hyperplanes per wavelength: " + ", ".join(f"{key}:{len(p)}" for key, p in zip(keys, planes)))
 
 
 def cmd_export(config: Path, out: Path, kind: str) -> int:
@@ -152,10 +146,6 @@ def cmd_export(config: Path, out: Path, kind: str) -> int:
         planes = relax.hyperplanes_for_catalog(catalog, eb)
         model = model_mod.build_misocp(catalog, eb, planes)
         _write_hyperplanes(out, catalog, planes)
-        print(
-            "hyperplanes per wavelength: "
-            + ", ".join(f"{wavelength_key(wl)}:{len(p)}" for wl, p in zip(catalog.spectrum.wavelengths, planes))
-        )
     lpio.export_lp(model, out / "model.lp")
     write_atomic(out / "varmap.json", model_mod.variable_map_pieces(catalog))
     print(
@@ -178,7 +168,6 @@ def cmd_hyperplanes(config: Path, out: Path) -> int:
     eb = bounds_mod.tighten_bounds(catalog)
     planes = relax.hyperplanes_for_catalog(catalog, eb)
     _write_hyperplanes(out, catalog, planes)
-    print(", ".join(f"{wavelength_key(wl)}: {len(p)}" for wl, p in zip(catalog.spectrum.wavelengths, planes)))
     return 0
 
 
@@ -207,6 +196,8 @@ def cmd_compare(config: Path, out: Path, design: list[str]) -> int:
         if "=" not in item:
             raise ConfigError(f"--design must be name=path, got {item!r}")
         name, path = item.split("=", 1)
+        if not name or name in (n for n, _ in designs):
+            raise ConfigError(f"--design names must be nonempty and distinct, got {name!r}")
         designs.append((name, _read_design(Path(path))))
     rows = heuristics.compare_methods(designs, tables, tables[cfg.substrate])
     write_atomic(out / "compare.csv", heuristics.comparison_csv(rows))
@@ -222,19 +213,6 @@ def cmd_extreme_points(beta: str, box: str) -> int:
     pts = relax.extreme_points_2d((parts[0], parts[1]), (parts[2], parts[3]), betas[0])
     print(json.dumps({"beta": betas[0], "box": parts, "points": [list(p) for p in pts]}))
     return 0
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer >= `low`; anything else is a usage error."""
-
-    def parse(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid int value"
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("optimize", cmd_optimize, "solve the instance exactly")
     p.add_argument("--mode", choices=("brute", "bnb"), default="brute")
-    p.add_argument("--cap-nodes", type=_int_at_least(1), default=None,
+    p.add_argument("--cap-nodes", type=int, default=None,
                    help="bnb only: stop after this many designs and report the incumbent")
 
     p = command("export", cmd_export, "write the algebraic model as LP text")

@@ -8,13 +8,11 @@ heuristic is a benchmark curve, not a feasible point of any discrete grid.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MissingDispersion, ValidationError
-from .materials import DispersionTable, index_at, progression
+from .materials import DispersionTable, csv_text, index_at, progression
 from .solver import Design, evaluate_design_on_grid
 
 VISIBLE_GRID = (380.0, 10.0, 770.0)
@@ -89,9 +87,7 @@ def compare_methods(
 
 
 def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["design", "visible_average", "broad_average", "layers"])
-    for r in rows:
-        writer.writerow([r.name, f"{r.visible_average:.6f}", f"{r.broad_average:.6f}", r.layer_count])
-    return buf.getvalue()
+    return csv_text([
+        ["design", "visible_average", "broad_average", "layers"],
+        *([r.name, f"{r.visible_average:.6f}", f"{r.broad_average:.6f}", r.layer_count] for r in rows),
+    ])

@@ -1,7 +1,8 @@
 """LP-format text export/import and solution-file decoding.
 
-The emitted dialect is the common solver LP format: `Maximize` /
-`Subject To` / `Bounds` / `Binaries` / `End`, quadratic parts in square
+The emitted dialect is the common solver LP format: the sections of
+:data:`~filmopt.materials.LP_SECTIONS` (`Maximize` or `Minimize`,
+`Subject To`, `Bounds`, `Binaries`, `End`), quadratic parts in square
 brackets with `*` and `^ 2` terms.  Every coefficient is written with 17
 significant digits, so a parse-back reproduces the exact doubles and a
 re-emission is byte-identical.  Long expressions wrap onto continuation
@@ -39,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InfeasibleAssignment, ParseError
-from .materials import _BLOCK_LINES, Catalog, invalid_name, read_chunks, read_text, write_atomic
+from .materials import _BLOCK_LINES, LP_SECTIONS, Catalog, invalid_name, read_chunks, read_text, write_atomic
 from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
 
 _MAX_LINE = 200
@@ -179,7 +180,6 @@ def _row_lines(rows: LinearRows) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_SECTIONS = {"maximize", "minimize", "subject to", "bounds", "binaries", "end"}
 #: Tokens after which a coefficient stands alone, as a constant.
 _TERM_ENDS = {"+", "-", "[", "]"}
 
@@ -305,7 +305,7 @@ def import_lp(path: str | Path) -> Model:
                     header.append(content)
             continue
         key = raw.strip().lower()
-        if key in _SECTIONS:
+        if key in LP_SECTIONS:
             if key == "end":
                 break
             section = key

@@ -11,7 +11,6 @@ every solver, bound and model reads them; `Catalog.fixed` and
 from __future__ import annotations
 
 import bisect
-import codecs
 import csv
 import io
 import json
@@ -47,8 +46,10 @@ DATA_DIR = Path(__file__).parent / "data"
 MAX_PROGRESSION = 1_000_000
 #: Lines per block: LP text is written and read, and names are checked, this many at a time.
 _BLOCK_LINES = 4096
-#: In lowercased names joined by spaces: an empty name, a bad first character or a section keyword.
-_BAD_START = re.compile(r" (?:[0-9.+\-\[\]*^<>= ]|(?:maximize|minimize|bounds|binaries|end) )")
+#: The section headers of LP text, lowercased; the LP reader and the name rule both read them here.
+LP_SECTIONS: tuple[str, ...] = ("maximize", "minimize", "subject to", "bounds", "binaries", "end")
+#: In lowercased names joined by spaces: an empty name, a bad first character or a section's first word.
+_BAD_START = re.compile(r" (?:[0-9.+\-\[\]*^<>= ]|(?:%s) )" % "|".join(s.split()[0] for s in LP_SECTIONS))
 
 
 def read_text(path: str | Path) -> str:
@@ -57,29 +58,38 @@ def read_text(path: str | Path) -> str:
 
 
 def read_chunks(path: str | Path, lines: int | None = None) -> Iterator[str]:
-    """The UTF-8 text of `path`, decoded `lines` lines at a time (all at once if None).
+    """The UTF-8 text of `path`, read `lines` lines at a time (all at once if None).
 
-    A line here ends at a ``\\n`` byte.  Newlines are translated as
-    ``open()`` translates them, ``\\r\\n`` and ``\\r`` to ``\\n``.
-    Bytes that are not UTF-8 are a ParseError that gives their offset in
-    the file.
+    The file is read as ``open(path, encoding="utf-8")`` reads it: ``\\r\\n``
+    and ``\\r`` read as ``\\n``, and a line ends at ``\\n``.  Bytes that are
+    not UTF-8 are a ParseError that gives their offset in the file.
     """
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    offset = 0
-    with open(path, "rb") as fh:
-        while True:
-            data = fh.read() if lines is None else b"".join(islice(fh, lines))
-            pending = len(decoder.getstate()[0])  # bytes of a character cut by the last piece
-            try:
-                text = decoder.decode(data, final=not data)
-            except UnicodeDecodeError as exc:
-                at = offset - pending + exc.start
-                raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {at}") from None
-            offset += len(data)
-            if text:
+    try:
+        with open(path, encoding="utf-8", newline=None) as fh:
+            while text := fh.read() if lines is None else "".join(islice(fh, lines)):
                 yield text
-            if not data:
-                return
+    except UnicodeDecodeError:
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise
+
+
+def read_json(path: str | Path):
+    """The JSON value in the UTF-8 text of `path`; text that is not JSON is a ParseError."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """`rows` as CSV text, each row ended by ``\\n``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def wavelength_key(wl: float) -> str:
@@ -95,9 +105,10 @@ def invalid_name(names: Iterable[str]) -> str | None:
     """A name of `names` that LP text cannot carry and read back as itself, or None.
 
     A name is printable without spaces or ``:``, does not start like a number, an operator or a
-    bracket (``0-9.+-[]*^<>=``) and is no section keyword in any case.  The first name that
-    breaks the first rule is returned if there is one, else the first that breaks another.  The
-    names are checked ``_BLOCK_LINES`` at a time, each block joined and checked at once.
+    bracket (``0-9.+-[]*^<>=``) and is not the first word of an ``LP_SECTIONS`` header in any
+    case.  The first name that breaks the first rule is returned if there is one, else the first
+    that breaks another.  The names are checked ``_BLOCK_LINES`` at a time, each block joined and
+    checked at once.
     ``Model.validate``, the LP reader and the config's coating names use this rule.
     """
     names, first_bad_start = iter(names), None
@@ -158,6 +169,8 @@ class DispersionTable:
             raise ValidationError(f"{self.material_id}: wavelengths, n and k must be finite")
         if any(b <= a for a, b in zip(self.wavelengths_nm, self.wavelengths_nm[1:])):
             raise ValidationError(f"{self.material_id}: wavelengths must be strictly increasing")
+        if self.wavelengths_nm[0] <= 0:
+            raise ValidationError(f"{self.material_id}: wavelengths must be positive")
         if any(v <= 0 for v in self.n):
             raise ValidationError(f"{self.material_id}: n must be positive")
         if any(v < 0 for v in self.k):
@@ -300,10 +313,7 @@ class CatalogConfig:
     def from_json(cls, path: str | Path) -> "CatalogConfig":
         """Parse a config file; malformed content is a ParseError or ConfigError."""
         path = Path(path)
-        try:
-            raw = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: config must be a JSON object")
         try:
@@ -442,17 +452,13 @@ def build_catalog(
 
     try:
         if config.weights is not None:
-            if len(config.weights) != len(config.wavelengths):
-                raise ConfigError("weights and wavelengths differ in length")
             total = sum(config.weights)
-            if total <= 0 or any(w < 0 for w in config.weights):
-                raise ConfigError("weights must be nonnegative with positive sum")
-            spectrum = Spectrum(
-                tuple(config.wavelengths), tuple(w / total for w in config.weights)
-            )
+            if total <= 0:
+                raise ConfigError("weights must have a positive sum")
+            spectrum = Spectrum(tuple(config.wavelengths), tuple(w / total for w in config.weights))
         else:
             spectrum = Spectrum.uniform(config.wavelengths)
-    except ValueError as exc:  # Spectrum rejects empty or unsorted wavelengths
+    except ValueError as exc:  # Spectrum rejects empty or unsorted wavelengths and bad weights
         raise ConfigError(f"bad spectrum: {exc}") from None
 
     by_mat = {

@@ -146,6 +146,10 @@ class Model:
 
     def validate(self) -> None:
         var, rows, obj = self.variables, self.linear, self.objective
+        # the reader strips the name and each comment, ends each at a line break, and names an unnamed model
+        for text in (self.name, *self.header_comments):
+            if not text.isprintable() or text != text.strip() or not self.name:
+                raise ValueError(f"{text!r}: not a name or header comment LP text can carry")
         row_names = [*rows.names, *(q.name for q in self.quadratic)]
         for kind, names in (("variable", var.names), ("row", row_names)):
             repeated = _repeated(names)

@@ -20,8 +20,8 @@ from numpy.linalg import _umath_linalg
 from filmopt import relax
 from filmopt.arrayops import denominator4
 from filmopt.errors import EmptyCandidateSet, NoValidHyperplane, ParseError
-from filmopt.lpio import _SECTIONS, _finite, _terms
-from filmopt.materials import _BAD_START, read_text
+from filmopt.lpio import _finite, _terms
+from filmopt.materials import _BAD_START, LP_SECTIONS, read_text
 from filmopt.model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables
 from filmopt.optics import ComplexIndex, StructuredMatrix, denominator_D
 
@@ -98,7 +98,7 @@ def import_lp(path):
                     header.append(content)
             continue
         key = raw.strip().lower()
-        if key in _SECTIONS:
+        if key in LP_SECTIONS:
             if key == "end":
                 break
             section = key

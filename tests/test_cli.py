@@ -175,11 +175,13 @@ class TestBoundsAndHyperplanes:
                 for lo, hi in entry_pairs:
                     assert lo == pytest.approx(hi, abs=1e-12)
 
-    def test_hyperplane_dump(self, config_path, tmp_path):
+    def test_hyperplane_dump(self, config_path, tmp_path, capsys):
         out = tmp_path / "h"
         assert run("hyperplanes", "--config", config_path, "--out", out) == 0
         planes = json.loads((out / "hyperplanes.json").read_text())
         assert all(len(hs) >= 1 for hs in planes.values())
+        counts = ", ".join(f"{key}:{len(hs)}" for key, hs in planes.items())
+        assert capsys.readouterr().out == f"hyperplanes per wavelength: {counts}\n"
 
     def test_wavelengths_equal_to_six_digits_keep_their_own_keys(self, tmp_path, capsys):
         # both print as 550 with :g, so one family used to overwrite the other
@@ -326,14 +328,16 @@ class TestExitCodes:
         ("extreme-points", "--beta", "1,2", "--box", "0,1,0,2"),
         ("extreme-points", "--beta", "4", "--box", "0,2,2,0"),
         ("extreme-points", "--beta", "4", "--box", "2,0,0,2"),
+        ("compare", "--design", "=DESIGN"),
+        ("compare", "--design", "a=DESIGN", "--design", "a=DESIGN"),
     ])
     def test_malformed_number_exit_1(self, command, config_path, tmp_path, capsys):
-        args = list(command)
+        design = tmp_path / "design.json"
+        design.write_text("[]")
+        args = [arg.replace("DESIGN", str(design)) for arg in command]
         if args[0] != "extreme-points":
             args += ["--config", config_path, "--out", tmp_path / "o"]
         if args[0] == "evaluate":
-            design = tmp_path / "design.json"
-            design.write_text("[]")
             args += ["--design", design]
         assert run(*args) == 1
         assert "internal error" not in capsys.readouterr().err

@@ -53,6 +53,12 @@ class TestLoadDispersion:
         with pytest.raises(ValidationError):
             load_dispersion(write_csv(tmp_path, "X", [(700, 2.5, 0), (400, 2.3, 0)]))
 
+    @pytest.mark.parametrize("first", [0, -10])
+    def test_nonpositive_wavelength(self, tmp_path, first):
+        # the transfer matrix rejects such a wavelength as an internal error; the table must reject it first
+        with pytest.raises(ValidationError, match="positive"):
+            load_dispersion(write_csv(tmp_path, "X", [(first, 2.5, 0), (400, 2.3, 0)]))
+
     def test_malformed_row(self, tmp_path):
         with pytest.raises(ParseError):
             load_dispersion(write_csv(tmp_path, "X", [(400, "abc", 0), (700, 2.3, 0)]))
@@ -267,6 +273,16 @@ class TestBuildCatalog:
             weights=(2.0, 6.0))
         cat = build_catalog(cfg, data_tables)
         assert cat.spectrum.weights == (0.25, 0.75)
+
+    @pytest.mark.parametrize("weights, message", [
+        ((1.0,), "differ in length"), ((2.0, -1.0), "nonnegative"), ((1.0, -1.0), "positive sum"),
+    ])
+    def test_bad_weights_are_a_config_error(self, data_tables, weights, message):
+        cfg = CatalogConfig(
+            substrate="Molybdenum", materials=("TiO2", "MgF2"),
+            thicknesses=THETA1, wavelengths=(410.0, 550.0), layers=1, weights=weights)
+        with pytest.raises(ConfigError, match=message):
+            build_catalog(cfg, data_tables)
 
 
 class TestCatalogConfigJson:

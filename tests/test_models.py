@@ -279,7 +279,7 @@ variable_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True).f
     lambda n: invalid_name([n]) is None)
 
 
-def small_model(variables, rows=(), quadratic=(), objective=None, name="m") -> Model:
+def small_model(variables, rows=(), quadratic=(), objective=None, name="m", comments=()) -> Model:
     """A model from `variables` as ``(name, lower, upper, binary)`` and `rows` as ``(name, terms, sense, rhs)``.
 
     The terms of a row are ``(column, coefficient)`` pairs, the column an index into `variables`.
@@ -290,7 +290,7 @@ def small_model(variables, rows=(), quadratic=(), objective=None, name="m") -> M
                         np.array([c for c, _ in terms], np.intp), np.array([v for _, v in terms], float),
                         np.array([row[2] for row in rows], str), np.array([row[3] for row in rows], float))
     variables = Variables(names, np.array(lower, float), np.array(upper, float), np.array(binary, bool))
-    return Model(name, variables, linear, quadratic, objective)
+    return Model(name, variables, linear, quadratic, objective, comments)
 
 
 @st.composite
@@ -402,8 +402,16 @@ class TestLpExport:
         small_model([("x y", 0.0, 1.0, False)], [("c1", [(0, 1.0)], "<=", 1.0)]),
         small_model([("End", 0.0, 1.0, True)], [("c1", [(0, 1.0)], "<=", 1.0)]),
         small_model([X], [("", [(0, 1.0)], "<=", 1.0)]),
+        small_model([("subject", 0.0, 1.0, True), ("to", 0.0, 1.0, True)]),
+        small_model([X], name="m\nEnd"),
+        small_model([X], name="m\rEnd"),
+        small_model([X], name="m\u2028End"),
+        small_model([X], comments=["a\nb"]),
+        small_model([X], name=" m"),
+        small_model([X], name=""),
     ], ids=["sense-<", "quadratic-sense", "row-c:1", "variable-1x", "variable-x-y", "binary-End",
-            "empty-row-name"])
+            "empty-row-name", "binaries-subject-to", "model-name-LF", "model-name-CR", "model-name-U+2028",
+            "comment-LF", "model-name-leading-space", "empty-model-name"])
     def test_what_lp_cannot_read_back_raises_and_writes_nothing(self, model, tmp_path):
         with pytest.raises(ValueError, match="sense|not a name"):
             lpio.export_lp(model, tmp_path / "model.lp")
@@ -413,7 +421,7 @@ class TestLpExport:
         (["x", "c 1", "y"], "c 1"), (["x", "a\tb"], "a\tb"), (["x", "a\nb"], "a\nb"), (["x", "y:z"], "y:z"),
         (["x", ""], ""), (["", "x"], ""), (["x", "-y"], "-y"), (["x", "[y"], "[y"), (["x", "BOUNDS"], "BOUNDS"),
         (["x", "maximize"], "maximize"), (["x", "\u00e9", "1\u00e9"], "1\u00e9"), (["x", "a\xa0b"], "a\xa0b"),
-        (["x", "end_1", "subject", "obj", "\u00e9"], None), ([], None),
+        (["x", "end_1", "subject", "obj", "\u00e9"], "subject"), (["x", "to"], None), ([], None),
     ])
     def test_invalid_name_finds_the_first_name_lp_cannot_carry(self, names, bad):
         assert invalid_name(names) == bad
