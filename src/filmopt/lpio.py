@@ -8,29 +8,42 @@ significant digits, so a parse-back reproduces the exact doubles and a
 re-emission is byte-identical.  Long expressions wrap onto continuation
 lines indented by two spaces; item lines are indented by one.
 
-:func:`import_lp` reads that dialect in one pass over the lines, with one
-term grammar.  An expression is a run of terms ``[+|-] [coef] name``: a
-missing coefficient is 1, and a coefficient followed by a sign, a bracket
-or the end is a constant.  Inside ``[ ]`` each name is followed by
-``* name`` or ``^ 2``.  A row is ``name: expression sense rhs``, a bounds
-line ``lo <= name <= hi``.  A name that breaks the rule of
+:func:`import_lp` reads that dialect with one term grammar, :func:`_terms`.
+An expression is a run of terms ``[+|-] [coef] name``: a missing
+coefficient is 1, and a coefficient followed by a sign, a bracket or the
+end is a constant.  Inside ``[ ]`` each name is followed by ``* name`` or
+``^ 2``.  A row is ``name: expression sense rhs``, a bounds line
+``lo <= name <= hi``.  A name that breaks the rule of
 :func:`~filmopt.materials.invalid_name` (the one ``Model.validate`` applies),
-a ``-`` before ``[`` (the writer puts ``+``), a malformed bracket term, a
-NaN anywhere and an infinite coefficient, constant or right-hand side are
-a ``ParseError``.
+a model name or header comment that breaks the rule of
+:func:`~filmopt.materials.invalid_header`, a ``-`` before ``[`` (the writer
+puts ``+``), a malformed bracket term, a NaN anywhere and an infinite
+coefficient, constant or right-hand side are a ``ParseError``.
 
-Memory grows with the model, not with its text.  Both directions work in
-blocks of ``_BLOCK_LINES`` lines: :func:`export_lp` formats and writes
-one block of rows, bounds or lines at a time, and :func:`import_lp` reads
-one block of lines at a time and appends each row's terms to one flat
-list of name ids and one flat array of coefficients, never holding the
-whole text or a dict per row.
+The reader takes a block of lines at a time and splits it into tokens at
+once.  Rows of the canonical shape ``name: [s] c n {s c n} sense rhs``,
+the shape the writer gives every linear row but an empty one, are read by
+position, as are ``lo <= name <= hi`` bounds lines and all binaries lines:
+each distinct number is parsed once and names get their ids through one
+map.  Every other line goes through the scalar grammar in file order: a
+comment, a section header, the objective, a row with a ``[``, a constant,
+a missing coefficient, a repeated name or a token that is no finite
+number where one must be.  So a file reads as if each line were read by
+the grammar, errors included.
+
+Memory grows with the model, not with its text.  :func:`export_lp`
+formats and writes one block of ``_BLOCK_LINES`` rows, bounds or lines at
+a time.  :func:`import_lp` reads ``_READ_LINES`` lines at a time, whose
+tokens are one string each until the block is read, and appends each
+block's columns to growing arrays, never holding the whole text or a dict
+per row.
 
 Solution files are plain `name value` pairs, one per line.
 """
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from collections import defaultdict
 from itertools import chain, islice, repeat
@@ -40,7 +53,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InfeasibleAssignment, ParseError
-from .materials import _BLOCK_LINES, LP_SECTIONS, Catalog, invalid_name, read_chunks, read_text, write_atomic
+from .materials import (
+    _BLOCK_LINES, LP_SECTIONS, Catalog, invalid_header, invalid_name, read_chunks, read_text, write_atomic,
+)
 from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
 
 _MAX_LINE = 200
@@ -247,25 +262,133 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
     return lin, quad, const
 
 
-def _lines(path: str | Path) -> Iterator[str]:
-    """The lines of the LP text at `path`, each with its continuation lines joined on.
+#: Lines the reader tokenizes at once.  Each line holds about 14 tokens, and each token is a string
+#: object until its block is read, so the reader's blocks are a quarter of the writer's.
+_READ_LINES = _BLOCK_LINES // 4
+#: A solution text of ``name value`` lines only, each ended by a newline.
+_PAIRS = re.compile(r"(?:[^\s#\\]\S* \S+\n)*")
+#: A line break before a two-space indent, which continues the line.
+_CONTINUATION = re.compile("\n  ")
+#: The value of each sign token, and the index in ``SENSES`` of each sense.
+_SIGNS = {"+": 1.0, "-": -1.0}
+_SENSE_INDEX = {sense: i for i, sense in enumerate(SENSES)}
+#: Hashes of the tokens no name may be, for the canonical-row check; a collision only costs speed.
+_TERM_END_HASHES = np.array([hash(tok) for tok in _TERM_ENDS], np.int64)
 
-    The text is read ``_BLOCK_LINES`` lines at a time and cut after the
+
+class _Numbers(dict):
+    """``float`` of each text, parsed at its first lookup; NaN for a text that is no number."""
+
+    def __missing__(self, text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        self[text] = value
+        return value
+
+
+def _line_blocks(path: str | Path) -> Iterator[list[str]]:
+    """The lines of the LP text at `path`, each with its continuation lines joined on, a block at a time.
+
+    The text is read ``_READ_LINES`` lines at a time and cut after the
     last newline that no two-space indent follows, so joining continuations
     (``"\\n  "`` -> ``" "``) within each piece and ``str.splitlines`` give
     the lines of the whole text.
     """
     rest = ""
-    for chunk in read_chunks(path, _BLOCK_LINES):
+    for chunk in read_chunks(path, _READ_LINES):
         text = rest + chunk
         # each newline of `rest` that has two characters after it is followed by an indent
         floor = max(len(rest) - 2, 0)
         cut = text.rfind("\n", floor, len(text) - 2)
         while cut >= 0 and text.startswith("  ", cut + 1):
             cut = text.rfind("\n", floor, cut)
-        yield from text[:cut + 1].replace("\n  ", " ").splitlines()
+        if lines := _CONTINUATION.sub(" ", text[:cut + 1]).splitlines():
+            yield lines
         rest = text[cut + 1:]
-    yield from rest.replace("\n  ", " ").splitlines()
+    if lines := _CONTINUATION.sub(" ", rest).splitlines():
+        yield lines
+
+
+def _block_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tokens of a block of lines, each line's token count, and the mask of item lines.
+
+    An item line starts with a space and holds more than two tokens, so it
+    is no comment, section header or blank line.  Where a block's only
+    whitespace is one space before each token, a line's token count is its
+    space count, plus one if it starts with no space and is not blank, and
+    the counts sum to the block's tokens; elsewhere each line is split on
+    its own.
+    """
+    text = "\n".join(lines) + "\n"
+    codes = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(codes == 10)
+    first = codes[np.concatenate([[0], ends[:-1] + 1])]  # each line's first byte, a newline if it is blank
+    counts = np.diff(np.searchsorted(np.flatnonzero(codes == 32), ends), prepend=0) + ((first != 32) & (first != 10))
+    tokens = text.split()
+    if not text.isascii() or "\t" in text or "\x1f" in text or counts.sum() != len(tokens):
+        counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    return np.array(tokens, dtype=object), counts, (first == 32) & (counts > 2)
+
+
+def _rows(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple:
+    """A run of ``Subject To`` lines read by position, as far as they have the canonical shape.
+
+    A canonical row is ``name: [s] c n {s c n} sense rhs``: its only colon
+    ends its first token, every term but the first has a sign, each name
+    follows a finite number and is no sign or bracket, no name repeats,
+    the sense is known and the right-hand side finite.  Returns the mask of
+    canonical rows, each row's name, the index of its first term (and the
+    term count at the end), each term's name and coefficient, and each
+    row's term count, sense index and right-hand side.
+    """
+    numbers = _Numbers()
+    terms, signed = (counts - 2) // 3, counts % 3 == 0
+    good = (counts % 3 != 1) & (terms > 0)
+    terms[~good] = 0
+    first = np.concatenate([[0], np.cumsum(terms)])
+    row = np.repeat(np.arange(len(counts)), terms)
+    nth = np.arange(first[-1]) - first[row]
+    at = (starts + 1 + signed)[row] + 3 * nth  # each term's coefficient
+    signs = np.ones(len(at))
+    has_sign = signed[row] | (nth > 0)
+    signs[has_sign] = np.fromiter(map(_SIGNS.get, tokens[at[has_sign] - 1].tolist(), repeat(math.nan)), float)
+    # the scalar grammar adds each coefficient to 0.0, so "- 0 x" gives +0.0
+    vals = signs * np.fromiter(map(numbers.__getitem__, tokens[at].tolist()), float, len(at)) + 0.0
+    names = tokens[at + 1].tolist()
+    hashes = np.fromiter(map(hash, names), np.int64, len(names))
+    good[row[~np.isfinite(vals) | np.isin(hashes, _TERM_END_HASHES)]] = False
+    keys = np.sort(row << 32 | hashes & 0xFFFFFFFF)  # equal keys: a row that may repeat a name
+    good[keys[1:][keys[1:] == keys[:-1]] >> 32] = False
+    senses = np.fromiter(map(_SENSE_INDEX.get, tokens[starts + counts - 2].tolist(), repeat(-1)), np.intp)
+    rhs = np.fromiter(map(numbers.__getitem__, tokens[starts + counts - 1].tolist()), float, len(counts))
+    good &= (senses >= 0) & np.isfinite(rhs)
+    heads = tokens[starts].tolist()
+    text = "\n".join(heads) + "\n"
+    if text.count(":") == text.count(":\n") == len(heads):  # each head ends in its only colon
+        heads = text.split(":\n")[:-1]
+    else:
+        good &= np.array([h.count(":") == 1 and h.endswith(":") for h in heads], bool)
+        heads = [h[:-1] for h in heads]
+    return good, heads, first, names, vals, terms, senses, rhs
+
+
+def _bounds(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple:
+    """A run of ``Bounds`` lines read by position: the mask of ``lo <= name <= hi`` lines whose bounds are
+    numbers and not NaN, and each line's name, lower and upper bound."""
+    numbers = _Numbers()
+    words = tokens[starts[:, None] + np.minimum(np.arange(5), counts[:, None] - 1)]
+    lower = np.fromiter(map(numbers.__getitem__, words[:, 0].tolist()), float, len(words))
+    upper = np.fromiter(map(numbers.__getitem__, words[:, 4].tolist()), float, len(words))
+    good = (counts == 5) & (words[:, 1] == "<=") & (words[:, 3] == "<=") & ~np.isnan(lower) & ~np.isnan(upper)
+    return good, words[:, 2].tolist(), lower, upper
+
+
+def _append(columns: list[array], *values) -> None:
+    """Append each of `values`, a sequence or an array, to its column."""
+    for column, value in zip(columns, values):
+        column.frombytes(np.asarray(value, column.typecode).tobytes())
 
 
 def import_lp(path: str | Path) -> Model:
@@ -277,25 +400,34 @@ def import_lp(path: str | Path) -> Model:
     order, then the unlisted ones (free) by name; a variable listed twice
     keeps its first place and its last bounds.
 
-    Each name gets an id at its first use, and each linear row appends its
-    terms' ids and coefficients to one flat list and one flat array; one
-    take maps the ids to columns at the end.
+    Each block of lines is tokenized at once.  Runs of canonical rows and
+    bounds lines, and all binaries lines, are read by position; every
+    other line goes through the scalar grammar, in file order.  Each name
+    gets an id at its first use, and one take maps the ids to columns at
+    the end.
     """
     name, header, objective = "", [], Objective({})
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a name's id is the count of names seen before it
-    to_id = ids.__getitem__
-    # Ids, counts and flags go to lists, whose items are the ids' own int objects or cached small
-    # ints (8 bytes an item, and list appends are cheaper than array ones); floats go to arrays,
-    # where a list would keep a 24-byte float object alive for each.
-    # One entry per name on a bounds or binaries line, in file order:
-    listed, listed_binary, listed_lower, listed_upper = [], [], array("d"), array("d")
-    # One entry per linear row, and one per term of a linear row:
-    row_names, lengths, senses, rhs_values = [], [], [], array("d")
-    term_ids, vals = [], array("d")
+
+    def to_ids(names: list[str]) -> np.ndarray:
+        return np.fromiter(map(ids.__getitem__, names), np.intp, len(names))
+
+    # Columns that grow in file order: (id, binary, lower, upper) of each name on a bounds or binaries
+    # line, and (term ids, coefficients, term counts, sense indices, rhs) of the linear rows.  They are
+    # ``array`` buffers, which grow in place and which numpy reads without a copy.
+    listed = [array(t) for t in "qbdd"]
+    linear = [array(t) for t in "qdqqd"]
+    row_names: list[str] = []
     quadratic: list[QuadraticConstraint] = []
     section = None
-    for raw in _lines(path):
+
+    def binaries(names: list[str]) -> None:
+        _append(listed, to_ids(names), np.ones(len(names)), np.zeros(len(names)), np.ones(len(names)))
+
+    def line(raw: str) -> bool:
+        """Read one line by the scalar grammar; True at End."""
+        nonlocal name, objective, section
         if raw.startswith("\\"):
             if section is None:
                 content = raw[1:].strip()
@@ -303,17 +435,15 @@ def import_lp(path: str | Path) -> Model:
                     name = content[6:].strip()
                 else:
                     header.append(content)
-            continue
+            return False
         key = raw.strip().lower()
         if key in LP_SECTIONS:
-            if key == "end":
-                break
             section = key
             if key in ("maximize", "minimize"):
                 section, objective.sense = "objective", key[:3]
-            continue
+            return key == "end"
         if not key:
-            continue
+            return False
         if section == "bounds":
             toks = raw.split()
             if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
@@ -324,25 +454,16 @@ def import_lp(path: str | Path) -> Model:
                 raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
             if math.isnan(lo) or math.isnan(hi):
                 raise ParseError(f"NaN bound: {raw.strip()!r}")
-            listed.append(to_id(toks[2]))
-            listed_lower.append(lo)
-            listed_upper.append(hi)
-            listed_binary.append(False)
+            _append(listed, [ids[toks[2]]], [False], [lo], [hi])
         elif section == "binaries":
-            count = len(listed)
-            listed.extend(map(to_id, raw.split()))
-            count = len(listed) - count
-            listed_lower.extend(repeat(0.0, count))
-            listed_upper.extend(repeat(1.0, count))
-            listed_binary.extend(repeat(True, count))
+            binaries(raw.split())
         elif section == "objective":
             head, colon, body = raw.partition(":")
             lin, quad, const = _terms((body if colon else head).split())
             if quad is not None:
                 raise ParseError("quadratic objective not supported")
             objective = Objective(lin, const, objective.sense)
-            for n in lin:
-                to_id(n)
+            to_ids(list(lin))
         elif section == "subject to":
             row, colon, body = raw.partition(":")
             row, tokens = row.strip(), body.split()
@@ -355,36 +476,73 @@ def import_lp(path: str | Path) -> Model:
             lin, quad, const = _terms(tokens[:-2])
             if quad is None:
                 row_names.append(row)
-                term_ids.extend(map(to_id, lin))
-                vals.extend(lin.values())
-                lengths.append(len(lin))
-                senses.append(SENSES.index(tokens[-2]))
-                rhs_values.append(rhs - const)
+                _append(linear, to_ids(list(lin)), list(lin.values()), [len(lin)], [_SENSE_INDEX[tokens[-2]]],
+                        [rhs - const])
             else:
-                for n in chain(lin, *quad):
-                    to_id(n)
+                to_ids([*lin, *chain(*quad)])
                 quadratic.append(QuadraticConstraint(row, quad, lin, tokens[-2], rhs - const))
         else:
             raise ParseError(f"content outside any section: {raw.strip()!r}")
-    # the id map and the term-id list are freed as soon as their contents have moved, to keep the peak low
+        return False
+
+    def runs(lines: list[str], good: np.ndarray, read) -> bool:
+        """``read(p, q)`` for each run ``lines[p:q]`` of good lines and ``line`` for each other line, in
+        file order; True at End."""
+        done = 0
+        for i in [*np.flatnonzero(~good).tolist(), len(lines)]:
+            if done < i:
+                read(done, i)
+            if i < len(lines) and line(lines[i]):
+                return True
+            done = i + 1
+        return False
+
+    def items(lines: list[str], tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> None:
+        """Read a run of item lines of the current section."""
+        if section == "subject to":
+            good, heads, first, names, vals, terms, senses, rhs = _rows(tokens, starts, counts)
+
+            def read(p: int, q: int) -> None:
+                row_names.extend(heads[p:q])
+                lo, hi = first[p], first[q]
+                _append(linear, to_ids(names[lo:hi]), vals[lo:hi], terms[p:q], senses[p:q], rhs[p:q])
+        elif section == "bounds":
+            good, names, lower, upper = _bounds(tokens, starts, counts)
+
+            def read(p: int, q: int) -> None:
+                _append(listed, to_ids(names[p:q]), np.zeros(q - p), lower[p:q], upper[p:q])
+        elif section == "binaries":
+            return binaries(tokens[starts[0]:starts[-1] + counts[-1]].tolist())
+        else:
+            good, read = np.zeros(len(lines), bool), None
+        runs(lines, good, read)
+
+    for lines in _line_blocks(path):
+        tokens, counts, is_item = _block_tokens(lines)
+        starts = np.cumsum(counts) - counts
+        if runs(lines, is_item, lambda p, q: items(lines[p:q], tokens, starts[p:q], counts[p:q])):
+            break
+    name = name or Path(path).stem
+    bad = invalid_header(name, header)
+    if bad is not None:
+        raise ParseError(f"{bad!r}: not a name or header comment LP text can carry")
+    # the id map is freed as soon as its names have moved, to keep the peak low
     names = np.fromiter(ids, object, len(ids))
     ids.clear()
-    variables, column = _variables(names, listed, listed_binary, listed_lower, listed_upper)
+    term_ids, vals, lengths, senses, rhs = (np.frombuffer(c, c.typecode) for c in linear)
+    variables, column = _variables(names, *(np.frombuffer(c, t) for c, t in zip(listed, "q?dd")))
     bad = invalid_name(chain(variables.names, row_names, (q.name for q in quadratic)))
     if bad is not None:
         raise ParseError(f"{bad!r} is not a name")
-    cols = np.array(term_ids, np.intp)
-    term_ids.clear()
-    linear = LinearRows(
+    rows = LinearRows(
         variables.names, tuple(row_names), np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
-        column[cols], np.frombuffer(vals),
-        np.array(SENSES)[np.array(senses, np.intp)], np.frombuffer(rhs_values),
+        column[term_ids], vals, np.array(SENSES)[senses], rhs,
     )
-    return Model(name or Path(path).stem, variables, linear, quadratic, objective, header)
+    return Model(name, variables, rows, quadratic, objective, header)
 
 
 def _variables(
-    names: np.ndarray, listed: list[int], binary: list[bool], lower: array, upper: array,
+    names: np.ndarray, listed: np.ndarray, binary: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 ) -> tuple[Variables, np.ndarray]:
     """The variables (Bounds and Binaries order, then the unlisted ones by name) and each id's column.
 
@@ -393,21 +551,22 @@ def _variables(
     `upper` what that line gives it.  A name listed twice keeps its
     first place and its last bounds; an unlisted one is free.
     """
-    listed = np.array(listed, np.intp)
     once, first = np.unique(listed, return_index=True)
     last = len(listed) - 1 - np.unique(listed[::-1], return_index=True)[1]
     by_place = np.argsort(first)
     kept = last[by_place]
-    free = np.setdiff1d(np.arange(len(names)), once)
+    unlisted = np.ones(len(names), bool)
+    unlisted[once] = False
+    free = np.flatnonzero(unlisted)
     free = free[np.argsort(names[free])]
     order = np.concatenate([once[by_place], free])
     column = np.empty(len(names), np.intp)
     column[order] = np.arange(len(names))
     variables = Variables(
         tuple(names[order]),
-        np.concatenate([np.frombuffer(lower)[kept], np.full(len(free), -math.inf)]),
-        np.concatenate([np.frombuffer(upper)[kept], np.full(len(free), math.inf)]),
-        np.concatenate([np.array(binary, bool)[kept], np.zeros(len(free), bool)]),
+        np.concatenate([lower[kept], np.full(len(free), -math.inf)]),
+        np.concatenate([upper[kept], np.full(len(free), math.inf)]),
+        np.concatenate([binary[kept], np.zeros(len(free), bool)]),
     )
     return variables, column
 
@@ -418,12 +577,25 @@ def write_solution(values: dict[str, float], path: str | Path) -> None:
     write_atomic(path, _blocks(lines) if values else "\n")
 
 
-def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, float], ...]:
-    """Decode the binary block of a solution file into a design.
+def _solution_values(path: str | Path) -> dict[str, float]:
+    """The values of a solution file by name.
 
-    Values are rounded at 0.5; exactly one choice per layer must fire.
+    A text of ``name value`` lines only is read with one split per block
+    of ``_READ_LINES`` lines, each distinct value of a block parsed once;
+    any other text is read line by line, which skips blank and comment
+    lines and names the line of an error.
     """
     values: dict[str, float] = {}
+    for chunk in read_chunks(path, _READ_LINES):
+        if not _PAIRS.fullmatch(chunk):
+            break
+        words, numbers = chunk.split(), _Numbers()
+        values.update(zip(words[::2], map(numbers.__getitem__, words[1::2])))
+        if not all(map(math.isfinite, numbers.values())):
+            break
+    else:
+        return values
+    values = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith(("#", "\\")):
             continue
@@ -434,6 +606,15 @@ def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, floa
             values[parts[0]] = _finite(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
+    return values
+
+
+def import_solution(path: str | Path, catalog: Catalog) -> tuple[tuple[str, float], ...]:
+    """Decode the binary block of a solution file into a design.
+
+    Values are rounded at 0.5; exactly one choice per layer must fire.
+    """
+    values = _solution_values(path)
     design: list[tuple[str, float]] = []
     for layer in range(1, catalog.n_layers + 1):
         fired = [

@@ -124,6 +124,19 @@ def invalid_name(names: Iterable[str]) -> str | None:
     return first_bad_start
 
 
+def invalid_header(name: str, comments: Iterable[str]) -> str | None:
+    """The model name or header comment that LP text cannot carry and read back as itself, or None.
+
+    The reader strips the name and each comment, ends each at a line break and names an unnamed
+    model after its file, so each must be printable (which excludes every ``str.splitlines``
+    break) and equal its own ``strip()``, and the name must be nonempty; the name is checked first.
+    ``Model.validate`` and the LP reader use this rule.
+    """
+    if not name:
+        return name
+    return next((text for text in (name, *comments) if not text.isprintable() or text != text.strip()), None)
+
+
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write `text` as UTF-8 to `path` via a temp file in the same directory.
 

@@ -32,7 +32,7 @@ import numpy as np
 from .arrayops import PRODUCT_LEFT, PRODUCT_RIGHT, PRODUCT_SIGN, box_max_denominator4
 from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
-from .materials import Catalog, invalid_name
+from .materials import Catalog, invalid_header, invalid_name
 from .optics import IDENTITY, StructuredMatrix, denominator_D, multiply
 from .relax import X_ORDER, plane_values
 
@@ -146,10 +146,9 @@ class Model:
 
     def validate(self) -> None:
         var, rows, obj = self.variables, self.linear, self.objective
-        # the reader strips the name and each comment, ends each at a line break, and names an unnamed model
-        for text in (self.name, *self.header_comments):
-            if not text.isprintable() or text != text.strip() or not self.name:
-                raise ValueError(f"{text!r}: not a name or header comment LP text can carry")
+        bad = invalid_header(self.name, self.header_comments)
+        if bad is not None:
+            raise ValueError(f"{bad!r}: not a name or header comment LP text can carry")
         row_names = [*rows.names, *(q.name for q in self.quadratic)]
         for kind, names in (("variable", var.names), ("row", row_names)):
             repeated = _repeated(names)

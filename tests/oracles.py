@@ -6,7 +6,11 @@ scalar, on the StructuredMatrix API; the corner propagation of the entry
 bounds is ``conftest.corner_propagation``.  ``invalid_name`` checks all
 names in one joined text, where ``materials.invalid_name`` checks them in
 blocks, and ``import_lp`` parses the whole LP text into a dict per row,
-where ``lpio.import_lp`` reads it in blocks into flat arrays.
+each row and the objective by its own copy of the term grammar, where
+``lpio.import_lp`` reads canonical rows by position in blocks into flat
+arrays.
+``solution_values`` reads a solution file line by line, where
+``lpio._solution_values`` splits a file of ``name value`` lines at once.
 ``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
 block on its own and puts every fit through every test, residual first.
 """
@@ -20,7 +24,6 @@ from numpy.linalg import _umath_linalg
 from filmopt import relax
 from filmopt.arrayops import denominator4
 from filmopt.errors import EmptyCandidateSet, NoValidHyperplane, ParseError
-from filmopt.lpio import _finite, _terms
 from filmopt.materials import _BAD_START, LP_SECTIONS, read_text
 from filmopt.model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables
 from filmopt.optics import ComplexIndex, StructuredMatrix, denominator_D
@@ -74,6 +77,73 @@ def invalid_name(names):
         return next(n for n in names if not n.isprintable() or ":" in n or " " in n)
     bad = _BAD_START.search(text)
     return None if bad is None else names[text.count(" ", 0, bad.start())]
+
+
+#: Tokens after which a coefficient stands alone, as a constant.
+_TERM_ENDS = {"+", "-", "[", "]"}
+
+
+def _finite(tok: str) -> float:
+    """``float(tok)``; a ValueError unless it is a finite number."""
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {tok!r}")
+    return value
+
+
+def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], float] | None, float]:
+    """An expression's terms -> (linear coeffs, quadratic coeffs or None without ``[ ]``, constant).
+
+    ``float`` runs only where a coefficient may stand, so a name costs an
+    exception only where it stands without a coefficient.
+    """
+    lin: dict[str, float] = {}
+    quad: dict[tuple[str, str], float] | None = None
+    const, inside, i, n = 0.0, False, 0, len(tokens)
+    while i < n:
+        tok, sign = tokens[i], 1.0
+        i += 1
+        if tok == "+" or tok == "-":
+            if i == n:
+                raise ParseError(f"{tok!r} ends the expression")
+            sign, tok = (1.0 if tok == "+" else -1.0), tokens[i]
+            i += 1
+            if tok == "]" or (tok == "[" and sign < 0):
+                raise ParseError(f"{tokens[i - 2]!r} before {tok!r}")
+        if tok == "[" or tok == "]":
+            if inside == (tok == "["):
+                raise ParseError(f"unbalanced {tok!r}")
+            inside = not inside
+            if quad is None:
+                quad = {}
+            continue
+        try:
+            coef = sign * float(tok)
+        except ValueError:
+            coef = sign
+        else:
+            if not math.isfinite(coef):
+                raise ParseError(f"non-finite number {tok!r}")
+            if i == n or tokens[i] in _TERM_ENDS:
+                const += coef
+                continue
+            tok = tokens[i]
+            i += 1
+        if not inside:
+            lin[tok] = lin.get(tok, 0.0) + coef
+            continue
+        op = tokens[i:i + 2]
+        if op == ["^", "2"]:
+            pair = (tok, tok)
+        elif len(op) == 2 and op[0] == "*":
+            pair = (tok, op[1])
+        else:
+            raise ParseError(f"malformed quadratic term: {' '.join(tokens[i - 1:i + 2])!r}")
+        quad[pair] = quad.get(pair, 0.0) + coef
+        i += 2
+    if inside:
+        raise ParseError("unclosed '['")
+    return lin, quad, const
 
 
 def import_lp(path):
@@ -149,6 +219,10 @@ def import_lp(path):
                 quadratic.append(QuadraticConstraint(row, quad, lin, tokens[-2], rhs - const))
         else:
             raise ParseError(f"content outside any section: {raw.strip()!r}")
+    name = name or Path(path).stem
+    bad = next((t for t in (name, *header) if not t.isprintable() or t != t.strip()), None)
+    if bad is not None:
+        raise ParseError(f"{bad!r}: not a name or header comment LP text can carry")
     unlisted = sorted(used.difference(listed))
     bad = invalid_name([*listed, *unlisted, *row_names, *(q.name for q in quadratic)])
     if bad is not None:
@@ -163,7 +237,23 @@ def import_lp(path):
         np.array([c for coeffs in row_coeffs for c in coeffs.values()], float),
         np.array(row_senses, str), np.array(row_rhs, float),
     )
-    return Model(name or Path(path).stem, variables, linear, quadratic, objective, header)
+    return Model(name, variables, linear, quadratic, objective, header)
+
+
+def solution_values(path):
+    """The values of a solution file by name, read line by line."""
+    values = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        if not raw.strip() or raw.lstrip().startswith(("#", "\\")):
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'name value'")
+        try:
+            values[parts[0]] = _finite(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    return values
 
 
 def subset_blocks(count, block=512):

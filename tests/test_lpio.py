@@ -52,7 +52,7 @@ def import_both(path: Path, block: int, monkeypatch) -> tuple:
     """The model state, or the ParseError message, of lpio.import_lp in blocks of `block` lines and of the oracle."""
     results = []
     with monkeypatch.context() as patch:
-        patch.setattr(lpio, "_BLOCK_LINES", block)
+        patch.setattr(lpio, "_READ_LINES", block)
         for parse in (lpio.import_lp, oracles.import_lp):
             try:
                 results.append(model_state(parse(path)))
@@ -84,9 +84,15 @@ def test_random_models_import_as_the_oracle(tmp_path, monkeypatch, m, block):
 
 LP_WORDS = ["Maximize", "Minimize", "Subject To", "Bounds", "Binaries", "End", "\\ Model: m", "\\ note",
             "obj:", "c1:", "c2:", "q1:", "+", "-", "[", "]", "*", "^ 2", "0", "1.5", "-3", "x", "y", "z", "<=",
-            ">=", "=", "0 <= x <= 1", "-1 <= y <= 2"]
+            ">=", "=", "0 <= x <= 1", "-1 <= y <= 2",
+            # rows of the canonical shape, read by position
+            "c3: 2 x - 1.5 y + 0 z <= 4", "c4: - 1 x + 3 y >= -2", "c5: 1 y - 0 x = -0", "c6: 0.5 z <= 1e3",
+            # shapes that take the scalar grammar: a constant, non-finite numbers, a repeated name, a row
+            # head with a space and a second colon
+            "+2", "1e999", "inf", "nan", "c7: 1 x + 2 x >= 1", "c 8: 1 x <= 1", "c9:c10: 1 x <= 1",
+            "c11: 1 x + 1e999 y <= 1", "c12: 1 x <= nan", "inf <= z <= 1"]
 LP_BREAKS = ["\n", "\n ", "\n  ", "\n   ", "\r\n", "\r\n  ", "\r", "\r  ", "\x0c", "\x0c  ", "\x1e", "\x85",
-             "\u2028", " "]
+             "\u2028", " ", "  ", "\t"]
 
 
 @hypothesis_settings
@@ -100,6 +106,28 @@ def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, bloc
 
 
 HEAD = "Maximize\n obj: x\nSubject To\n"
+
+
+@pytest.mark.parametrize("bad", ["c5: 1 x + 1e999 y <= 1", "c5: 1 x + nan y <= 1", "c5: 1 x <= y", "c5: 1 x 1",
+                                 "c5: 1 x - ] <= 1", "c5 1 x <= 1", "c5: 1 x - [ y * y ] <= 1"])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_a_bad_row_among_canonical_rows_raises_the_oracles_message(tmp_path, monkeypatch, bad, block):
+    rows = [f" c{i}: 1 x - 2.5 y{i} + 0 z >= -{i}" for i in range(9)]
+    rows[5] = f" {bad}"
+    rows[7] = " c7: 1 x + nan z <= 1"  # a later bad row does not speak first
+    path = tmp_path / "model.lp"
+    path.write_text(HEAD + "\n".join(rows) + "\nEnd\n", encoding="utf-8")
+    new, old = import_both(path, block, monkeypatch)
+    assert isinstance(new, str) and new == old
+
+
+@pytest.mark.parametrize("head, bad", [("\\ Model: m\n\\ a\tb\n", "a\tb"), ("\\ Model: a\tb\n", "a\tb"),
+                                       ("\\ Model: m\n\\ a\x00\n", "a\x00")])
+def test_header_text_the_writer_refuses_is_a_parse_error(tmp_path, monkeypatch, head, bad):
+    path = tmp_path / "model.lp"
+    path.write_text(head + "Maximize\n obj: 1 x\nBinaries\n x\nEnd\n", encoding="utf-8")
+    new, old = import_both(path, 4096, monkeypatch)
+    assert new == old == f"{bad!r}: not a name or header comment LP text can carry"
 
 
 @pytest.mark.parametrize("text, rows", [
@@ -139,7 +167,7 @@ def test_names_sums_and_empty_rows(tmp_path, monkeypatch, block):
     new, old = import_both(path, block, monkeypatch)
     assert new == old
     with monkeypatch.context() as patch:
-        patch.setattr(lpio, "_BLOCK_LINES", block)
+        patch.setattr(lpio, "_READ_LINES", block)
         m = lpio.import_lp(path)
     var = m.variables
     # bounds order, then binaries order, then the free names by name; x keeps its first place and last kind
@@ -166,6 +194,28 @@ def test_invalid_name_in_blocks_finds_what_the_joined_text_finds(monkeypatch, na
     assert materials.invalid_name(names) == oracles.invalid_name(names)
 
 
+SOLUTION_WORDS = ["x", "y", "x_1_A_40", "0", "1", "0.5", "-0", "1e999", "nan", "inf", "1_0", "#", "# c", "\\ c",
+                  "é"]
+SOLUTION_BREAKS = ["\n", " ", "  ", "\t", "\r\n", "\x0c", "\u2028", "\n\n", "\n "]
+
+
+@hypothesis_settings
+@given(st.lists(st.tuples(st.sampled_from(SOLUTION_WORDS), st.sampled_from(SOLUTION_BREAKS)), max_size=12),
+       st.sampled_from(BLOCKS))
+@example([("x", " "), ("1", "\n"), ("y", " "), ("0.5", "\n"), ("x", " "), ("0", "\n")], 2)
+def test_solution_values_are_read_as_line_by_line(tmp_path, monkeypatch, words, block):
+    monkeypatch.setattr(lpio, "_READ_LINES", block)
+    path = tmp_path / "solution.txt"
+    path.write_text("".join(w + b for w, b in words), encoding="utf-8", newline="")
+    results = []
+    for read in (lpio._solution_values, oracles.solution_values):
+        try:
+            results.append(repr(read(path)))
+        except ParseError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
 # ---------------------------------------------------------------------------
 # Memory budgets on the broad Tungsten MISOCP model (21,808 variables, 44,575 rows)
 
@@ -187,6 +237,15 @@ def broad_lp(tmp_path_factory):
     lpio.export_lp(bundled_model("broad_n20_theta2", "Tungsten", "misocp"), path)
     lpio.import_lp(path)  # the first call loads what numpy loads lazily
     return path
+
+
+def test_only_the_quadratic_rows_and_the_objective_take_the_scalar_grammar(broad_lp, monkeypatch):
+    calls = []
+    terms = lpio._terms
+    monkeypatch.setattr(lpio, "_terms", lambda tokens: calls.append(tokens) or terms(tokens))
+    m = lpio.import_lp(broad_lp)
+    assert len(m.quadratic) == 13
+    assert len(calls) == len(m.quadratic) + 1
 
 
 def test_import_peaks_below_three_times_the_text(broad_lp):
