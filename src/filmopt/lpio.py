@@ -20,12 +20,13 @@ a model name or header comment that breaks the rule of
 puts ``+``), a malformed bracket term, a NaN anywhere and an infinite
 coefficient, constant or right-hand side are a ``ParseError``.
 
-The reader takes a block of lines at a time and splits it into tokens at
-once.  Rows of the canonical shape ``name: [s] c n {s c n} sense rhs``,
-the shape the writer gives every linear row but an empty one, are read by
-position, as are ``lo <= name <= hi`` bounds lines and all binaries lines:
-each distinct number is parsed once and names get their ids through one
-map.  Every other line goes through the scalar grammar in file order: a
+The reader takes a block of lines at a time, splits each line into tokens
+and keeps the block's tokens in one array.  Rows of the canonical shape
+``name: [s] c n {s c n} sense rhs``, the shape the writer gives every
+linear row but an empty one, are read by position, as are
+``lo <= name <= hi`` bounds lines and all binaries lines: each distinct
+number is parsed once and names get their ids through one map.  Every
+other line goes through the scalar grammar in file order: a
 comment, a section header, the objective, a row with a ``[``, a constant,
 a missing coefficient, a repeated name or a token that is no finite
 number where one must be.  So a file reads as if each line were read by
@@ -267,8 +268,6 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
 _READ_LINES = _BLOCK_LINES // 4
 #: A solution text of ``name value`` lines only, each ended by a newline.
 _PAIRS = re.compile(r"(?:[^\s#\\]\S* \S+\n)*")
-#: A line break before a two-space indent, which continues the line.
-_CONTINUATION = re.compile("\n  ")
 #: The value of each sign token, and the index in ``SENSES`` of each sense.
 _SIGNS = {"+": 1.0, "-": -1.0}
 _SENSE_INDEX = {sense: i for i, sense in enumerate(SENSES)}
@@ -304,10 +303,10 @@ def _line_blocks(path: str | Path) -> Iterator[list[str]]:
         cut = text.rfind("\n", floor, len(text) - 2)
         while cut >= 0 and text.startswith("  ", cut + 1):
             cut = text.rfind("\n", floor, cut)
-        if lines := _CONTINUATION.sub(" ", text[:cut + 1]).splitlines():
+        if lines := text[:cut + 1].replace("\n  ", " ").splitlines():
             yield lines
         rest = text[cut + 1:]
-    if lines := _CONTINUATION.sub(" ", rest).splitlines():
+    if lines := rest.replace("\n  ", " ").splitlines():
         yield lines
 
 
@@ -315,21 +314,13 @@ def _block_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """The tokens of a block of lines, each line's token count, and the mask of item lines.
 
     An item line starts with a space and holds more than two tokens, so it
-    is no comment, section header or blank line.  Where a block's only
-    whitespace is one space before each token, a line's token count is its
-    space count, plus one if it starts with no space and is not blank, and
-    the counts sum to the block's tokens; elsewhere each line is split on
-    its own.
+    is no comment, section header or blank line.
     """
-    text = "\n".join(lines) + "\n"
-    codes = np.frombuffer(text.encode(), np.uint8)
-    ends = np.flatnonzero(codes == 10)
-    first = codes[np.concatenate([[0], ends[:-1] + 1])]  # each line's first byte, a newline if it is blank
-    counts = np.diff(np.searchsorted(np.flatnonzero(codes == 32), ends), prepend=0) + ((first != 32) & (first != 10))
-    tokens = text.split()
-    if not text.isascii() or "\t" in text or "\x1f" in text or counts.sum() != len(tokens):
-        counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    return np.array(tokens, dtype=object), counts, (first == 32) & (counts > 2)
+    parts = [line.split() for line in lines]
+    counts = np.fromiter(map(len, parts), np.intp, len(parts))
+    tokens = np.fromiter(chain.from_iterable(parts), object, counts.sum())
+    items = np.fromiter((line[:1] == " " for line in lines), bool, len(lines))
+    return tokens, counts, items & (counts > 2)
 
 
 def _rows(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple:
@@ -365,12 +356,8 @@ def _rows(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple:
     rhs = np.fromiter(map(numbers.__getitem__, tokens[starts + counts - 1].tolist()), float, len(counts))
     good &= (senses >= 0) & np.isfinite(rhs)
     heads = tokens[starts].tolist()
-    text = "\n".join(heads) + "\n"
-    if text.count(":") == text.count(":\n") == len(heads):  # each head ends in its only colon
-        heads = text.split(":\n")[:-1]
-    else:
-        good &= np.array([h.count(":") == 1 and h.endswith(":") for h in heads], bool)
-        heads = [h[:-1] for h in heads]
+    good &= np.array([h.count(":") == 1 and h.endswith(":") for h in heads], bool)
+    heads = [h[:-1] for h in heads]
     return good, heads, first, names, vals, terms, senses, rhs
 
 
@@ -400,11 +387,11 @@ def import_lp(path: str | Path) -> Model:
     order, then the unlisted ones (free) by name; a variable listed twice
     keeps its first place and its last bounds.
 
-    Each block of lines is tokenized at once.  Runs of canonical rows and
-    bounds lines, and all binaries lines, are read by position; every
-    other line goes through the scalar grammar, in file order.  Each name
-    gets an id at its first use, and one take maps the ids to columns at
-    the end.
+    Each block's lines are split into one array of tokens.  Runs of
+    canonical rows and bounds lines, and all binaries lines, are read by
+    position; every other line goes through the scalar grammar, in file
+    order.  Each name gets an id at its first use, and one take maps the
+    ids to columns at the end.
     """
     name, header, objective = "", [], Objective({})
     ids: defaultdict[str, int] = defaultdict()

@@ -92,7 +92,7 @@ LP_WORDS = ["Maximize", "Minimize", "Subject To", "Bounds", "Binaries", "End", "
             "+2", "1e999", "inf", "nan", "c7: 1 x + 2 x >= 1", "c 8: 1 x <= 1", "c9:c10: 1 x <= 1",
             "c11: 1 x + 1e999 y <= 1", "c12: 1 x <= nan", "inf <= z <= 1"]
 LP_BREAKS = ["\n", "\n ", "\n  ", "\n   ", "\r\n", "\r\n  ", "\r", "\r  ", "\x0c", "\x0c  ", "\x1e", "\x85",
-             "\u2028", " ", "  ", "\t"]
+             "\u2028", " ", "  ", "\t", "\x1f", "\xa0"]
 
 
 @hypothesis_settings
@@ -106,6 +106,23 @@ def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, bloc
 
 
 HEAD = "Maximize\n obj: x\nSubject To\n"
+
+
+@pytest.mark.parametrize("space", ["\t", "\x1f", "\xa0", "\u3000"])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_whitespace_other_than_one_space_splits_the_tokens_of_its_own_line(tmp_path, monkeypatch, space, block):
+    # a line with a token more than its spaces, next to one with a space more than its tokens
+    path = tmp_path / "model.lp"
+    path.write_text(HEAD + f" c1: 1 x{space}<= 1\n c2:  1 y <= 1\nEnd\n", encoding="utf-8")
+    new, old = import_both(path, block, monkeypatch)
+    assert new == old
+    with monkeypatch.context() as patch:
+        patch.setattr(lpio, "_READ_LINES", block)
+        assert linear_rows(lpio.import_lp(path)) == [("c1", {"x": 1.0}, "<=", 1.0), ("c2", {"y": 1.0}, "<=", 1.0)]
+    # the same, where tokens counted by spaces would read as the two canonical rows c1 and c2
+    path.write_text(HEAD + f" c1: 1 x + 1 y <= 1{space}c2:\n 1 z <=  2\nEnd\n", encoding="utf-8")
+    new, old = import_both(path, block, monkeypatch)
+    assert isinstance(new, str) and new == old
 
 
 @pytest.mark.parametrize("bad", ["c5: 1 x + 1e999 y <= 1", "c5: 1 x + nan y <= 1", "c5: 1 x <= y", "c5: 1 x 1",
