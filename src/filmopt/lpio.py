@@ -34,17 +34,17 @@ the grammar, errors included.
 
 Memory grows with the model, not with its text.  :func:`export_lp`
 formats and writes one block of ``_BLOCK_LINES`` rows, bounds or lines at
-a time.  :func:`import_lp` reads ``_READ_LINES`` lines at a time, whose
-tokens are one string each until the block is read, and appends each
-block's columns to growing arrays, never holding the whole text or a dict
-per row.
+a time.  :func:`import_lp` reads ``_READ_CHARS`` characters at a time, cut
+back to whole lines, whose tokens are one string each until the block is
+read, and appends each block's columns to growing arrays, never holding the
+whole text or a dict per row.
 
-Solution files are plain `name value` pairs, one per line.
+Solution files are plain `name value` pairs, one per line, read in chunks of
+the same size and then line by line; an error names its line.
 """
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from collections import defaultdict
 from itertools import chain, islice, repeat
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import InfeasibleAssignment, ParseError
 from .materials import (
-    _BLOCK_LINES, LP_SECTIONS, Catalog, invalid_header, invalid_name, read_chunks, read_text, write_atomic,
+    _BLOCK_LINES, LP_SECTIONS, Catalog, invalid_header, invalid_name, read_chunks, write_atomic,
 )
 from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
 
@@ -263,11 +263,9 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
     return lin, quad, const
 
 
-#: Lines the reader tokenizes at once.  Each line holds about 14 tokens, and each token is a string
-#: object until its block is read, so the reader's blocks are a quarter of the writer's.
-_READ_LINES = _BLOCK_LINES // 4
-#: A solution text of ``name value`` lines only, each ended by a newline.
-_PAIRS = re.compile(r"(?:[^\s#\\]\S* \S+\n)*")
+#: Characters the reader takes from the file at once, about a thousand lines of the writer's text.  Each token
+#: is a string object until its block is read, so the reader's blocks are a quarter of the writer's.
+_READ_CHARS = 96 * 1024
 #: The value of each sign token, and the index in ``SENSES`` of each sense.
 _SIGNS = {"+": 1.0, "-": -1.0}
 _SENSE_INDEX = {sense: i for i, sense in enumerate(SENSES)}
@@ -290,13 +288,13 @@ class _Numbers(dict):
 def _line_blocks(path: str | Path) -> Iterator[list[str]]:
     """The lines of the LP text at `path`, each with its continuation lines joined on, a block at a time.
 
-    The text is read ``_READ_LINES`` lines at a time and cut after the
+    The text is read ``_READ_CHARS`` characters at a time and cut after the
     last newline that no two-space indent follows, so joining continuations
     (``"\\n  "`` -> ``" "``) within each piece and ``str.splitlines`` give
     the lines of the whole text.
     """
     rest = ""
-    for chunk in read_chunks(path, _READ_LINES):
+    for chunk in read_chunks(path, _READ_CHARS):
         text = rest + chunk
         # each newline of `rest` that has two characters after it is followed by an indent
         floor = max(len(rest) - 2, 0)
@@ -565,34 +563,31 @@ def write_solution(values: dict[str, float], path: str | Path) -> None:
 
 
 def _solution_values(path: str | Path) -> dict[str, float]:
-    """The values of a solution file by name.
+    """The values of a solution file by name, read ``_READ_CHARS`` characters and then one line at a time.
 
-    A text of ``name value`` lines only is read with one split per block
-    of ``_READ_LINES`` lines, each distinct value of a block parsed once;
-    any other text is read line by line, which skips blank and comment
-    lines and names the line of an error.
+    Blank lines and lines starting with ``#`` or ``\\`` are skipped; every other line is ``name value`` with a
+    finite value, or a ParseError names its line.  Each distinct value text is parsed once.
     """
     values: dict[str, float] = {}
-    for chunk in read_chunks(path, _READ_LINES):
-        if not _PAIRS.fullmatch(chunk):
-            break
-        words, numbers = chunk.split(), _Numbers()
-        values.update(zip(words[::2], map(numbers.__getitem__, words[1::2])))
-        if not all(map(math.isfinite, numbers.values())):
-            break
-    else:
-        return values
-    values = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        if not raw.strip() or raw.lstrip().startswith(("#", "\\")):
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'name value'")
-        try:
-            values[parts[0]] = _finite(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    parsed: dict[str, float] = {}
+    lineno, rest = 0, ""
+    for chunk in chain(read_chunks(path, _READ_CHARS), [""]):  # the empty chunk flushes the last line
+        lines = (rest + chunk).splitlines(keepends=True)
+        rest = lines.pop() if chunk else ""
+        for lineno, raw in enumerate(lines, lineno + 1):
+            parts = raw.split()
+            if not parts or parts[0][0] in "#\\":
+                continue
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 'name value'")
+            name, text = parts
+            value = parsed.get(text)
+            if value is None:
+                try:
+                    value = parsed[text] = _finite(text)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+            values[name] = value
     return values
 
 

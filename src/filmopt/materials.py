@@ -57,16 +57,16 @@ def read_text(path: str | Path) -> str:
     return "".join(read_chunks(path))
 
 
-def read_chunks(path: str | Path, lines: int | None = None) -> Iterator[str]:
-    """The UTF-8 text of `path`, read `lines` lines at a time (all at once if None).
+def read_chunks(path: str | Path, size: int | None = None) -> Iterator[str]:
+    """The UTF-8 text of `path`, read `size` characters at a time (all at once if None).
 
     The file is read as ``open(path, encoding="utf-8")`` reads it: ``\\r\\n``
-    and ``\\r`` read as ``\\n``, and a line ends at ``\\n``.  Bytes that are
-    not UTF-8 are a ParseError that gives their offset in the file.
+    and ``\\r`` read as ``\\n``, and a chunk may end anywhere in a line.  Bytes
+    that are not UTF-8 are a ParseError that gives their offset in the file.
     """
     try:
         with open(path, encoding="utf-8", newline=None) as fh:
-            while text := fh.read() if lines is None else "".join(islice(fh, lines)):
+            while text := fh.read(size):
                 yield text
     except UnicodeDecodeError:
         try:

@@ -9,8 +9,8 @@ blocks, and ``import_lp`` parses the whole LP text into a dict per row,
 each row and the objective by its own copy of the term grammar, where
 ``lpio.import_lp`` reads canonical rows by position in blocks into flat
 arrays.
-``solution_values`` reads a solution file line by line, where
-``lpio._solution_values`` splits a file of ``name value`` lines at once.
+``solution_values`` reads a solution file line by line and parses every
+value, where ``lpio._solution_values`` parses each distinct value once.
 ``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
 block on its own and puts every fit through every test, residual first.
 """

@@ -1,6 +1,7 @@
 """The block-wise LP reader against the whole-text oracle, and the memory budgets of the export path."""
 import dataclasses
 import functools
+import io
 import tracemalloc
 from pathlib import Path
 
@@ -19,8 +20,12 @@ from test_models import lp_models
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SUBSTRATES = ("Molybdenum", "Niobium", "Tantalum", "Tungsten")
-#: Block sizes that put a block boundary after every line, every other line and nowhere.
+#: Line counts of the writer's and the name check's blocks: a block boundary after every line, every other
+#: line and nowhere.
 BLOCKS = (1, 2, 3, 4096)
+#: Character counts of the LP reader's chunks: chunk ends inside lines, between a ``\n`` and the two spaces of
+#: a continuation, and at the default size nowhere in a small text.
+SIZES = (1, 2, 3, 5, lpio._READ_CHARS)
 MB = 1_000_000
 
 hypothesis_settings = settings(max_examples=150, deadline=None,
@@ -48,17 +53,28 @@ def model_state(m: model.Model) -> tuple:
     )
 
 
-def import_both(path: Path, block: int, monkeypatch) -> tuple:
-    """The model state, or the ParseError message, of lpio.import_lp in blocks of `block` lines and of the oracle."""
+def import_both(path: Path, size: int, monkeypatch) -> tuple:
+    """The model state, or the ParseError message, of lpio.import_lp in chunks of `size` characters and of the
+    oracle."""
     results = []
     with monkeypatch.context() as patch:
-        patch.setattr(lpio, "_READ_LINES", block)
+        patch.setattr(lpio, "_READ_CHARS", size)
         for parse in (lpio.import_lp, oracles.import_lp):
             try:
                 results.append(model_state(parse(path)))
             except ParseError as exc:
                 results.append(str(exc))
     return tuple(results)
+
+
+def rows_in_chunks(path: Path, size: int, monkeypatch) -> list:
+    """The linear rows lpio.import_lp reads in chunks of `size` characters, after checking them against the
+    oracle."""
+    new, old = import_both(path, size, monkeypatch)
+    assert new == old
+    with monkeypatch.context() as patch:
+        patch.setattr(lpio, "_READ_CHARS", size)
+        return linear_rows(lpio.import_lp(path))
 
 
 @pytest.mark.parametrize("kind", ["miqcp", "misocp"])
@@ -74,11 +90,11 @@ def test_bundled_lp_imports_as_the_oracle_and_writes_back_the_same_bytes(config,
 
 
 @hypothesis_settings
-@given(lp_models(), st.sampled_from(BLOCKS))
-def test_random_models_import_as_the_oracle(tmp_path, monkeypatch, m, block):
+@given(lp_models(), st.sampled_from(SIZES))
+def test_random_models_import_as_the_oracle(tmp_path, monkeypatch, m, size):
     path = tmp_path / "model.lp"
     lpio.export_lp(m, path)
-    new, old = import_both(path, block, monkeypatch)
+    new, old = import_both(path, size, monkeypatch)
     assert new == old
 
 
@@ -97,11 +113,11 @@ LP_BREAKS = ["\n", "\n ", "\n  ", "\n   ", "\r\n", "\r\n  ", "\r", "\r  ", "\x0c
 
 @hypothesis_settings
 @given(st.lists(st.tuples(st.sampled_from(LP_WORDS), st.sampled_from(LP_BREAKS)), max_size=30),
-       st.sampled_from(BLOCKS))
-def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, block):
+       st.sampled_from(SIZES))
+def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, size):
     path = tmp_path / "model.lp"
     path.write_text("".join(w + b for w, b in words), encoding="utf-8", newline="")
-    new, old = import_both(path, block, monkeypatch)
+    new, old = import_both(path, size, monkeypatch)
     assert new == old
 
 
@@ -109,32 +125,28 @@ HEAD = "Maximize\n obj: x\nSubject To\n"
 
 
 @pytest.mark.parametrize("space", ["\t", "\x1f", "\xa0", "\u3000"])
-@pytest.mark.parametrize("block", BLOCKS)
-def test_whitespace_other_than_one_space_splits_the_tokens_of_its_own_line(tmp_path, monkeypatch, space, block):
+@pytest.mark.parametrize("size", SIZES)
+def test_whitespace_other_than_one_space_splits_the_tokens_of_its_own_line(tmp_path, monkeypatch, space, size):
     # a line with a token more than its spaces, next to one with a space more than its tokens
     path = tmp_path / "model.lp"
     path.write_text(HEAD + f" c1: 1 x{space}<= 1\n c2:  1 y <= 1\nEnd\n", encoding="utf-8")
-    new, old = import_both(path, block, monkeypatch)
-    assert new == old
-    with monkeypatch.context() as patch:
-        patch.setattr(lpio, "_READ_LINES", block)
-        assert linear_rows(lpio.import_lp(path)) == [("c1", {"x": 1.0}, "<=", 1.0), ("c2", {"y": 1.0}, "<=", 1.0)]
+    assert rows_in_chunks(path, size, monkeypatch) == [("c1", {"x": 1.0}, "<=", 1.0), ("c2", {"y": 1.0}, "<=", 1.0)]
     # the same, where tokens counted by spaces would read as the two canonical rows c1 and c2
     path.write_text(HEAD + f" c1: 1 x + 1 y <= 1{space}c2:\n 1 z <=  2\nEnd\n", encoding="utf-8")
-    new, old = import_both(path, block, monkeypatch)
+    new, old = import_both(path, size, monkeypatch)
     assert isinstance(new, str) and new == old
 
 
 @pytest.mark.parametrize("bad", ["c5: 1 x + 1e999 y <= 1", "c5: 1 x + nan y <= 1", "c5: 1 x <= y", "c5: 1 x 1",
                                  "c5: 1 x - ] <= 1", "c5 1 x <= 1", "c5: 1 x - [ y * y ] <= 1"])
-@pytest.mark.parametrize("block", BLOCKS)
-def test_a_bad_row_among_canonical_rows_raises_the_oracles_message(tmp_path, monkeypatch, bad, block):
+@pytest.mark.parametrize("size", SIZES)
+def test_a_bad_row_among_canonical_rows_raises_the_oracles_message(tmp_path, monkeypatch, bad, size):
     rows = [f" c{i}: 1 x - 2.5 y{i} + 0 z >= -{i}" for i in range(9)]
     rows[5] = f" {bad}"
     rows[7] = " c7: 1 x + nan z <= 1"  # a later bad row does not speak first
     path = tmp_path / "model.lp"
     path.write_text(HEAD + "\n".join(rows) + "\nEnd\n", encoding="utf-8")
-    new, old = import_both(path, block, monkeypatch)
+    new, old = import_both(path, size, monkeypatch)
     assert isinstance(new, str) and new == old
 
 
@@ -143,7 +155,7 @@ def test_a_bad_row_among_canonical_rows_raises_the_oracles_message(tmp_path, mon
 def test_header_text_the_writer_refuses_is_a_parse_error(tmp_path, monkeypatch, head, bad):
     path = tmp_path / "model.lp"
     path.write_text(head + "Maximize\n obj: 1 x\nBinaries\n x\nEnd\n", encoding="utf-8")
-    new, old = import_both(path, 4096, monkeypatch)
+    new, old = import_both(path, lpio._READ_CHARS, monkeypatch)
     assert new == old == f"{bad!r}: not a name or header comment LP text can carry"
 
 
@@ -159,11 +171,11 @@ def test_header_text_the_writer_refuses_is_a_parse_error(tmp_path, monkeypatch, 
     (HEAD + " c1: x + y <= 1\nEnd", ["c1"]),
     (HEAD + " c1: x + y <= 1", ["c1"]),
 ])
-@pytest.mark.parametrize("block", BLOCKS)
-def test_line_separators(tmp_path, monkeypatch, text, rows, block):
+@pytest.mark.parametrize("size", SIZES)
+def test_line_separators(tmp_path, monkeypatch, text, rows, size):
     path = tmp_path / "model.lp"
     path.write_text(text, encoding="utf-8", newline="")
-    new, old = import_both(path, block, monkeypatch)
+    new, old = import_both(path, size, monkeypatch)
     assert new == old
     assert list(new[6]) == rows
 
@@ -174,17 +186,52 @@ def test_a_continuation_after_crlf_joins_the_row(tmp_path):
     assert linear_rows(lpio.import_lp(path)) == [("c1", {"x": 1.0, "y": 1.0}, "<=", 1.0)]
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_names_sums_and_empty_rows(tmp_path, monkeypatch, block):
+CHUNKED = HEAD + " c1: 1 x + 2 y <= 3\n c2: 1 x\n  + 1 y >= 1\nEnd\n"
+CHUNKED_ROWS = [("c1", {"x": 1.0, "y": 2.0}, "<=", 3.0), ("c2", {"x": 1.0, "y": 1.0}, ">=", 1.0)]
+
+
+def test_a_chunk_may_end_inside_a_line(tmp_path, monkeypatch):
+    path = tmp_path / "model.lp"
+    path.write_text(CHUNKED, encoding="utf-8")
+    size = CHUNKED.index("+ 2 y")
+    assert next(materials.read_chunks(path, size)).endswith(" c1: 1 x ")
+    assert rows_in_chunks(path, size, monkeypatch) == CHUNKED_ROWS
+
+
+def test_a_chunk_may_end_between_a_newline_and_a_continuation(tmp_path, monkeypatch):
+    path = tmp_path / "model.lp"
+    path.write_text(CHUNKED, encoding="utf-8")
+    size = CHUNKED.index("\n  + 1 y") + 1
+    first, second = list(materials.read_chunks(path, size))[:2]
+    assert first.endswith(" c2: 1 x\n") and second.startswith("  + 1 y")
+    assert rows_in_chunks(path, size, monkeypatch) == CHUNKED_ROWS
+
+
+def test_a_file_buffer_may_end_inside_a_crlf(tmp_path, monkeypatch):
+    # the text layer decodes the file a buffer at a time; the first buffer here ends between \r and \n, and
+    # the first chunk ends at the same place, before a continuation
+    buffer = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
+    text = CHUNKED.replace("\n", "\r\n")
+    text = f"\\ {'p' * (buffer - text.index(' c2: 1 x') - 13)}\r\n{text}"
+    path = tmp_path / "model.lp"
+    path.write_bytes(text.encode())
+    assert text.encode()[buffer - 1:buffer + 3] == b"\r\n  "
+    size = len(text[:buffer].replace("\r\n", "\n"))
+    assert next(materials.read_chunks(path, size)).endswith(" c2: 1 x\n")
+    assert rows_in_chunks(path, size, monkeypatch) == CHUNKED_ROWS
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_names_sums_and_empty_rows(tmp_path, monkeypatch, size):
     path = tmp_path / "model.lp"
     path.write_text(
         "Maximize\n obj: z + 2 b\nSubject To\n c1: x + 2 x - y + y <= 3\n c0: 0 <= 1\n c2: 5 >= 2\n"
         " q1: x + [ ] <= 1\n q2: [ w * z - v ^ 2 ] <= 4\nBounds\n 0 <= y <= 1\n 0 <= x <= 2\n"
         "Binaries\n b x\nEnd\n", encoding="utf-8")
-    new, old = import_both(path, block, monkeypatch)
+    new, old = import_both(path, size, monkeypatch)
     assert new == old
     with monkeypatch.context() as patch:
-        patch.setattr(lpio, "_READ_LINES", block)
+        patch.setattr(lpio, "_READ_CHARS", size)
         m = lpio.import_lp(path)
     var = m.variables
     # bounds order, then binaries order, then the free names by name; x keeps its first place and last kind
@@ -216,21 +263,44 @@ SOLUTION_WORDS = ["x", "y", "x_1_A_40", "0", "1", "0.5", "-0", "1e999", "nan", "
 SOLUTION_BREAKS = ["\n", " ", "  ", "\t", "\r\n", "\x0c", "\u2028", "\n\n", "\n "]
 
 
+def solution_both(path: Path, size: int, monkeypatch) -> list[str]:
+    """The values by name, or the ParseError message, of lpio._solution_values in chunks of `size` characters
+    and of the oracle."""
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(lpio, "_READ_CHARS", size)
+        for read in (lpio._solution_values, oracles.solution_values):
+            try:
+                results.append(repr(read(path)))
+            except ParseError as exc:
+                results.append(str(exc))
+    return results
+
+
 @hypothesis_settings
 @given(st.lists(st.tuples(st.sampled_from(SOLUTION_WORDS), st.sampled_from(SOLUTION_BREAKS)), max_size=12),
-       st.sampled_from(BLOCKS))
+       st.sampled_from(SIZES))
 @example([("x", " "), ("1", "\n"), ("y", " "), ("0.5", "\n"), ("x", " "), ("0", "\n")], 2)
-def test_solution_values_are_read_as_line_by_line(tmp_path, monkeypatch, words, block):
-    monkeypatch.setattr(lpio, "_READ_LINES", block)
+def test_solution_values_are_read_as_line_by_line(tmp_path, monkeypatch, words, size):
     path = tmp_path / "solution.txt"
     path.write_text("".join(w + b for w, b in words), encoding="utf-8", newline="")
-    results = []
-    for read in (lpio._solution_values, oracles.solution_values):
-        try:
-            results.append(repr(read(path)))
-        except ParseError as exc:
-            results.append(str(exc))
-    assert results[0] == results[1]
+    new, old = solution_both(path, size, monkeypatch)
+    assert new == old
+
+
+@pytest.mark.parametrize("text, want", [
+    ("# x 1 2\nx 1\n \\ y\ny 0.5\n", {"x": 1.0, "y": 0.5}),  # comment lines
+    ("x 1\n\n \t\ny 0\n", {"x": 1.0, "y": 0.0}),  # blank lines
+    ("x 1\r\ny 1e999\r\n", "{path}:2: non-finite number '1e999'"),  # a \r\n file counts lines as \n does
+    ("x 1\ny nan\n", "{path}:2: non-finite number 'nan'"),
+    ("x 1\ny 0 z\n", "{path}:2: expected 'name value'"),
+])
+@pytest.mark.parametrize("size", SIZES)
+def test_solution_file_examples(tmp_path, monkeypatch, text, want, size):
+    path = tmp_path / "solution.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = want.format(path=path) if isinstance(want, str) else repr(want)
+    assert solution_both(path, size, monkeypatch) == [want, want]
 
 
 # ---------------------------------------------------------------------------
