@@ -292,6 +292,24 @@ def _dominating_fits(aug: np.ndarray, gvals: np.ndarray, subsets: np.ndarray) ->
     return alpha
 
 
+def _new_planes(kept: np.ndarray, rows: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The rows of one block, in order, that duplicate no plane kept before them.
+
+    Row ``r`` duplicates plane ``p`` when ``|p - r| @ reach <= DEDUPE_TOL *
+    (|r| @ reach)``.  The planes before ``r`` are ``kept`` and the rows of
+    the block that were kept ahead of it.  All distances come from one
+    product; only the in-block order is settled row by row.
+    """
+    tol = DEDUPE_TOL * (np.abs(rows) @ reach)[:, None]
+    near = np.abs(np.concatenate([kept, rows]) - rows[:, None]) @ reach <= tol
+    free = (~near[:, :len(kept)].any(axis=1)).tolist()
+    picked: list[int] = []
+    for i, row_near in enumerate(near[:, len(kept):].tolist()):
+        if free[i] and not any(row_near[j] for j in picked):
+            picked.append(i)
+    return rows[picked]
+
+
 def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> np.ndarray:
     """All validated affine overapproximators of D over the box's det-1 set, as (P, 5) rows.
 
@@ -317,9 +335,9 @@ def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> np.ndarray
     kept = np.empty((0, 5))
     subsets = _subsets(len(pts))
     for start in range(0, len(subsets), FIT_BLOCK):
-        for row in _dominating_fits(aug, gvals, subsets[start:start + FIT_BLOCK]):
-            if not (np.abs(kept - row) @ reach <= DEDUPE_TOL * (np.abs(row) @ reach)).any():
-                kept = np.vstack([kept, row])
+        rows = _dominating_fits(aug, gvals, subsets[start:start + FIT_BLOCK])
+        if len(rows):
+            kept = np.vstack([kept, _new_planes(kept, rows, reach)])
     if not len(kept):
         raise NoValidHyperplane("no 5-point fit dominates D on the candidate set")
     kept[:, 0] -= (kept[:, 1:] * center).sum(axis=1)

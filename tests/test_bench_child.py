@@ -23,15 +23,21 @@ def child(*args):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("op", [
-    ["setup", "configs/mo_410_n6.json"],
-    ["cli", "optimize", "--config", "configs/mo_410_n6.json", "--out", "{out}", "--mode", "bnb"],
-], ids=["setup", "optimize-bnb"])
-def test_traced_run_exits_cleanly(tmp_path, op):
+@pytest.mark.parametrize("op, spans", [
+    (["setup", "configs/mo_410_n6.json"], []),
+    (["cli", "optimize", "--config", "configs/mo_410_n6.json", "--out", "{out}", "--mode", "bnb"],
+     ["solver.bnb"]),
+    (["cli", "export", "--config", "configs/mo_410_n6.json", "--out", "{out}", "--kind", "misocp"],
+     ["relax.hyperplanes", "model.build_misocp", "lpio.export_lp"]),
+    (["cli", "heuristic", "--config", "configs/mo_410_n6.json", "--out", "{out}", "--targets", "410"],
+     ["heuristics.quarter_wave_design", "heuristics.compare_methods"]),
+], ids=["setup", "optimize-bnb", "export-misocp", "heuristic"])
+def test_traced_run_exits_cleanly(tmp_path, op, spans):
+    """The layers ``cli`` loads on first use are wrapped like the others."""
     trace = tmp_path / "trace.json"
     child("trace", trace, *(arg.format(out=tmp_path / "o") for arg in op))
     totals = json.loads(trace.read_text())["totals"]
     assert totals["materials.build_catalog"]["layer_matrices"] == 13 + 24
-    if op[0] == "cli":
-        assert totals["solver.bnb"]["calls"] == 1
+    assert {name: totals[name]["calls"] for name in spans} == dict.fromkeys(spans, 1)
+    if op[1:2] == ["optimize"]:
         assert json.loads((tmp_path / "o" / "report.json").read_text())["proven_optimal"]

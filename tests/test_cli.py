@@ -227,6 +227,65 @@ class TestExtremePoints:
             [(-3.0, -4 / 3), (3.0, 4 / 3), (-2.0, -2.0), (2.0, 2.0)])
 
 
+#: Runs ``cli.main(argv)`` in a fresh interpreter and prints its exit code and
+#: the package files whose module code ran (audit "exec" events).
+LAYER_PROBE = """
+import json, sys
+from pathlib import Path
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(getattr(args[0], "co_filename", "")))
+from filmopt import cli
+code = cli.main(sys.argv[1:])
+pkg = Path(cli.__file__).parent
+print(json.dumps([code, sorted(Path(f).name for f in ran if Path(f).parent == pkg)]))
+"""
+LAZY_LAYERS = {"heuristics.py", "lpio.py", "model.py", "relax.py"}
+
+
+def fresh_python(code: str, *args) -> str:
+    """Stdout of ``python -c code args`` in a new interpreter that compiles from source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(filmopt.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLayersLoaded:
+    """Each command compiles and runs only the layer modules it calls."""
+
+    @pytest.mark.parametrize("command, runs", [
+        (["optimize", "--mode", "brute"], set()),
+        (["optimize", "--mode", "bnb"], set()),
+        (["heuristic", "--targets", "450,900"], {"heuristics.py"}),
+        (["export", "--kind", "miqcp"], {"model.py", "lpio.py", "relax.py"}),
+    ], ids=["optimize-brute", "optimize-bnb", "heuristic", "export-miqcp"])
+    def test_command_runs_only_its_layers(self, config_path, tmp_path, command, runs):
+        out = fresh_python(LAYER_PROBE, *command, "--config", config_path, "--out", tmp_path / "o")
+        code, ran = json.loads(out.splitlines()[-1])
+        assert code == 0
+        assert {"cli.py", "solver.py", "materials.py"} <= set(ran)
+        assert set(ran) & LAZY_LAYERS == runs
+
+    def test_layer_imported_before_cli_is_the_one_cli_uses(self):
+        out = fresh_python(
+            "import sys\n"
+            "from filmopt import model\n"
+            "import filmopt.cli as cli\n"
+            "print(cli.model_mod is model is sys.modules['filmopt.model'], cli.lpio.Model is model.Model)"
+        )
+        assert out.split() == ["True", "True"]
+
+    def test_layer_imported_after_cli_is_the_one_cli_uses(self):
+        out = fresh_python(
+            "import sys, filmopt.cli as cli\n"
+            "from filmopt import lpio\n"
+            "print(lpio is sys.modules['filmopt.lpio'] is cli.lpio,"
+            " lpio.export_lp is cli.lpio.export_lp, type(lpio).__name__)"
+        )
+        assert out.split() == ["True", "True", "module"]
+
+
 class TestExitCodes:
     def test_bad_config_exit_1(self, tmp_path):
         p = tmp_path / "bad.json"
