@@ -1,4 +1,4 @@
-"""Vectorized twins of the scalar carrier operations.
+"""Vectorized twins of the scalar carrier operations, and the carrier layout.
 
 Arrays carry matrices as (..., 4) float blocks in entry order
 (a11, a12, a21, a22), matching :mod:`filmopt.optics`.  These helpers are the
@@ -8,6 +8,7 @@ scalar API remains the guarded public surface.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +24,22 @@ LEAF_CHUNK_ENTRIES = 2**15
 PRODUCT_LEFT = np.array([[0, 1], [0, 1], [2, 3], [3, 2]])
 PRODUCT_RIGHT = np.array([[0, 2], [1, 3], [0, 2], [3, 1]])
 PRODUCT_SIGN = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+#: The identity carrier, the product of no layers; read-only.
+IDENTITY4 = np.array([1.0, 0.0, 0.0, 1.0])
+IDENTITY4.setflags(write=False)
+#: Entry indices (into a11, a12, a21, a22) of a hyperplane's (x1, x2, x3, x4) = (w11, w22, w12, w21).
+X_ORDER = (0, 3, 1, 2)
+#: Columns of an x-ordered (x1, x2, x3, x4) array in entry order (a11, a12, a21, a22).
+ENTRY_ORDER = [X_ORDER.index(e) for e in range(4)]
+
+
+def plane_values(planes: np.ndarray, point: Sequence[float]) -> np.ndarray:
+    """``a0 + a1*x1 + a2*x2 + a3*x3 + a4*x4`` of each (P, 5) plane row at an x-ordered point.
+
+    Summed left to right, so each value is the double the scalar expression gives.
+    """
+    a0, a1, a2, a3, a4 = planes.T
+    return a0 + a1 * point[0] + a2 * point[1] + a3 * point[2] + a4 * point[3]
 
 
 def mul4(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrayops import interval_product4
+from .arrayops import IDENTITY4, interval_product4
 from .materials import Catalog, wavelength_key
-
-_IDENTITY4 = np.array([1.0, 0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def _propagated(catalog: Catalog, forward: bool, start: int, lo: np.ndarray, hi:
 
 def tighten_bounds(catalog: Catalog) -> EntryBounds:
     """Bounds on the product of layers 1..n, indexed by prefix depth n."""
-    return _propagated(catalog, True, 0, _IDENTITY4, _IDENTITY4)
+    return _propagated(catalog, True, 0, IDENTITY4, IDENTITY4)
 
 
 def suffix_product_bounds(catalog: Catalog, split: int, table: np.ndarray) -> EntryBounds:

@@ -12,9 +12,11 @@ Each command compiles and runs only the layers it calls.  ``materials``,
 first attribute access.  So ``optimize`` loads none of the four;
 ``evaluate``, ``heuristic`` and ``compare`` load ``heuristics``;
 ``hyperplanes`` and ``extreme-points`` load ``relax``; ``export`` loads
-``model``, ``relax`` and ``lpio``.  A run from a source tree without
-bytecode caches compiles every module it loads, and the four are about
-1,570 lines that ``optimize`` never calls.
+``model`` and ``lpio``, and ``relax`` too for ``--kind misocp``.  A run
+from a source tree without bytecode caches compiles every module it loads,
+and the four are about 1,570 lines that ``optimize`` never calls.  Exit
+codes follow the bases in :mod:`filmopt.errors`: ``UsageError`` 1,
+``InstanceError`` 2.
 """
 from __future__ import annotations
 
@@ -28,35 +30,11 @@ from types import ModuleType
 
 from . import bounds as bounds_mod
 from . import solver
-from .errors import (
-    ConfigError,
-    FilmoptError,
-    InadmissibleDesign,
-    InfeasibleAssignment,
-    InstanceTooLarge,
-    MissingDispersion,
-    OutOfRange,
-    ParseError,
-    SpectrumCoverage,
-    ValidationError,
-)
+from .errors import ConfigError, FilmoptError, InstanceError, ParseError, UsageError
 from .materials import (
     Catalog, CatalogConfig, _rank_by_mean_index, build_catalog, csv_text, load_tables, progression, read_json,
     wavelength_key, write_atomic,
 )
-
-USAGE_ERRORS = (
-    ConfigError,
-    ParseError,
-    ValidationError,
-    MissingDispersion,
-    SpectrumCoverage,
-    OutOfRange,
-    OSError,
-    InadmissibleDesign,
-)
-INSTANCE_ERRORS = (InstanceTooLarge, InfeasibleAssignment)
-
 
 def _lazy(name: str) -> ModuleType:
     """``filmopt.<name>``, the loaded module if there is one, else one that loads on first use.
@@ -298,10 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     del args["command"]
     try:
         return args.pop("func")(**args)
-    except USAGE_ERRORS as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except INSTANCE_ERRORS as exc:
+    except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FilmoptError, AssertionError, ValueError) as exc:

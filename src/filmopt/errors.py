@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the CLI's exit code for each comes from its base."""
 
 
 class FilmoptError(Exception):
     """Base class for all package errors."""
+
+
+class UsageError(FilmoptError):
+    """Bad input, configuration or design: the caller's to fix (exit code 1)."""
+
+
+class InstanceError(FilmoptError):
+    """A well-formed instance this run cannot solve or decode (exit code 2)."""
 
 
 class NonDielectricIndex(FilmoptError):
@@ -21,27 +29,27 @@ class MismatchedSpectrumLength(FilmoptError):
     """Per-wavelength inputs do not line up with the spectrum."""
 
 
-class ParseError(FilmoptError):
+class ParseError(UsageError):
     """Malformed input file."""
 
 
-class ValidationError(FilmoptError):
+class ValidationError(UsageError):
     """Input parsed but violates a structural invariant."""
 
 
-class OutOfRange(FilmoptError):
+class OutOfRange(UsageError):
     """Wavelength outside the tabulated dispersion range."""
 
 
-class MissingDispersion(FilmoptError):
+class MissingDispersion(UsageError):
     """A referenced material has no dispersion table."""
 
 
-class SpectrumCoverage(FilmoptError):
+class SpectrumCoverage(UsageError):
     """A dispersion table does not cover the requested wavelengths."""
 
 
-class ConfigError(FilmoptError):
+class ConfigError(UsageError):
     """Bad catalog or run configuration."""
 
 
@@ -65,16 +73,16 @@ class MissingHyperplanes(FilmoptError):
     """A wavelength has no overapproximators to build the relaxation with."""
 
 
-class InfeasibleAssignment(FilmoptError):
+class InfeasibleAssignment(InstanceError):
     """Imported solution does not select exactly one choice per layer."""
 
 
-class InadmissibleDesign(FilmoptError):
+class InadmissibleDesign(UsageError):
     """Design uses a (material, thickness) pair not offered at that layer."""
 
 
-class InstanceTooLarge(FilmoptError):
-    """Enumeration size exceeds the configured cap."""
+class InstanceTooLarge(InstanceError):
+    """A search without a node budget faces more designs than ``solver.LEAF_CAP``."""
 
 
 class InternalError(FilmoptError):

@@ -17,8 +17,9 @@ end is a constant.  Inside ``[ ]`` each name is followed by ``* name`` or
 :func:`~filmopt.materials.invalid_name` (the one ``Model.validate`` applies),
 a model name or header comment that breaks the rule of
 :func:`~filmopt.materials.invalid_header`, a ``-`` before ``[`` (the writer
-puts ``+``), a malformed bracket term, a NaN anywhere and an infinite
-coefficient, constant or right-hand side are a ``ParseError``.
+puts ``+``), a malformed bracket term, a NaN anywhere, an infinite
+coefficient, constant or right-hand side, a repeated row name and a lower
+bound above its upper one are a ``ParseError``.
 
 The reader takes a block of lines at a time, splits each line into tokens
 and keeps the block's tokens in one array.  Rows of the canonical shape
@@ -57,7 +58,7 @@ from .errors import InfeasibleAssignment, ParseError
 from .materials import (
     _BLOCK_LINES, LP_SECTIONS, Catalog, invalid_header, invalid_name, read_chunks, write_atomic,
 )
-from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
+from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, _repeated, x_name
 
 _MAX_LINE = 200
 
@@ -519,6 +520,12 @@ def import_lp(path: str | Path) -> Model:
     bad = invalid_name(chain(variables.names, row_names, (q.name for q in quadratic)))
     if bad is not None:
         raise ParseError(f"{bad!r} is not a name")
+    repeated = _repeated([*row_names, *(q.name for q in quadratic)])
+    if repeated is not None:
+        raise ParseError(f"{repeated}: duplicate row name")
+    crossed = variables.lower > variables.upper
+    if crossed.any():
+        raise ParseError(f"{variables.names[crossed.argmax()]}: lower bound exceeds upper")
     rows = LinearRows(
         variables.names, tuple(row_names), np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
         column[term_ids], vals, np.array(SENSES)[senses], rhs,

@@ -364,12 +364,15 @@ class Catalog:
     Catalogs compare by identity.
     """
 
-    n_layers: int
     layer_choices: tuple[tuple[tuple[str, float], ...], ...]
     spectrum: Spectrum
     substrate_id: str
     substrate_indices: tuple[ComplexIndex, ...]
     layer_matrices: tuple[np.ndarray, ...] = field(repr=False)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layer_choices)
 
     @cached_property
     def fixed(self) -> dict[tuple[str, float, float], StructuredMatrix]:
@@ -513,7 +516,6 @@ def build_catalog(
             stacked[mats].setflags(write=False)
 
     return Catalog(
-        n_layers=config.layers,
         layer_choices=layer_choices,
         spectrum=spectrum,
         substrate_id=config.substrate,

@@ -29,12 +29,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arrayops import PRODUCT_LEFT, PRODUCT_RIGHT, PRODUCT_SIGN, box_max_denominator4
+from .arrayops import (
+    IDENTITY4, PRODUCT_LEFT, PRODUCT_RIGHT, PRODUCT_SIGN, X_ORDER, box_max_denominator4, plane_values,
+)
 from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
 from .materials import Catalog, invalid_header, invalid_name
 from .optics import IDENTITY, StructuredMatrix, denominator_D, multiply
-from .relax import X_ORDER, plane_values
 
 ENTRY_TAGS = ("11", "12", "21", "22")
 SENSES = ("<=", "=", ">=")
@@ -115,8 +116,7 @@ def _repeated(names: Sequence[str]) -> str | None:
 
 
 def _all_finite(*numbers: float) -> bool:
-    # a finite sum proves every term finite; only an overflowing one needs the terms
-    return math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers))
+    return all(map(math.isfinite, numbers))
 
 
 class Model:
@@ -302,7 +302,6 @@ _HEADER = [
 ]
 
 
-_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0])
 _TAG_OFFSETS = np.arange(4)
 
 
@@ -375,7 +374,7 @@ def _structure(
             row_names = [f"{prefix}_{tag}" for tag in ENTRY_TAGS]
             entering = _TAG_OFFSETS[:, None] + heads[k]
             if not k:
-                blocks.append((row_names, entering, 1.0, "=", _IDENTITY))
+                blocks.append((row_names, entering, 1.0, "=", IDENTITY4))
                 continue
             layer = catalog.layer_matrices[k - 1][:, li]  # (choices, 4)
             # row e of (copies * T) by the product table, linear in the copies

@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .arrayops import box_max_denominator4, denominator4
+from .arrayops import ENTRY_ORDER, X_ORDER, box_max_denominator4, denominator4
 from .bounds import EntryBounds
 from .errors import EmptyCandidateSet, InconsistentBounds, NoValidHyperplane, SingularSystem
 from .materials import Catalog
@@ -83,10 +83,6 @@ RESIDUAL_TOL = 1e-8
 DEDUPE_TOL = 1e-7
 #: Subsets fitted per batched solve; bounds the temporaries of one block.
 FIT_BLOCK = 1024
-#: Entry indices (into a11, a12, a21, a22) of (x1, x2, x3, x4) = (w11, w22, w12, w21).
-X_ORDER = (0, 3, 1, 2)
-#: Columns of an x-ordered (x1, x2, x3, x4) array in entry order (a11, a12, a21, a22).
-_ENTRY_ORDER = [X_ORDER.index(e) for e in range(4)]
 
 
 @dataclass(frozen=True)
@@ -108,15 +104,6 @@ class Box4:
 
     def contains(self, point: Sequence[float]) -> bool:
         return all(_inside(v, lo, hi) for v, lo, hi in zip(point, self.lower, self.upper))
-
-
-def plane_values(planes: np.ndarray, point: Sequence[float]) -> np.ndarray:
-    """``a0 + a1*x1 + a2*x2 + a3*x3 + a4*x4`` of each (P, 5) plane row at an x-ordered point.
-
-    Summed left to right, so each value is the double the scalar expression gives.
-    """
-    a0, a1, a2, a3, a4 = planes.T
-    return a0 + a1 * point[0] + a2 * point[1] + a3 * point[2] + a4 * point[3]
 
 
 def _inside(v: float, lo: float, hi: float) -> bool:
@@ -249,7 +236,7 @@ def constant_overapproximator(box: Box4, substrate: ComplexIndex) -> np.ndarray:
     It is one (1, 5) plane row, lifted like the fitted planes, by
     ``2 * REL_TOL`` times its size.
     """
-    lo, hi = np.array(box.lower)[_ENTRY_ORDER], np.array(box.upper)[_ENTRY_ORDER]
+    lo, hi = np.array(box.lower)[ENTRY_ORDER], np.array(box.upper)[ENTRY_ORDER]
     top = float(box_max_denominator4(lo, hi, substrate.re, substrate.im))
     return np.array([[top + 2.0 * REL_TOL * abs(top), 0.0, 0.0, 0.0, 0.0]])
 
@@ -326,7 +313,7 @@ def generate_overapproximators(box: Box4, substrate: ComplexIndex) -> np.ndarray
     (module docstring), with the result of fitting each subset in turn.
     """
     pts = collect_candidates(box)
-    gvals = denominator4(pts[:, _ENTRY_ORDER], substrate.re, substrate.im)
+    gvals = denominator4(pts[:, ENTRY_ORDER], substrate.re, substrate.im)
     if len(pts) < 5:
         raise NoValidHyperplane(f"only {len(pts)} candidates, need 5")
     center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0

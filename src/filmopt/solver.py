@@ -47,6 +47,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .arrayops import (
+    IDENTITY4,
     DenominatorScreen,
     box_max_denominator4,
     interval_product4,
@@ -67,7 +68,7 @@ Design = tuple[tuple[str, float], ...]
 OBJECTIVE_EPS = 1e-12
 #: The fewest prefixes the tail block leaves above the split, for B&B to cut.
 MIN_PREFIXES = 16
-#: The most designs brute force enumerates; above it, InstanceTooLarge.
+#: The most designs a search without a node budget may face; above it, InstanceTooLarge.
 LEAF_CAP = 100_000_000
 
 
@@ -205,6 +206,9 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
     cannot beat the incumbent).  Each surviving prefix is scored against
     the whole suffix table of the trailing layers at once.
     """
+    total = catalog.design_count()
+    if node_cap is None and total > LEAF_CAP:
+        raise InstanceTooLarge(f"{total} designs exceed cap {LEAF_CAP}")
     t0 = time.perf_counter()
     n_layers = catalog.n_layers
     if n_layers == 0:
@@ -282,7 +286,7 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
                 below = None if screened is None else tuple(m[j] for m in screened)
                 descend(depth + 1, chosen + [int(j)], child_bound[j], grand[j], below)
 
-    identity = np.tile(np.array([1.0, 0.0, 0.0, 1.0]), (n_wl, 1))
+    identity = np.tile(IDENTITY4, (n_wl, 1))
     if split == 0:
         leaf(identity, screen.margins(identity[None]), 0, [])
     else:
@@ -301,9 +305,6 @@ def brute_force(catalog: Catalog) -> SolveReport:
     Ties within the improvement tolerance keep the first (lexicographically
     smallest) design found.  Raises InstanceTooLarge above ``LEAF_CAP`` designs.
     """
-    total = catalog.design_count()
-    if total > LEAF_CAP:
-        raise InstanceTooLarge(f"{total} designs exceed cap {LEAF_CAP}")
     return _search(catalog, prune=False)
 
 
@@ -314,7 +315,8 @@ def branch_and_bound(catalog: Catalog, node_cap: int | None = None) -> SolveRepo
     child whose bound cannot beat the incumbent (plus tolerance) is pruned
     together with its whole subtree.  With `node_cap` set, the search stops
     early once that many designs were evaluated and the report is flagged as
-    incumbent-only.  Raises InternalError if a child's bound ever exceeds
-    its parent's (a sign of unsound suffix boxes).
+    incumbent-only; it runs at any size.  Without it, more than ``LEAF_CAP``
+    designs raise InstanceTooLarge.  Raises InternalError if a child's bound
+    ever exceeds its parent's (a sign of unsound suffix boxes).
     """
     return _search(catalog, prune=True, node_cap=node_cap)

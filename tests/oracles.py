@@ -6,9 +6,9 @@ scalar, on the StructuredMatrix API; the corner propagation of the entry
 bounds is ``conftest.corner_propagation``.  ``invalid_name`` checks all
 names in one joined text, where ``materials.invalid_name`` checks them in
 blocks, and ``import_lp`` parses the whole LP text into a dict per row,
-each row and the objective by its own copy of the term grammar, where
-``lpio.import_lp`` reads canonical rows by position in blocks into flat
-arrays.
+each row and the objective by its own copy of the term grammar, and
+checks row names and bounds one at a time, where ``lpio.import_lp`` reads
+canonical rows by position in blocks into flat arrays.
 ``solution_values`` reads a solution file line by line and parses every
 value, where ``lpio._solution_values`` parses each distinct value once.
 ``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from filmopt import relax
-from filmopt.arrayops import denominator4
+from filmopt.arrayops import ENTRY_ORDER, denominator4
 from filmopt.errors import EmptyCandidateSet, NoValidHyperplane, ParseError
 from filmopt.materials import _BAD_START, LP_SECTIONS, read_text
 from filmopt.model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables
@@ -227,6 +227,14 @@ def import_lp(path):
     bad = invalid_name([*listed, *unlisted, *row_names, *(q.name for q in quadratic)])
     if bad is not None:
         raise ParseError(f"{bad!r} is not a name")
+    seen = set()
+    for row in [*row_names, *(q.name for q in quadratic)]:
+        if row in seen:
+            raise ParseError(f"{row}: duplicate row name")
+        seen.add(row)
+    for vname, (lo, hi, _) in listed.items():
+        if lo > hi:
+            raise ParseError(f"{vname}: lower bound exceeds upper")
     bounds = [*listed.values(), *[(-math.inf, math.inf, False)] * len(unlisted)]
     lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
     variables = Variables((*listed, *unlisted), lower, upper, binary)
@@ -291,7 +299,7 @@ def dominating_fits(pts, gvals, subsets):
 def overapproximators(box, substrate):
     """``relax.generate_overapproximators`` with the fits of :func:`dominating_fits`."""
     pts = relax.collect_candidates(box)
-    gvals = denominator4(pts[:, relax._ENTRY_ORDER], substrate.re, substrate.im)
+    gvals = denominator4(pts[:, ENTRY_ORDER], substrate.re, substrate.im)
     if len(pts) < 5:
         raise NoValidHyperplane(f"only {len(pts)} candidates, need 5")
     center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0

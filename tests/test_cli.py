@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import filmopt
-from filmopt import lpio, model as model_mod, solver
+from filmopt import cli, errors, lpio, model as model_mod, solver
 from filmopt.cli import main
 from filmopt.errors import InternalError
 
@@ -62,12 +62,33 @@ class TestOptimize:
             designs.append((out / "design.json").read_text())
         assert designs[0] == designs[1]
 
-    def test_instance_too_large_exit_2(self, tmp_path):
+    @staticmethod
+    def big_config(tmp_path):
         cfg = dict(CONFIG, layers=40, thicknesses={"TiO2": list(range(20, 141, 10)),
                                                    "MgF2": list(range(50, 281, 10))})
         p = tmp_path / "big.json"
         p.write_text(json.dumps(cfg))
-        assert run("optimize", "--config", p, "--out", tmp_path / "o") == 2
+        return p
+
+    @pytest.mark.parametrize("mode", ["brute", "bnb"])
+    def test_instance_too_large_exit_2(self, tmp_path, mode):
+        # in a subprocess with a timeout: a search that skips the size cap does not end
+        env = dict(os.environ, PYTHONPATH=str(Path(filmopt.__file__).parents[1]))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "filmopt.cli", "optimize", "--config", str(self.big_config(tmp_path)),
+             "--out", str(out), "--mode", mode],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "exceed cap" in proc.stderr
+        assert not out.exists()
+
+    def test_instance_too_large_with_a_node_cap_returns_the_incumbent(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("optimize", "--config", self.big_config(tmp_path), "--out", out,
+                   "--mode", "bnb", "--cap-nodes", 1000) == 0
+        assert json.loads((out / "report.json").read_text())["proven_optimal"] is False
 
 
 class TestEvaluate:
@@ -258,7 +279,7 @@ class TestLayersLoaded:
         (["optimize", "--mode", "brute"], set()),
         (["optimize", "--mode", "bnb"], set()),
         (["heuristic", "--targets", "450,900"], {"heuristics.py"}),
-        (["export", "--kind", "miqcp"], {"model.py", "lpio.py", "relax.py"}),
+        (["export", "--kind", "miqcp"], {"model.py", "lpio.py"}),
     ], ids=["optimize-brute", "optimize-bnb", "heuristic", "export-miqcp"])
     def test_command_runs_only_its_layers(self, config_path, tmp_path, command, runs):
         out = fresh_python(LAYER_PROBE, *command, "--config", config_path, "--out", tmp_path / "o")
@@ -286,7 +307,29 @@ class TestLayersLoaded:
         assert out.split() == ["True", "True", "module"]
 
 
+#: The documented exit codes: 1 for a usage error, 2 for an instance this run cannot solve or decode, 3 for
+#: every other package error.
+USAGE_ERRORS = {"UsageError", "ParseError", "ValidationError", "OutOfRange", "MissingDispersion",
+                "SpectrumCoverage", "ConfigError", "InadmissibleDesign"}
+INSTANCE_ERRORS = {"InstanceError", "InstanceTooLarge", "InfeasibleAssignment"}
+ERROR_CLASSES = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.FilmoptError)]
+
+
 class TestExitCodes:
+    def test_the_code_tables_name_package_errors(self):
+        assert USAGE_ERRORS | INSTANCE_ERRORS <= {c.__name__ for c in ERROR_CLASSES}
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_package_error_exits_with_its_documented_code(self, error, config_path, tmp_path, monkeypatch,
+                                                                capsys):
+        def failing(**options):
+            raise error("planted")
+
+        monkeypatch.setattr(cli, "cmd_bounds", failing)
+        code = 1 if error.__name__ in USAGE_ERRORS else 2 if error.__name__ in INSTANCE_ERRORS else 3
+        assert run("bounds", "--config", config_path, "--out", tmp_path / "o") == code
+        assert capsys.readouterr().err == ("internal error: planted\n" if code == 3 else "error: planted\n")
+
     def test_bad_config_exit_1(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{broken")

@@ -244,6 +244,35 @@ def test_names_sums_and_empty_rows(tmp_path, monkeypatch, size):
         ("q1", {"x": 1.0}, {}), ("q2", {}, {("w", "z"): 1.0, ("v", "v"): -1.0})]
 
 
+@pytest.mark.parametrize("text, message", [
+    # a row name twice: among canonical rows, and once as a linear and once as a quadratic row
+    (HEAD + " c1: 1 x <= 1\n c2: 1 y <= 1\n c1: 2 x >= 0\nEnd\n", "c1: duplicate row name"),
+    (HEAD + " c1: x + [ x ^ 2 ] <= 1\n c1: 1 y <= 1\nEnd\n", "c1: duplicate row name"),
+    # a crossed bounds line, and crossed bounds a name keeps from its last line
+    (HEAD + " c1: 1 y <= 1\nBounds\n 0 <= x <= 1\n 2 <= y <= 1\nEnd\n", "y: lower bound exceeds upper"),
+    (HEAD + " c1: 1 y <= 1\nBounds\n 2 <= y <= 3\n 0 <= x <= 1\n 2 <= y <= 1\nEnd\n",
+     "y: lower bound exceeds upper"),
+    (HEAD + "Bounds\n inf <= x <= 1\nEnd\n", "x: lower bound exceeds upper"),
+    # the row check speaks first, as in Model.validate
+    (HEAD + " c1: 1 y <= 1\n c1: 1 y <= 1\nBounds\n 2 <= y <= 1\nEnd\n", "c1: duplicate row name"),
+], ids=["row-twice", "linear-and-quadratic-row", "crossed", "crossed-last", "infinite-lower", "row-first"])
+@pytest.mark.parametrize("size", SIZES)
+def test_text_the_writer_refuses_is_a_parse_error(tmp_path, monkeypatch, text, message, size):
+    path = tmp_path / "model.lp"
+    path.write_text(text, encoding="utf-8")
+    assert import_both(path, size, monkeypatch) == (message, message)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_crossed_bounds_a_later_line_replaces_are_read(tmp_path, monkeypatch, size):
+    path = tmp_path / "model.lp"
+    path.write_text(HEAD + " x: 1 y <= 1\nBounds\n 2 <= y <= 1\n 0 <= x <= 1\n 0 <= y <= 1\nBinaries\n x\nEnd\n",
+                    encoding="utf-8")
+    new, old = import_both(path, size, monkeypatch)
+    assert new == old and not isinstance(new, str)
+    lpio.export_lp(lpio.import_lp(path), tmp_path / "again.lp")
+
+
 NAME_PARTS = st.sampled_from(["x", "y_1", "é", "Ω", "end", "END", "Bounds", "maximize", "MiniMize", "binaries",
                               "subject", "1", ".", "-", "[", "^", "<", "=", " ", "\t", "\n", ":", "\xa0", ""])
 

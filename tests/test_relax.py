@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from filmopt import bounds, materials, optics, relax
-from filmopt.arrayops import denominator4
+from filmopt.arrayops import ENTRY_ORDER, denominator4, plane_values
 from filmopt.errors import (
     EmptyCandidateSet,
     InconsistentBounds,
@@ -31,7 +31,6 @@ from filmopt.relax import (
     fit_hyperplane,
     generate_overapproximators,
     hyperplanes_for_catalog,
-    plane_values,
 )
 
 import oracles
@@ -432,7 +431,7 @@ class TestSingularFits:
         pts = collect_candidates(box)
         pts = np.vstack([pts, pts[2]])  # every subset holding both copies is exactly singular
         pts -= (pts.min(axis=0) + pts.max(axis=0)) / 2.0
-        gvals = denominator4(pts[:, relax._ENTRY_ORDER], sub.re, sub.im)
+        gvals = denominator4(pts[:, ENTRY_ORDER], sub.re, sub.im)
         subsets = np.array(list(combinations(range(len(pts)), 5)))
         mat = np.ones((len(subsets), 5, 5))
         mat[:, :, 1:] = pts[subsets]

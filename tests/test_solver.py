@@ -114,7 +114,8 @@ class TestBruteForce:
     def test_instance_too_large(self):
         cat = tiny_catalog(n_layers=27, thick_a=(40.0,), thick_b=(90.0,))
         assert cat.design_count() == 2**27 > solver.LEAF_CAP
-        with patch.object(solver, "_search", side_effect=AssertionError("searched")):
+        # the cap is checked before any work: building the suffix table would trip this
+        with patch.object(solver, "_suffix_table", side_effect=AssertionError("searched")):
             with pytest.raises(InstanceTooLarge):
                 brute_force(cat)
 
@@ -178,6 +179,22 @@ class TestBranchAndBound:
         rep = branch_and_bound(cat, node_cap=1)
         assert not rep.proven_optimal
         assert rep.objective > 0
+
+    def test_node_cap_above_the_designs_proves_the_optimum(self):
+        cat = tiny_catalog(n_layers=3)
+        rep = branch_and_bound(cat, node_cap=cat.design_count() + 1)
+        assert rep.proven_optimal
+        assert rep.design == brute_force(cat).design
+
+    def test_instance_too_large_without_a_node_cap(self):
+        cat = tiny_catalog(n_layers=27, thick_a=(40.0,), thick_b=(90.0,))
+        assert cat.design_count() == 2**27 > solver.LEAF_CAP
+        with patch.object(solver, "_suffix_table", side_effect=AssertionError("searched")):
+            with pytest.raises(InstanceTooLarge):
+                branch_and_bound(cat)
+        rep = branch_and_bound(cat, node_cap=1)
+        assert not rep.proven_optimal
+        assert rep.nodes_explored >= 1
 
     def test_determinism(self):
         rng = random.Random(31)
