@@ -18,8 +18,10 @@ end is a constant.  Inside ``[ ]`` each name is followed by ``* name`` or
 a model name or header comment that breaks the rule of
 :func:`~filmopt.materials.invalid_header`, a ``-`` before ``[`` (the writer
 puts ``+``), a malformed bracket term, a NaN anywhere, an infinite
-coefficient, constant or right-hand side, a repeated row name and a lower
-bound above its upper one are a ``ParseError``.
+coefficient, constant or right-hand side, a repeated row name, a lower
+bound above its upper one and a continuous variable without finite bounds
+(a name on no bounds or binaries line is one) are a ``ParseError``: the
+reader refuses what :func:`export_lp` refuses.
 
 The reader takes a block of lines at a time, splits each line into tokens
 and keeps the block's tokens in one array.  Rows of the canonical shape
@@ -382,9 +384,11 @@ def import_lp(path: str | Path) -> Model:
 
     Lines indented by two spaces continue the line before; comment lines
     before the first section are the header, the first ``Model:`` one
-    naming the model.  Variables appear in Bounds order, then Binaries
-    order, then the unlisted ones (free) by name; a variable listed twice
-    keeps its first place and its last bounds.
+    naming the model.  Variables appear in the order of their first bounds
+    or binaries line, then the unlisted ones (free) by name; a variable
+    listed twice keeps its first place and its last bounds.  The first
+    continuous variable in that order without finite bounds, a free one
+    included, is a ``ParseError``.
 
     Each block's lines are split into one array of tokens.  Runs of
     canonical rows and bounds lines, and all binaries lines, are read by
@@ -526,6 +530,9 @@ def import_lp(path: str | Path) -> Model:
     crossed = variables.lower > variables.upper
     if crossed.any():
         raise ParseError(f"{variables.names[crossed.argmax()]}: lower bound exceeds upper")
+    unbounded = variables.unbounded()
+    if unbounded.any():
+        raise ParseError(f"{variables.names[unbounded.argmax()]}: continuous variable needs finite bounds")
     rows = LinearRows(
         variables.names, tuple(row_names), np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
         column[term_ids], vals, np.array(SENSES)[senses], rhs,

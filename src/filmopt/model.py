@@ -81,6 +81,10 @@ class Variables:
     def __len__(self) -> int:
         return len(self.names)
 
+    def unbounded(self) -> np.ndarray:
+        """Mask of the continuous variables without finite bounds, which LP text does not carry."""
+        return ~self.binary & ~(np.isfinite(self.lower) & np.isfinite(self.upper))
+
 
 @dataclass(frozen=True, eq=False)
 class LinearRows:
@@ -161,7 +165,7 @@ class Model:
         odd = np.flatnonzero(~np.isin(senses, SENSES))
         if len(odd):
             raise ValueError(f"{row_names[odd[0]]}: unknown row sense {str(senses[odd[0]])!r}")
-        unbounded = ~var.binary & ~(np.isfinite(var.lower) & np.isfinite(var.upper))
+        unbounded = var.unbounded()
         if unbounded.any():
             raise ValueError(f"{var.names[unbounded.argmax()]}: continuous variable needs finite bounds")
         crossed = var.lower > var.upper

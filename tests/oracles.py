@@ -236,6 +236,9 @@ def import_lp(path):
         if lo > hi:
             raise ParseError(f"{vname}: lower bound exceeds upper")
     bounds = [*listed.values(), *[(-math.inf, math.inf, False)] * len(unlisted)]
+    for vname, (lo, hi, binary) in zip([*listed, *unlisted], bounds):
+        if not binary and not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ParseError(f"{vname}: continuous variable needs finite bounds")
     lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
     variables = Variables((*listed, *unlisted), lower, upper, binary)
     column = {n: i for i, n in enumerate(variables.names)}

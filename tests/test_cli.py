@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import shutil
@@ -82,6 +83,9 @@ class TestOptimize:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and "exceed cap" in proc.stderr
+        # the way on: a node budget, which only bnb takes
+        rerun = {"brute": "--mode bnb --cap-nodes N", "bnb": "--cap-nodes N"}[mode]
+        assert f"rerun with {rerun} " in proc.stderr
         assert not out.exists()
 
     def test_instance_too_large_with_a_node_cap_returns_the_incumbent(self, tmp_path):
@@ -305,6 +309,41 @@ class TestLayersLoaded:
             " lpio.export_lp is cli.lpio.export_lp, type(lpio).__name__)"
         )
         assert out.split() == ["True", "True", "module"]
+
+
+#: Runs the module as ``python -m filmopt.cli`` does, with the arguments as ``sys.argv``, and prints its exit
+#: code and whether the import heap was frozen.
+ENTRY_PROBE = """
+import gc, runpy, sys
+sys.argv = ["filmopt", *sys.argv[1:]]
+try:
+    runpy.run_module("filmopt.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0, gc.isenabled())
+"""
+
+
+class TestEntry:
+    """Run as the program, ``main()`` freezes the import heap; ``main(argv)`` leaves the collector alone."""
+
+    def test_module_run_freezes_and_writes_what_main_argv_writes(self, config_path, tmp_path):
+        command = ["optimize", "--config", config_path, "--mode", "bnb", "--out"]
+        out = fresh_python(ENTRY_PROBE, *command, tmp_path / "module")
+        assert out.split()[-3:] == ["0", "True", "True"]
+        state = gc.isenabled(), gc.get_freeze_count()
+        assert run(*command, tmp_path / "argv") == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+        assert (tmp_path / "module/design.json").read_bytes() == (tmp_path / "argv/design.json").read_bytes()
+        reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in ("module", "argv")]
+        for report in reports:
+            del report["wall_time_s"]
+        assert reports[0] == reports[1]
+
+    def test_console_script_takes_the_argumentless_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(filmopt.__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8"))
+        # the installed ``filmopt`` command calls this with no argument
+        assert project["project"]["scripts"]["filmopt"] == "filmopt.cli:main"
 
 
 #: The documented exit codes: 1 for a usage error, 2 for an instance this run cannot solve or decode, 3 for

@@ -121,7 +121,8 @@ def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, size
     assert new == old
 
 
-HEAD = "Maximize\n obj: x\nSubject To\n"
+#: The head of the hand-written texts: x, y and z get finite bounds, as a continuous variable must.
+HEAD = "Maximize\n obj: x\nBounds\n 0 <= x <= 1\n 0 <= y <= 1\n 0 <= z <= 1\nSubject To\n"
 
 
 @pytest.mark.parametrize("space", ["\t", "\x1f", "\xa0", "\u3000"])
@@ -227,15 +228,15 @@ def test_names_sums_and_empty_rows(tmp_path, monkeypatch, size):
     path.write_text(
         "Maximize\n obj: z + 2 b\nSubject To\n c1: x + 2 x - y + y <= 3\n c0: 0 <= 1\n c2: 5 >= 2\n"
         " q1: x + [ ] <= 1\n q2: [ w * z - v ^ 2 ] <= 4\nBounds\n 0 <= y <= 1\n 0 <= x <= 2\n"
-        "Binaries\n b x\nEnd\n", encoding="utf-8")
+        "Binaries\n b x\nBounds\n 0 <= z <= 1\n 0 <= w <= 1\n -1 <= v <= 0\nEnd\n", encoding="utf-8")
     new, old = import_both(path, size, monkeypatch)
     assert new == old
     with monkeypatch.context() as patch:
         patch.setattr(lpio, "_READ_CHARS", size)
         m = lpio.import_lp(path)
     var = m.variables
-    # bounds order, then binaries order, then the free names by name; x keeps its first place and last kind
-    assert var.names == ("y", "x", "b", "v", "w", "z")
+    # the order of first listing; x keeps its first place and last kind
+    assert var.names == ("y", "x", "b", "z", "w", "v")
     assert var.binary.tolist() == [False, True, True, False, False, False]
     assert var.upper.tolist()[:3] == [1.0, 1.0, 1.0]
     assert linear_rows(m) == [
@@ -260,6 +261,27 @@ def test_names_sums_and_empty_rows(tmp_path, monkeypatch, size):
 def test_text_the_writer_refuses_is_a_parse_error(tmp_path, monkeypatch, text, message, size):
     path = tmp_path / "model.lp"
     path.write_text(text, encoding="utf-8")
+    assert import_both(path, size, monkeypatch) == (message, message)
+
+
+@pytest.mark.parametrize("text, name", [
+    # a name on no bounds or binaries line, in a linear row and only in a quadratic row
+    ("Maximize\n obj: x\nSubject To\n c1: 1 x <= 1\nEnd\n", "x"),
+    ("Maximize\n obj: x\nSubject To\n q1: [ y ^ 2 ] <= 1\nBounds\n 0 <= x <= 1\nEnd\n", "y"),
+    # infinite bounds on a bounds line, on both sides and on one
+    ("Maximize\n obj: x\nSubject To\n c1: 1 x <= 1\nBounds\n -inf <= x <= inf\nEnd\n", "x"),
+    ("Maximize\n obj: x\nSubject To\n c1: 1 x <= 1\nBounds\n -inf <= x <= 1\nEnd\n", "x"),
+    # a binary that a later bounds line makes continuous
+    ("Maximize\n obj: x\nBinaries\n x\nBounds\n 0 <= x <= inf\nEnd\n", "x"),
+    # the first in variable order: listed names before unlisted ones
+    ("Maximize\n obj: a + x + z\nBounds\n 0 <= x <= 1\n -inf <= z <= 1\nEnd\n", "z"),
+], ids=["unlisted", "unlisted-quadratic", "infinite-both", "infinite-lower", "binary-made-continuous", "first"])
+@pytest.mark.parametrize("size", SIZES)
+def test_a_continuous_variable_without_finite_bounds_is_a_parse_error(tmp_path, monkeypatch, text, name, size):
+    # the writer refuses such a model, so the reader does too, with the writer's message
+    path = tmp_path / "model.lp"
+    path.write_text(text, encoding="utf-8")
+    message = f"{name}: continuous variable needs finite bounds"
     assert import_both(path, size, monkeypatch) == (message, message)
 
 

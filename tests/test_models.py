@@ -440,10 +440,14 @@ class TestLpExport:
 
     def test_imported_model_is_validated_before_writing(self, tmp_path):
         path = tmp_path / "in.lp"
-        path.write_text("Maximize\n obj: 1 x\nSubject To\n c1: 1 x + 1 y <= 1\nBinaries\n x\nEnd\n")
-        parsed = lpio.import_lp(path)  # y appears in no bounds line, so it is unbounded
-        with pytest.raises(ValueError, match="finite bounds"):
-            lpio.export_lp(parsed, tmp_path / "out.lp")
+        path.write_text("Maximize\n obj: 1 x\nSubject To\n c1: 1 x + 1 y <= 1\nBounds\n 0 <= y <= 1\n"
+                        "Binaries\n x\nEnd\n")
+        parsed = lpio.import_lp(path)
+        # y loses its upper bound after the import (the reader refuses an unbounded y itself)
+        var = dataclasses.replace(parsed.variables, upper=np.array([np.inf, 1.0]))
+        unbounded = Model(parsed.name, var, parsed.linear, parsed.quadratic, parsed.objective)
+        with pytest.raises(ValueError, match="y: continuous variable needs finite bounds"):
+            lpio.export_lp(unbounded, tmp_path / "out.lp")
         assert not (tmp_path / "out.lp").exists()
 
     def test_blocks_join_to_the_one_string_text(self, tmp_path, monkeypatch):
@@ -521,7 +525,7 @@ class TestLpExport:
     def test_missing_coefficient_is_one(self, tmp_path):
         p = tmp_path / "implicit.lp"
         p.write_text("Maximize\n obj: x\nSubject To\n c1: x + y <= 1\n c2: - x >= -3\n"
-                     " q1: y + [ x * y - x ^ 2 ] <= 2\nEnd\n")
+                     " q1: y + [ x * y - x ^ 2 ] <= 2\nBounds\n 0 <= x <= 1\n 0 <= y <= 1\nEnd\n")
         m = lpio.import_lp(p)
         assert m.objective.coeffs == {"x": 1.0}
         assert linear_rows(m) == [
