@@ -18,29 +18,18 @@ end is a constant.  Inside ``[ ]`` each name is followed by ``* name`` or
 a model name or header comment that breaks the rule of
 :func:`~filmopt.materials.invalid_header`, a ``-`` before ``[`` (the writer
 puts ``+``), a malformed bracket term, a NaN anywhere, an infinite
-coefficient, constant or right-hand side, a repeated row name, a lower
-bound above its upper one and a continuous variable without finite bounds
-(a name on no bounds or binaries line is one) are a ``ParseError``: the
-reader refuses what :func:`export_lp` refuses.
-
-The reader takes a block of lines at a time, splits each line into tokens
-and keeps the block's tokens in one array.  Rows of the canonical shape
-``name: [s] c n {s c n} sense rhs``, the shape the writer gives every
-linear row but an empty one, are read by position, as are
-``lo <= name <= hi`` bounds lines and all binaries lines: each distinct
-number is parsed once and names get their ids through one map.  Every
-other line goes through the scalar grammar in file order: a
-comment, a section header, the objective, a row with a ``[``, a constant,
-a missing coefficient, a repeated name or a token that is no finite
-number where one must be.  So a file reads as if each line were read by
-the grammar, errors included.
+coefficient, constant or right-hand side, a repeated row name, a second
+objective line, a lower bound above its upper one and a continuous variable
+without finite bounds (a name on no bounds or binaries line is one) are a
+``ParseError``: the reader refuses what :func:`export_lp` refuses.
 
 Memory grows with the model, not with its text.  :func:`export_lp`
 formats and writes one block of ``_BLOCK_LINES`` rows, bounds or lines at
 a time.  :func:`import_lp` reads ``_READ_CHARS`` characters at a time, cut
-back to whole lines, whose tokens are one string each until the block is
-read, and appends each block's columns to growing arrays, never holding the
-whole text or a dict per row.
+back to whole lines, and reads each line by the grammar in file order: one
+split, and :func:`_terms` for a row or the objective.  It appends each
+row's, bounds line's and binaries line's numbers to growing arrays, never
+holding the whole text or a dict per row.
 
 Solution files are plain `name value` pairs, one per line, read in chunks of
 the same size and then line by line; an error names its line.
@@ -50,7 +39,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -266,26 +255,10 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
     return lin, quad, const
 
 
-#: Characters the reader takes from the file at once, about a thousand lines of the writer's text.  Each token
-#: is a string object until its block is read, so the reader's blocks are a quarter of the writer's.
+#: Characters the reader takes from the file at once, about a thousand lines of the writer's text.
 _READ_CHARS = 96 * 1024
-#: The value of each sign token, and the index in ``SENSES`` of each sense.
-_SIGNS = {"+": 1.0, "-": -1.0}
+#: The index in ``SENSES`` of each sense.
 _SENSE_INDEX = {sense: i for i, sense in enumerate(SENSES)}
-#: Hashes of the tokens no name may be, for the canonical-row check; a collision only costs speed.
-_TERM_END_HASHES = np.array([hash(tok) for tok in _TERM_ENDS], np.int64)
-
-
-class _Numbers(dict):
-    """``float`` of each text, parsed at its first lookup; NaN for a text that is no number."""
-
-    def __missing__(self, text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        self[text] = value
-        return value
 
 
 def _line_blocks(path: str | Path) -> Iterator[list[str]]:
@@ -311,74 +284,6 @@ def _line_blocks(path: str | Path) -> Iterator[list[str]]:
         yield lines
 
 
-def _block_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tokens of a block of lines, each line's token count, and the mask of item lines.
-
-    An item line starts with a space and holds more than two tokens, so it
-    is no comment, section header or blank line.
-    """
-    parts = [line.split() for line in lines]
-    counts = np.fromiter(map(len, parts), np.intp, len(parts))
-    tokens = np.fromiter(chain.from_iterable(parts), object, counts.sum())
-    items = np.fromiter((line[:1] == " " for line in lines), bool, len(lines))
-    return tokens, counts, items & (counts > 2)
-
-
-def _rows(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple:
-    """A run of ``Subject To`` lines read by position, as far as they have the canonical shape.
-
-    A canonical row is ``name: [s] c n {s c n} sense rhs``: its only colon
-    ends its first token, every term but the first has a sign, each name
-    follows a finite number and is no sign or bracket, no name repeats,
-    the sense is known and the right-hand side finite.  Returns the mask of
-    canonical rows, each row's name, the index of its first term (and the
-    term count at the end), each term's name and coefficient, and each
-    row's term count, sense index and right-hand side.
-    """
-    numbers = _Numbers()
-    terms, signed = (counts - 2) // 3, counts % 3 == 0
-    good = (counts % 3 != 1) & (terms > 0)
-    terms[~good] = 0
-    first = np.concatenate([[0], np.cumsum(terms)])
-    row = np.repeat(np.arange(len(counts)), terms)
-    nth = np.arange(first[-1]) - first[row]
-    at = (starts + 1 + signed)[row] + 3 * nth  # each term's coefficient
-    signs = np.ones(len(at))
-    has_sign = signed[row] | (nth > 0)
-    signs[has_sign] = np.fromiter(map(_SIGNS.get, tokens[at[has_sign] - 1].tolist(), repeat(math.nan)), float)
-    # the scalar grammar adds each coefficient to 0.0, so "- 0 x" gives +0.0
-    vals = signs * np.fromiter(map(numbers.__getitem__, tokens[at].tolist()), float, len(at)) + 0.0
-    names = tokens[at + 1].tolist()
-    hashes = np.fromiter(map(hash, names), np.int64, len(names))
-    good[row[~np.isfinite(vals) | np.isin(hashes, _TERM_END_HASHES)]] = False
-    keys = np.sort(row << 32 | hashes & 0xFFFFFFFF)  # equal keys: a row that may repeat a name
-    good[keys[1:][keys[1:] == keys[:-1]] >> 32] = False
-    senses = np.fromiter(map(_SENSE_INDEX.get, tokens[starts + counts - 2].tolist(), repeat(-1)), np.intp)
-    rhs = np.fromiter(map(numbers.__getitem__, tokens[starts + counts - 1].tolist()), float, len(counts))
-    good &= (senses >= 0) & np.isfinite(rhs)
-    heads = tokens[starts].tolist()
-    good &= np.array([h.count(":") == 1 and h.endswith(":") for h in heads], bool)
-    heads = [h[:-1] for h in heads]
-    return good, heads, first, names, vals, terms, senses, rhs
-
-
-def _bounds(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> tuple:
-    """A run of ``Bounds`` lines read by position: the mask of ``lo <= name <= hi`` lines whose bounds are
-    numbers and not NaN, and each line's name, lower and upper bound."""
-    numbers = _Numbers()
-    words = tokens[starts[:, None] + np.minimum(np.arange(5), counts[:, None] - 1)]
-    lower = np.fromiter(map(numbers.__getitem__, words[:, 0].tolist()), float, len(words))
-    upper = np.fromiter(map(numbers.__getitem__, words[:, 4].tolist()), float, len(words))
-    good = (counts == 5) & (words[:, 1] == "<=") & (words[:, 3] == "<=") & ~np.isnan(lower) & ~np.isnan(upper)
-    return good, words[:, 2].tolist(), lower, upper
-
-
-def _append(columns: list[array], *values) -> None:
-    """Append each of `values`, a sequence or an array, to its column."""
-    for column, value in zip(columns, values):
-        column.frombytes(np.asarray(value, column.typecode).tobytes())
-
-
 def import_lp(path: str | Path) -> Model:
     """Parse LP text in the dialect :func:`export_lp` writes.
 
@@ -388,36 +293,24 @@ def import_lp(path: str | Path) -> Model:
     or binaries line, then the unlisted ones (free) by name; a variable
     listed twice keeps its first place and its last bounds.  The first
     continuous variable in that order without finite bounds, a free one
-    included, is a ``ParseError``.
+    included, is a ``ParseError``, as is a second objective line.
 
-    Each block's lines are split into one array of tokens.  Runs of
-    canonical rows and bounds lines, and all binaries lines, are read by
-    position; every other line goes through the scalar grammar, in file
-    order.  Each name gets an id at its first use, and one take maps the
-    ids to columns at the end.
+    Each line is split once and read by the grammar, in file order.  Each
+    name gets an id at its first use, the rows, bounds and binaries go into
+    growing columns, and one take maps the ids to columns at the end.
     """
-    name, header, objective = "", [], Objective({})
+    name, header, objective, objective_read = "", [], Objective({}), False
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a name's id is the count of names seen before it
-
-    def to_ids(names: list[str]) -> np.ndarray:
-        return np.fromiter(map(ids.__getitem__, names), np.intp, len(names))
-
     # Columns that grow in file order: (id, binary, lower, upper) of each name on a bounds or binaries
     # line, and (term ids, coefficients, term counts, sense indices, rhs) of the linear rows.  They are
     # ``array`` buffers, which grow in place and which numpy reads without a copy.
-    listed = [array(t) for t in "qbdd"]
-    linear = [array(t) for t in "qdqqd"]
+    listed = listed_ids, binary, lower, upper = [array(t) for t in "qbdd"]
+    linear = term_ids, coeffs, lengths, senses, rhs = [array(t) for t in "qdqqd"]
     row_names: list[str] = []
     quadratic: list[QuadraticConstraint] = []
     section = None
-
-    def binaries(names: list[str]) -> None:
-        _append(listed, to_ids(names), np.ones(len(names)), np.zeros(len(names)), np.ones(len(names)))
-
-    def line(raw: str) -> bool:
-        """Read one line by the scalar grammar; True at End."""
-        nonlocal name, objective, section
+    for raw in chain.from_iterable(_line_blocks(path)):
         if raw.startswith("\\"):
             if section is None:
                 content = raw[1:].strip()
@@ -425,16 +318,39 @@ def import_lp(path: str | Path) -> Model:
                     name = content[6:].strip()
                 else:
                     header.append(content)
-            return False
+            continue
         key = raw.strip().lower()
         if key in LP_SECTIONS:
+            if key == "end":
+                break
             section = key
             if key in ("maximize", "minimize"):
                 section, objective.sense = "objective", key[:3]
-            return key == "end"
+            continue
         if not key:
-            return False
-        if section == "bounds":
+            continue
+        if section == "subject to":
+            row, colon, body = raw.partition(":")
+            row, tokens = row.strip(), body.split()
+            if not colon or len(tokens) < 2 or tokens[-2] not in SENSES:
+                raise ParseError(f"expected 'name: terms sense rhs', got {raw.strip()!r}")
+            try:
+                value = _finite(tokens[-1])
+            except ValueError:
+                raise ParseError(f"{row}: expected a finite number after {tokens[-2]!r}") from None
+            lin, quad, const = _terms(tokens[:-2])
+            if quad is None:
+                row_names.append(row)
+                term_ids.extend(map(ids.__getitem__, lin))
+                coeffs.extend(lin.values())
+                lengths.append(len(lin))
+                senses.append(_SENSE_INDEX[tokens[-2]])
+                rhs.append(value - const)
+            else:
+                for term in chain(lin, *quad):
+                    ids[term]  # a name's first use gives it an id
+                quadratic.append(QuadraticConstraint(row, quad, lin, tokens[-2], value - const))
+        elif section == "bounds":
             toks = raw.split()
             if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
                 raise ParseError(f"unsupported bounds line: {raw.strip()!r}")
@@ -444,74 +360,28 @@ def import_lp(path: str | Path) -> Model:
                 raise ParseError(f"non-numeric bound: {raw.strip()!r}") from None
             if math.isnan(lo) or math.isnan(hi):
                 raise ParseError(f"NaN bound: {raw.strip()!r}")
-            _append(listed, [ids[toks[2]]], [False], [lo], [hi])
+            listed_ids.append(ids[toks[2]])
+            binary.append(False)
+            lower.append(lo)
+            upper.append(hi)
         elif section == "binaries":
-            binaries(raw.split())
+            toks = raw.split()
+            listed_ids.extend(map(ids.__getitem__, toks))
+            binary.extend([True] * len(toks))
+            lower.extend([0.0] * len(toks))
+            upper.extend([1.0] * len(toks))
         elif section == "objective":
+            if objective_read:
+                raise ParseError(f"second objective line: {raw.strip()!r}")
             head, colon, body = raw.partition(":")
             lin, quad, const = _terms((body if colon else head).split())
             if quad is not None:
                 raise ParseError("quadratic objective not supported")
-            objective = Objective(lin, const, objective.sense)
-            to_ids(list(lin))
-        elif section == "subject to":
-            row, colon, body = raw.partition(":")
-            row, tokens = row.strip(), body.split()
-            if not colon or len(tokens) < 2 or tokens[-2] not in SENSES:
-                raise ParseError(f"expected 'name: terms sense rhs', got {raw.strip()!r}")
-            try:
-                rhs = _finite(tokens[-1])
-            except ValueError:
-                raise ParseError(f"{row}: expected a finite number after {tokens[-2]!r}") from None
-            lin, quad, const = _terms(tokens[:-2])
-            if quad is None:
-                row_names.append(row)
-                _append(linear, to_ids(list(lin)), list(lin.values()), [len(lin)], [_SENSE_INDEX[tokens[-2]]],
-                        [rhs - const])
-            else:
-                to_ids([*lin, *chain(*quad)])
-                quadratic.append(QuadraticConstraint(row, quad, lin, tokens[-2], rhs - const))
+            objective, objective_read = Objective(lin, const, objective.sense), True
+            for term in lin:
+                ids[term]
         else:
             raise ParseError(f"content outside any section: {raw.strip()!r}")
-        return False
-
-    def runs(lines: list[str], good: np.ndarray, read) -> bool:
-        """``read(p, q)`` for each run ``lines[p:q]`` of good lines and ``line`` for each other line, in
-        file order; True at End."""
-        done = 0
-        for i in [*np.flatnonzero(~good).tolist(), len(lines)]:
-            if done < i:
-                read(done, i)
-            if i < len(lines) and line(lines[i]):
-                return True
-            done = i + 1
-        return False
-
-    def items(lines: list[str], tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> None:
-        """Read a run of item lines of the current section."""
-        if section == "subject to":
-            good, heads, first, names, vals, terms, senses, rhs = _rows(tokens, starts, counts)
-
-            def read(p: int, q: int) -> None:
-                row_names.extend(heads[p:q])
-                lo, hi = first[p], first[q]
-                _append(linear, to_ids(names[lo:hi]), vals[lo:hi], terms[p:q], senses[p:q], rhs[p:q])
-        elif section == "bounds":
-            good, names, lower, upper = _bounds(tokens, starts, counts)
-
-            def read(p: int, q: int) -> None:
-                _append(listed, to_ids(names[p:q]), np.zeros(q - p), lower[p:q], upper[p:q])
-        elif section == "binaries":
-            return binaries(tokens[starts[0]:starts[-1] + counts[-1]].tolist())
-        else:
-            good, read = np.zeros(len(lines), bool), None
-        runs(lines, good, read)
-
-    for lines in _line_blocks(path):
-        tokens, counts, is_item = _block_tokens(lines)
-        starts = np.cumsum(counts) - counts
-        if runs(lines, is_item, lambda p, q: items(lines[p:q], tokens, starts[p:q], counts[p:q])):
-            break
     name = name or Path(path).stem
     bad = invalid_header(name, header)
     if bad is not None:
@@ -519,7 +389,7 @@ def import_lp(path: str | Path) -> Model:
     # the id map is freed as soon as its names have moved, to keep the peak low
     names = np.fromiter(ids, object, len(ids))
     ids.clear()
-    term_ids, vals, lengths, senses, rhs = (np.frombuffer(c, c.typecode) for c in linear)
+    term_ids, coeffs, lengths, senses, rhs = (np.frombuffer(c, c.typecode) for c in linear)
     variables, column = _variables(names, *(np.frombuffer(c, t) for c, t in zip(listed, "q?dd")))
     bad = invalid_name(chain(variables.names, row_names, (q.name for q in quadratic)))
     if bad is not None:
@@ -535,7 +405,7 @@ def import_lp(path: str | Path) -> Model:
         raise ParseError(f"{variables.names[unbounded.argmax()]}: continuous variable needs finite bounds")
     rows = LinearRows(
         variables.names, tuple(row_names), np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
-        column[term_ids], vals, np.array(SENSES)[senses], rhs,
+        column[term_ids], coeffs, np.array(SENSES)[senses], rhs,
     )
     return Model(name, variables, rows, quadratic, objective, header)
 

@@ -8,7 +8,7 @@ names in one joined text, where ``materials.invalid_name`` checks them in
 blocks, and ``import_lp`` parses the whole LP text into a dict per row,
 each row and the objective by its own copy of the term grammar, and
 checks row names and bounds one at a time, where ``lpio.import_lp`` reads
-canonical rows by position in blocks into flat arrays.
+the text in chunks and appends each row to flat arrays.
 ``solution_values`` reads a solution file line by line and parses every
 value, where ``lpio._solution_values`` parses each distinct value once.
 ``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
@@ -149,7 +149,7 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
 def import_lp(path):
     """LP text -> Model: the whole text at once, continuations joined by one replace, a dict per row."""
     text = read_text(path).replace("\n  ", " ")
-    name, header, objective = "", [], Objective({})
+    name, header, objective, objective_read = "", [], Objective({}), False
     listed: dict[str, tuple[float, float, bool]] = {}  # name -> (lower, upper, binary)
     used: set[str] = set()
     row_names: list[str] = []
@@ -192,6 +192,9 @@ def import_lp(path):
             for vname in raw.split():
                 listed[vname] = (0.0, 1.0, True)
         elif section == "objective":
+            if objective_read:
+                raise ParseError(f"second objective line: {raw.strip()!r}")
+            objective_read = True
             head, colon, body = raw.partition(":")
             lin, quad, const = _terms((body if colon else head).split())
             if quad is not None:

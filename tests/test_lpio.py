@@ -1,4 +1,4 @@
-"""The block-wise LP reader against the whole-text oracle, and the memory budgets of the export path."""
+"""The chunked LP reader against the whole-text oracle, and the memory budgets of the export path."""
 import dataclasses
 import functools
 import io
@@ -101,10 +101,10 @@ def test_random_models_import_as_the_oracle(tmp_path, monkeypatch, m, size):
 LP_WORDS = ["Maximize", "Minimize", "Subject To", "Bounds", "Binaries", "End", "\\ Model: m", "\\ note",
             "obj:", "c1:", "c2:", "q1:", "+", "-", "[", "]", "*", "^ 2", "0", "1.5", "-3", "x", "y", "z", "<=",
             ">=", "=", "0 <= x <= 1", "-1 <= y <= 2",
-            # rows of the canonical shape, read by position
+            # rows of the shape the writer gives every linear row but an empty one
             "c3: 2 x - 1.5 y + 0 z <= 4", "c4: - 1 x + 3 y >= -2", "c5: 1 y - 0 x = -0", "c6: 0.5 z <= 1e3",
-            # shapes that take the scalar grammar: a constant, non-finite numbers, a repeated name, a row
-            # head with a space and a second colon
+            # rows the writer never gives: a constant, non-finite numbers, a repeated name, a row head with a
+            # space and a second colon
             "+2", "1e999", "inf", "nan", "c7: 1 x + 2 x >= 1", "c 8: 1 x <= 1", "c9:c10: 1 x <= 1",
             "c11: 1 x + 1e999 y <= 1", "c12: 1 x <= nan", "inf <= z <= 1"]
 LP_BREAKS = ["\n", "\n ", "\n  ", "\n   ", "\r\n", "\r\n  ", "\r", "\r  ", "\x0c", "\x0c  ", "\x1e", "\x85",
@@ -245,6 +245,22 @@ def test_names_sums_and_empty_rows(tmp_path, monkeypatch, size):
         ("q1", {"x": 1.0}, {}), ("q2", {}, {("w", "z"): 1.0, ("v", "v"): -1.0})]
 
 
+@pytest.mark.parametrize("text", [
+    # a one-space indent starts a line, so "+ 2 y" is a second objective line, not a continuation
+    "Maximize\n obj: 1 x\n + 2 y\nBounds\n 0 <= x <= 1\n 0 <= y <= 1\nEnd\n",
+    # a second objective section
+    HEAD + " c1: 1 x <= 1\nMaximize\n obj: 2 y\nEnd\n",
+    HEAD + " c1: 1 x <= 1\nMinimize\n obj: 2 y\nEnd\n",
+], ids=["one-space-indent", "second-maximize", "then-minimize"])
+@pytest.mark.parametrize("size", SIZES)
+def test_a_second_objective_line_is_a_parse_error(tmp_path, monkeypatch, text, size):
+    path = tmp_path / "model.lp"
+    path.write_text(text, encoding="utf-8")
+    second = "+ 2 y" if "+ 2 y" in text else "obj: 2 y"
+    message = f"second objective line: {second!r}"
+    assert import_both(path, size, monkeypatch) == (message, message)
+
+
 @pytest.mark.parametrize("text, message", [
     # a row name twice: among canonical rows, and once as a linear and once as a quadratic row
     (HEAD + " c1: 1 x <= 1\n c2: 1 y <= 1\n c1: 2 x >= 0\nEnd\n", "c1: duplicate row name"),
@@ -375,15 +391,6 @@ def broad_lp(tmp_path_factory):
     lpio.export_lp(bundled_model("broad_n20_theta2", "Tungsten", "misocp"), path)
     lpio.import_lp(path)  # the first call loads what numpy loads lazily
     return path
-
-
-def test_only_the_quadratic_rows_and_the_objective_take_the_scalar_grammar(broad_lp, monkeypatch):
-    calls = []
-    terms = lpio._terms
-    monkeypatch.setattr(lpio, "_terms", lambda tokens: calls.append(tokens) or terms(tokens))
-    m = lpio.import_lp(broad_lp)
-    assert len(m.quadratic) == 13
-    assert len(calls) == len(m.quadratic) + 1
 
 
 def test_import_peaks_below_three_times_the_text(broad_lp):
