@@ -14,7 +14,7 @@ first attribute access.  So ``optimize`` loads none of the four;
 ``hyperplanes`` and ``extreme-points`` load ``relax``; ``export`` loads
 ``model`` and ``lpio``, and ``relax`` too for ``--kind misocp``.  A run
 from a source tree without bytecode caches compiles every module it loads,
-and the four are about 1,570 lines that ``optimize`` never calls.  Exit
+and the four are about 1,440 lines that ``optimize`` never calls.  Exit
 codes follow the bases in :mod:`filmopt.errors`: ``UsageError`` 1,
 ``InstanceError`` 2.
 

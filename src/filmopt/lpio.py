@@ -13,15 +13,11 @@ An expression is a run of terms ``[+|-] [coef] name``: a missing
 coefficient is 1, and a coefficient followed by a sign, a bracket or the
 end is a constant.  Inside ``[ ]`` each name is followed by ``* name`` or
 ``^ 2``.  A row is ``name: expression sense rhs``, a bounds line
-``lo <= name <= hi``.  A name that breaks the rule of
-:func:`~filmopt.materials.invalid_name` (the one ``Model.validate`` applies),
-a model name or header comment that breaks the rule of
-:func:`~filmopt.materials.invalid_header`, a ``-`` before ``[`` (the writer
-puts ``+``), a malformed bracket term, a NaN anywhere, an infinite
-coefficient, constant or right-hand side, a repeated row name, a second
-objective line, a lower bound above its upper one and a continuous variable
-without finite bounds (a name on no bounds or binaries line is one) are a
-``ParseError``: the reader refuses what :func:`export_lp` refuses.
+``lo <= name <= hi``.  A ``-`` before ``[`` (the writer puts ``+``), a
+malformed bracket term, a NaN anywhere, an infinite coefficient, constant or
+right-hand side and a second objective line are a ``ParseError``; so is
+a model that breaks a rule of ``Model.validate``, with that rule's message.
+The reader refuses what :func:`export_lp` refuses.
 
 Memory grows with the model, not with its text.  :func:`export_lp`
 formats and writes one block of ``_BLOCK_LINES`` rows, bounds or lines at
@@ -46,10 +42,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InfeasibleAssignment, ParseError
-from .materials import (
-    _BLOCK_LINES, LP_SECTIONS, Catalog, invalid_header, invalid_name, read_chunks, write_atomic,
-)
-from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, _repeated, x_name
+from .materials import _BLOCK_LINES, LP_SECTIONS, Catalog, read_chunks, write_atomic
+from .model import SENSES, LinearRows, Model, Objective, QuadraticConstraint, Variables, x_name
 
 _MAX_LINE = 200
 
@@ -291,13 +285,26 @@ def import_lp(path: str | Path) -> Model:
     before the first section are the header, the first ``Model:`` one
     naming the model.  Variables appear in the order of their first bounds
     or binaries line, then the unlisted ones (free) by name; a variable
-    listed twice keeps its first place and its last bounds.  The first
-    continuous variable in that order without finite bounds, a free one
-    included, is a ``ParseError``, as is a second objective line.
+    listed twice keeps its first place and its last bounds.  A second
+    objective line is a ``ParseError``, and so is a model that breaks a
+    rule of ``Model.validate``, with its message.
+    """
+    model = _read_lp(path)
+    try:
+        model.validate()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return model
+
+
+def _read_lp(path: str | Path) -> Model:
+    """The model of the LP text at `path`, not yet validated.
 
     Each line is split once and read by the grammar, in file order.  Each
     name gets an id at its first use, the rows, bounds and binaries go into
-    growing columns, and one take maps the ids to columns at the end.
+    growing columns, and one take maps the ids to columns at the end.  The
+    columns die with this call, so they are gone before the model is
+    validated.
     """
     name, header, objective, objective_read = "", [], Objective({}), False
     ids: defaultdict[str, int] = defaultdict()
@@ -382,32 +389,16 @@ def import_lp(path: str | Path) -> Model:
                 ids[term]
         else:
             raise ParseError(f"content outside any section: {raw.strip()!r}")
-    name = name or Path(path).stem
-    bad = invalid_header(name, header)
-    if bad is not None:
-        raise ParseError(f"{bad!r}: not a name or header comment LP text can carry")
     # the id map is freed as soon as its names have moved, to keep the peak low
     names = np.fromiter(ids, object, len(ids))
     ids.clear()
     term_ids, coeffs, lengths, senses, rhs = (np.frombuffer(c, c.typecode) for c in linear)
     variables, column = _variables(names, *(np.frombuffer(c, t) for c, t in zip(listed, "q?dd")))
-    bad = invalid_name(chain(variables.names, row_names, (q.name for q in quadratic)))
-    if bad is not None:
-        raise ParseError(f"{bad!r} is not a name")
-    repeated = _repeated([*row_names, *(q.name for q in quadratic)])
-    if repeated is not None:
-        raise ParseError(f"{repeated}: duplicate row name")
-    crossed = variables.lower > variables.upper
-    if crossed.any():
-        raise ParseError(f"{variables.names[crossed.argmax()]}: lower bound exceeds upper")
-    unbounded = variables.unbounded()
-    if unbounded.any():
-        raise ParseError(f"{variables.names[unbounded.argmax()]}: continuous variable needs finite bounds")
     rows = LinearRows(
         variables.names, tuple(row_names), np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
         column[term_ids], coeffs, np.array(SENSES)[senses], rhs,
     )
-    return Model(name, variables, rows, quadratic, objective, header)
+    return Model(name or Path(path).stem, variables, rows, quadratic, objective, header)
 
 
 def _variables(

@@ -44,7 +44,7 @@ CSV_HEADER = ["wavelength_nm", "n", "k"]
 DATA_DIR = Path(__file__).parent / "data"
 #: Longest arithmetic progression accepted from a config or the command line.
 MAX_PROGRESSION = 1_000_000
-#: Lines per block: LP text is written and read, and names are checked, this many at a time.
+#: Lines per block: LP text is written, and names are checked, this many at a time.
 _BLOCK_LINES = 4096
 #: The section headers of LP text, lowercased; the LP reader and the name rule both read them here.
 LP_SECTIONS: tuple[str, ...] = ("maximize", "minimize", "subject to", "bounds", "binaries", "end")
@@ -109,7 +109,7 @@ def invalid_name(names: Iterable[str]) -> str | None:
     case.  The first name that breaks the first rule is returned if there is one, else the first
     that breaks another.  The names are checked ``_BLOCK_LINES`` at a time, each block joined and
     checked at once.
-    ``Model.validate``, the LP reader and the config's coating names use this rule.
+    ``Model.validate`` and the config's coating names use this rule.
     """
     names, first_bad_start = iter(names), None
     while block := list(islice(names, _BLOCK_LINES)):
@@ -122,19 +122,6 @@ def invalid_name(names: Iterable[str]) -> str | None:
         if bad is not None:
             first_bad_start = block[text.count(" ", 0, bad.start())]
     return first_bad_start
-
-
-def invalid_header(name: str, comments: Iterable[str]) -> str | None:
-    """The model name or header comment that LP text cannot carry and read back as itself, or None.
-
-    The reader strips the name and each comment, ends each at a line break and names an unnamed
-    model after its file, so each must be printable (which excludes every ``str.splitlines``
-    break) and equal its own ``strip()``, and the name must be nonempty; the name is checked first.
-    ``Model.validate`` and the LP reader use this rule.
-    """
-    if not name:
-        return name
-    return next((text for text in (name, *comments) if not text.isprintable() or text != text.strip()), None)
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:

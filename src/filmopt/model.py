@@ -34,7 +34,7 @@ from .arrayops import (
 )
 from .bounds import EntryBounds
 from .errors import InconsistentBounds, MissingHyperplanes
-from .materials import Catalog, invalid_header, invalid_name
+from .materials import Catalog, invalid_name
 from .optics import IDENTITY, StructuredMatrix, denominator_D, multiply
 
 ENTRY_TAGS = ("11", "12", "21", "22")
@@ -80,10 +80,6 @@ class Variables:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def unbounded(self) -> np.ndarray:
-        """Mask of the continuous variables without finite bounds, which LP text does not carry."""
-        return ~self.binary & ~(np.isfinite(self.lower) & np.isfinite(self.upper))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,28 +145,38 @@ class Model:
         self.header_comments = list(header_comments)
 
     def validate(self) -> None:
+        """Raise ValueError naming the first rule the model breaks, so its LP text reads back as itself.
+
+        The rules go in this order: header, names, repeated names, senses,
+        crossed bounds, continuous variables without finite bounds,
+        undeclared variables, non-finite numbers.
+        """
         var, rows, obj = self.variables, self.linear, self.objective
-        bad = invalid_header(self.name, self.header_comments)
+        # the reader strips the name and each comment, ends each at a line break and names an unnamed model
+        # after its file: each must be printable (no ``str.splitlines`` break) and its own ``strip()``, the
+        # name nonempty
+        texts = (self.name, *self.header_comments)
+        bad = next((t for t in texts if not t.isprintable() or t != t.strip()), None) if self.name else ""
         if bad is not None:
             raise ValueError(f"{bad!r}: not a name or header comment LP text can carry")
         row_names = [*rows.names, *(q.name for q in self.quadratic)]
+        bad = invalid_name(chain(var.names, row_names))
+        if bad is not None:
+            raise ValueError(f"{bad!r}: not a name LP text can carry")
         for kind, names in (("variable", var.names), ("row", row_names)):
             repeated = _repeated(names)
             if repeated is not None:
                 raise ValueError(f"{repeated}: duplicate {kind} name")
-        bad = invalid_name(chain(var.names, row_names))
-        if bad is not None:
-            raise ValueError(f"{bad!r}: not a name LP text can carry")
         senses = np.concatenate([rows.senses, np.array([q.sense for q in self.quadratic], dtype=str)])
         odd = np.flatnonzero(~np.isin(senses, SENSES))
         if len(odd):
             raise ValueError(f"{row_names[odd[0]]}: unknown row sense {str(senses[odd[0]])!r}")
-        unbounded = var.unbounded()
-        if unbounded.any():
-            raise ValueError(f"{var.names[unbounded.argmax()]}: continuous variable needs finite bounds")
         crossed = var.lower > var.upper
         if crossed.any():
             raise ValueError(f"{var.names[crossed.argmax()]}: lower bound exceeds upper")
+        unbounded = ~var.binary & ~(np.isfinite(var.lower) & np.isfinite(var.upper))
+        if unbounded.any():
+            raise ValueError(f"{var.names[unbounded.argmax()]}: continuous variable needs finite bounds")
         referenced = set(obj.coeffs)
         for q in self.quadratic:
             referenced.update(q.lin)

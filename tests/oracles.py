@@ -6,9 +6,10 @@ scalar, on the StructuredMatrix API; the corner propagation of the entry
 bounds is ``conftest.corner_propagation``.  ``invalid_name`` checks all
 names in one joined text, where ``materials.invalid_name`` checks them in
 blocks, and ``import_lp`` parses the whole LP text into a dict per row,
-each row and the objective by its own copy of the term grammar, and
-checks row names and bounds one at a time, where ``lpio.import_lp`` reads
-the text in chunks and appends each row to flat arrays.
+each row and the objective by its own copy of the term grammar, and keeps
+its own copy of the model rules as the reference, checking row names and
+bounds one at a time, where ``lpio.import_lp`` reads the text in chunks,
+appends each row to flat arrays and hands the model to ``Model.validate``.
 ``solution_values`` reads a solution file line by line and parses every
 value, where ``lpio._solution_values`` parses each distinct value once.
 ``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
@@ -229,7 +230,7 @@ def import_lp(path):
     unlisted = sorted(used.difference(listed))
     bad = invalid_name([*listed, *unlisted, *row_names, *(q.name for q in quadratic)])
     if bad is not None:
-        raise ParseError(f"{bad!r} is not a name")
+        raise ParseError(f"{bad!r}: not a name LP text can carry")
     seen = set()
     for row in [*row_names, *(q.name for q in quadratic)]:
         if row in seen:

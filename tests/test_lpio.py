@@ -13,10 +13,10 @@ import oracles
 from filmopt import bounds, lpio, materials, model, relax
 from filmopt.errors import ParseError
 from filmopt.materials import CatalogConfig, build_catalog, write_atomic
-from filmopt.model import build_miqcp, build_misocp, variable_map_pieces
+from filmopt.model import QuadraticConstraint, build_miqcp, build_misocp, variable_map_pieces
 
 from conftest import linear_rows
-from test_models import lp_models
+from test_models import X, Y, lp_models, small_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SUBSTRATES = ("Molybdenum", "Niobium", "Tantalum", "Tungsten")
@@ -119,6 +119,8 @@ def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, size
     path.write_text("".join(w + b for w, b in words), encoding="utf-8", newline="")
     new, old = import_both(path, size, monkeypatch)
     assert new == old
+    if not isinstance(new, str):
+        lpio.export_lp(lpio.import_lp(path), tmp_path / "again.lp")
 
 
 #: The head of the hand-written texts: x, y and z get finite bounds, as a continuous variable must.
@@ -299,6 +301,42 @@ def test_a_continuous_variable_without_finite_bounds_is_a_parse_error(tmp_path, 
     path.write_text(text, encoding="utf-8")
     message = f"{name}: continuous variable needs finite bounds"
     assert import_both(path, size, monkeypatch) == (message, message)
+
+
+INF = float("inf")
+C1 = ("c1", [(0, 1.0)], "<=", 1.0)
+Q1 = QuadraticConstraint("q1", {("x", "x"): 1.0}, {}, "<=", 1.0)
+
+
+@pytest.mark.parametrize("m", [
+    small_model([("1x", 0.0, 1.0, False)], [C1]),
+    small_model([X], [("1c", [(0, 1.0)], "<=", 1.0)]),
+    small_model([X], [C1, C1]),
+    small_model([X], quadratic=[Q1, Q1]),
+    small_model([X, ("y", 2.0, 1.0, False)]),
+    small_model([("x", INF, 1.0, False)]),
+    small_model([X, ("y", 0.0, INF, False)]),
+    small_model([("x", -INF, INF, False)]),
+    small_model([X], [("1c", [(0, 1.0)], "<=", 1.0), C1, C1]),
+    small_model([X, Y], comments=["a\x1fb"]),
+], ids=["variable-1x", "row-1c", "linear-row-twice", "quadratic-row-twice", "crossed", "infinite-lower-crossed",
+        "infinite-upper", "free", "name-before-repeat", "header-unit-separator"])
+def test_reader_and_writer_refuse_a_model_with_the_same_message(tmp_path, m):
+    path = tmp_path / "model.lp"
+    write_atomic(path, lpio._blocks(lpio._lp_lines(m)))  # the text of the model, unvalidated
+    with pytest.raises(ValueError) as written:
+        m.validate()
+    with pytest.raises(ParseError) as read:
+        lpio.import_lp(path)
+    assert str(read.value) == str(written.value)
+
+
+def test_coefficients_that_sum_past_a_double_are_a_parse_error(tmp_path):
+    # each number is finite, but the row's two x terms add up to inf, which the writer refuses
+    path = tmp_path / "model.lp"
+    path.write_text(HEAD + " c1: 1e308 x + 1e308 x <= 1\nEnd\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^c1: non-finite coefficient, constant or right-hand side$"):
+        lpio.import_lp(path)
 
 
 @pytest.mark.parametrize("size", SIZES)
