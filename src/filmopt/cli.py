@@ -107,10 +107,10 @@ def cmd_evaluate(config: Path, out: Path, design: Path, grid: str | None) -> int
     )
     cfg, tables, _ = _load_instance(config)
     layers = _read_design(design)
-    substrate = tables[cfg.substrate]
+    coatings, substrate = {m: tables[m] for m in cfg.materials}, tables[cfg.substrate]
 
-    curve, _ = solver.evaluate_design_on_grid(layers, tables, substrate, curve_pts)
-    (row,) = heuristics.compare_methods([("design", layers)], tables, substrate)
+    curve, _ = solver.evaluate_design_on_grid(layers, coatings, substrate, curve_pts)
+    (row,) = heuristics.compare_methods([("design", layers)], coatings, substrate)
 
     rows = [[wavelength_key(wl), f"{r:.9f}"] for wl, r in zip(curve_pts, curve)]
     write_atomic(out / "spectrum.csv", csv_text([["wavelength_nm", "reflectance"], *rows]))
@@ -221,7 +221,7 @@ def cmd_compare(config: Path, out: Path, design: list[str]) -> int:
         if not name or name in (n for n, _ in designs):
             raise ConfigError(f"--design names must be nonempty and distinct, got {name!r}")
         designs.append((name, _read_design(Path(path))))
-    rows = heuristics.compare_methods(designs, tables, tables[cfg.substrate])
+    rows = heuristics.compare_methods(designs, {m: tables[m] for m in cfg.materials}, tables[cfg.substrate])
     write_atomic(out / "compare.csv", heuristics.comparison_csv(rows))
     for r in rows:
         print(f"{r.name}: visible {r.visible_average:.3f}, broad {r.broad_average:.3f}")
@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FilmoptError, AssertionError, ValueError) as exc:
+    except (FilmoptError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

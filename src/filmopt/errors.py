@@ -42,7 +42,7 @@ class OutOfRange(UsageError):
 
 
 class MissingDispersion(UsageError):
-    """A referenced material has no dispersion table."""
+    """A referenced material has no dispersion table in the role it is used in (coating or substrate)."""
 
 
 class SpectrumCoverage(UsageError):

@@ -16,8 +16,10 @@ end is a constant.  Inside ``[ ]`` each name is followed by ``* name`` or
 ``lo <= name <= hi``.  A ``-`` before ``[`` (the writer puts ``+``), a
 malformed bracket term, a NaN anywhere, an infinite coefficient, constant or
 right-hand side and a second objective line are a ``ParseError``; so is
-a model that breaks a rule of ``Model.validate``, with that rule's message.
-The reader refuses what :func:`export_lp` refuses.
+a model that breaks a rule of :class:`~filmopt.model.Model`, with that
+rule's message.  A model is checked once, when it is made, so
+:func:`export_lp` only writes, and the reader refuses every model that
+could not have been written.
 
 Memory grows with the model, not with its text.  :func:`export_lp`
 formats and writes one block of ``_BLOCK_LINES`` rows, bounds or lines at
@@ -98,14 +100,10 @@ def _quad_text(quad: dict[tuple[str, str], float]) -> str:
 
 
 def export_lp(model: Model, path: str | Path) -> None:
-    """Validate `model` and write it to `path` in LP format, atomically.
+    """Write `model` to `path` in LP format, atomically, in blocks of ``_BLOCK_LINES`` lines.
 
-    ``build_miqcp`` and ``build_misocp`` leave validation to this call, so
-    each exported model is checked once; a model from :func:`import_lp` or
-    made by hand is checked here too.  The text goes out in blocks of
-    ``_BLOCK_LINES`` lines rather than as one string.
+    The model was checked when it was made, so its text reads back as itself.
     """
-    model.validate()
     write_atomic(path, _blocks(_lp_lines(model)))
 
 
@@ -287,26 +285,25 @@ def import_lp(path: str | Path) -> Model:
     or binaries line, then the unlisted ones (free) by name; a variable
     listed twice keeps its first place and its last bounds.  A second
     objective line is a ``ParseError``, and so is a model that breaks a
-    rule of ``Model.validate``, with its message.
+    rule of :class:`~filmopt.model.Model`, with its message.
     """
-    model = _read_lp(path)
+    parts = _read_lp(path)
     try:
-        model.validate()
+        return Model(*parts)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return model
 
 
-def _read_lp(path: str | Path) -> Model:
-    """The model of the LP text at `path`, not yet validated.
+def _read_lp(path: str | Path) -> tuple:
+    """The arguments of the ``Model`` of the LP text at `path`.
 
     Each line is split once and read by the grammar, in file order.  Each
     name gets an id at its first use, the rows, bounds and binaries go into
     growing columns, and one take maps the ids to columns at the end.  The
-    columns die with this call, so they are gone before the model is
-    validated.
+    columns die with this call, so they are gone before the model's rules
+    run.
     """
-    name, header, objective, objective_read = "", [], Objective({}), False
+    name, header, sense, objective = "", [], "max", None  # objective: the objective line's (coeffs, constant)
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a name's id is the count of names seen before it
     # Columns that grow in file order: (id, binary, lower, upper) of each name on a bounds or binaries
@@ -332,7 +329,7 @@ def _read_lp(path: str | Path) -> Model:
                 break
             section = key
             if key in ("maximize", "minimize"):
-                section, objective.sense = "objective", key[:3]
+                section, sense = "objective", key[:3]
             continue
         if not key:
             continue
@@ -378,13 +375,13 @@ def _read_lp(path: str | Path) -> Model:
             lower.extend([0.0] * len(toks))
             upper.extend([1.0] * len(toks))
         elif section == "objective":
-            if objective_read:
+            if objective is not None:
                 raise ParseError(f"second objective line: {raw.strip()!r}")
             head, colon, body = raw.partition(":")
             lin, quad, const = _terms((body if colon else head).split())
             if quad is not None:
                 raise ParseError("quadratic objective not supported")
-            objective, objective_read = Objective(lin, const, objective.sense), True
+            objective = lin, const
             for term in lin:
                 ids[term]
         else:
@@ -398,7 +395,8 @@ def _read_lp(path: str | Path) -> Model:
         variables.names, tuple(row_names), np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
         column[term_ids], coeffs, np.array(SENSES)[senses], rhs,
     )
-    return Model(name or Path(path).stem, variables, rows, quadratic, objective, header)
+    objective = Objective(*(objective or ({}, 0.0)), sense)
+    return name or Path(path).stem, variables, rows, quadratic, objective, header
 
 
 def _variables(

@@ -77,12 +77,14 @@ def read_chunks(path: str | Path, size: int | None = None) -> Iterator[str]:
 
 
 def read_json(path: str | Path):
-    """The JSON value in the UTF-8 text of `path`; text that is not JSON is a ParseError."""
+    """The JSON value in the UTF-8 text of `path`; text that is not JSON or nests too deep is a ParseError."""
     text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
@@ -109,7 +111,7 @@ def invalid_name(names: Iterable[str]) -> str | None:
     case.  The first name that breaks the first rule is returned if there is one, else the first
     that breaks another.  The names are checked ``_BLOCK_LINES`` at a time, each block joined and
     checked at once.
-    ``Model.validate`` and the config's coating names use this rule.
+    ``Model`` construction and the config's coating names use this rule.
     """
     names, first_bad_start = iter(names), None
     while block := list(islice(names, _BLOCK_LINES)):
@@ -411,9 +413,9 @@ def _rank_by_mean_index(
     tables: Mapping[str, DispersionTable],
     wavelengths: Sequence[float],
 ) -> tuple[str, str]:
-    """(high, low) coating pair for alternating mode, by mean n over the spectrum."""
+    """(high, low) coating pair, by mean n over the spectrum, for alternating mode and the quarter-wave stack."""
     if len(materials) != 2:
-        raise ConfigError("alternating mode needs exactly two coating materials")
+        raise ConfigError(f"a high/low pair needs exactly two coating materials, got {len(materials)}")
     means = {
         m: sum(index_at(tables[m], w).re for w in wavelengths) / len(wavelengths)
         for m in materials

@@ -14,7 +14,9 @@ one loop over layer boundaries, with coefficients read from the dense
 A :class:`Model` keeps its variables and linear rows as columns: name,
 bound and binary arrays, and the rows in CSR form over variable indices.
 The builders fill them one numpy block at a time.  Quadratic rows and the
-objective stay dicts keyed by variable name.
+objective stay dicts keyed by variable name.  A model and its parts are
+frozen, and a model is checked once, when it is made: one that breaks a
+rule its LP text needs to read back as itself never exists.
 
 The relaxation keeps everything except the reverse-convex cap `d <= D(w)`,
 which is replaced by validated affine overapproximators of D.
@@ -25,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +47,7 @@ SENSES = ("<=", "=", ">=")
 # Generic container
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticConstraint:
     name: str
     quad: dict[tuple[str, str], float]
@@ -54,7 +56,7 @@ class QuadraticConstraint:
     rhs: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Objective:
     coeffs: dict[str, float]
     constant: float = 0.0
@@ -119,47 +121,46 @@ def _all_finite(*numbers: float) -> bool:
     return all(map(math.isfinite, numbers))
 
 
+@dataclass(frozen=True, eq=False)
 class Model:
-    """Variables and linear rows as columns, quadratic rows and the objective as dicts.
+    """Variables and linear rows as columns, quadratic rows and the objective as dicts; valid once made.
 
     ``linear.columns`` must be ``variables.names`` itself, so every row
-    indexes the model's own variables.
+    indexes the model's own variables.  ``quadratic`` and
+    ``header_comments`` are kept as tuples, and ``objective=None`` means
+    an empty objective.  Construction checks the rules its LP text needs
+    to read back as itself, so no model that breaks one exists.
     """
 
-    def __init__(
-        self,
-        name: str,
-        variables: Variables,
-        linear: LinearRows,
-        quadratic: Iterable[QuadraticConstraint] = (),
-        objective: Objective | None = None,
-        header_comments: Iterable[str] = (),
-    ) -> None:
-        if linear.columns is not variables.names:
-            raise ValueError("linear rows index variables other than the model's")
-        self.name = name
-        self.variables = variables
-        self.linear = linear
-        self.quadratic = list(quadratic)
-        self.objective = Objective({}) if objective is None else objective
-        self.header_comments = list(header_comments)
+    name: str
+    variables: Variables
+    linear: LinearRows
+    quadratic: tuple[QuadraticConstraint, ...] = ()
+    objective: Objective = None  # None is made Objective({})
+    header_comments: tuple[str, ...] = ()
 
-    def validate(self) -> None:
-        """Raise ValueError naming the first rule the model breaks, so its LP text reads back as itself.
+    def __post_init__(self) -> None:
+        """Raise ValueError naming the first rule the model breaks.
 
         The rules go in this order: header, names, repeated names, senses,
         crossed bounds, continuous variables without finite bounds,
         undeclared variables, non-finite numbers.
         """
-        var, rows, obj = self.variables, self.linear, self.objective
+        var, rows = self.variables, self.linear
+        if rows.columns is not var.names:
+            raise ValueError("linear rows index variables other than the model's")
+        quadratic, header = tuple(self.quadratic), tuple(self.header_comments)
+        obj = Objective({}) if self.objective is None else self.objective
+        for field, value in (("quadratic", quadratic), ("objective", obj), ("header_comments", header)):
+            object.__setattr__(self, field, value)
         # the reader strips the name and each comment, ends each at a line break and names an unnamed model
         # after its file: each must be printable (no ``str.splitlines`` break) and its own ``strip()``, the
         # name nonempty
-        texts = (self.name, *self.header_comments)
+        texts = (self.name, *header)
         bad = next((t for t in texts if not t.isprintable() or t != t.strip()), None) if self.name else ""
         if bad is not None:
             raise ValueError(f"{bad!r}: not a name or header comment LP text can carry")
-        row_names = [*rows.names, *(q.name for q in self.quadratic)]
+        row_names = [*rows.names, *(q.name for q in quadratic)]
         bad = invalid_name(chain(var.names, row_names))
         if bad is not None:
             raise ValueError(f"{bad!r}: not a name LP text can carry")
@@ -167,7 +168,7 @@ class Model:
             repeated = _repeated(names)
             if repeated is not None:
                 raise ValueError(f"{repeated}: duplicate {kind} name")
-        senses = np.concatenate([rows.senses, np.array([q.sense for q in self.quadratic], dtype=str)])
+        senses = np.concatenate([rows.senses, np.array([q.sense for q in quadratic], dtype=str)])
         odd = np.flatnonzero(~np.isin(senses, SENSES))
         if len(odd):
             raise ValueError(f"{row_names[odd[0]]}: unknown row sense {str(senses[odd[0]])!r}")
@@ -178,7 +179,7 @@ class Model:
         if unbounded.any():
             raise ValueError(f"{var.names[unbounded.argmax()]}: continuous variable needs finite bounds")
         referenced = set(obj.coeffs)
-        for q in self.quadratic:
+        for q in quadratic:
             referenced.update(q.lin)
             for pair in q.quad:
                 referenced.update(pair)
@@ -190,7 +191,7 @@ class Model:
         non_finite = chain(
             [] if _all_finite(obj.constant, *obj.coeffs.values()) else ["objective"],
             (rows.names[i] for i in np.flatnonzero(bad_rows)),
-            (q.name for q in self.quadratic if not _all_finite(q.rhs, *q.lin.values(), *q.quad.values())),
+            (q.name for q in quadratic if not _all_finite(q.rhs, *q.lin.values(), *q.quad.values())),
         )
         row = next(non_finite, None)
         if row is not None:
@@ -337,19 +338,19 @@ def _join(columns: tuple[str, ...], blocks: list[tuple]) -> LinearRows:
                       np.concatenate(senses), np.concatenate(rhs))
 
 
-def _structure(
+def _build(
     catalog: Catalog,
     entry_bounds: EntryBounds,
-    name: str,
-    overapproximators: Sequence[np.ndarray] = (),
+    overapproximators: Sequence[np.ndarray] | None = None,
 ) -> Model:
-    """Common part of both models: everything except the d <= D(w) coupling.
+    """The exact model, or given `overapproximators` its relaxation; the two differ only in the d <= D(w) cap.
 
     Per wavelength, boundary 0 ties the copies entering layer 1 to the
     identity, and boundary k ties the image of layer k's copies under their
     layer matrices to the copies entering layer k+1; the last boundary ties
     it to w instead (with 0 layers, w itself is the identity).  Given
-    `overapproximators`, the rows ``c_hyp_<l>_<k>`` of the relaxation follow.
+    `overapproximators`, the rows ``c_hyp_<l>_<k>`` of the relaxation follow;
+    without them the reverse-convex caps ``qc_dcap_<l>`` follow the cones.
 
     Every block of rows is built with numpy from ``Catalog.layer_matrices``
     and the entry bounds.  Variable columns are: the binaries x in choice
@@ -418,7 +419,7 @@ def _structure(
 
     for layer in range(n_layers):
         blocks.append(([f"c_pick_{layer + 1}"], np.arange(first[layer], first[layer + 1])[None], 1.0, "=", 1.0))
-    for li, planes in enumerate(overapproximators):
+    for li, planes in enumerate(overapproximators or ()):
         #  a1*x1 + a2*x2 + a3*x3 + a4*x4 - d >= -a0
         hyp_cols = [*(n_x + li * per_wl + 4 * n_x + np.array(X_ORDER)), d_col + 2 * li]
         blocks.append(([f"c_hyp_{li}_{k}" for k in range(len(planes))], np.tile(hyp_cols, (len(planes), 1)),
@@ -429,16 +430,7 @@ def _structure(
                             rhs=4.0 * catalog.substrate_indices[li].re)
         for li in range(n_wl)
     ]
-    phi = catalog.spectrum.weights
-    objective = Objective(coeffs={f_name(li): -phi[li] for li in range(n_wl)}, constant=sum(phi), sense="max")
-    return Model(name, variables, _join(variables.names, blocks), quadratic, objective, _HEADER)
-
-
-def build_miqcp(catalog: Catalog, entry_bounds: EntryBounds) -> Model:
-    """Exact nonconvex model: structure plus the reverse-convex cap d <= D(w)."""
-    model = _structure(catalog, entry_bounds, "miqcp")
-    for li in range(len(catalog.spectrum)):
-        sub = catalog.substrate_indices[li]
+    for li, sub in enumerate(catalog.substrate_indices if overapproximators is None else ()):
         a, b = sub.re, sub.im
         w = lambda tag: w_name(li, tag)  # noqa: E731
         quad = {
@@ -449,12 +441,16 @@ def build_miqcp(catalog: Catalog, entry_bounds: EntryBounds) -> Model:
             (w("11"), w("12")): 2.0 * b,
             (w("21"), w("22")): -2.0 * b,
         }
-        model.quadratic.append(
-            QuadraticConstraint(
-                f"qc_dcap_{li}", quad=quad, lin={d_name(li): 1.0}, sense="<=", rhs=2.0 * a
-            )
-        )
-    return model
+        quadratic.append(QuadraticConstraint(f"qc_dcap_{li}", quad, {d_name(li): 1.0}, "<=", 2.0 * a))
+    phi = catalog.spectrum.weights
+    objective = Objective(coeffs={f_name(li): -phi[li] for li in range(n_wl)}, constant=sum(phi), sense="max")
+    name = "miqcp" if overapproximators is None else "misocp"
+    return Model(name, variables, _join(variables.names, blocks), quadratic, objective, _HEADER)
+
+
+def build_miqcp(catalog: Catalog, entry_bounds: EntryBounds) -> Model:
+    """Exact nonconvex model: structure plus the reverse-convex cap d <= D(w)."""
+    return _build(catalog, entry_bounds)
 
 
 def build_misocp(
@@ -464,7 +460,7 @@ def build_misocp(
 ) -> Model:
     """Convex relaxation: the cap is replaced by affine overapproximators of D."""
     _check_families(catalog, overapproximators)
-    return _structure(catalog, entry_bounds, "misocp", overapproximators)
+    return _build(catalog, entry_bounds, overapproximators)
 
 
 def _check_families(catalog: Catalog, overapproximators: Sequence[np.ndarray]) -> None:

@@ -135,7 +135,7 @@ def evaluate_design_on_grid(
     """
     for m, _ in design:
         if m not in coating_tables:
-            raise MissingDispersion(f"design uses material {m!r} with no dispersion table")
+            raise MissingDispersion(f"design material {m!r} is not one of the coatings")
     per = []
     for wl in grid:
         mats = []

@@ -7,9 +7,10 @@ bounds is ``conftest.corner_propagation``.  ``invalid_name`` checks all
 names in one joined text, where ``materials.invalid_name`` checks them in
 blocks, and ``import_lp`` parses the whole LP text into a dict per row,
 each row and the objective by its own copy of the term grammar, and keeps
-its own copy of the model rules as the reference, checking row names and
-bounds one at a time, where ``lpio.import_lp`` reads the text in chunks,
-appends each row to flat arrays and hands the model to ``Model.validate``.
+its own copy of the model rules as the reference, checking row names,
+bounds and numbers one at a time, and builds its ``Model`` last, where
+``lpio.import_lp`` reads the text in chunks, appends each row to flat
+arrays and leaves the rules to ``Model`` itself.
 ``solution_values`` reads a solution file line by line and parses every
 value, where ``lpio._solution_values`` parses each distinct value once.
 ``hyperplanes_for_catalog`` fits in blocks like ``relax``, but unranks each
@@ -150,7 +151,7 @@ def _terms(tokens: list[str]) -> tuple[dict[str, float], dict[tuple[str, str], f
 def import_lp(path):
     """LP text -> Model: the whole text at once, continuations joined by one replace, a dict per row."""
     text = read_text(path).replace("\n  ", " ")
-    name, header, objective, objective_read = "", [], Objective({}), False
+    name, header, sense, objective, objective_read = "", [], "max", ({}, 0.0), False
     listed: dict[str, tuple[float, float, bool]] = {}  # name -> (lower, upper, binary)
     used: set[str] = set()
     row_names: list[str] = []
@@ -174,7 +175,7 @@ def import_lp(path):
                 break
             section = key
             if key in ("maximize", "minimize"):
-                section, objective.sense = "objective", key[:3]
+                section, sense = "objective", key[:3]
             continue
         if not key:
             continue
@@ -200,7 +201,7 @@ def import_lp(path):
             lin, quad, const = _terms((body if colon else head).split())
             if quad is not None:
                 raise ParseError("quadratic objective not supported")
-            objective = Objective(lin, const, objective.sense)
+            objective = lin, const
             used.update(lin)
         elif section == "subject to":
             row, colon, body = raw.partition(":")
@@ -243,6 +244,12 @@ def import_lp(path):
     for vname, (lo, hi, binary) in zip([*listed, *unlisted], bounds):
         if not binary and not (math.isfinite(lo) and math.isfinite(hi)):
             raise ParseError(f"{vname}: continuous variable needs finite bounds")
+    numbers = [("objective", [objective[1], *objective[0].values()])]
+    numbers += [(row, [rhs, *coeffs.values()]) for row, coeffs, rhs in zip(row_names, row_coeffs, row_rhs)]
+    numbers += [(q.name, [q.rhs, *q.lin.values(), *q.quad.values()]) for q in quadratic]
+    for row, values in numbers:
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError(f"{row}: non-finite coefficient, constant or right-hand side")
     lower, upper, binary = (np.array([b[k] for b in bounds], dtype=t) for k, t in enumerate((float, float, bool)))
     variables = Variables((*listed, *unlisted), lower, upper, binary)
     column = {n: i for i, n in enumerate(variables.names)}
@@ -252,7 +259,7 @@ def import_lp(path):
         np.array([c for coeffs in row_coeffs for c in coeffs.values()], float),
         np.array(row_senses, str), np.array(row_rhs, float),
     )
-    return Model(name, variables, linear, quadratic, objective, header)
+    return Model(name, variables, linear, quadratic, Objective(*objective, sense), header)
 
 
 def solution_values(path):

@@ -243,6 +243,22 @@ class TestHeuristicAndCompare:
         lines = (out2 / "compare.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("qw,")
 
+    def test_heuristic_on_three_coatings_asks_for_a_pair_exit_1(self, tmp_path, capsys):
+        # a config without alternating mode, its third coating's table a copy of MgF2's
+        data = tmp_path / "data"
+        data.mkdir()
+        for src, dst in (("Molybdenum", "Molybdenum"), ("TiO2", "TiO2"), ("MgF2", "MgF2"), ("MgF2", "SiO2")):
+            shutil.copy(filmopt.materials.DATA_DIR / f"{src}.csv", data / f"{dst}.csv")
+        config = {key: value for key, value in CONFIG.items() if key != "alternating"}
+        config.update(materials=["TiO2", "MgF2", "SiO2"], thicknesses=dict(CONFIG["thicknesses"], SiO2=[90]),
+                      dispersion_dir=str(data))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("heuristic", "--config", path, "--out", tmp_path / "h", "--targets", "450,900") == 1
+        err = capsys.readouterr().err
+        assert err == "error: a high/low pair needs exactly two coating materials, got 3\n"
+        assert "alternating" not in err
+
 
 class TestExtremePoints:
     def test_worked_example(self, capsys):
@@ -422,15 +438,17 @@ class TestExitCodes:
         assert "repeat" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
+    # Molybdenum is the config's substrate: it has a table, but no coating is made of it
+    @pytest.mark.parametrize("material", ["Unobtainium", "Molybdenum"])
     @pytest.mark.parametrize("command", ["compare", "evaluate"])
-    def test_design_material_without_dispersion_exit_1(self, command, config_path, tmp_path, capsys):
+    def test_design_material_without_dispersion_exit_1(self, command, material, config_path, tmp_path, capsys):
         design = tmp_path / "design.json"
-        design.write_text(json.dumps([{"material": "Unobtainium", "thickness_nm": 50}]))
+        design.write_text(json.dumps([{"material": material, "thickness_nm": 50}]))
         out = tmp_path / "o"
         flag = f"d={design}" if command == "compare" else design
         assert run(command, "--config", config_path, "--out", out, "--design", flag) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Unobtainium" in err
+        assert err.startswith("error: ") and material in err and "no dispersion table" not in err
         assert not out.exists()
 
     def test_internal_error_exit_3(self, config_path, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from filmopt.materials import CatalogConfig, build_catalog, write_atomic
 from filmopt.model import QuadraticConstraint, build_miqcp, build_misocp, variable_map_pieces
 
 from conftest import linear_rows
-from test_models import X, Y, lp_models, small_model
+from test_models import X, Y, lp_models, model_parts
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SUBSTRATES = ("Molybdenum", "Niobium", "Tantalum", "Tungsten")
@@ -106,7 +107,9 @@ LP_WORDS = ["Maximize", "Minimize", "Subject To", "Bounds", "Binaries", "End", "
             # rows the writer never gives: a constant, non-finite numbers, a repeated name, a row head with a
             # space and a second colon
             "+2", "1e999", "inf", "nan", "c7: 1 x + 2 x >= 1", "c 8: 1 x <= 1", "c9:c10: 1 x <= 1",
-            "c11: 1 x + 1e999 y <= 1", "c12: 1 x <= nan", "inf <= z <= 1"]
+            "c11: 1 x + 1e999 y <= 1", "c12: 1 x <= nan", "inf <= z <= 1",
+            # a finite coefficient two of which sum past a double
+            "1.7e308"]
 LP_BREAKS = ["\n", "\n ", "\n  ", "\n   ", "\r\n", "\r\n  ", "\r", "\r  ", "\x0c", "\x0c  ", "\x1e", "\x85",
              "\u2028", " ", "  ", "\t", "\x1f", "\xa0"]
 
@@ -114,6 +117,8 @@ LP_BREAKS = ["\n", "\n ", "\n  ", "\n   ", "\r\n", "\r\n  ", "\r", "\r  ", "\x0c
 @hypothesis_settings
 @given(st.lists(st.tuples(st.sampled_from(LP_WORDS), st.sampled_from(LP_BREAKS)), max_size=30),
        st.sampled_from(SIZES))
+@example([("Maximize", "\n"), ("obj:", " "), ("1.7e308", " "), ("x", " "), ("+", " "), ("1.7e308", " "),
+          ("x", "\n"), ("Binaries", "\n"), ("x", "\n")], 1)
 def test_random_lp_text_imports_as_the_oracle(tmp_path, monkeypatch, words, size):
     path = tmp_path / "model.lp"
     path.write_text("".join(w + b for w, b in words), encoding="utf-8", newline="")
@@ -272,7 +277,7 @@ def test_a_second_objective_line_is_a_parse_error(tmp_path, monkeypatch, text, s
     (HEAD + " c1: 1 y <= 1\nBounds\n 2 <= y <= 3\n 0 <= x <= 1\n 2 <= y <= 1\nEnd\n",
      "y: lower bound exceeds upper"),
     (HEAD + "Bounds\n inf <= x <= 1\nEnd\n", "x: lower bound exceeds upper"),
-    # the row check speaks first, as in Model.validate
+    # the row check speaks first, as in Model
     (HEAD + " c1: 1 y <= 1\n c1: 1 y <= 1\nBounds\n 2 <= y <= 1\nEnd\n", "c1: duplicate row name"),
 ], ids=["row-twice", "linear-and-quadratic-row", "crossed", "crossed-last", "infinite-lower", "row-first"])
 @pytest.mark.parametrize("size", SIZES)
@@ -308,27 +313,28 @@ C1 = ("c1", [(0, 1.0)], "<=", 1.0)
 Q1 = QuadraticConstraint("q1", {("x", "x"): 1.0}, {}, "<=", 1.0)
 
 
-@pytest.mark.parametrize("m", [
-    small_model([("1x", 0.0, 1.0, False)], [C1]),
-    small_model([X], [("1c", [(0, 1.0)], "<=", 1.0)]),
-    small_model([X], [C1, C1]),
-    small_model([X], quadratic=[Q1, Q1]),
-    small_model([X, ("y", 2.0, 1.0, False)]),
-    small_model([("x", INF, 1.0, False)]),
-    small_model([X, ("y", 0.0, INF, False)]),
-    small_model([("x", -INF, INF, False)]),
-    small_model([X], [("1c", [(0, 1.0)], "<=", 1.0), C1, C1]),
-    small_model([X, Y], comments=["a\x1fb"]),
+@pytest.mark.parametrize("parts", [
+    model_parts([("1x", 0.0, 1.0, False)], [C1]),
+    model_parts([X], [("1c", [(0, 1.0)], "<=", 1.0)]),
+    model_parts([X], [C1, C1]),
+    model_parts([X], quadratic=[Q1, Q1]),
+    model_parts([X, ("y", 2.0, 1.0, False)]),
+    model_parts([("x", INF, 1.0, False)]),
+    model_parts([X, ("y", 0.0, INF, False)]),
+    model_parts([("x", -INF, INF, False)]),
+    model_parts([X], [("1c", [(0, 1.0)], "<=", 1.0), C1, C1]),
+    model_parts([X, Y], comments=["a\x1fb"]),
 ], ids=["variable-1x", "row-1c", "linear-row-twice", "quadratic-row-twice", "crossed", "infinite-lower-crossed",
         "infinite-upper", "free", "name-before-repeat", "header-unit-separator"])
-def test_reader_and_writer_refuse_a_model_with_the_same_message(tmp_path, m):
+def test_reader_and_model_refuse_a_model_with_the_same_message(tmp_path, parts):
     path = tmp_path / "model.lp"
-    write_atomic(path, lpio._blocks(lpio._lp_lines(m)))  # the text of the model, unvalidated
-    with pytest.raises(ValueError) as written:
-        m.validate()
+    # the text such a model would have, written from a stand-in, since the model itself cannot be made
+    write_atomic(path, lpio._blocks(lpio._lp_lines(types.SimpleNamespace(**parts))))
+    with pytest.raises(ValueError) as made:
+        model.Model(**parts)
     with pytest.raises(ParseError) as read:
         lpio.import_lp(path)
-    assert str(read.value) == str(written.value)
+    assert str(read.value) == str(made.value)
 
 
 def test_coefficients_that_sum_past_a_double_are_a_parse_error(tmp_path):

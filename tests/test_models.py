@@ -125,10 +125,10 @@ class TestBuildMiqcp:
         with pytest.raises(InconsistentBounds):
             build_miqcp(cat, bounds.tighten_bounds(other))
 
-    def test_validate_passes(self):
+    def test_builds_a_model_that_keeps_the_rules(self):
         cat = desk_catalog()
-        m = build_miqcp(cat, bounds.tighten_bounds(cat))
-        m.validate()
+        m = build_miqcp(cat, bounds.tighten_bounds(cat))  # a model that breaks a rule is never made
+        assert isinstance(m, Model)
 
 
 class TestBuildMisocp:
@@ -279,8 +279,9 @@ variable_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,4}", fullmatch=True).f
     lambda n: invalid_name([n]) is None)
 
 
-def small_model(variables, rows=(), quadratic=(), objective=None, name="m", comments=()) -> Model:
-    """A model from `variables` as ``(name, lower, upper, binary)`` and `rows` as ``(name, terms, sense, rhs)``.
+def model_parts(variables, rows=(), quadratic=(), objective=None, name="m", comments=()) -> dict:
+    """The fields of a model, for ``Model(**parts)``, from `variables` as ``(name, lower, upper, binary)`` and
+    `rows` as ``(name, terms, sense, rhs)``; no rule is checked.
 
     The terms of a row are ``(column, coefficient)`` pairs, the column an index into `variables`.
     """
@@ -290,7 +291,13 @@ def small_model(variables, rows=(), quadratic=(), objective=None, name="m", comm
                         np.array([c for c, _ in terms], np.intp), np.array([v for _, v in terms], float),
                         np.array([row[2] for row in rows], str), np.array([row[3] for row in rows], float))
     variables = Variables(names, np.array(lower, float), np.array(upper, float), np.array(binary, bool))
-    return Model(name, variables, linear, quadratic, objective, comments)
+    return dict(name=name, variables=variables, linear=linear, quadratic=quadratic,
+                objective=Objective({}) if objective is None else objective, header_comments=comments)
+
+
+def small_model(*args, **kwargs) -> Model:
+    """The model of :func:`model_parts`."""
+    return Model(**model_parts(*args, **kwargs))
 
 
 @st.composite
@@ -368,54 +375,48 @@ class TestLpExport:
         assert len(m2.linear) == linear_constraint_count(cat)
         assert len(m2.quadratic) == 2 * len(cat.spectrum)
 
-    def test_undeclared_variable_raises_and_writes_nothing(self, tmp_path):
-        m = small_model([], objective=Objective({"ghost": 1.0}), name="bad")
+    def test_undeclared_variable_raises(self):
         with pytest.raises(ValueError, match="undeclared"):
-            lpio.export_lp(m, tmp_path / "model.lp")
-        assert list(tmp_path.iterdir()) == []
+            small_model([], objective=Objective({"ghost": 1.0}), name="bad")
 
-    @pytest.mark.parametrize("model", [
-        small_model([X], objective=Objective({"x": float("nan")})),
-        small_model([X], objective=Objective({"x": 1.0}, float("inf"))),
-        small_model([X], [("c1", [(0, float("-inf"))], "<=", 1.0)]),
-        small_model([X], [("c1", [(0, 1.0)], "<=", float("nan"))]),
-        small_model([X], quadratic=[QuadraticConstraint("q1", {("x", "x"): float("inf")}, {}, "<=", 1.0)]),
+    @pytest.mark.parametrize("parts", [
+        model_parts([X], objective=Objective({"x": float("nan")})),
+        model_parts([X], objective=Objective({"x": 1.0}, float("inf"))),
+        model_parts([X], [("c1", [(0, float("-inf"))], "<=", 1.0)]),
+        model_parts([X], [("c1", [(0, 1.0)], "<=", float("nan"))]),
+        model_parts([X], quadratic=[QuadraticConstraint("q1", {("x", "x"): float("inf")}, {}, "<=", 1.0)]),
     ], ids=["objective-coefficient", "objective-constant", "linear-coefficient", "rhs",
             "quadratic-coefficient"])
-    def test_non_finite_numbers_raise_and_write_nothing(self, model, tmp_path):
+    def test_non_finite_numbers_raise(self, parts):
         with pytest.raises(ValueError, match="non-finite"):
-            lpio.export_lp(model, tmp_path / "model.lp")
-        assert list(tmp_path.iterdir()) == []
+            Model(**parts)
 
-    def test_duplicate_row_names_raise_and_write_nothing(self, tmp_path):
-        model = small_model([X, Y], [("c1", [(0, 1.0)], "<=", 1.0), ("c1", [(1, 1.0)], "<=", 1.0)],
-                            [QuadraticConstraint("c1", {("x", "y"): 1.0}, {}, "<=", 1.0)])
+    def test_duplicate_row_names_raise(self):
         with pytest.raises(ValueError, match="c1: duplicate row name"):
-            lpio.export_lp(model, tmp_path / "model.lp")
-        assert list(tmp_path.iterdir()) == []
+            small_model([X, Y], [("c1", [(0, 1.0)], "<=", 1.0), ("c1", [(1, 1.0)], "<=", 1.0)],
+                        [QuadraticConstraint("c1", {("x", "y"): 1.0}, {}, "<=", 1.0)])
 
-    @pytest.mark.parametrize("model", [
-        small_model([X], [("c1", [(0, 1.0)], "<", 1.0)]),
-        small_model([X], quadratic=[QuadraticConstraint("q1", {("x", "x"): 1.0}, {}, "=<", 1.0)]),
-        small_model([X], [("c:1", [(0, 1.0)], "<=", 1.0)]),
-        small_model([("1x", 0.0, 1.0, False)], [("c1", [(0, 1.0)], "<=", 1.0)]),
-        small_model([("x y", 0.0, 1.0, False)], [("c1", [(0, 1.0)], "<=", 1.0)]),
-        small_model([("End", 0.0, 1.0, True)], [("c1", [(0, 1.0)], "<=", 1.0)]),
-        small_model([X], [("", [(0, 1.0)], "<=", 1.0)]),
-        small_model([("subject", 0.0, 1.0, True), ("to", 0.0, 1.0, True)]),
-        small_model([X], name="m\nEnd"),
-        small_model([X], name="m\rEnd"),
-        small_model([X], name="m\u2028End"),
-        small_model([X], comments=["a\nb"]),
-        small_model([X], name=" m"),
-        small_model([X], name=""),
+    @pytest.mark.parametrize("parts", [
+        model_parts([X], [("c1", [(0, 1.0)], "<", 1.0)]),
+        model_parts([X], quadratic=[QuadraticConstraint("q1", {("x", "x"): 1.0}, {}, "=<", 1.0)]),
+        model_parts([X], [("c:1", [(0, 1.0)], "<=", 1.0)]),
+        model_parts([("1x", 0.0, 1.0, False)], [("c1", [(0, 1.0)], "<=", 1.0)]),
+        model_parts([("x y", 0.0, 1.0, False)], [("c1", [(0, 1.0)], "<=", 1.0)]),
+        model_parts([("End", 0.0, 1.0, True)], [("c1", [(0, 1.0)], "<=", 1.0)]),
+        model_parts([X], [("", [(0, 1.0)], "<=", 1.0)]),
+        model_parts([("subject", 0.0, 1.0, True), ("to", 0.0, 1.0, True)]),
+        model_parts([X], name="m\nEnd"),
+        model_parts([X], name="m\rEnd"),
+        model_parts([X], name="m\u2028End"),
+        model_parts([X], comments=["a\nb"]),
+        model_parts([X], name=" m"),
+        model_parts([X], name=""),
     ], ids=["sense-<", "quadratic-sense", "row-c:1", "variable-1x", "variable-x-y", "binary-End",
             "empty-row-name", "binaries-subject-to", "model-name-LF", "model-name-CR", "model-name-U+2028",
             "comment-LF", "model-name-leading-space", "empty-model-name"])
-    def test_what_lp_cannot_read_back_raises_and_writes_nothing(self, model, tmp_path):
+    def test_what_lp_cannot_read_back_raises(self, parts):
         with pytest.raises(ValueError, match="sense|not a name"):
-            lpio.export_lp(model, tmp_path / "model.lp")
-        assert list(tmp_path.iterdir()) == []
+            Model(**parts)
 
     @pytest.mark.parametrize("names, bad", [
         (["x", "c 1", "y"], "c 1"), (["x", "a\tb"], "a\tb"), (["x", "a\nb"], "a\nb"), (["x", "y:z"], "y:z"),
@@ -427,7 +428,7 @@ class TestLpExport:
         assert invalid_name(names) == bad
 
     def test_finite_numbers_with_an_overflowing_sum_pass(self):
-        small_model([X, Y], [("c1", [(0, 1e308), (1, 1e308)], "<=", 1e308)]).validate()
+        small_model([X, Y], [("c1", [(0, 1e308), (1, 1e308)], "<=", 1e308)])
 
     def test_rows_over_an_equal_but_distinct_names_tuple_rejected(self):
         variables = Variables(("x",), np.zeros(1), np.ones(1), np.zeros(1, bool))
@@ -438,17 +439,24 @@ class TestLpExport:
             Model("m", variables, LinearRows(names, (), *empty))
         assert Model("m", variables, LinearRows(variables.names, (), *empty)).linear.columns is variables.names
 
-    def test_imported_model_is_validated_before_writing(self, tmp_path):
+    def test_a_model_made_from_an_imported_one_keeps_the_rules(self, tmp_path):
         path = tmp_path / "in.lp"
         path.write_text("Maximize\n obj: 1 x\nSubject To\n c1: 1 x + 1 y <= 1\nBounds\n 0 <= y <= 1\n"
                         "Binaries\n x\nEnd\n")
         parsed = lpio.import_lp(path)
         # y loses its upper bound after the import (the reader refuses an unbounded y itself)
         var = dataclasses.replace(parsed.variables, upper=np.array([np.inf, 1.0]))
-        unbounded = Model(parsed.name, var, parsed.linear, parsed.quadratic, parsed.objective)
         with pytest.raises(ValueError, match="y: continuous variable needs finite bounds"):
-            lpio.export_lp(unbounded, tmp_path / "out.lp")
-        assert not (tmp_path / "out.lp").exists()
+            dataclasses.replace(parsed, variables=var)
+
+    def test_a_model_and_its_parts_are_frozen(self):
+        m = small_model([X, Y], [("c1", [(0, 1.0)], "<=", 1.0)],
+                        [QuadraticConstraint("q1", {("x", "y"): 1.0}, {}, "<=", 1.0)], comments=["a", "b"])
+        assert type(m.quadratic) is tuple and type(m.header_comments) is tuple
+        assert Model(**dict(model_parts([X]), objective=None)).objective == Objective({})
+        for target, field in ((m, "name"), (m, "quadratic"), (m.objective, "sense"), (m.quadratic[0], "rhs")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, field, getattr(target, field))
 
     def test_blocks_join_to_the_one_string_text(self, tmp_path, monkeypatch):
         cat = desk_catalog()

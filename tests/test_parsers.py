@@ -166,7 +166,7 @@ class TestDesignJson:
 class TestCliExitCodes:
     def run_evaluate(self, tmp_path, config, design_bytes):
         cfg, design = tmp_path / "cfg.json", tmp_path / "design.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         design.write_bytes(design_bytes)
         return cli.main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--design", str(design)])
@@ -177,8 +177,10 @@ class TestCliExitCodes:
         (VALID, b'[{"material": "TiO2", "thickness_nm": 40}] \xff'),
         (VALID, b'[{"material": "TiO2"}]'),
         (VALID, b'[{"material": "TiO2", "thickness_nm": -40}]'),
+        (VALID, b"[" * 100_000),
+        (b'{"layers": ' + b"[" * 100_000, json.dumps(DESIGN).encode()),
     ], ids=["config-layers-text", "config-no-wavelengths", "design-non-utf8",
-            "design-no-thickness", "design-negative-thickness"])
+            "design-no-thickness", "design-negative-thickness", "design-nested-too-deep", "config-nested-too-deep"])
     def test_bad_input_exits_1(self, tmp_path, capsys, config, design):
         assert self.run_evaluate(tmp_path, config, design) == 1
         assert "internal error" not in capsys.readouterr().err
