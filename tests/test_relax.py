@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -39,6 +40,12 @@ from conftest import SUBSTRATES, denominator_on_x, enumerate_designs, random_cat
 TOL = 1e-9
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 interval = st.tuples(st.floats(-3.0, 2.0), st.floats(0.0, 4.0))
+#: (lower, width) per coordinate.  24 candidates, the most any box searched
+#: has yielded, as has the largest set of any wavelength on the bundled configs.
+#: Pooled with another box's, they fill the largest subset table, 32 candidates.
+MANY_CANDIDATES = [(-1.0, 2.0), (-2.0, 1.5), (-0.5, 2.5), (0.0, 2.5)]
+#: x4 just wider than POINT_TOL, so it is not collapsed: slopes near 2e8.
+THIN_SIDE = [(0.0, 1.0), (0.0, 2.0), (-1.0, 0.25), (-1.0, 2e-9)]
 
 
 def points_close(got, want, tol=1e-9):
@@ -370,11 +377,17 @@ def broad(request):
     return bundled_catalog("broad_n20_theta2", request.param)
 
 
+def interval_box(intervals):
+    return Box4(tuple(lo for lo, _ in intervals), tuple(lo + w for lo, w in intervals))
+
+
 class TestBatchedMatchesReference:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(interval, min_size=4, max_size=4), st.floats(0.5, 5.0), st.floats(0.0, 5.0))
+    @example(intervals=MANY_CANDIDATES, n=1.0, k=1.0)
+    @example(intervals=THIN_SIDE, n=1.0, k=1.0)
     def test_hypothesis_boxes(self, intervals, n, k):
-        box = Box4(tuple(lo for lo, _ in intervals), tuple(lo + w for lo, w in intervals))
+        box = interval_box(intervals)
         sub = ComplexIndex(n, k)
         assert candidate_count(box) <= 32
         assert outcome(generate_overapproximators, box, sub) == outcome(
@@ -424,15 +437,61 @@ def test_subsets_are_combinations_in_order(count):
     assert subsets.tolist() == [list(c) for c in combinations(range(count), 5)]
 
 
+def repeated_candidate_block():
+    """Centred candidates with one repeated, D there, and every 5-subset as one block."""
+    box = Box4((-2.0, -1.0, -3.0, 0.5), (1.0, 2.0, 0.0, 4.0))
+    sub = ComplexIndex(2.5, 3.0)
+    pts = collect_candidates(box)
+    pts = np.vstack([pts, pts[2]])  # every subset holding both copies is exactly singular
+    pts -= (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+    gvals = denominator4(pts[:, ENTRY_ORDER], sub.re, sub.im)
+    return pts, gvals, [np.array(list(combinations(range(len(pts)), 5)))]
+
+
+def box_blocks(*boxes):
+    """The boxes' first 32 candidates, centred, D there on a (1, 1) substrate, and the fitting blocks."""
+    pts = np.vstack([collect_candidates(interval_box(intervals)) for intervals in boxes])[:32]
+    pts -= (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+    gvals = denominator4(pts[:, ENTRY_ORDER], 1.0, 1.0)
+    subsets = relax._subsets(len(pts))
+    return pts, gvals, [subsets[s:s + relax.FIT_BLOCK] for s in range(0, len(subsets), relax.FIT_BLOCK)]
+
+
+@pytest.mark.parametrize("make, count", [
+    (functools.partial(box_blocks, MANY_CANDIDATES), 24),
+    (functools.partial(box_blocks, THIN_SIDE), 15),
+    (functools.partial(box_blocks, MANY_CANDIDATES, THIN_SIDE), 32),
+    (repeated_candidate_block, 17),
+], ids=["many-candidates", "thin-side", "two-boxes-pooled", "repeated-candidate"])
+def test_sentinel_stage_keeps_the_oracle_fits(make, count):
+    """Block by block, bit for bit, the fits of putting every fit through every test."""
+    pts, gvals, blocks = make()
+    assert len(pts) == count
+    aug = np.column_stack([np.ones(len(pts)), pts])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for subsets in blocks:
+            got = relax._dominating_fits(aug, gvals, subsets)
+            want = oracles.dominating_fits(pts, gvals, subsets)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_subsets_build_without_large_temporaries():
+    """The 5-subsets of 32 candidates take 0.96 MB; building them peaks under 2 MB."""
+    relax._subsets.cache_clear()
+    tracemalloc.start()
+    try:
+        subsets = relax._subsets(32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert subsets.nbytes == 5 * math.comb(32, 5)
+    assert peak < 2_000_000
+
+
 class TestSingularFits:
     def test_repeated_candidate_matches_slogdet_filter(self):
-        box = Box4((-2.0, -1.0, -3.0, 0.5), (1.0, 2.0, 0.0, 4.0))
-        sub = ComplexIndex(2.5, 3.0)
-        pts = collect_candidates(box)
-        pts = np.vstack([pts, pts[2]])  # every subset holding both copies is exactly singular
-        pts -= (pts.min(axis=0) + pts.max(axis=0)) / 2.0
-        gvals = denominator4(pts[:, ENTRY_ORDER], sub.re, sub.im)
-        subsets = np.array(list(combinations(range(len(pts)), 5)))
+        pts, gvals, (subsets,) = repeated_candidate_block()
         mat = np.ones((len(subsets), 5, 5))
         mat[:, :, 1:] = pts[subsets]
         assert (np.linalg.slogdet(mat)[0] == 0).sum() >= 100
@@ -466,7 +525,7 @@ class TestConcaveEnvelope:
     # x4 narrower than POINT_TOL: harvested from both faces, it left a lopsided set.
     @example(intervals=[(0.0, 1.0), (0.0, 2.0), (-1.0, 0.25), (-1.0, 1e-9)], n=1.0, k=1.0)
     def test_hypothesis_boxes(self, intervals, n, k):
-        box = Box4(tuple(lo for lo, _ in intervals), tuple(lo + w for lo, w in intervals))
+        box = interval_box(intervals)
         sub = ComplexIndex(n, k)
         try:
             pts, gvals = lifted_candidates(box, sub)
