@@ -12,9 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-#: Entries (wavelengths x columns) per chunk of the leaf kernels: a float64
-#: work buffer of 1 MiB, inside L2.  See leaf_chunk_width.
-LEAF_CHUNK_ENTRIES = 2**15
+#: Columns per chunk of the leaf kernels, whatever the number of wavelengths:
+#: a 2^15-column block is one chunk.  See leaf_chunk_width.
+LEAF_CHUNK_COLUMNS = 2**15
 
 
 #: The carrier product as a table: entry e of A*B is the sum over t of
@@ -146,13 +146,16 @@ def reflectance_rows4(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return terms @ carrier
 
 
-def leaf_chunk_width(n_wl: int, k: int) -> int:
-    """Columns per chunk for an (n_wl, 4, k) table: k, or a multiple of 64 from 128.
+def leaf_chunk_width(k: int) -> int:
+    """Columns per chunk for an (L, 4, k) table: k, or LEAF_CHUNK_COLUMNS if k is wider.
 
-    A multiple of 64 keeps every chunk on the SIMD alignment the whole
-    block has in BLAS (see _leaf_chunks).
+    The solver's blocks of 8 or more wavelengths are then scored and
+    screened in one chunk: cutting them to an L2-sized budget of entries
+    cost more per block than the cache misses it saved.
+    LEAF_CHUNK_COLUMNS is a multiple of 64, which keeps every chunk on the
+    SIMD alignment the whole block has in BLAS (see _leaf_chunks).
     """
-    return min(k, max(128, LEAF_CHUNK_ENTRIES // n_wl // 64 * 64))
+    return min(k, LEAF_CHUNK_COLUMNS)
 
 
 @functools.lru_cache(maxsize=64)

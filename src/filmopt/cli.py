@@ -6,17 +6,17 @@ compare, extreme-points.  Exit codes: 0 success, 1 usage/config error
 infeasible or too-large instance, 3 internal invariant violation
 (InternalError).
 
-Each command compiles and runs only the layers it calls.  ``materials``,
-``bounds`` and ``solver`` load with this module; ``heuristics``, ``lpio``,
-``model`` and ``relax`` are bound here as lazy modules that load on their
-first attribute access.  So ``optimize`` loads none of the four;
-``evaluate``, ``heuristic`` and ``compare`` load ``heuristics``;
-``hyperplanes`` and ``extreme-points`` load ``relax``; ``export`` loads
-``model`` and ``lpio``, and ``relax`` too for ``--kind misocp``.  A run
-from a source tree without bytecode caches compiles every module it loads,
-and the four are about 1,440 lines that ``optimize`` never calls.  Exit
-codes follow the bases in :mod:`filmopt.errors`: ``UsageError`` 1,
-``InstanceError`` 2.
+Each command compiles and runs only the layers it calls.  ``materials``
+and ``bounds`` load with this module; ``heuristics``, ``lpio``, ``model``,
+``relax`` and ``solver`` are bound here as lazy modules that load on their
+first attribute access.  So ``optimize`` loads ``solver`` only;
+``evaluate``, ``heuristic`` and ``compare`` load ``heuristics`` and
+``solver``; ``bounds`` loads none of the five; ``hyperplanes`` and
+``extreme-points`` load ``relax``; ``export`` loads ``model`` and ``lpio``,
+and ``relax`` too for ``--kind misocp``.  A run from a source tree without
+bytecode caches compiles every module it loads, and ``solver`` alone is
+about 320 lines that ``export`` never calls.  Exit codes follow the bases
+in :mod:`filmopt.errors`: ``UsageError`` 1, ``InstanceError`` 2.
 
 Run as the program, ``main()`` without arguments (the ``filmopt`` console
 script and ``python -m filmopt.cli``) first calls ``gc.freeze()``: the
@@ -38,7 +38,6 @@ from pathlib import Path
 from types import ModuleType
 
 from . import bounds as bounds_mod
-from . import solver
 from .errors import ConfigError, FilmoptError, InstanceError, InstanceTooLarge, ParseError, UsageError
 from .materials import (
     Catalog, CatalogConfig, _rank_by_mean_index, build_catalog, csv_text, load_tables, progression, read_json,
@@ -62,7 +61,7 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
-heuristics, lpio, model_mod, relax = map(_lazy, ("heuristics", "lpio", "model", "relax"))
+heuristics, lpio, model_mod, relax, solver = map(_lazy, ("heuristics", "lpio", "model", "relax", "solver"))
 
 
 def _write_json(path: Path, obj) -> None:

@@ -16,12 +16,13 @@ which return a :class:`SolveReport`:
 The layers split into leading layers, searched node by node with shared
 prefix products, and a trailing block whose products are built once as an
 (L, 4, K) suffix table.  Every prefix that reaches the split is scored
-against the whole table with one matmul per wavelength, in chunks of
-``LEAF_CHUNK_ENTRIES`` (2^15) entries and a multiple of 64 columns, into
-buffers allocated once per solve.  The tail grows from the last layer
-while its block fits in ``max(1024, 262_144 // L)`` designs and at least
-``MIN_PREFIXES`` prefixes stay above the split, where B&B prunes.  Both
-solvers split alike, so B&B evaluates no design brute force does not.
+against the whole table with one matmul per wavelength, in chunks of at
+most ``LEAF_CHUNK_COLUMNS`` (2^15) columns whatever L is, into buffers
+allocated once per solve.  The tail grows from the last layer while its
+block fits in ``max(1024, 262_144 // L)`` designs and at least
+``MIN_PREFIXES`` prefixes stay above the split, where B&B prunes; so from
+8 wavelengths on, a block is one chunk.  Both solvers split alike, so B&B
+evaluates no design brute force does not.
 
 Denominator screen: since D - N = 4a det(W), reflectance is
 1 - 4a det(P) det(S)/D, so the denominators alone bound every score of a
@@ -223,7 +224,7 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
     n_wl = len(phi)
     split = _split_depth(counts, n_wl)
     suffix = _suffix_table(mats[split:])
-    work = np.empty((n_wl, 4, leaf_chunk_width(n_wl, suffix.shape[2])))
+    work = np.empty((n_wl, 4, leaf_chunk_width(suffix.shape[2])))
     screen = DenominatorScreen(suffix, a, b, phi, work)
     scores = np.empty(suffix.shape[2])
     if prune:

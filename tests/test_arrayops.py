@@ -161,8 +161,9 @@ def test_leaf_kernel_allocates_no_work_arrays():
     assert peak < k * 8  # far below one (K,) array, let alone an (L, K) temporary
 
 
-@pytest.mark.parametrize("k", [1, 3, 63, 1023, 16385])
+@pytest.mark.parametrize("k", [1, 3, 63, 1023, 16385, 32769])
 def test_chunked_leaf_kernel_is_bit_identical(k):
+    # leaf_chunk_width cuts 32,769 columns into 32,704 and 65: the lone last column joins the 63 before it
     rng = np.random.default_rng(k)
     for n_wl in (1, 3):
         rows = reflectance_rows4(rng.uniform(-2, 2, size=(n_wl, 4)),
@@ -170,7 +171,7 @@ def test_chunked_leaf_kernel_is_bit_identical(k):
         table = rng.uniform(-3, 3, size=(n_wl, 4, k))
         phi = rng.random(n_wl) / n_wl
         want = weighted_reflectance4(rows, table, phi, np.empty_like(table), np.empty(k))
-        for width in (128, 1024, leaf_chunk_width(n_wl, k)):
+        for width in (128, 1024, leaf_chunk_width(k)):
             got = weighted_reflectance4(rows, table, phi, np.empty((n_wl, 4, width)), np.empty(k))
             assert got.tobytes() == want.tobytes()
 

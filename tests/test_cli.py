@@ -280,7 +280,7 @@ code = cli.main(sys.argv[1:])
 pkg = Path(cli.__file__).parent
 print(json.dumps([code, sorted(Path(f).name for f in ran if Path(f).parent == pkg)]))
 """
-LAZY_LAYERS = {"heuristics.py", "lpio.py", "model.py", "relax.py"}
+LAZY_LAYERS = {"heuristics.py", "lpio.py", "model.py", "relax.py", "solver.py"}
 
 
 def fresh_python(code: str, *args) -> str:
@@ -296,16 +296,18 @@ class TestLayersLoaded:
     """Each command compiles and runs only the layer modules it calls."""
 
     @pytest.mark.parametrize("command, runs", [
-        (["optimize", "--mode", "brute"], set()),
-        (["optimize", "--mode", "bnb"], set()),
-        (["heuristic", "--targets", "450,900"], {"heuristics.py"}),
+        (["optimize", "--mode", "brute"], {"solver.py"}),
+        (["optimize", "--mode", "bnb"], {"solver.py"}),
+        (["heuristic", "--targets", "450,900"], {"heuristics.py", "solver.py"}),
         (["export", "--kind", "miqcp"], {"model.py", "lpio.py"}),
-    ], ids=["optimize-brute", "optimize-bnb", "heuristic", "export-miqcp"])
+        (["bounds"], set()),
+        (["hyperplanes"], {"relax.py"}),
+    ], ids=["optimize-brute", "optimize-bnb", "heuristic", "export-miqcp", "bounds", "hyperplanes"])
     def test_command_runs_only_its_layers(self, config_path, tmp_path, command, runs):
         out = fresh_python(LAYER_PROBE, *command, "--config", config_path, "--out", tmp_path / "o")
         code, ran = json.loads(out.splitlines()[-1])
         assert code == 0
-        assert {"cli.py", "solver.py", "materials.py"} <= set(ran)
+        assert {"cli.py", "bounds.py", "materials.py"} <= set(ran)
         assert set(ran) & LAZY_LAYERS == runs
 
     def test_layer_imported_before_cli_is_the_one_cli_uses(self):
@@ -325,6 +327,57 @@ class TestLayersLoaded:
             " lpio.export_lp is cli.lpio.export_lp, type(lpio).__name__)"
         )
         assert out.split() == ["True", "True", "module"]
+
+
+#: Imports the bare package in a fresh interpreter and prints the package files whose module code ran, then how
+#: the lazy names resolve: the check of ``dir`` and ``filmopt.bounds`` come before anything loads ``solver``.
+PACKAGE_PROBE = """
+import json, sys
+from pathlib import Path
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(getattr(args[0], "co_filename", "")))
+import filmopt
+pkg = Path(filmopt.__file__).parent
+executed = sorted(Path(f).name for f in ran if Path(f).parent == pkg)
+all_in_dir = set(filmopt.__all__) <= set(dir(filmopt))
+bounds = filmopt.bounds.__name__
+try:
+    filmopt.nope
+    nope = "resolved"
+except AttributeError:
+    nope = "AttributeError"
+print(json.dumps([executed, all_in_dir, bounds, nope, filmopt.branch_and_bound is filmopt.solver.branch_and_bound]))
+"""
+
+
+class TestPackageImport:
+    """``import filmopt`` runs only what building a catalog needs; the rest loads on first access."""
+
+    def test_bare_import_runs_four_files_and_resolves_the_rest_on_access(self):
+        executed, all_in_dir, bounds, nope, same = json.loads(fresh_python(PACKAGE_PROBE).splitlines()[-1])
+        assert executed == ["__init__.py", "errors.py", "materials.py", "optics.py"]
+        assert all_in_dir
+        assert bounds == "filmopt.bounds"
+        assert nope == "AttributeError"
+        assert same
+
+    def test_every_exported_name_is_the_object_its_module_defines(self):
+        from filmopt import materials, optics
+
+        for name in filmopt.__all__:
+            home = next(m for m in (materials, optics, solver) if hasattr(m, name))
+            assert getattr(filmopt, name) is getattr(home, name), name
+
+    def test_a_submodule_whose_import_fails_raises_that_error_not_attribute_error(self):
+        out = fresh_python(
+            "import sys, filmopt\n"
+            "sys.modules['numpy'] = None\n"  # relax's "import numpy" now fails
+            "try:\n"
+            "    filmopt.relax\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(type(exc).__name__, exc.name)\n"
+        )
+        assert out.split() == ["ModuleNotFoundError", "numpy"]
 
 
 #: Runs the module as ``python -m filmopt.cli`` does, with the arguments as ``sys.argv``, and prints its exit
