@@ -162,8 +162,9 @@ def leaf_chunk_width(k: int) -> int:
 def _leaf_chunks(k: int, width: int) -> tuple[tuple[slice, int], ...]:
     """(columns, count) chunks of `width` covering ``range(k)``.
 
-    `width` is at least k or a multiple of 64 from 128.  Every chunk starts at a multiple of 64, so it keeps the SIMD alignment
-    the whole block has in BLAS.  A lone last column joins the 63 before it:
+    `width` is at least k or a multiple of 64 from 128.  Every chunk starts
+    at a multiple of 64, so it keeps the SIMD alignment the whole block has
+    in BLAS.  A lone last column joins the 63 before it:
     numpy scores a one-column matmul with gemv, which rounds differently
     from the gemm of a wider block.  Cached: a search asks for the same
     chunks once per prefix.
@@ -219,10 +220,42 @@ _SCREEN_LIMIT = 2.0**16
 #: Largest T/ρ (see DenominatorScreen.margins) for which the float32 terms
 #: err by at most 2^-10 of √D.
 _Z_CAP = 2.0**-10 / _gamma(7, _U32)
+#: Largest residual of a layer choice's fit that _layer_indices accepts, and
+#: the η = κ it certifies for DenominatorScreen.margins.
+_FIT_TOL, _FIT_BOUND = 2.0**-44, 2.0**-43
+
+
+def _layer_indices(layer: np.ndarray, materials: Sequence) -> np.ndarray | None:
+    """Index n of each material of a one-wavelength (m, 4) layer array; None if a choice is no layer.
+
+    A layer of index n and phase δ is cos δ·I + sin δ·B_n, B_n = (0, 1/n,
+    n, 0).  A material's n is sqrt(y/x) at its choice (c, x, y, d) of
+    largest |x y|, or 1 when x = y = 0 on all its choices.  A choice passes
+    when c = d and, with s = fl(y/n), |fl(x - fl(s/n))| <= 2^-44 |x| and
+    |fl(c² + s²) - 1| <= 2^-44.  Then it is c·I + (y/n)·B_n + (0, e, 0, 0)
+    with |e| <= η|x| and c² + (y/n)² <= 1 + κ, η = κ = 2^-43: the rounding
+    of s, s/n, c², s² and the sums takes at most 4u of the slack.
+    `materials` names the material of each choice, in `layer` order.  A
+    layer folded with a fixed matrix fails, and its table keeps the column
+    screen.
+    """
+    c, x, y, d = layer.T
+    names, kind = np.unique(np.asarray(materials), return_inverse=True)
+    n = np.ones(len(names))
+    for g in range(len(names)):
+        choices = np.flatnonzero(kind == g)
+        j = choices[np.argmax(np.abs(x[choices] * y[choices]))]
+        if x[j] * y[j] > 0:
+            n[g] = np.sqrt(y[j] / x[j])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = y / n[kind]
+        fits = ((c == d) & (np.abs(x - s / n[kind]) <= _FIT_TOL * np.abs(x))
+                & (np.abs(c * c + s * s - 1) <= _FIT_TOL))
+    return n if fits.all() and np.isfinite(n).all() else None
 
 
 class DenominatorScreen:
-    """Float32 upper bound on the float64 leaf scores of one suffix table, from denominators only.
+    """Upper bound on the float64 leaf scores of one suffix table, from denominators only.
 
     For W = P*S with terms (n1, n2, d1, d2) of R = N/D (reflectance_rows4),
     D - N = 4a det(W) exactly, where det(W) = w11 w22 + w12 w21 is
@@ -231,17 +264,49 @@ class DenominatorScreen:
     block exceeds Σφ - min_k Σ_l 4 φ_l a_l c_l / D_l[k]; only the two
     denominator rows are needed.  Built once per (L, 4, K) table with
     c_l = det(P_l) min_k det(S_lk).  ``margins`` prepares all prefixes at the
-    split at once; ``bound`` scores one of them in float32, in chunks of the
-    width of `work`.  The float32 pass runs in the first half of the
+    split at once; ``bound`` scores one of them.
+
+    Column screen: ``bound`` computes every D_l[k] in float32, in chunks of
+    the width of `work`.  The float32 pass runs in the first half of the
     caller's float64 work buffer, which it needs only between float64
     passes (the constructor also uses it as scratch).
+
+    Ellipse screen, with one wavelength: the table was built as
+    `head` (L, 4, K/m), the products of every tail layer but the last,
+    times each of the m choices of the last layer `last` (m, L, 4), last
+    layer fastest, and `materials` names each choice's material.  When
+    every choice is cos δ·I + sin δ·B_n with its material's n
+    (_layer_indices), mul4's bilinearity makes each column T*M of the
+    table cos δ·T + sin δ·(T*B_n) for its head column T.  With R the den
+    rows of P, u = R T and v = R (T*B_n), the den terms of P*T*M are
+    cos δ·u + sin δ·v, so over the unit circle D is at most the larger
+    eigenvalue of the Gram matrix of u and v, λ = p + sqrt(p² - (u1 v2 -
+    u2 v1)²) with p = (|u|² + |v|²)/2.  That is σ², σ the largest
+    singular value of [u v]: with U = u1 + i u2 and V = v1 + i v2,
+    cos δ U + sin δ V = (e^{iδ} (U - iV) + e^{-iδ} (U + iV))/2, so
+    σ = (|w+| + |w-|)/2 with w± = (u1 ± v2, u2 ∓ v1), free of the
+    cancellation in p² - (u1 v2 - u2 v1)².  Each of the four coordinates
+    of w± is a fixed row times T, so ``bound`` gets them for every head
+    column and material from one float64 matmul, and puts the largest σ²
+    for the largest D over the columns: on mo_410_n6, 4,056 head columns
+    for 97,344 columns, and no float32 copy of the table.  A table of
+    several wavelengths, or a last layer that fails the check, keeps the
+    column screen.
     """
 
     def __init__(
-        self, suffix: np.ndarray, a: np.ndarray, b: np.ndarray, phi: np.ndarray, work: np.ndarray
+        self,
+        suffix: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        phi: np.ndarray,
+        work: np.ndarray,
+        head: np.ndarray | None = None,
+        last: np.ndarray | None = None,
+        materials: Sequence = (),
     ) -> None:
         n_wl, _, k = suffix.shape
-        self.n_wl, self.k, self.phi = n_wl, k, phi
+        self.n_wl, self.k, self.phi, self.head = n_wl, k, phi, None
         smax = np.maximum(suffix.max(axis=2), -suffix.min(axis=2))  # no |suffix| temporary
         det_min, spread = np.full(n_wl, np.inf), np.zeros(n_wl)
         for cols, count in _leaf_chunks(k, work.shape[2]):
@@ -264,6 +329,16 @@ class DenominatorScreen:
         self.scale = (np.abs(self.den_map).reshape(n_wl, 4, 2, 4) @ smax[:, None, :, None])[..., 0]
         self.four_a, self.h_scale = 4 * a, 4 * phi * a
         self.phi_sum = float(phi.sum())
+        n = _layer_indices(last[:, 0], materials) if n_wl == 1 and head is not None else None
+        if n is not None:
+            self.head = self._ellipses(head[0], last[:, 0], n)
+        if self.head is not None:
+            # δ = ((k_z z + 2.014 z_e + 1.007 εc) @ φ + k_sum)(1 + 2^-20), see margins
+            self.k_z = 4.02 * _gamma(8, _U64)
+            k_0 = (5.4 * _U64 + 1.001 * _gamma(1, _U64) + 7 * _gamma(4, _U64) + 2.0**-60
+                   + 1.007 * (_FIT_BOUND + 3 * _gamma(3, _U64) + _gamma(4, _U64)))
+            self.k_sum = k_0 * self.phi_sum + 2.0**-60
+            return
         # δ = ((k_z z + 1.007 εc) @ φ + k_sum)(1 + 2^-20), see margins
         self.k_z = 2.02 * _gamma(7, _U32) + 4.02 * _gamma(8, _U64)
         k_0 = (2.2 * _U32 + 1.007 * _gamma(n_wl + 3, _U32) + 5.4 * _U64
@@ -274,12 +349,35 @@ class DenominatorScreen:
         self.work = work.reshape(-1).view(np.float32)[: n_wl * 2 * width].reshape(n_wl, 2, width)
         self.q = np.empty(width, np.float32)
 
+    def _ellipses(self, head: np.ndarray, layer: np.ndarray, n: np.ndarray) -> np.ndarray | None:
+        """The (4, K/m) head columns for the ellipse screen, or None if their scales reach the limit.
+
+        Sets ``lift`` (8, 16 G): the flat den rows (R1, R2) times it are the
+        rows of (u1 + v2, u2 - v1, u1 - v2, u2 + v1) for each of the G
+        materials, with v_i = R_i B' T and B' T = T*B_n.  And the
+        ``ellipse_scale`` (1, 4, 6) that takes |P̂| to the spans of margins'
+        step E: Ā Tmax, Ā TBmax and Ā TM, each for d1 and d2.
+        """
+        turns = np.zeros((len(n), 4, 4))  # turns[g] @ T = T*B_n, the carrier product
+        turns[:, 0, 1], turns[:, 1, 0], turns[:, 2, 3], turns[:, 3, 2] = -n, 1 / n, n, -1 / n
+        tmax = np.abs(head).max(axis=1)
+        tm = (tmax[PRODUCT_LEFT] * np.abs(layer).max(axis=0)[PRODUCT_RIGHT]).sum(axis=1)
+        spans = np.stack([tmax, (np.abs(turns) @ tmax).max(axis=0), tm], axis=1)  # (4, 3)
+        if not spans.max() < _SCREEN_LIMIT:
+            return None
+        eye = np.eye(4)
+        self.lift = np.concatenate([np.block([[eye, -t, eye, t], [t, eye, -t, eye]]) for t in turns], axis=1)
+        self.moduli = np.empty((4 * len(n), head.shape[1]))
+        self.ellipse_scale = (np.abs(self.den_map).reshape(1, 4, 2, 4) @ spans).swapaxes(-1, -2).reshape(1, 4, 6)
+        return np.ascontiguousarray(head)
+
     def margins(self, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float32 den rows (..., L, 2, 4), weights h = 4 φ a c (..., L) and margins δ (...).
+        """Den rows (..., L, 2, 4), weights h = 4 φ a c (..., L) and margins δ (...).
 
         For (..., L, 4) `prefixes`, δ bounds how far a float64 score of
         :func:`weighted_reflectance4` can exceed the bound Σφ - min_k Q̂_k of
-        ``bound``, Q̂_k = fl(Σ_l h_l/D̂_l[k]) with float32 denominators D̂.
+        ``bound``, Q̂_k = fl(Σ_l h_l/D̂_l[k]) with float32 denominators D̂
+        (column screen; the ellipse screen's steps follow these).
         Let u = 2^-53, v = 2^-24, γ_n(u) = nu/(1 - nu) (Higham, *Accuracy
         and Stability of Numerical Algorithms*, ch. 3; each operation rounds
         as op(1 + ε), |ε| <= u or v, with or without FMA).  Per wavelength,
@@ -326,10 +424,51 @@ class DenominatorScreen:
 
         δ = (Σ φ_l (k_z z_l + 1.007 εc_l + k_0) + 7 γ_{L+3}(u) Σφ
         + L 2^-60)(1 + 2^-20); the last factor covers the float64
-        evaluation of δ itself, a sum of positive terms.  δ is inf when a
-        step does not apply: a_l <= 0, c_l <= 0, εc > 2^-9, z > _Z_CAP,
-        ρ² < 2^-40 (no usable lower bound on the denominator), an entry at
-        or past the limit, or a non-finite result.
+        evaluation of δ itself and of its scales, sums of products of
+        positive terms.  δ is inf when a step does not apply: a_l <= 0,
+        c_l <= 0, εc > 2^-9, z > _Z_CAP, ρ² < 2^-40 (no usable lower bound
+        on the denominator), an entry at or past the limit, or a non-finite
+        result.
+
+        Ellipse screen (L = 1).  The den rows stay float64 and are lifted:
+        rows (4G, 4) give (u1 + v2, u2 - v1, u1 - v2, u2 + v1) of each
+        material (see _ellipses), so ``bound`` gets w± of every group from
+        one matmul with the head table and takes λ̂ = fl(ŝ²/4) for the
+        largest ŝ = fl(|ŵ+| + |ŵ-|).  Steps 0-4 stand; step 5 needs
+        D_k <= λ̂/(1 - e) on every column k of a group, with this e:
+
+        E1. Table.  Column k is S = fl(T*M), |S - T*M| <= γ2(u) |T|*|M|
+            (products of absolute values), and the checked choice is
+            M = c·I + s·B_n + E with |E| <= η|M| and c² + s² <= 1 + κ
+            (_layer_indices).  With exact rows R of P̂ (|R| <= Ā) and
+            A = R [T, T*B_n], R S = A (c, s) + R (T*E + S - T*M), so
+            √D = |R S| <= sqrt(1 + κ) ||A||_2 + (η + γ2(u)) TS, where
+            TS = hypot(Ā TM) and TM = Tmax*Mmax bounds |T|*|M| entrywise
+            (Tmax, Mmax: the largest |entries| of the head and the layer).
+        E2. Lifted rows.  ||A||_2 = (|w+| + |w-|)/2 for the exact w± of A.
+            The screen's coordinates carry the γ4(u) of R̂, u for the fl(1/n)
+            in B', γ2(u) for the lift's one product and sum, and γ4(u) for
+            the matmul: |â - a| <= γ12(u) (Ā1 Tmax + Ā2 TBmax) for a = u1 ±
+            v2, and with Ā1, Ā2 (the d1 and d2 rows of Ā) swapped for
+            u2 ∓ v1, TBmax the largest |T*B_n| entrywise.  So (|ŵ+ - w+| + |ŵ- - w-|)/2 <= sqrt(2)
+            γ12(u) TA, TA the Frobenius norm of Ā [Tmax, TBmax].
+        E3. Moduli.  fl(sqrt(fl(a² + b²))) is within γ2(u) of |w| and the
+            sum within γ3(u), so |ŵ+| + |ŵ-| <= ŝ/(1 - γ3(u)), and
+            (ŝ/2)² <= λ̂/(1 - u): ||A||_2 <= sqrt(λ̂ (1 + γλ)) + 1.415 γ12(u)
+            TA with 1 + γλ = 1/((1 - u)(1 - γ3(u))²), γλ = 3 γ3(u).
+        E4. So √D <= sqrt((1 + κ)(1 + γλ) λ̂) + y', y' = 1.416 γ12(u) TA +
+            (η + γ2(u)) TS.  With √D >= ρ and z_e = y'/ρ, √D (1 - z_e)
+            <= √D - y', so D <= λ̂/(1 - e) with e = κ + γλ + 2 z_e.
+        E5. Step 6 runs in float64: h (γ2(u)) and the quotient put Q̂
+            within γ3(u) φq of φq.
+        E6. With εc <= 2^-9, z <= _Z_CAP and z_e <= 2^-11, step 7 gives
+            F <= E + 1.007 (εc + e + γ4(u)) <= k_z z + 2.014 z_e + 1.007 εc
+            + k_0, with k_z = 4.02 γ8(u) and k_0 = 5.4u + 1.001 γ1(u) +
+            1.007 (κ + γλ + γ4(u)) + 7 γ4(u) + 2^-60 in __init__; Tmax,
+            TBmax and TM below 2^16 keep step 7's underflow bound.
+
+        So δ = (φ (k_z z + 2.014 z_e + 1.007 εc + k_0) + 2^-60)(1 + 2^-20),
+        and δ is inf also when z_e > 2^-11.
         """
         if not self.usable:
             zero = np.broadcast_to(np.float32(0), prefixes.shape[:-1] + (2, 4))
@@ -345,21 +484,34 @@ class DenominatorScreen:
             t = np.square(absp[..., None, :] @ self.scale)
             z2 = (t[..., 0, 0] + t[..., 0, 1]) / rho2
             ok = (eps <= 2.0**-9) & (z2 <= _Z_CAP**2) & (rho2 >= 2.0**-40)
+            terms = self.k_z * np.sqrt(z2) + 1.007 * eps
+            rows = (prefixes[..., None, :] @ self.den_map).reshape(*prefixes.shape[:-1], 2, 4)
+            if self.head is None:
+                h, rows = (self.h_scale * c).astype(np.float32), rows.astype(np.float32)
+            else:
+                spans = np.square(absp[..., None, :] @ self.ellipse_scale)[..., 0, :]  # TA², then TS²
+                z_e = (1.416 * _gamma(12, _U64) * np.sqrt(spans[..., :4].sum(axis=-1))
+                       + (_FIT_BOUND + _gamma(2, _U64)) * np.sqrt(spans[..., 4:].sum(axis=-1))) / np.sqrt(rho2)
+                ok &= z_e <= 2.0**-11
+                terms += 2.014 * z_e
+                h = self.h_scale * c
+                rows = (rows.reshape(*rows.shape[:-2], 1, 8) @ self.lift).reshape(*rows.shape[:-2], -1, 4)
             ok = ok.all(axis=-1) & (absp.max(axis=(-2, -1)) < _SCREEN_LIMIT)
-            delta = ((self.k_z * np.sqrt(z2) + 1.007 * eps) @ self.phi + self.k_sum) * (1 + 2.0**-20)
-            h = (self.h_scale * c).astype(np.float32)
-            den_rows = (prefixes[..., None, :] @ self.den_map).astype(np.float32)
-        return den_rows.reshape(*prefixes.shape[:-1], 2, 4), h, np.where(ok, delta, np.inf)
+            delta = (terms @ self.phi + self.k_sum) * (1 + 2.0**-20)
+        return rows, h, np.where(ok, delta, np.inf)
 
     def bound(self, den_rows: np.ndarray, h: np.ndarray, delta: float) -> float:
         """Σφ - min_k Σ_l h_l / D̂_l[k] + δ for one prefix, or inf when δ is.
 
-        `den_rows` (L, 2, 4), `h` (L,) and δ are one prefix's entries of
-        ``margins``.  No score :func:`weighted_reflectance4` gives for that
-        prefix exceeds the result.
+        `den_rows`, `h` and δ are one prefix's entries of ``margins``.  The
+        ellipse screen puts λ̂, the largest σ² of its groups, for max_k D̂[k].  No
+        score :func:`weighted_reflectance4` gives for that prefix exceeds
+        the result.
         """
         if not delta < np.inf:
             return np.inf
+        if self.head is not None:
+            return self.phi_sum - float(h[0]) / self._largest_ellipse(den_rows[0]) + float(delta)
         low = np.inf
         for cols, count in _leaf_chunks(self.k, self.work.shape[2]):
             terms = self.work[:, :, :count]
@@ -372,3 +524,14 @@ class DenominatorScreen:
                 weighted = np.matmul(h, np.reciprocal(den, out=den), out=self.q[:count])
                 low = min(low, float(weighted.min()))
         return self.phi_sum - low + float(delta)
+
+    def _largest_ellipse(self, rows: np.ndarray) -> float:
+        """λ̂ = fl(ŝ²/4) for the largest ŝ = |ŵ+| + |ŵ-| of the head columns and materials.
+
+        `rows` (4G, 4) are one prefix's lifted den rows from ``margins``.
+        """
+        w = np.matmul(rows, self.head, out=self.moduli)  # rows of (u1 + v2, u2 - v1, u1 - v2, u2 + v1) per material
+        np.square(w, out=w)
+        moduli = np.sqrt(np.add(w[0::2], w[1::2], out=w[0::2]), out=w[0::2])  # |w+|, |w-|
+        s = float(np.add(moduli[0::2], moduli[1::2], out=moduli[0::2]).max())
+        return 0.25 * s * s

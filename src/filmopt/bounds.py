@@ -86,7 +86,8 @@ def suffix_product_bounds(catalog: Catalog, split: int, table: np.ndarray) -> En
     """Bounds on the product of layers k+1..N for depths k = 0..split.
 
     `table` holds the (L, 4, K) products of layers split+1..N
-    (``solver._suffix_table``; at split N, the identity as one column).
+    (the table of ``solver._suffix_table``; at split N, the identity as one
+    column).
     The box at depth `split` is their exact entrywise min/max, and
     shallower boxes propagate from it.
     """

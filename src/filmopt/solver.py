@@ -26,12 +26,20 @@ evaluates no design brute force does not.
 
 Denominator screen: since D - N = 4a det(W), reflectance is
 1 - 4a det(P) det(S)/D, so the denominators alone bound every score of a
-block (:class:`~filmopt.arrayops.DenominatorScreen`, float32, with a
-rigorous margin δ from a γ_n error analysis).  A block whose bound cannot
-beat the incumbent plus ``OBJECTIVE_EPS`` is skipped; every other block,
-the first and every block where δ is inf are scored by the float64 kernel
-over the whole block, so the objective, design, tie-break, incumbents and
-node counts are the same as without the screen.
+block (:class:`~filmopt.arrayops.DenominatorScreen`, with a rigorous
+margin δ from a γ_n error analysis).  With several wavelengths the screen
+computes every column's denominators in float32.  With one, the table is
+built as a head table (every tail layer but the last) times the last
+layer, and a last-layer choice cos δ·I + sin δ·B_n puts the denominators
+of a head column's choices of one material on an ellipse in δ; the
+screen takes the largest eigenvalue of each ellipse in float64, one per
+head column and material in place of one denominator per column.  A last
+layer whose choices are no layer matrices keeps the float32 column
+screen.  A block whose bound cannot beat the incumbent plus
+``OBJECTIVE_EPS`` is skipped; every other block, the first and every
+block where δ is inf are scored by the float64 kernel over the whole
+block, so the objective, design, tie-break, incumbents and node counts
+are the same as without the screen.
 
 Node accounting: ``nodes_explored`` counts designs evaluated, each tail
 block counted whole; ``nodes_pruned`` counts subtrees cut above the split
@@ -184,9 +192,15 @@ def _split_depth(counts: list[int], n_wl: int) -> int:
     return len(counts) - tail
 
 
-def _suffix_table(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """(L, 4, K) products of every choice sequence over `mats`, last layer fastest."""
+def _suffix_table(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(L, 4, K) products of every choice sequence over `mats`, last layer fastest, and their head.
+
+    The head (L, 4, K/m) holds the products over every layer but the last
+    (the identity, one column, for one layer), and the table is the head
+    times each of the last layer's m choices, in the same loop.
+    """
     table = np.ascontiguousarray(mats[0].transpose(1, 2, 0))
+    head = np.tile(IDENTITY4, (table.shape[0], 1))[:, :, None]
     for m in mats[1:]:
         n_wl, _, k = table.shape
         nxt = np.empty((n_wl, 4, k, m.shape[0]))
@@ -195,8 +209,8 @@ def _suffix_table(mats: Sequence[np.ndarray]) -> np.ndarray:
             m.transpose(1, 0, 2)[:, None, :, :],
             out=nxt.transpose(0, 2, 3, 1),
         )
-        table = nxt.reshape(n_wl, 4, -1)
-    return table
+        head, table = table, nxt.reshape(n_wl, 4, -1)
+    return head, table
 
 
 def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> SolveReport:
@@ -223,9 +237,9 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
     counts = [m.shape[0] for m in mats]
     n_wl = len(phi)
     split = _split_depth(counts, n_wl)
-    suffix = _suffix_table(mats[split:])
+    head, suffix = _suffix_table(mats[split:])
     work = np.empty((n_wl, 4, leaf_chunk_width(suffix.shape[2])))
-    screen = DenominatorScreen(suffix, a, b, phi, work)
+    screen = DenominatorScreen(suffix, a, b, phi, work, head, mats[-1], [m for m, _ in catalog.layer_choices[-1]])
     scores = np.empty(suffix.shape[2])
     if prune:
         boxes = bounds_mod.suffix_product_bounds(catalog, split, suffix)

@@ -14,6 +14,7 @@ from filmopt.arrayops import (
     PRODUCT_RIGHT,
     PRODUCT_SIGN,
     DenominatorScreen,
+    _layer_indices,
     box_max_denominator4,
     denominator4,
     interval_product4,
@@ -176,11 +177,14 @@ def test_chunked_leaf_kernel_is_bit_identical(k):
             assert got.tobytes() == want.tobytes()
 
 
-def _screen_and_kernel(p, table, a, b, phi, width=None):
-    """The screen's bound and the float64 kernel's largest score for prefix `p` (L, 4)."""
+def _screen_and_kernel(p, table, a, b, phi, width=None, tail=()):
+    """The screen's bound and the float64 kernel's largest score for prefix `p` (L, 4).
+
+    `tail` is the (head, last layer, materials) of the table, for the ellipse screen.
+    """
     n_wl, _, k = table.shape
     work = np.empty((n_wl, 4, width or k))
-    screen = DenominatorScreen(table, a, b, phi, work)
+    screen = DenominatorScreen(table, a, b, phi, work, *tail)
     den_rows, h, delta = screen.margins(p[None])
     bound = screen.bound(den_rows[0], h[0], delta[0])
     obj64 = weighted_reflectance4(reflectance_rows4(p, a, b), table, phi, work, np.empty(k))
@@ -260,18 +264,116 @@ def test_screen_returns_inf_where_the_bound_does_not_apply(case):
 
 def test_screen_margin_is_small_on_a_real_table(data_tables):
     cat = build_catalog(single_wavelength_config("Molybdenum", 410.0, layers=4), data_tables)
-    table = solver._suffix_table(cat.layer_matrices[1:])
+    head, table = solver._suffix_table(cat.layer_matrices[1:])
     a = np.array([s.re for s in cat.substrate_indices])
     b = np.array([s.im for s in cat.substrate_indices])
     phi = np.array(cat.spectrum.weights)
+    tail = (head, cat.layer_matrices[-1], [m for m, _ in cat.layer_choices[-1]])
+    assert DenominatorScreen(table, a, b, phi, np.empty((1, 4, 128)), *tail).head is not None
     for prefix in cat.layer_matrices[0]:
         bound, top = _screen_and_kernel(prefix, table, a, b, phi)
         assert top <= bound <= top + 1e-4
+        # the ellipses' top exceeds the largest D by well under 1%: 1 - R shrinks as much
+        bound, top = _screen_and_kernel(prefix, table, a, b, phi, tail=tail)
+        assert top <= bound <= 1 - (1 - top) / 1.01
+
+
+def _dielectric_layer(rng, indices, steps, wavelength):
+    """(choices, 1, 4) matrices of dielectric layers, build_catalog's way, and each choice's material.
+
+    Material g has index ``indices[g]`` and ``steps[g]`` thicknesses on a 1-nm grid from 0 to 400 nm.
+    """
+    picks = [(g, float(t)) for g, count in enumerate(steps)
+             for t in sorted(rng.choice(401, count, replace=False))]
+    rows = [[optics.make_transfer_matrix(ComplexIndex(indices[g]), t, wavelength).entries()] for g, t in picks]
+    return np.array(rows), [f"m{g}" for g, _ in picks]
+
+
+def _top_thickness(p, head, a, b, n, wavelength):
+    """The thickness whose layer of index n puts D(P*T*M) at the top of the largest ellipse over head columns T."""
+    rows = reflectance_rows4(p, a, b)[0, 2:]  # the den rows (2, 4)
+    t = head[0].T
+    u, v = t @ rows.T, mul4(t, np.array([0.0, 1 / n, n, 0.0])) @ rows.T
+    g11, g22, g12 = (u * u).sum(1), (v * v).sum(1), (u * v).sum(1)
+    k = np.argmax((g11 + g22) / 2 + np.hypot((g11 - g22) / 2, g12))
+    phase = 0.5 * np.arctan2(2 * g12[k], g11[k] - g22[k]) % np.pi
+    return phase * wavelength / (2 * np.pi * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3), st.booleans(), st.booleans(),
+       st.sampled_from([(3.16, 3.36), (0.05, 0.0), (1e-3, -2.0), (5e3, 8.0), (2.0, -5e3), (4e4, 4e4)]),
+       st.floats(-3.0, 5.0))
+@example(0, 1, 0, False, True, (3.16, 3.36), 0.0)  # one tail layer: the head is the identity
+@example(1, 4, 3, True, True, (4e4, 4e4), 5.0)  # many layers, large a, b and entries
+def test_ellipse_bound_tops_the_float64_kernel(seed, tail_layers, prefix_layers, two_materials, sharp,
+                                                ab, log_scale):
+    """On tails of dielectric layers, the ellipse screen's bound is at least every float64 score.
+
+    With `sharp`, one last-layer choice sits at the top of the largest ellipse, so only δ covers it.
+    """
+    rng = np.random.default_rng(seed)
+    wavelength = rng.uniform(300, 2000)
+    indices = rng.uniform(1.2, 3.4, 2)
+    a, b, phi = np.array([ab[0]]), np.array([ab[1]]), np.ones(1)
+
+    def layer():
+        return _dielectric_layer(rng, indices, [rng.integers(1, 5)] * (2 if two_materials else 1), wavelength)
+
+    p = np.array([[1.0, 0.0, 0.0, 1.0]])
+    for _ in range(prefix_layers):
+        arr, _ = layer()
+        p = mul4(p, arr[rng.integers(len(arr))])
+    tail = [layer()[0] for _ in range(tail_layers)]
+    last, names = _dielectric_layer(rng, indices, [rng.integers(1, 5)] * (2 if two_materials else 1), wavelength)
+    extra = [0.0]  # a zero thickness: the identity choice
+    if sharp:
+        head = solver._suffix_table(tail[:-1])[1] if tail_layers > 1 else np.array([[[1.0], [0.0], [0.0], [1.0]]])
+        extra.append(_top_thickness(p, head, a, b, indices[0], wavelength))
+    top_rows = [[optics.make_transfer_matrix(ComplexIndex(indices[0]), t, wavelength).entries()] for t in extra]
+    tail[-1], names = np.concatenate([top_rows, last]), ["m0"] * len(extra) + names
+    head, table = solver._suffix_table(tail)
+    scale = 10 ** (log_scale / 4)  # products scale by 10^(log_scale / 2)
+    p, table, head = p * scale, table * scale, head * scale
+    ellipses = (head, tail[-1], names)
+    assert DenominatorScreen(table, a, b, phi, np.empty((1, 4, 128)), *ellipses).head is not None
+    bound, top = _screen_and_kernel(p, table, a, b, phi, tail=ellipses)
+    assert bound >= top
+    assert bound < np.inf or ab != (3.16, 3.36)  # a substrate like the bundled metals: δ applies
+
+
+@pytest.mark.parametrize("edit", ["none", "d", "x", "scaled", "folded", "other-index"])
+def test_layer_check_accepts_only_layer_matrices(edit):
+    """Each choice must be cos δ·I + sin δ·B_n with its material's n; a change of 1e-12 in one entry fails."""
+    layer, names = _dielectric_layer(np.random.default_rng(3), [2.3, 1.4], [3, 2], 500.0)
+    layer = layer[:, 0]
+    j = 1 + int(np.argmin(np.abs(layer[1:3, 1])))  # a material-0 choice other than the largest one
+    if edit == "d":
+        layer[j, 3] *= 1 + 1e-12
+    elif edit == "x":
+        layer[j, 1] *= 1 + 1e-12
+    elif edit == "scaled":
+        layer[j] *= 1 + 1e-12
+    elif edit == "folded":
+        layer = mul4(layer, layer[4])
+    elif edit == "other-index":  # a layer matrix, but not of its material's index
+        layer[j] = optics.make_transfer_matrix(ComplexIndex(2.31), 120.0, 500.0).entries()
+    n = _layer_indices(layer, names)
+    if edit == "none":
+        np.testing.assert_allclose(n, [2.3, 1.4], rtol=1e-12)
+    else:
+        assert n is None
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_suffix_table_columns_are_tail_products(seed):
     cat, prefix, tails, _, table = _random_instance(seed)
-    mats = cat.layer_matrices
-    got = solver._suffix_table(mats[len(prefix):])
+    mats = cat.layer_matrices[len(prefix):]
+    head, got = solver._suffix_table(mats)
     np.testing.assert_allclose(got, table, rtol=0, atol=1e-13)
+    # the table is its head times the last layer, last layer fastest, bit for bit
+    identity = np.array([[[1.0], [0.0], [0.0], [1.0]]] * len(table))
+    want_head = solver._suffix_table(mats[:-1])[1] if len(mats) > 1 else identity
+    assert head.tobytes() == want_head.tobytes()
+    times_last = mul4(head.transpose(0, 2, 1)[:, :, None], mats[-1].transpose(1, 0, 2)[:, None])
+    assert got.tobytes() == times_last.transpose(0, 3, 1, 2).reshape(got.shape).tobytes()

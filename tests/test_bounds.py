@@ -114,7 +114,7 @@ class TestTightenBounds:
         cat, _ = random_catalog(random.Random(2500 + seed), max_layers=5, max_choices=6)
         plain = identity_suffix_bounds(cat)
         for split in range(cat.n_layers):
-            tight = suffix_product_bounds(cat, split, solver._suffix_table(cat.layer_matrices[split:]))
+            tight = suffix_product_bounds(cat, split, solver._suffix_table(cat.layer_matrices[split:])[1])
             assert tight.lower.shape == tight.upper.shape == (len(cat.spectrum), split + 1, 4)
             assert np.all(tight.lower >= plain.lower[:, :split + 1] - TOL)
             assert np.all(tight.upper <= plain.upper[:, :split + 1] + TOL)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmopt import optics, solver
-from filmopt.arrayops import DenominatorScreen
+from filmopt.arrayops import DenominatorScreen, mul4
 from filmopt.errors import InadmissibleDesign, InstanceTooLarge
 from filmopt.materials import CatalogConfig, build_catalog, load_tables
 from filmopt.solver import (
@@ -24,6 +24,7 @@ from filmopt.solver import (
 )
 
 from conftest import (
+    SUBSTRATES,
     enumerate_designs,
     flat_table,
     identity_suffix_bounds,
@@ -206,8 +207,8 @@ class TestBranchAndBound:
         assert r1.objective == r2.objective
 
 
-def near_tied_catalog(seed: int):
-    """Six layers of seven thicknesses, three of them within 1e-9 to 1e-3 nm of another."""
+def near_tied_catalog(seed: int, n_wl: int = 3):
+    """Six layers of seven thicknesses, three of them within 1e-9 to 1e-3 nm of another, at `n_wl` wavelengths."""
     rng = random.Random(seed)
 
     def grid() -> tuple[float, ...]:
@@ -220,7 +221,7 @@ def near_tied_catalog(seed: int):
                               rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0))}
     cfg = CatalogConfig(substrate="S", materials=("A", "B"),
                         thicknesses={"A": grid(), "B": grid()},
-                        wavelengths=tuple(sorted(rng.sample(range(400, 1001, 50), 3))),
+                        wavelengths=tuple(sorted(rng.sample(range(400, 1001, 50), n_wl))),
                         layers=6, alternating=True)
     return build_catalog(cfg, tables)
 
@@ -248,28 +249,61 @@ def _counting_kernel(scored):
 
 class TestDenominatorScreen:
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_reports_identical_to_float64_only_on_near_ties(self, seed):
-        """Forcing every block through float64 (margin inf) is the search without the screen."""
-        cat = near_tied_catalog(seed)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 3]))
+    def test_reports_identical_to_float64_only_on_near_ties(self, seed, n_wl):
+        """Forcing every block through float64 (margin inf) is the search without the screen.
+
+        One wavelength runs the ellipse screen, three the column screen.
+        """
+        cat = near_tied_catalog(seed, n_wl)
         screened = [brute_force(cat), branch_and_bound(cat)]
         with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
             plain = [brute_force(cat), branch_and_bound(cat)]
         assert [_untimed(r) for r in screened] == [_untimed(r) for r in plain]
 
-    def test_mo_410_scores_few_blocks_in_float64(self, data_tables):
-        cat = build_catalog(single_wavelength_config("Molybdenum", 410.0), data_tables)
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_mo_410_scores_13_blocks_in_float64_and_equals_the_unscreened_search(self, data_tables, substrate):
+        """The ellipse screen leaves brute force 13 of its 312 blocks, and changes no report."""
+        cat = build_catalog(single_wavelength_config(substrate, 410.0), data_tables)
         scored = []
         with patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
-            report = brute_force(cat)
-        blocks = cat.layer_matrices[0].shape[0] * cat.layer_matrices[1].shape[0]
-        assert report.nodes_explored == cat.design_count()
-        assert len(scored) <= blocks // 10
+            brute = brute_force(cat)
+        assert cat.layer_matrices[0].shape[0] * cat.layer_matrices[1].shape[0] == 312
+        assert brute.nodes_explored == cat.design_count()
+        assert len(scored) == 13
+        screened = [brute, branch_and_bound(cat)]
         with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
-            assert _untimed(brute_force(cat)) == _untimed(report)
+            assert [_untimed(r) for r in screened] == [_untimed(brute_force(cat)), _untimed(branch_and_bound(cat))]
 
-    @pytest.mark.parametrize("substrate, designs, most_scored", [("Molybdenum", 15_185_664, 34),
-                                                                  ("Tungsten", 15_088_320, 33)])
+    @pytest.mark.parametrize("solve, scored_blocks", [(brute_force, 13), (branch_and_bound, 17)])
+    def test_a_folded_last_layer_keeps_the_column_screen(self, data_tables, solve, scored_blocks):
+        """A fixed TiO2 layer folded onto the MgF2 last layer is no layer matrix, so the column screen runs.
+
+        Its float64 block counts are the column screen's on this catalog, and reports equal the unscreened search.
+        """
+        cat = build_catalog(single_wavelength_config("Molybdenum", 410.0), data_tables)
+        mats = cat.layer_matrices
+        folded = dataclasses.replace(cat, layer_matrices=mats[:-1] + (mul4(mats[-1], mats[0][4][None]),))
+        screens, scored = [], []
+        init = DenominatorScreen.__init__
+
+        def recorded(screen, *args):
+            init(screen, *args)
+            screens.append(screen)
+
+        with patch.object(DenominatorScreen, "__init__", recorded), \
+                patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
+            report = solve(folded)
+        assert [screen.head for screen in screens] == [None]
+        assert len(scored) == scored_blocks
+        with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
+            assert _untimed(solve(folded)) == _untimed(report)
+
+    # most_scored: the column screen's float64 blocks on each substrate (18, 17, 18, 18), plus 2
+    @pytest.mark.parametrize("substrate, designs, most_scored", [("Molybdenum", 15_185_664, 20),
+                                                                  ("Tungsten", 15_088_320, 19),
+                                                                  ("Niobium", 15_672_384, 20),
+                                                                  ("Tantalum", 15_769_728, 20)])
     def test_mo_410_bnb_skips_almost_every_leaf_block(self, data_tables, substrate, designs, most_scored):
         """Exact split boxes cut the designs B&B evaluates; the screen skips most blocks it enters."""
         cat = build_catalog(single_wavelength_config(substrate, 410.0), data_tables)
