@@ -175,6 +175,17 @@ def _leaf_chunks(k: int, width: int) -> tuple[tuple[slice, int], ...]:
     return tuple((slice(s, e), e - s) for s, e in zip(starts, starts[1:] + [k]))
 
 
+def gather_columns(suffix: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (L, 4, n) table of the columns `cols` of `suffix`, which keep their scores' bits.
+
+    :func:`weighted_reflectance4` scores a column of the gathered table to
+    the bits it gets in the whole table (see the tests).  A lone column is
+    gathered twice, as the first of two equal scores: numpy scores a
+    one-column matmul with gemv, which rounds differently.
+    """
+    return suffix[:, :, np.repeat(cols, 2) if len(cols) == 1 else cols]
+
+
 def _reflectance_terms(rows: np.ndarray, suffix: np.ndarray, work: np.ndarray):
     """Numerators and denominators (two (L, K) views of `work`) of R(P*S) over `suffix` columns."""
     np.matmul(rows, suffix, out=work)
@@ -289,9 +300,12 @@ class DenominatorScreen:
     of w± is a fixed row times T, so ``bound`` gets them for every head
     column and material from one float64 matmul, and puts the largest σ²
     for the largest D over the columns: on mo_410_n6, 4,056 head columns
-    for 97,344 columns, and no float32 copy of the table.  A table of
-    several wavelengths, or a last layer that fails the check, keeps the
-    column screen.
+    for 97,344 columns, and no float32 copy of the table.  A group is the
+    columns of one head column whose last-layer choices are of one
+    material; ``group_bounds`` bounds each group by its own σ², and
+    ``columns`` lists the columns of the groups a search still has to
+    score.  A table of several wavelengths, or a last layer that fails the
+    check, keeps the column screen.
     """
 
     def __init__(
@@ -332,6 +346,7 @@ class DenominatorScreen:
         n = _layer_indices(last[:, 0], materials) if n_wl == 1 and head is not None else None
         if n is not None:
             self.head = self._ellipses(head[0], last[:, 0], n)
+            self.kind = np.unique(np.asarray(materials), return_inverse=True)[1]  # each choice's row of n
         if self.head is not None:
             # δ = ((k_z z + 2.014 z_e + 1.007 εc) @ φ + k_sum)(1 + 2^-20), see margins
             self.k_z = 4.02 * _gamma(8, _U64)
@@ -434,8 +449,9 @@ class DenominatorScreen:
         rows (4G, 4) give (u1 + v2, u2 - v1, u1 - v2, u2 + v1) of each
         material (see _ellipses), so ``bound`` gets w± of every group from
         one matmul with the head table and takes λ̂ = fl(ŝ²/4) for the
-        largest ŝ = fl(|ŵ+| + |ŵ-|).  Steps 0-4 stand; step 5 needs
-        D_k <= λ̂/(1 - e) on every column k of a group, with this e:
+        largest ŝ = fl(|ŵ+| + |ŵ-|), and ``group_bounds`` takes each group's
+        own λ̂.  Steps 0-4 stand; step 5 needs D_k <= λ̂/(1 - e) on every
+        column k of a group, with this e:
 
         E1. Table.  Column k is S = fl(T*M), |S - T*M| <= γ2(u) |T|*|M|
             (products of absolute values), and the checked choice is
@@ -504,14 +520,15 @@ class DenominatorScreen:
         """Σφ - min_k Σ_l h_l / D̂_l[k] + δ for one prefix, or inf when δ is.
 
         `den_rows`, `h` and δ are one prefix's entries of ``margins``.  The
-        ellipse screen puts λ̂, the largest σ² of its groups, for max_k D̂[k].  No
-        score :func:`weighted_reflectance4` gives for that prefix exceeds
-        the result.
+        ellipse screen puts λ̂, the largest σ² of its groups, for max_k D̂[k]:
+        the largest of ``group_bounds``, bit for bit.  No score
+        :func:`weighted_reflectance4` gives for that prefix exceeds the result.
         """
         if not delta < np.inf:
             return np.inf
         if self.head is not None:
-            return self.phi_sum - float(h[0]) / self._largest_ellipse(den_rows[0]) + float(delta)
+            s = float(self._ellipse_sums(den_rows[0]).max())
+            return self.phi_sum - float(h[0]) / (0.25 * s * s) + float(delta)
         low = np.inf
         for cols, count in _leaf_chunks(self.k, self.work.shape[2]):
             terms = self.work[:, :, :count]
@@ -525,13 +542,32 @@ class DenominatorScreen:
                 low = min(low, float(weighted.min()))
         return self.phi_sum - low + float(delta)
 
-    def _largest_ellipse(self, rows: np.ndarray) -> float:
-        """λ̂ = fl(ŝ²/4) for the largest ŝ = |ŵ+| + |ŵ-| of the head columns and materials.
+    def group_bounds(self, den_rows: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray | None:
+        """Σφ - h/λ̂_g + δ for every group g of the ellipse screen, (G, K/m); None without it or when δ is inf.
+
+        Row i holds the groups of the i-th material in sorted order, column
+        t those of head column t.  Steps E1-E6 of ``margins`` bound the D of
+        each group by its own λ̂, so no score :func:`weighted_reflectance4`
+        gives a column of group g exceeds its entry.  fl(ŝ²/4) and the
+        bound's arithmetic are monotone, so the largest entry is ``bound``.
+        """
+        if self.head is None or not delta < np.inf:
+            return None
+        s = self._ellipse_sums(den_rows[0])
+        return self.phi_sum - float(h[0]) / (0.25 * s * s) + float(delta)
+
+    def columns(self, groups: np.ndarray) -> np.ndarray:
+        """The table columns, in increasing order, of the groups where the (G, K/m) mask `groups` holds."""
+        heads = np.flatnonzero(groups.any(axis=0))
+        m = len(self.kind)
+        return (heads[:, None] * m + np.arange(m))[groups[:, heads][self.kind].T]
+
+    def _ellipse_sums(self, rows: np.ndarray) -> np.ndarray:
+        """ŝ = fl(|ŵ+| + |ŵ-|) of every material (G rows) and head column, (G, K/m); λ̂ = fl(ŝ²/4).
 
         `rows` (4G, 4) are one prefix's lifted den rows from ``margins``.
         """
         w = np.matmul(rows, self.head, out=self.moduli)  # rows of (u1 + v2, u2 - v1, u1 - v2, u2 + v1) per material
         np.square(w, out=w)
         moduli = np.sqrt(np.add(w[0::2], w[1::2], out=w[0::2]), out=w[0::2])  # |w+|, |w-|
-        s = float(np.add(moduli[0::2], moduli[1::2], out=moduli[0::2]).max())
-        return 0.25 * s * s
+        return np.add(moduli[0::2], moduli[1::2], out=moduli[0::2])

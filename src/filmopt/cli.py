@@ -194,6 +194,9 @@ def cmd_hyperplanes(config: Path, out: Path) -> int:
 
 def cmd_heuristic(config: Path, out: Path, targets: str, layers_per_target: int, order: str) -> int:
     wls = tuple(_parse_numbers(targets, ",", "--targets"))
+    if not 1 <= layers_per_target <= heuristics.MAX_LAYERS_PER_WAVELENGTH:
+        raise ConfigError(f"--layers-per-target must be in 1..{heuristics.MAX_LAYERS_PER_WAVELENGTH}, "
+                          f"got {layers_per_target}")
     cfg, tables, _ = _load_instance(config)
     high, low = _rank_by_mean_index(list(cfg.materials), tables, wls)
     spec = heuristics.StackSpec(wls, layers_per_target, high, low)

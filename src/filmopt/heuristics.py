@@ -19,6 +19,10 @@ VISIBLE_GRID = (380.0, 10.0, 770.0)
 BROAD_GRID = (300.0, 20.0, 3000.0)
 
 
+#: The most quarter-wave films a stack puts per target wavelength.
+MAX_LAYERS_PER_WAVELENGTH = 7
+
+
 @dataclass(frozen=True)
 class StackSpec:
     """Targets and per-target film size for the quarter-wave baseline."""
@@ -31,8 +35,8 @@ class StackSpec:
     def __post_init__(self) -> None:
         if not self.targets or any(t <= 0 for t in self.targets):
             raise ValidationError("targets must be positive wavelengths")
-        if not 1 <= self.layers_per_wavelength <= 7:
-            raise ValidationError("layers_per_wavelength must be in 1..7")
+        if not 1 <= self.layers_per_wavelength <= MAX_LAYERS_PER_WAVELENGTH:
+            raise ValidationError(f"layers_per_wavelength must be in 1..{MAX_LAYERS_PER_WAVELENGTH}")
 
 
 def quarter_wave_design(

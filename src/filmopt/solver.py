@@ -36,10 +36,17 @@ screen takes the largest eigenvalue of each ellipse in float64, one per
 head column and material in place of one denominator per column.  A last
 layer whose choices are no layer matrices keeps the float32 column
 screen.  A block whose bound cannot beat the incumbent plus
-``OBJECTIVE_EPS`` is skipped; every other block, the first and every
-block where δ is inf are scored by the float64 kernel over the whole
-block, so the objective, design, tie-break, incumbents and node counts
-are the same as without the screen.
+``OBJECTIVE_EPS`` is skipped.  The column screen scores every other
+block, and every block where δ is inf, by the float64 kernel over the
+whole block.  The ellipse screen bounds each (head column, material)
+group on its own and scores only the columns of the groups whose bound
+beats the incumbent plus ``OBJECTIVE_EPS``; in the first block, those
+whose bound reaches the best score of the groups of largest bound.  The
+columns are gathered in column order, so the first column of largest
+score is the block's, and the objective, design, tie-break, incumbents
+and node counts are the same as without the screen.  On ``mo_410_n6``
+that scores about 13,000 of brute force's 30.4M designs in float64 and
+about 5,000 of B&B's 15M.
 
 Node accounting: ``nodes_explored`` counts designs evaluated, each tail
 block counted whole; ``nodes_pruned`` counts subtrees cut above the split
@@ -59,6 +66,7 @@ from .arrayops import (
     IDENTITY4,
     DenominatorScreen,
     box_max_denominator4,
+    gather_columns,
     interval_product4,
     leaf_chunk_width,
     mul4,
@@ -257,17 +265,34 @@ def _search(catalog: Catalog, prune: bool, node_cap: int | None = None) -> Solve
         lo, hi = interval_product4(prefixes, slo[:, depth], shi[:, depth])
         return (1.0 - 4.0 * a / box_max_denominator4(lo, hi, a, b)) @ phi
 
+    def best_column(prefix: np.ndarray, groups: np.ndarray | None) -> tuple[int, float]:
+        """The first column of largest float64 score of `prefix`, and that score.
+
+        Over the whole table, or over the columns of the ellipse screen's groups where the mask `groups` holds.
+        """
+        cols = None if groups is None or groups.all() else screen.columns(groups)
+        table = suffix if cols is None else gather_columns(suffix, cols)
+        obj = weighted_reflectance4(reflectance_rows4(prefix, a, b), table, phi, work, scores[:table.shape[2]])
+        i = int(np.argmax(obj))
+        return (i if cols is None else int(cols[i])), float(obj[i])
+
     def leaf(prefix: np.ndarray, screened: tuple, j: int, chosen: list[int]) -> None:
         """Score `prefix` against the table unless entry `j` of its `screened` margins rules it out."""
         nonlocal best, best_design, nodes, capped
         nodes += scores.shape[0]
-        den_rows, h, delta = screened
+        margins = tuple(m[j] for m in screened)
         # No float64 score can beat the incumbent when the screen's bound does not.
-        if best_design is None or not screen.bound(den_rows[j], h[j], delta[j]) <= best + OBJECTIVE_EPS:
-            obj = weighted_reflectance4(reflectance_rows4(prefix, a, b), suffix, phi, work, scores)
-            i = int(np.argmax(obj))
-            if obj[i] > best + OBJECTIVE_EPS:
-                best = float(obj[i])
+        if best_design is None or not screen.bound(*margins) <= best + OBJECTIVE_EPS:
+            bounds = screen.group_bounds(*margins)
+            groups = None  # the whole table
+            if bounds is not None:  # only the groups that can win; a nan bound passes
+                if best_design is None:  # the first block: those that reach the best score of its top groups
+                    groups = ~(bounds < best_column(prefix, ~(bounds < bounds.max()))[1])
+                else:
+                    groups = ~(bounds <= best + OBJECTIVE_EPS)
+            i, score = best_column(prefix, groups)
+            if score > best + OBJECTIVE_EPS:
+                best = score
                 best_design = chosen + list(np.unravel_index(i, counts[split:]))
                 incumbents.append(best)
         if node_cap is not None and nodes >= node_cap:

@@ -17,6 +17,7 @@ from filmopt.arrayops import (
     _layer_indices,
     box_max_denominator4,
     denominator4,
+    gather_columns,
     interval_product4,
     leaf_chunk_width,
     mul4,
@@ -24,10 +25,10 @@ from filmopt.arrayops import (
     reflectance_rows4,
     weighted_reflectance4,
 )
-from filmopt.materials import build_catalog
+from filmopt.materials import build_catalog, index_at
 from filmopt.optics import ComplexIndex, StructuredMatrix
 
-from conftest import random_catalog, single_wavelength_config
+from conftest import SUBSTRATES, random_catalog, single_wavelength_config
 from oracles import interval_product_box, max_denominator_over_box
 
 RTOL = 1e-12
@@ -177,6 +178,24 @@ def test_chunked_leaf_kernel_is_bit_identical(k):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 23, 24, 63, 64, 65, 127, 128])
+def test_chunked_leaf_kernel_is_bit_identical_on_gathered_columns(n):
+    """n columns gathered from a 97,344-column table, as the search gathers them, keep the whole table's bits."""
+    k = 97_344
+    rng = np.random.default_rng(n)
+    table = rng.uniform(-3, 3, size=(1, 4, k))
+    work, phi = np.empty((1, 4, leaf_chunk_width(k))), np.array([rng.random()])
+    picks = [np.arange(n), np.arange(k - n, k), np.arange(32_768 - n // 2, 32_768 - n // 2 + n)]
+    picks += [np.sort(rng.choice(k, n, replace=False)) for _ in range(4)]
+    for _ in range(3):
+        rows = reflectance_rows4(rng.uniform(-2, 2, size=(1, 4)), rng.uniform(1, 4, 1), rng.uniform(0, 6, 1))
+        want = weighted_reflectance4(rows, table, phi, work, np.empty(k)).copy()
+        for cols in picks:
+            gathered = gather_columns(table, cols)
+            got = weighted_reflectance4(rows, gathered, phi, work, np.empty(gathered.shape[2]))
+            assert got[:n].tobytes() == want[cols].tobytes()
+
+
 def _screen_and_kernel(p, table, a, b, phi, width=None, tail=()):
     """The screen's bound and the float64 kernel's largest score for prefix `p` (L, 4).
 
@@ -276,6 +295,68 @@ def test_screen_margin_is_small_on_a_real_table(data_tables):
         # the ellipses' top exceeds the largest D by well under 1%: 1 - R shrinks as much
         bound, top = _screen_and_kernel(prefix, table, a, b, phi, tail=tail)
         assert top <= bound <= 1 - (1 - top) / 1.01
+
+
+def _gamma(n):
+    u = 2.0**-53
+    return n * u / (1 - n * u)
+
+
+def _abs_product(x, y):
+    """|X|*|Y|: the carrier product of (..., 4) arrays of absolute values, every sign +."""
+    (x11, x12, x21, x22), (y11, y12, y21, y22) = np.moveaxis(np.abs(x), -1, 0), np.moveaxis(np.abs(y), -1, 0)
+    return np.stack([x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+                     x21 * y11 + x22 * y21, x22 * y22 + x21 * y12], axis=-1)
+
+
+def test_ellipse_margin_equals_its_documented_terms_on_mo_410(data_tables):
+    """δ of the ellipse screen, recomputed term by term from steps 0-2 and E1-E6 of ``margins``.
+
+    Every prefix at mo_410_n6's split, on each bundled substrate.  The terms are built from the
+    table, the head, the layer and the prefix directly, not from the screen's own scale arrays.
+    """
+    u, kappa = 2.0**-53, 2.0**-43  # κ = η
+    k_z = 4.02 * _gamma(8)
+    k_0 = 5.4 * u + 1.001 * _gamma(1) + 1.007 * (kappa + 3 * _gamma(3) + _gamma(4)) + 7 * _gamma(4) + 2.0**-60
+    for substrate in SUBSTRATES:
+        cat = build_catalog(single_wavelength_config(substrate, 410.0), data_tables)
+        mats, (sub,) = cat.layer_matrices, cat.substrate_indices
+        a, b, phi = sub.re, sub.im, cat.spectrum.weights[0]
+        split = solver._split_depth([m.shape[0] for m in mats], 1)
+        head, table = solver._suffix_table(mats[split:])
+        names = [m for m, _ in cat.layer_choices[-1]]
+        screen = DenominatorScreen(table, np.array([a]), np.array([b]), np.array([phi]), np.empty((1, 4, 128)),
+                                   head, mats[-1], names)
+        assert screen.head is not None
+        prefixes = mats[0]
+        for m in mats[1:split]:
+            prefixes = mul4(prefixes[:, None], m[None]).reshape(-1, 1, 4)
+        _, _, delta = screen.margins(prefixes)
+
+        p, s, t, layer = prefixes[:, 0], table[0].T, head[0].T, mats[-1][:, 0]
+        # step 0: the dets and their rounding
+        det = lambda w: w[..., 0] * w[..., 3] + w[..., 1] * w[..., 2]  # noqa: E731
+        alpha = lambda w: np.abs(w[..., 0] * w[..., 3]) + np.abs(w[..., 1] * w[..., 2])  # noqa: E731
+        det_min = det(s).min()
+        eps_c = _gamma(3) * alpha(p) / det(p) + _gamma(3) * alpha(s).max() / det_min + u
+        rho = np.sqrt(4 * a * det(p) * det_min * (1 - eps_c))
+        # step 2: Ā = |den rows| |carrier of P|, the den rows (d1, d2) of reflectance4 as maps of P*S
+        den_terms = np.array([[1.0, -b, 0.0, a], [0.0, a, 1.0, b]])
+        carrier = np.stack([mul4(p, e) for e in np.eye(4)], axis=-1)  # (prefixes, entry of P*S, entry of S)
+        a_bar = np.abs(den_terms) @ np.abs(carrier)  # (prefixes, 2, 4)
+        z = np.linalg.norm(a_bar @ np.abs(s).max(axis=0), axis=-1) / rho
+        # E1-E4: the head's largest entries, with and without each material's B_n, and |T|*|M|
+        turned = [mul4(t, np.array([0.0, 1 / n, n, 0.0])) for n in
+                  (index_at(data_tables[m], 410.0).re for m in sorted(set(names)))]
+        t_max, tb_max = np.abs(t).max(axis=0), np.abs(np.concatenate(turned)).max(axis=0)
+        tm = _abs_product(t_max, np.abs(layer).max(axis=0))
+        ta = np.sqrt(np.square(a_bar @ t_max).sum(-1) + np.square(a_bar @ tb_max).sum(-1))
+        ts = np.linalg.norm(a_bar @ tm, axis=-1)
+        z_e = (1.416 * _gamma(12) * ta + (kappa + _gamma(2)) * ts) / rho
+        # E6
+        want = (phi * (k_z * z + 2.014 * z_e + 1.007 * eps_c + k_0) + 2.0**-60) * (1 + 2.0**-20)
+        np.testing.assert_allclose(delta, want, rtol=1e-9, atol=0)
+        assert np.all(2.014 * phi * z_e > 0.5 * want)  # the table's and the fit's rounding: most of δ
 
 
 def _dielectric_layer(rng, indices, steps, wavelength):

@@ -243,6 +243,14 @@ class TestHeuristicAndCompare:
         lines = (out2 / "compare.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("qw,")
 
+    @pytest.mark.parametrize("count", ["0", "8", "-2"])
+    def test_heuristic_layers_per_target_out_of_range_names_the_flag_exit_1(self, count, config_path, tmp_path,
+                                                                            capsys):
+        assert run("heuristic", "--config", config_path, "--out", tmp_path / "h", "--targets", "450,900",
+                   "--layers-per-target", count) == 1
+        assert capsys.readouterr().err == f"error: --layers-per-target must be in 1..7, got {count}\n"
+        assert not (tmp_path / "h").exists()
+
     def test_heuristic_on_three_coatings_asks_for_a_pair_exit_1(self, tmp_path, capsys):
         # a config without alternating mode, its third coating's table a copy of MgF2's
         data = tmp_path / "data"

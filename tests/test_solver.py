@@ -239,12 +239,18 @@ def _unscreened(margins):
 
 
 def _counting_kernel(scored):
+    """The solver's float64 kernel, appending (prefix rows, column count) of each call to `scored`."""
     kernel = solver.weighted_reflectance4
 
-    def counted(*args):
-        scored.append(1)
-        return kernel(*args)
+    def counted(rows, table, *args):
+        scored.append((rows.tobytes(), table.shape[2]))
+        return kernel(rows, table, *args)
     return counted
+
+
+def _blocks(scored):
+    """The prefixes scored in float64: the first block's top groups are scored before the rest of it."""
+    return len({rows for rows, _ in scored})
 
 
 class TestDenominatorScreen:
@@ -270,10 +276,53 @@ class TestDenominatorScreen:
             brute = brute_force(cat)
         assert cat.layer_matrices[0].shape[0] * cat.layer_matrices[1].shape[0] == 312
         assert brute.nodes_explored == cat.design_count()
-        assert len(scored) == 13
+        assert _blocks(scored) == 13
         screened = [brute, branch_and_bound(cat)]
         with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
             assert [_untimed(r) for r in screened] == [_untimed(brute_force(cat)), _untimed(branch_and_bound(cat))]
+
+    # 97,344 columns a block: brute force scored 13 whole blocks (1,265,472 columns), B&B 14 to 19
+    @pytest.mark.parametrize("substrate, brute_columns, bnb_columns", [("Molybdenum", 13_272, 5_376),
+                                                                       ("Tungsten", 13_584, 5_688),
+                                                                       ("Niobium", 13_056, 5_136),
+                                                                       ("Tantalum", 13_056, 5_136)])
+    def test_mo_410_scores_only_the_groups_that_can_win(self, data_tables, substrate, brute_columns, bnb_columns):
+        """The float64 kernel scores the columns of the groups whose own bound can beat the incumbent."""
+        cat = build_catalog(single_wavelength_config(substrate, 410.0), data_tables)
+        for solve, columns in ((brute_force, brute_columns), (branch_and_bound, bnb_columns)):
+            scored = []
+            with patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
+                solve(cat)
+            assert sum(count for _, count in scored) == columns
+
+    def test_choices_tied_across_materials_keep_the_first_column(self, data_tables):
+        """A last layer of two materials whose choices tie bit for bit keeps the first column, as without the screen.
+
+        mo_410_n6 with a twin of its MgF2 last layer named ZnS: each ZnS column scores what the MgF2 column 24
+        before it scores, so the block maximum is always tied, and only partly gathered blocks are scored.
+        """
+        cat = build_catalog(single_wavelength_config("Molybdenum", 410.0), data_tables)
+        last, mats = cat.layer_choices[-1], cat.layer_matrices
+        assert {m for m, _ in last} == {"MgF2"}
+        twin_layer = last + tuple(("ZnS", t) for _, t in last)
+        twin = dataclasses.replace(cat, layer_choices=cat.layer_choices[:-1] + (twin_layer,),
+                                   layer_matrices=mats[:-1] + (np.concatenate([mats[-1], mats[-1]]),))
+        screens, scored = [], []
+        init = DenominatorScreen.__init__
+
+        def recorded(screen, *args):
+            init(screen, *args)
+            screens.append(screen)
+
+        for solve in (brute_force, branch_and_bound):
+            with patch.object(DenominatorScreen, "__init__", recorded), \
+                    patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
+                report = solve(twin)
+            assert screens.pop().head is not None
+            assert report.design[-1][0] == "MgF2" and report.objective == brute_force(cat).objective
+            with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
+                assert _untimed(solve(twin)) == _untimed(report)
+        assert scored and max(count for _, count in scored) < 194_688  # groups of columns, never a whole block
 
     @pytest.mark.parametrize("solve, scored_blocks", [(brute_force, 13), (branch_and_bound, 17)])
     def test_a_folded_last_layer_keeps_the_column_screen(self, data_tables, solve, scored_blocks):
@@ -295,7 +344,7 @@ class TestDenominatorScreen:
                 patch.object(solver, "weighted_reflectance4", _counting_kernel(scored)):
             report = solve(folded)
         assert [screen.head for screen in screens] == [None]
-        assert len(scored) == scored_blocks
+        assert _blocks(scored) == len(scored) == scored_blocks
         with patch.object(DenominatorScreen, "margins", _unscreened(DenominatorScreen.margins)):
             assert _untimed(solve(folded)) == _untimed(report)
 
@@ -314,7 +363,7 @@ class TestDenominatorScreen:
         assert report.nodes_explored == designs
         assert report.nodes_explored % block == 0
         assert report.design == brute_force(cat).design
-        assert len(scored) <= most_scored < report.nodes_explored // block
+        assert _blocks(scored) <= most_scored < report.nodes_explored // block
         identity_boxes = identity_suffix_bounds(cat)  # not from the exact box at the split
         with patch.object(solver.bounds_mod, "suffix_product_bounds", lambda *args: identity_boxes):
             propagated = branch_and_bound(cat)
