@@ -3,10 +3,10 @@
 the quarter-wave stacking comparison.
 
     python scripts/run_experiments.py --quick    # one substrate, ~0.5 s
-    python scripts/run_experiments.py            # all four substrates, ~3 s
+    python scripts/run_experiments.py            # all four substrates, ~2 s
 
 Each 6-layer single-wavelength solve enumerates ~3.0e7 designs in about
-0.03 s; the sweep over 4 substrates x 11 wavelengths takes about 1.2 s
+0.02 s; the sweep over 4 substrates x 11 wavelengths takes about 0.8 s
 (measured on one core of a 2-core Intel Xeon VM, OPENBLAS_NUM_THREADS=1).
 """
 from __future__ import annotations

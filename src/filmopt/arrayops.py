@@ -523,6 +523,9 @@ class DenominatorScreen:
         ellipse screen puts λ̂, the largest σ² of its groups, for max_k D̂[k]:
         the largest of ``group_bounds``, bit for bit.  No score
         :func:`weighted_reflectance4` gives for that prefix exceeds the result.
+        A search skips the block when the result cannot beat its incumbent;
+        with the ellipse screen it scores in float64 only the columns of the
+        groups whose ``group_bounds`` entry can, not the whole block.
         """
         if not delta < np.inf:
             return np.inf

@@ -416,11 +416,23 @@ def test_ellipse_bound_tops_the_float64_kernel(seed, tail_layers, prefix_layers,
     head, table = solver._suffix_table(tail)
     scale = 10 ** (log_scale / 4)  # products scale by 10^(log_scale / 2)
     p, table, head = p * scale, table * scale, head * scale
-    ellipses = (head, tail[-1], names)
-    assert DenominatorScreen(table, a, b, phi, np.empty((1, 4, 128)), *ellipses).head is not None
-    bound, top = _screen_and_kernel(p, table, a, b, phi, tail=ellipses)
-    assert bound >= top
+    k = table.shape[2]
+    work = np.empty((1, 4, k))
+    screen = DenominatorScreen(table, a, b, phi, work, head, tail[-1], names)
+    assert screen.head is not None
+    margins = [m[0] for m in screen.margins(p[None])]
+    bound = screen.bound(*margins)
+    obj64 = weighted_reflectance4(reflectance_rows4(p, a, b), table, phi, work, np.empty(k))
+    assert bound >= obj64.max()
     assert bound < np.inf or ab != (3.16, 3.36)  # a substrate like the bundled metals: δ applies
+    groups = screen.group_bounds(*margins)
+    assert (groups is None) == (bound == np.inf)
+    if groups is not None:
+        # each column's score is at most its group's bound, and the largest group bound is the block's
+        kind = np.unique(names, return_inverse=True)[1]  # each last-layer choice's row of groups
+        assert np.all(obj64 <= groups[kind].T.reshape(-1)) and groups.max() == bound
+        mask = rng.random(groups.shape) < 0.5
+        assert np.array_equal(screen.columns(mask), np.flatnonzero(mask[kind].T.reshape(-1)))
 
 
 @pytest.mark.parametrize("edit", ["none", "d", "x", "scaled", "folded", "other-index"])
